@@ -19,7 +19,7 @@ Memory overhead of sharding is one 64-bit start value per shard, i.e.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class ShardedBitmap:
         self._words = np.zeros(nshards * self._words_per_shard, dtype=np.uint64)
         self._starts = (np.arange(nshards, dtype=np.int64) * shard_bits)
         self._lost = np.zeros(nshards, dtype=np.int64)
+        #: cached :meth:`count`; every mutator resets it to None
+        self._count: Optional[int] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -185,8 +187,22 @@ class ShardedBitmap:
         offset = pos - int(self._starts[shard])
         return kernels.get_bit(self._shard_words(shard), offset)
 
+    def _word_slots(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(word index, bit-in-word)`` of many logical positions."""
+        if len(pos) and (pos.min() < 0 or pos.max() >= self._length):
+            raise IndexError("position out of range")
+        shards = np.searchsorted(self._starts, pos, side="right") - 1
+        offsets = pos - self._starts[shards]
+        return shards * self._words_per_shard + (offsets >> 6), (offsets & 63).astype(np.uint64)
+
+    def get_many(self, positions: np.ndarray) -> np.ndarray:
+        """The bits at many logical positions, as a boolean array."""
+        word_idx, bit_idx = self._word_slots(np.asarray(positions, dtype=np.int64))
+        return (self._words[word_idx] >> bit_idx) & np.uint64(1) != 0
+
     def set(self, pos: int) -> None:
         """Set the bit at logical position ``pos`` to 1."""
+        self._count = None
         self._check(pos)
         shard = self._locate(pos)
         offset = pos - int(self._starts[shard])
@@ -194,6 +210,7 @@ class ShardedBitmap:
 
     def unset(self, pos: int) -> None:
         """Set the bit at logical position ``pos`` to 0."""
+        self._count = None
         self._check(pos)
         shard = self._locate(pos)
         offset = pos - int(self._starts[shard])
@@ -205,14 +222,8 @@ class ShardedBitmap:
             positions if isinstance(positions, np.ndarray) else list(positions),
             dtype=np.int64,
         )
-        if len(pos) == 0:
-            return
-        if pos.min() < 0 or pos.max() >= self._length:
-            raise IndexError("position out of range")
-        shards = np.searchsorted(self._starts, pos, side="right") - 1
-        offsets = pos - self._starts[shards]
-        word_idx = shards * self._words_per_shard + (offsets >> 6)
-        bit_idx = (offsets & 63).astype(np.uint64)
+        self._count = None
+        word_idx, bit_idx = self._word_slots(pos)
         np.bitwise_or.at(self._words, word_idx, np.uint64(1) << bit_idx)
 
     # ------------------------------------------------------------------
@@ -227,6 +238,7 @@ class ShardedBitmap:
 
     def append(self, value: bool = False) -> None:
         """Append one bit at the end of the bitmap."""
+        self._count = None
         last = len(self._starts) - 1
         if self._shard_bit_count(last) >= self._shard_capacity(last):
             self._grow_shard()
@@ -240,6 +252,7 @@ class ShardedBitmap:
         """Append ``nbits`` zero bits at the end of the bitmap."""
         if nbits < 0:
             raise ValueError("cannot extend by a negative bit count")
+        self._count = None
         remaining = nbits
         while remaining > 0:
             last = len(self._starts) - 1
@@ -261,6 +274,7 @@ class ShardedBitmap:
         subsequent bits *within the shard* one position towards the deleted
         bit, (c) decrement the start values of all subsequent shards.
         """
+        self._count = None
         self._check(pos)
         shard = self._locate(pos)
         offset = pos - int(self._starts[shard])
@@ -292,6 +306,7 @@ class ShardedBitmap:
             return
         if pos[0] < 0 or pos[-1] >= self._length:
             raise IndexError("position out of range")
+        self._count = None
         shards = np.searchsorted(self._starts, pos, side="right") - 1
         offsets = pos - self._starts[shards]
         deleted_per_shard = np.zeros(len(self._starts), dtype=np.int64)
@@ -355,6 +370,7 @@ class ShardedBitmap:
         """
         if executor is None:
             executor = self.condense_executor
+        self._count = None
         shard_bits = self._shard_bits
         nshards = max(1, (self._length + shard_bits - 1) // shard_bits)
         words = np.zeros(nshards * self._words_per_shard, dtype=np.uint64)
@@ -436,16 +452,15 @@ class ShardedBitmap:
         return np.flatnonzero(self.to_bool_array()).astype(np.int64)
 
     def count(self) -> int:
-        """Number of set bits."""
-        total = 0
-        for shard in range(len(self._starts)):
-            nbits = self._shard_bit_count(shard)
-            if nbits <= 0:
-                continue
-            nwords = (nbits + WORD_BITS - 1) // WORD_BITS
-            words = self._shard_words(shard)[:nwords]
-            total += kernels.popcount_words(words)
-        return total
+        """Number of set bits (cached until the next mutation).
+
+        Bits past a shard's logical end are always zero (deletes clear
+        the vacated bit, growth appends zero words), so the popcount of
+        the word array is the popcount of the logical bitmap.
+        """
+        if self._count is None:
+            self._count = kernels.popcount_words(self._words)
+        return self._count
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.positions().tolist())

@@ -186,6 +186,16 @@ class PatchIndex:
         pos = np.searchsorted(self._ids, rowid)
         return bool(pos < len(self._ids) and self._ids[pos] == rowid)
 
+    def is_patch_many(self, rowids: np.ndarray) -> np.ndarray:
+        """Whether each of many rowIDs is an exception (boolean array)."""
+        rowids = np.asarray(rowids, dtype=np.int64)
+        if self._bitmap is not None:
+            return self._bitmap.get_many(rowids)
+        pos = np.searchsorted(self._ids, rowids)
+        found = pos < len(self._ids)
+        found[found] = self._ids[pos[found]] == rowids[found]
+        return found
+
     # ------------------------------------------------------------------
     # maintenance primitives (§5)
     # ------------------------------------------------------------------

@@ -5,11 +5,12 @@ constraint"* under inserts, modifies and deletes while avoiding both a
 full index recomputation and a full table scan:
 
 * **NUC insert/modify** — run the insert-handling join of Figure 5: the
-  touched tuples (scanned from the statement's positional deltas) are
-  joined against the current table image; dynamic range propagation
-  restricts the table scan to blocks overlapping the touched values.
-  The rowIDs of *both* join sides of every collision are merged into
-  the patches, so duplicated values never appear in the non-patch flow.
+  touched values (from the statement's positional deltas) are the build
+  side of the engine's equi-join kernel and the indexed column is its
+  probe side; dynamic range propagation restricts the probe to the
+  blocks whose minmax summary overlaps the touched values.  The rowIDs
+  of *both* join sides of every collision are merged into the patches,
+  so duplicated values never appear in the non-patch flow.
 * **NSC insert** — extend the materialized sorted run with a longest
   sorted subsequence over the inserted values beyond the run's boundary
   value; the rest of the inserted tuples become patches.
@@ -27,6 +28,8 @@ were perfect at definition time, instead of aborting the update.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.constraints import (
@@ -35,8 +38,8 @@ from repro.core.constraints import (
     NearlyUniqueColumn,
 )
 from repro.core.patchindex import PatchIndex
-from repro.engine.batch import ROWID, Relation
-from repro.engine.operators import HashJoin, RelationSource, Scan
+from repro.engine.operators import _expand_matches
+from repro.storage.minmax import MinMaxIndex
 from repro.storage.pdt import UpdateEvent
 
 __all__ = ["apply_update", "nuc_collision_patches"]
@@ -76,54 +79,57 @@ def _handle_nuc(index: PatchIndex, table, event: UpdateEvent,
         index.extend_rows(len(event.rowids))
     if len(touched_values) == 0:
         return
-    matched_rowids = _collision_join(index, table, touched_values, drp)
-    new_patches = nuc_collision_patches(
-        table.column(index.column), matched_rowids, index.patch_mask()
+    column = table.column(index.column)
+    candidates = _collision_join(
+        column, touched_values, table.minmax(index.column) if drp else None
     )
-    index.add_patches(new_patches)
+    index.add_patches(
+        nuc_collision_patches(
+            column[candidates], candidates, index.is_patch_many(candidates)
+        )
+    )
 
 
-def _collision_join(index: PatchIndex, table, touched_values: np.ndarray,
-                    drp: bool) -> np.ndarray:
-    """Figure 5: join touched tuples with the table, project rowIDs.
+def _collision_join(column: np.ndarray, touched_values: np.ndarray,
+                    minmax: Optional[MinMaxIndex]) -> np.ndarray:
+    """Figure 5: rowIDs of the column's tuples sharing a touched value.
 
-    The build side is the (small) set of touched values; with dynamic
-    range propagation their [min, max] range prunes the table scan via
-    minmax summaries before it runs.
+    The build side is the (small) sorted set of distinct touched values;
+    under dynamic range propagation ``minmax`` is the column's summary
+    and the values' [min, max] range prunes the probe to the row ranges
+    whose blocks overlap it, each probed as a zero-copy slice.
     """
-    build = RelationSource(
-        Relation({index.column: np.unique(touched_values)}), name="delta"
-    )
-    probe = Scan(table, columns=[index.column], with_rowids=True)
-    join = HashJoin(
-        build,
-        probe,
-        index.column,
-        index.column,
-        build_side="left",
-        dynamic_range_propagation=drp,
-    )
-    matched = join.execute()
-    return np.unique(matched.column(ROWID))
+    build = np.unique(touched_values)
+    if minmax is None:
+        ranges = [(0, len(column))]
+    else:
+        ranges = minmax.row_ranges_in_range(build[0], build[-1])
+    # distinct build keys: each probe row matches at most once, so the
+    # probe positions come out ascending and duplicate-free
+    matched = [
+        start + _expand_matches(build, column[start:stop], build_sorted=True)[1]
+        for start, stop in ranges
+    ]
+    return np.concatenate(matched) if matched else np.zeros(0, dtype=np.int64)
 
 
 def nuc_collision_patches(
-    column_values: np.ndarray,
+    values: np.ndarray,
     candidate_rowids: np.ndarray,
-    patch_mask: np.ndarray,
+    is_patch: np.ndarray,
 ) -> np.ndarray:
     """New patches among candidate rowIDs sharing a column value.
 
-    Every candidate whose value group has two or more members becomes a
-    patch (both join sides of Figure 5); candidates that matched only
+    ``values`` and ``is_patch`` are the candidates' column values and
+    current patch flags, aligned with ``candidate_rowids``.  Every
+    candidate whose value group has two or more members becomes a patch
+    (both join sides of Figure 5); candidates that matched only
     themselves stay non-patches.  A value group containing an existing
     patch is by construction non-unique, so its other members also
     become patches.  Existing patches never leave the patch set.
     """
     if len(candidate_rowids) == 0:
         return np.zeros(0, dtype=np.int64)
-    values = column_values[candidate_rowids]
-    is_patch = patch_mask[candidate_rowids]
     _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
     colliding = counts[codes] > 1
     new_patch_sel = colliding & ~is_patch

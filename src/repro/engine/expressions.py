@@ -144,22 +144,25 @@ class BinaryExpr(Expression):
         return f"({self.left!r} {self.symbol} {self.right!r})"
 
 
-_NOT_NONE_UFUNC = np.frompyfunc(lambda v: v is not None, 1, 1)
-
-
-def _not_null_mask(arr: np.ndarray) -> np.ndarray:
+def not_null_mask(arr: np.ndarray) -> np.ndarray:
     """True where a value is present (SQL not-NULL).
 
     NULL is represented as ``None`` in object (string) columns and as
     NaN in float columns; integer columns cannot hold NULLs.
     """
     if arr.dtype == object:
-        if len(arr) == 0:
-            return np.zeros(0, dtype=bool)
-        return _NOT_NONE_UFUNC(arr).astype(bool)
+        return np.not_equal(arr, None)
     if np.issubdtype(arr.dtype, np.floating):
         return ~np.isnan(arr)
-    return np.ones(len(arr), dtype=bool)
+    return np.ones(arr.shape, dtype=bool)
+
+
+def _operand(expr: Expression, rel: Relation) -> np.ndarray:
+    """An operand's values; a literal stays 0-d and broadcasts in numpy."""
+    if isinstance(expr, Literal):
+        as_object = expr.value is None or isinstance(expr.value, str)
+        return np.asarray(expr.value, dtype=object if as_object else None)
+    return np.asarray(expr.evaluate(rel))
 
 
 class ComparisonExpr(BinaryExpr):
@@ -177,8 +180,10 @@ class ComparisonExpr(BinaryExpr):
     """
 
     def evaluate(self, rel: Relation) -> np.ndarray:
-        left = np.asarray(self.left.evaluate(rel))
-        right = np.asarray(self.right.evaluate(rel))
+        left = _operand(self.left, rel)
+        right = _operand(self.right, rel)
+        if left.ndim == 0 and right.ndim == 0:  # constant predicate
+            left = np.broadcast_to(left, rel.num_rows)
         if left.dtype != object and right.dtype != object:
             out = np.asarray(self.fn(left, right), dtype=bool)
             # numpy says NaN != x is True; SQL says NULL <> x is NULL
@@ -188,12 +193,12 @@ class ComparisonExpr(BinaryExpr):
                 if np.issubdtype(right.dtype, np.floating):
                     out &= ~np.isnan(right)
             return out
-        valid = _not_null_mask(left) & _not_null_mask(right)
+        # a literal side costs one test here, not an n-row mask
+        valid = not_null_mask(left) & not_null_mask(right)
+        if not valid.all():  # compare the non-NULL rows only
+            left, right = (side[valid] if side.ndim else side for side in (left, right))
         out = np.zeros(len(valid), dtype=bool)
-        if valid.any():
-            out[valid] = np.asarray(
-                self.fn(left[valid], right[valid]), dtype=bool
-            )
+        out[valid] = np.asarray(self.fn(left, right), dtype=bool)
         return out
 
 
@@ -226,7 +231,7 @@ class IsNullExpr(Expression):
         self.negate = negate
 
     def evaluate(self, rel: Relation) -> np.ndarray:
-        present = _not_null_mask(np.asarray(self.child.evaluate(rel)))
+        present = not_null_mask(np.asarray(self.child.evaluate(rel)))
         return present if self.negate else ~present
 
     def __repr__(self) -> str:
@@ -248,7 +253,7 @@ class IsInExpr(Expression):
         members = [v for v in self.values if v is not None]
         out = np.asarray(np.isin(vals, members), dtype=bool)
         if vals.dtype == object or np.issubdtype(vals.dtype, np.floating):
-            out &= _not_null_mask(vals)
+            out &= not_null_mask(vals)
         return out
 
     def __repr__(self) -> str:

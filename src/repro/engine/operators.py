@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union as TUn
 import numpy as np
 
 from repro.engine.batch import ROWID, Relation
-from repro.engine.expressions import Expression, expression_columns
+from repro.engine.expressions import Expression, expression_columns, not_null_mask
 from repro.engine.interrupt import checkpoint, current_token
 from repro.engine.parallel import (
     DEFAULT_MORSEL_ROWS,
@@ -406,84 +406,68 @@ class Project(Operator):
         return f"Project({list(self.outputs)})"
 
 
-def _hash_expand_matches(
-    build_keys: np.ndarray, probe_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(build_idx, probe_idx) via a hash table build + per-tuple probe.
-
-    This is a genuine hash join: the build side goes into a hash table
-    and *every* probe tuple performs a random-access lookup, which is
-    the per-tuple cost a merge join over sorted inputs avoids (§3.3).
-    """
-    table: dict = {}
-    for pos, key in enumerate(build_keys.tolist()):
-        table.setdefault(key, []).append(pos)
-    build_idx: List[int] = []
-    probe_idx: List[int] = []
-    for i, key in enumerate(probe_keys.tolist()):
-        bucket = table.get(key)
-        if bucket is None:
-            continue
-        for b in bucket:
-            build_idx.append(b)
-            probe_idx.append(i)
-    return (
-        np.asarray(build_idx, dtype=np.int64),
-        np.asarray(probe_idx, dtype=np.int64),
-    )
-
-
-def _parallel_hash_expand_matches(
-    ctx: ExecutionContext, build_keys: np.ndarray, probe_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partitioned parallel hash join (integer keys).
-
-    Both sides are split by ``key mod P``; partition-local hash tables
-    are built and probed concurrently, and the match pairs are re-sorted
-    to ``(probe, build)`` order — exactly the order the serial build
-    (insertion-ordered buckets, ascending probe loop) produces, keeping
-    the output bit-identical.
-    """
-    nparts = ctx.parallelism
-    build_part = np.mod(build_keys, nparts)
-    probe_part = np.mod(probe_keys, nparts)
-
-    def join_partition(p: int) -> Tuple[np.ndarray, np.ndarray]:
-        bsel = np.flatnonzero(build_part == p)
-        psel = np.flatnonzero(probe_part == p)
-        if len(bsel) == 0 or len(psel) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        bi, pi = _hash_expand_matches(build_keys[bsel], probe_keys[psel])
-        return bsel[bi], psel[pi]
-
-    pairs = ctx.map(join_partition, list(range(nparts)))
-    build_idx = np.concatenate([b for b, _ in pairs])
-    probe_idx = np.concatenate([p for _, p in pairs])
-    order = np.lexsort((build_idx, probe_idx))
-    return build_idx[order], probe_idx[order]
+def _non_null_rows(keys: np.ndarray) -> Optional[np.ndarray]:
+    """Positions of the non-NULL keys, or None when no key is NULL."""
+    if keys.dtype.kind not in "Of":
+        return None
+    valid = not_null_mask(keys)
+    return None if valid.all() else np.flatnonzero(valid)
 
 
 def _expand_matches(
     build_keys: np.ndarray, probe_keys: np.ndarray, build_sorted: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Return aligned (build_idx, probe_idx) for an inner equi-join."""
-    if build_sorted:
+    """Aligned ``(build_idx, probe_idx)`` of an inner equi-join.
+
+    The one matching kernel behind :class:`HashJoin`, :class:`MergeJoin`
+    and NUC maintenance (:mod:`repro.core.updates`): the build keys are
+    stably sorted, every probe key binary-searches the first build key
+    not below it, and each hit is expanded by the length of the run of
+    equal build keys starting there — all in numpy, no per-tuple Python.
+    Pairs come out probe-ascending and, per probe key, in build
+    insertion order, whatever the inputs' order.
+
+    ``build_sorted`` promises non-decreasing build keys and skips the
+    sort — the whole advantage a merge join has over a hash join
+    (§3.3).  The promise is checked: a wrong one costs the sort, never
+    the answer.  NULL keys (``None`` in object columns, NaN in float
+    columns) match nothing on either side, as in SQL.
+    """
+    build_rows = _non_null_rows(build_keys)
+    if build_rows is not None:
+        build_keys = build_keys[build_rows]
+    probe_rows = _non_null_rows(probe_keys)
+    if probe_rows is not None:
+        probe_keys = probe_keys[probe_rows]
+    if len(build_keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    if build_sorted and bool(np.all(build_keys[:-1] <= build_keys[1:])):
         order = None
         sorted_keys = build_keys
     else:
         order = np.argsort(build_keys, kind="stable")
         sorted_keys = build_keys[order]
     lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    hi = np.searchsorted(sorted_keys, probe_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(len(probe_keys), dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    build_pos = starts + within
-    build_idx = build_pos if order is None else order[build_pos]
+    hits = np.flatnonzero(sorted_keys.take(lo, mode="clip") == probe_keys)
+    lo = lo[hits]
+    # a hit points at the first key of a run of equal build keys
+    run_starts = np.flatnonzero(
+        np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    )
+    run_lengths = np.zeros(len(sorted_keys), dtype=np.int64)
+    run_lengths[run_starts] = np.diff(run_starts, append=len(sorted_keys))
+    counts = run_lengths[lo]
+    probe_idx = np.repeat(hits, counts)
+    # run start of each pair, minus the pairs emitted before its probe
+    first = lo - (np.cumsum(counts) - counts)
+    build_idx = np.arange(len(probe_idx), dtype=np.int64) + np.repeat(first, counts)
+    if order is not None:
+        build_idx = order[build_idx]
+    if build_rows is not None:
+        build_idx = build_rows[build_idx]
+    if probe_rows is not None:
+        probe_idx = probe_rows[probe_idx]
     return build_idx, probe_idx
 
 
@@ -508,10 +492,14 @@ def _join_output(
 
 
 class HashJoin(Operator):
-    """Inner equi-join; builds on one side and probes the other.
+    """Inner equi-join over unordered inputs; builds on one side and
+    probes the other.
 
-    ``build_side='auto'`` picks the smaller input as the build side,
-    which is the paper's optimization of building the hash table on the
+    Matching is :func:`_expand_matches` with an unsorted build side: the
+    build keys are sorted once and every probe key binary-searches them,
+    so the operator's cost over a :class:`MergeJoin` is exactly that
+    build sort.  ``build_side='auto'`` picks the smaller input as the
+    build side, which is the paper's optimization of building on the
     lower-cardinality side (typically the patches, §3.3).  With
     ``dynamic_range_propagation`` the key range observed during the build
     phase is pushed into every :class:`Scan` of the probe subtree before
@@ -568,23 +556,10 @@ class HashJoin(Operator):
                     if probe_key in scan.columns:
                         scan.push_range(probe_key, lo, hi)
             probe_rel = probe_op.execute()
-        build_idx, probe_idx = self._matches(
-            build_rel.column(build_key), probe_rel.column(probe_key)
+        build_idx, probe_idx = _expand_matches(
+            build_rel.column(build_key), probe_rel.column(probe_key), build_sorted=False
         )
         return _join_output(build_rel, probe_rel, build_idx, probe_idx, build_key, probe_key)
-
-    def _matches(
-        self, build_keys: np.ndarray, probe_keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        ctx = self.context
-        if (
-            ctx is not None
-            and ctx.should_parallelize(len(probe_keys))
-            and build_keys.dtype.kind in "iu"
-            and probe_keys.dtype.kind in "iu"
-        ):
-            return _parallel_hash_expand_matches(ctx, build_keys, probe_keys)
-        return _hash_expand_matches(build_keys, probe_keys)
 
     def label(self) -> str:
         drp = ", DRP" if self.dynamic_range_propagation else ""
@@ -592,14 +567,12 @@ class HashJoin(Operator):
 
 
 class MergeJoin(Operator):
-    """Inner equi-join over inputs already sorted on their keys (§3.3).
+    """Inner equi-join whose build (left) input is sorted on its key (§3.3).
 
-    Skips the build-side sort a hash/sort join pays: matching ranges are
-    located with galloping binary search over the sorted key columns.
-    Should the build (left) input arrive unsorted — a planner bug would
-    previously corrupt the binary search silently — it is re-ordered
-    through the stable parallel sort engine, which fans out on the bound
-    execution context and stays bit-identical to a serial stable sort.
+    The same kernel as :class:`HashJoin` minus the build-side sort:
+    matching runs are located by binary search over the key column as it
+    arrives.  Should the build input arrive unsorted (a planner bug) the
+    kernel notices and sorts it after all, so the result is still right.
     """
 
     def __init__(self, left: Operator, right: Operator, left_key: str, right_key: str) -> None:
@@ -611,16 +584,8 @@ class MergeJoin(Operator):
     def children(self) -> List[Operator]:
         return [self.left, self.right]
 
-    def _ordered_build(self, left_rel: Relation) -> Relation:
-        """The build side, stably sorted on its key if not already."""
-        keys = left_rel.column(self.left_key)
-        if len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:])):
-            return left_rel
-        order = sort_permutation([keys], [True], context=self.context)
-        return _take_with_context(left_rel, order, self.context)
-
     def execute(self) -> Relation:
-        left_rel = self._ordered_build(self.left.execute())
+        left_rel = self.left.execute()
         checkpoint()
         right_rel = self.right.execute()
         build_idx, probe_idx = _expand_matches(

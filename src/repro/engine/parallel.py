@@ -17,7 +17,9 @@ Parallel execution must be indistinguishable from serial execution:
 
 * morsels are formed from contiguous row ranges and concatenated in
   morsel order, so tuple order matches a serial scan bit-for-bit;
-* hash-join match pairs are re-sorted to the serial probe order;
+* joins match on the calling thread with one vectorised kernel whose
+  pair order (probe ascending, build insertion order within a key)
+  does not depend on the context;
 * aggregation merges per-worker partials only for aggregates whose
   reduction is exactly associative (count, min, max, int64 integer
   sums); floating-point sums are reduced in original row order so IEEE

@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 #: Corpus revision; bump on any query add/remove/reword (see module doc).
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 
 #: Relative float tolerance of the comparator (absolute 1e-12 floor).
 FLOAT_RTOL = 1e-9
@@ -380,7 +380,9 @@ def build_reference_catalog(seed: int = 0) -> Catalog:
       lineitems) from :func:`repro.workloads.tpch.generate_tpch`;
     * ``profiles`` — a PublicBI-style wide-ish table whose string and
       float columns contain NULLs at known positions;
-    * ``events`` — a small int-keyed table the DML mixes mutate.
+    * ``events`` — a small int-keyed table the DML mixes mutate;
+    * ``regions`` — six rows whose string and float columns join against
+      ``profiles.city`` / ``profiles.score`` and hold NULLs on their own.
 
     Everything derives from ``seed`` so a corpus run is reproducible.
     """
@@ -421,6 +423,19 @@ def build_reference_catalog(seed: int = 0) -> Catalog:
                 ),
                 "amount": (rng.random(m) * 50).round(2),
                 "flag": rng.integers(0, 2, m).astype(np.int64),
+            },
+        )
+    )
+    catalog.register(
+        Table.from_arrays(
+            "regions",
+            {
+                "rid": np.arange(6, dtype=np.int64),
+                "rcity": np.array(
+                    ["amsterdam", None, "berlin", "zagreb", None, "espoo"], dtype=object
+                ),
+                # three scores that occur in ``profiles``, one that does not
+                "rscore": np.array([score[1], np.nan, score[2], -1.0, np.nan, score[5]]),
             },
         )
     )
@@ -513,6 +528,11 @@ def null_corpus() -> List[Query]:
         ("order-by-null-first", "SELECT pid, score FROM profiles ORDER BY score, pid LIMIT 5"),
         ("not-over-null-comparison", "SELECT pid FROM profiles "
                                      "WHERE NOT (city = 'berlin') ORDER BY pid"),
+        # NULL join keys match nothing, NULL = NULL included
+        ("join-null-key", "SELECT pid, rid FROM profiles JOIN regions ON city = rcity "
+                          "ORDER BY pid, rid"),
+        ("join-null-key-float", "SELECT pid, rid FROM profiles JOIN regions "
+                                "ON score = rscore ORDER BY pid, rid"),
     ]
     return [Query(f"null/{qid}", sql) for qid, sql in queries]
 

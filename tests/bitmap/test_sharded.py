@@ -298,3 +298,82 @@ class TestIntrospection:
     def test_iter_yields_positions(self):
         bm = ShardedBitmap.from_positions([4, 300], 400, shard_bits=SMALL_SHARD)
         assert list(bm) == [4, 300]
+
+
+#: pow2 and non-pow2 shard sizes (the latter has no shift-based shard guess)
+SHARD_SIZES = [SMALL_SHARD, 192]
+
+
+def deleted_bitmap(shard_bits, seed, executor=None):
+    """A bitmap after two bulk deletes, and the bools it must hold."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random(11 * shard_bits + 37) < 0.3
+    bm = ShardedBitmap.from_bool_array(bits, shard_bits=shard_bits)
+    for _ in range(2):
+        victims = rng.choice(len(bits), len(bits) // 5, replace=False)
+        bm.bulk_delete(victims, executor=executor)
+        bits = np.delete(bits, victims)
+    return bm, bits, rng
+
+
+@pytest.mark.parametrize("shard_bits", SHARD_SIZES)
+class TestGetMany:
+    def test_agrees_with_get_before_and_after_maintenance(self, shard_bits):
+        bm, bits, rng = deleted_bitmap(shard_bits, seed=21)
+        for _ in range(2):  # after bulk_delete, then after condense
+            probes = rng.integers(0, len(bm), 500)
+            got = bm.get_many(probes)
+            assert got.dtype == bool
+            assert got.tolist() == [bm.get(int(p)) for p in probes]
+            np.testing.assert_array_equal(got, bits[probes])
+            bm.condense()
+
+    def test_every_position_and_none(self, shard_bits):
+        bm, bits, _ = deleted_bitmap(shard_bits, seed=22)
+        np.testing.assert_array_equal(bm.get_many(np.arange(len(bm))), bits)
+        assert bm.get_many(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_out_of_range_raises(self, shard_bits):
+        bm = ShardedBitmap(3 * shard_bits, shard_bits=shard_bits)
+        with pytest.raises(IndexError):
+            bm.get_many(np.array([0, len(bm)]))
+        with pytest.raises(IndexError):
+            bm.get_many(np.array([-1]))
+
+
+@pytest.mark.parametrize("shard_bits", SHARD_SIZES)
+class TestCachedCount:
+    def test_equals_fresh_popcount_after_every_mutator(self, shard_bits):
+        bm, _, rng = deleted_bitmap(shard_bits, seed=23)
+
+        def pick(k=1):
+            return rng.choice(len(bm), k, replace=False)
+
+        mutators = [
+            lambda: bm.set(int(pick()[0])),
+            lambda: bm.unset(int(bm.positions()[0])),
+            lambda: bm.set_many(pick(40)),
+            lambda: bm.append(True),
+            lambda: bm.append(False),
+            lambda: bm.extend(2 * shard_bits + 5),
+            lambda: bm.delete(int(bm.positions()[-1])),
+            lambda: bm.bulk_delete(pick(60)),
+            lambda: bm.condense(),
+        ]
+        for mutate in mutators * 2:
+            assert bm.count() == int(bm.to_bool_array().sum())  # fills the cache
+            mutate()
+            assert bm.count() == int(bm.to_bool_array().sum())
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_parallel_bulk_delete_and_condense_invalidate(self, shard_bits, workers):
+        with ParallelBulkDeleter(max_workers=workers) as pool:
+            bm, bits, rng = deleted_bitmap(shard_bits, seed=24, executor=pool)
+            assert bm.count() == int(bits.sum())
+            victims = np.flatnonzero(bits)[::3]  # set bits only: the count must drop
+            bm.bulk_delete(victims, executor=pool)
+            assert bm.count() == int(bits.sum()) - len(victims)
+            bm.set(0)
+            before = bm.count()
+            bm.condense(executor=pool)
+            assert bm.count() == before == int(bm.to_bool_array().sum())

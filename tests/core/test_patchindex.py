@@ -59,11 +59,23 @@ class TestBuild:
         assert pi.is_patch(7)
         assert not pi.is_patch(8)
 
+    def test_is_patch_many_reads_the_mask(self, design):
+        t = nuc_table(300, 7)
+        pi = PatchIndex(t, "v", NearlyUniqueColumn(), design=design, shard_bits=64)
+        pi.remove_rows(np.array([0, 5, 140, 299]))
+        mask = pi.patch_mask()
+        rowids = np.array([295, 0, 7, 7, 133, 294])  # unsorted, repeated, last row
+        np.testing.assert_array_equal(pi.is_patch_many(rowids), mask[rowids])
+        np.testing.assert_array_equal(pi.is_patch_many(np.arange(len(mask))), mask)
+        assert pi.is_patch_many(np.array([], dtype=np.int64)).tolist() == []
+
     def test_empty_table(self, design):
         t = Table.from_arrays("e", {"v": np.array([], dtype=np.int64)})
         pi = PatchIndex(t, "v", NearlyUniqueColumn(), design=design)
         assert pi.num_patches == 0
         assert pi.exception_rate == 0.0
+        pi.extend_rows(3)  # no patches at all: nothing to search in
+        assert pi.is_patch_many(np.array([0, 2])).tolist() == [False, False]
 
 
 @pytest.mark.parametrize("design", DESIGNS)

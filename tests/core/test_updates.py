@@ -279,18 +279,19 @@ class TestPartitioned:
 class TestCollisionPatchesUnit:
     def test_whole_colliding_group_becomes_patches(self):
         values = np.array([7, 7, 7, 9])
-        candidates = np.array([0, 1, 2])
-        mask = np.zeros(4, dtype=bool)
-        out = nuc_collision_patches(values, candidates, mask)
-        assert out.tolist() == [0, 1, 2]
+        candidates = np.array([0, 1, 2, 5])
+        is_patch = np.zeros(4, dtype=bool)
+        out = nuc_collision_patches(values, candidates, is_patch)
+        assert out.tolist() == [0, 1, 2]  # 9 matched only itself
 
     def test_existing_patches_never_returned(self):
         values = np.array([7, 7, 7])
         candidates = np.array([0, 1, 2])
-        mask = np.array([True, False, False])
-        out = nuc_collision_patches(values, candidates, mask)
+        is_patch = np.array([True, False, False])
+        out = nuc_collision_patches(values, candidates, is_patch)
         assert out.tolist() == [1, 2]  # row 0 already a patch, not re-added
 
     def test_empty_candidates(self):
-        out = nuc_collision_patches(np.array([1]), np.array([], dtype=np.int64), np.zeros(1, bool))
+        empty = np.array([], dtype=np.int64)
+        out = nuc_collision_patches(empty, empty, np.zeros(0, bool))
         assert len(out) == 0

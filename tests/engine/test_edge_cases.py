@@ -123,6 +123,48 @@ class TestExpressionHelpers:
         assert expression_columns(lit(5)) == set()
 
 
+class TestComparisonNulls:
+    """NULL never matches, whichever side the literal is on."""
+
+    REL = Relation(
+        {
+            "s": np.array(["a", None, "b", "a", None], dtype=object),
+            "f": np.array([1.0, np.nan, 2.0, np.nan, 1.0]),
+            "i": np.arange(5),
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "expr, want",
+        [
+            (col("s") == "a", [True, False, False, True, False]),
+            (col("s") != "a", [False, False, True, False, False]),
+            (lit("a") < col("s"), [False, False, True, False, False]),
+            (col("s") == lit(None), [False] * 5),
+            (col("i") == lit(None), [False] * 5),
+            (lit(None) != col("s"), [False] * 5),
+            (col("f") != 1.0, [False, False, True, False, False]),
+            (lit(1.0) == col("f"), [True, False, False, False, True]),
+            (col("f") == col("f"), [True, False, True, False, True]),
+            (col("s") == col("s"), [True, False, True, True, False]),
+            (lit("a") == lit("a"), [True] * 5),
+            (lit(1) > lit(2), [False] * 5),
+            (lit("a") == lit(None), [False] * 5),
+        ],
+        ids=repr,
+    )
+    def test_literal_and_column_sides(self, expr, want):
+        out = expr.evaluate(self.REL)
+        assert out.dtype == bool
+        assert out.tolist() == want
+
+    def test_null_free_string_column_and_empty_relation(self):
+        r = rel(s=np.array(["x", "y", "x"], dtype=object))
+        assert (col("s") == "x").evaluate(r).tolist() == [True, False, True]
+        empty = Relation({"s": np.array([], dtype=object)})
+        assert (col("s") == "x").evaluate(empty).tolist() == []
+
+
 class TestMergeUnionEdges:
     def test_all_empty_inputs(self):
         out = MergeUnion(

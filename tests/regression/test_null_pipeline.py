@@ -4,6 +4,11 @@ Satellite contract: a NULL written through INSERT/UPDATE round-trips
 through WAL replay and the async session, IS [NOT] NULL sees it, and a
 column type with no NULL representation refuses it with a typed error
 instead of storing garbage.
+
+NULL join keys (PR 13): ``HashJoin`` used to match ``None = None``
+(dict probe) and ``MergeJoin`` ``NaN = NaN`` (``searchsorted``); SQL
+matches neither, and since both operators share one kernel neither do
+they.
 """
 
 import asyncio
@@ -11,8 +16,11 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.engine.batch import Relation
+from repro.engine.operators import HashJoin, MergeJoin, RelationSource
 from repro.sql import AsyncSQLSession, NullStorageError, SQLSession
 from repro.storage import Catalog, Table
+from repro.testing import XFAIL_MANIFEST, default_corpus
 
 
 def make_catalog():
@@ -69,6 +77,57 @@ class TestStorage:
         with pytest.raises(NullStorageError):
             s.execute("INSERT INTO people (pid, pname, score) VALUES (NULL, 'x', 1.0)")
         assert s.execute("SELECT COUNT(*) AS n FROM people").column("n").tolist() == [6]
+
+
+class TestNullJoinKeys:
+    KEYS = {
+        "string": (
+            np.array(["a", None, "b", None], dtype=object),
+            np.array([None, "b", None, "b", "z"], dtype=object),
+            [(2, 1), (2, 3)],
+        ),
+        "float": (
+            np.array([1.5, np.nan, 2.5, np.nan]),
+            np.array([np.nan, 2.5, np.nan, 2.5, 9.0]),
+            [(2, 1), (2, 3)],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    @pytest.mark.parametrize("operator", [HashJoin, MergeJoin])
+    def test_null_keys_match_nothing(self, operator, kind):
+        left_keys, right_keys, want = self.KEYS[kind]
+        left = Relation({"k": left_keys, "l": np.arange(len(left_keys))})
+        right = Relation({"j": right_keys, "r": np.arange(len(right_keys))})
+        out = operator(RelationSource(left), RelationSource(right), "k", "j").execute()
+        got = sorted(zip(out.column("l").tolist(), out.column("r").tolist()))
+        assert got == want
+
+    def test_sql_join_skips_null_keys(self):
+        cat = make_catalog()
+        cat.register(
+            Table.from_arrays(
+                "tags",
+                {
+                    "tname": np.array([None, "p1", None], dtype=object),
+                    "tscore": np.array([np.nan, 2.0, np.nan]),
+                    "tid": np.arange(3, dtype=np.int64),
+                },
+            )
+        )
+        s = SQLSession(cat)
+        s.execute("UPDATE people SET pname = NULL, score = NULL WHERE pid = 0")
+        by_name = s.execute("SELECT pid, tid FROM people JOIN tags ON pname = tname")
+        by_score = s.execute("SELECT pid, tid FROM people JOIN tags ON score = tscore")
+        assert by_name.to_rows() == [(1, 1)]
+        assert by_score.to_rows() == [(2, 1)]
+
+    def test_corpus_carries_the_probes_unexcused(self):
+        ids = {q.qid for q in default_corpus(seed=7)}
+        probes = {"null/join-null-key", "null/join-null-key-float"}
+        assert probes <= ids
+        assert not probes & set(XFAIL_MANIFEST)
+        assert len(XFAIL_MANIFEST) == 7
 
 
 class TestWalReplay:

@@ -412,6 +412,12 @@ class TestReconnect:
 
                     with pytest.raises((ConnectionError, OSError)):
                         await asyncio.to_thread(blocking, srv.port)
+                    # the client sees the dead socket at once; hold the
+                    # gate until the server has seen it too and its
+                    # cancel has reached the statement's token (one
+                    # loop turn after the connection is dropped)
+                    await wait_until(lambda: srv.connections == 0)
+                    await asyncio.sleep(0.05)
                 finally:
                     gate.set()
                 # disconnect cancelled the gated statement: it unwound
