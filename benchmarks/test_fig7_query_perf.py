@@ -8,7 +8,22 @@ both PatchIndex designs, for e in 0..1.  Laptop scale: 300 K tuples,
 
 Expected shape: PatchIndex ≈ materialization ≪ no-constraint for small
 e; PatchIndex runtime grows gently with e (more tuples take the patch
-path); both PatchIndex designs behave alike.
+path); both PatchIndex designs behave alike.  Every number is the
+median of five runs after one warm-up.
+
+NSC, measured (PI_bitmap / no-constraint, four runs on this 2-CPU box):
+0.75 at e = 0, 0.98–1.05 at 0.01, 1.02–1.08 at 0.05, 1.11–1.20 at 0.1,
+1.2–1.4 at 0.2 and 1.1–1.6 beyond; it was 2.5–3.3 at every e while
+each flow looked every row up in a boolean patch mask.  The 1.2 mark is
+met for e <= 0.1 and missed at e = 0.2.  Cause: the sort query returns
+whole 6-column tuples, and the rewrite copies every column twice (once
+to cut the patches out of each partition, once to scatter the five runs
+— four partitions and the sorted patches, one merge — into place), just
+as the plain plan does (concatenate the partitions, gather by the sort
+permutation).  What the rewrite saves is the sort of the kept rows,
+which numpy's stable sort does in one cheap pass over nearly sorted
+keys; what it adds is the patch sort, the binary search of the patches
+and, at e = 0.2, a boolean-mask copy whose branches no longer predict.
 """
 
 from repro.bench import format_table, time_fn, write_report
@@ -27,6 +42,7 @@ PARTITIONS = 4
 #: payload columns make tuples wide, as in the paper's 128-byte rows
 PAYLOADS = 4
 RATES = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0]
+REPEATS = 5
 
 
 def build_env(constraint: str, e: float, design: str):
@@ -52,24 +68,24 @@ def query_plan(ds, constraint: str):
 
 def reference_time(ds, constraint: str, catalog) -> float:
     plan = query_plan(ds, constraint)
-    return time_fn(lambda: execute_plan(plan, catalog), repeats=1)
+    return time_fn(lambda: execute_plan(plan, catalog), repeats=REPEATS)
 
 
 def patchindex_time(ds, constraint: str, catalog, mgr) -> float:
     opt = Optimizer(catalog, mgr, use_cost_model=False).optimize(
         query_plan(ds, constraint)
     )
-    return time_fn(lambda: execute_plan(opt, catalog), repeats=1)
+    return time_fn(lambda: execute_plan(opt, catalog), repeats=REPEATS)
 
 
 def materialization_time(ds, constraint: str) -> float:
     if constraint == "nuc":
         mv = MaterializedView(ds.table, "v", refresh_policy="manual")
         # the rewritten query scans (reads) the materialized values
-        t = time_fn(lambda: mv.scan_values().copy(), repeats=1)
+        t = time_fn(lambda: mv.scan_values().copy(), repeats=REPEATS)
         return t
     sk = SortKey(ds.table, "v", refresh_policy="manual")
-    return time_fn(lambda: sk.scan_sorted(), repeats=1)
+    return time_fn(lambda: sk.scan_sorted(), repeats=REPEATS)
 
 
 def run_constraint(constraint: str):
@@ -97,12 +113,11 @@ def check_shape(rows, constraint: str):
         for row in rows:
             assert row[3] < row[1] * 3 + 0.05
         return
-    # NSC: numpy's sort is nearly memory-bandwidth-bound, so removing it
-    # buys less than in the paper's engine; we assert the weaker,
-    # substrate-true shape (see EXPERIMENTS.md): bounded overhead and
-    # patch-side cost that grows with e over the low-e regime.
+    # NSC: the measured band of the module docstring with headroom for
+    # a loaded runner, and a patch-side cost that grows with e.
     for row in rows:
-        assert row[3] < row[1] * 6 + 0.08, "NSC: PatchIndex out of expected band"
+        band = 1.5 if row[0] <= 0.1 else 2.0
+        assert row[3] < row[1] * band + 0.003, "NSC: PatchIndex out of expected band"
     mid = next(r for r in rows if r[0] == 0.5)
     assert mid[3] > rows[0][3] * 0.8, "NSC: patch-side cost should grow with e"
 

@@ -66,8 +66,8 @@ class MaintainedIndex:
 class PartitionedPatchIndex:
     """Partition-local PatchIndexes presented as one table-level index.
 
-    RowIDs are global (partition offsets added), so the combined patch
-    mask aligns with the global rowIDs a partitioned Scan emits.
+    RowIDs are global (partition offsets added), matching the rowIDs a
+    scan of the partitioned table restricts itself to.
     """
 
     def __init__(
@@ -105,10 +105,6 @@ class PartitionedPatchIndex:
     def exception_rate(self) -> float:
         rows = self.num_rows
         return self.num_patches / rows if rows else 0.0
-
-    def patch_mask(self) -> np.ndarray:
-        """Global-rowID-aligned concatenation of the partition masks."""
-        return np.concatenate([p.index.patch_mask() for p in self.parts])
 
     def patch_rowids(self) -> np.ndarray:
         offsets = self.table.partition_offsets()
@@ -273,9 +269,6 @@ class _SingleIndexHandle:
     @property
     def constant_value(self):
         return self._maintained.index.constant_value
-
-    def patch_mask(self) -> np.ndarray:
-        return self._maintained.index.patch_mask()
 
     def patch_rowids(self) -> np.ndarray:
         return self._maintained.index.patch_rowids()

@@ -96,6 +96,7 @@ class PatchIndex:
         self._condense_threshold = condense_threshold
         self._bitmap: Optional[ShardedBitmap] = None
         self._ids: Optional[np.ndarray] = None
+        self._rowids: Optional[np.ndarray] = None  # cached patch_rowids()
         self._owns_deleter = maintenance_pool is None
         if maintenance_pool is not None:
             self._deleter: Optional[ParallelBulkDeleter] = maintenance_pool
@@ -118,6 +119,7 @@ class PatchIndex:
     # build / rebuild
     # ------------------------------------------------------------------
     def _init_storage(self, patches: np.ndarray) -> None:
+        self._rowids = None
         if self.design == BITMAP_DESIGN:
             self._bitmap = ShardedBitmap(
                 self._num_rows,
@@ -174,10 +176,18 @@ class PatchIndex:
         return mask
 
     def patch_rowids(self) -> np.ndarray:
-        """Sorted patch rowIDs."""
-        if self._bitmap is not None:
-            return self._bitmap.positions()
-        return self._ids.copy()
+        """Sorted patch rowIDs, as a read-only array.
+
+        Every PatchIndex scan starts here, so the array is extracted
+        from the bitmap once per change of the patch set (the identifier
+        design hands out a view of its storage) and shared by all
+        callers — read-only, so none can alter index state through it.
+        """
+        if self._rowids is None:
+            rowids = self._bitmap.positions() if self._bitmap is not None else self._ids.view()
+            rowids.flags.writeable = False
+            self._rowids = rowids
+        return self._rowids
 
     def is_patch(self, rowid: int) -> bool:
         """Whether a single rowID is an exception."""
@@ -216,6 +226,7 @@ class PatchIndex:
             return
         if rowids.min() < 0 or rowids.max() >= self._num_rows:
             raise IndexError("patch rowid out of range")
+        self._rowids = None
         if self._bitmap is not None:
             self._bitmap.set_many(rowids)
         else:
@@ -235,6 +246,7 @@ class PatchIndex:
             return
         if rowids[0] < 0 or rowids[-1] >= self._num_rows:
             raise IndexError("rowid out of range")
+        self._rowids = None
         if self._bitmap is not None:
             self._bitmap.bulk_delete(rowids, executor=self._deleter)
         else:

@@ -10,8 +10,8 @@ integration relies on.
 The PatchIndex scan of §3.3 is realized exactly as in the paper: an
 ordinary :class:`~repro.engine.operators.Scan` topped by a selection
 operator (:class:`~repro.engine.operators.PatchSelect`) with the two
-modes ``exclude_patches`` and ``use_patches`` that merge the PatchIndex
-bitmap on-the-fly with the dataflow.
+modes ``exclude_patches`` and ``use_patches`` that split the scan at the
+PatchIndex's patch positions, on-the-fly, before any column is read.
 """
 
 from repro.engine.batch import Relation

@@ -8,9 +8,8 @@ import numpy as np
 
 __all__ = ["Relation", "ROWID"]
 
-#: Reserved column carrying tuple rowIDs through a dataflow.  The
-#: PatchIndex selection operators decide per tuple on its rowID (§3.5),
-#: so scans attach this column when an index is in play.
+#: Reserved column carrying tuple rowIDs through a dataflow: UPDATE and
+#: DELETE collect the rowIDs their predicate matches under this name.
 ROWID = "__rowid__"
 
 
@@ -117,7 +116,6 @@ class Relation:
         self,
         keys: Sequence[str],
         ascending: Optional[Sequence[bool]] = None,
-        stable: bool = True,
         context=None,
     ) -> "Relation":
         """Multi-key sort in the engine's canonical stable order.
@@ -127,19 +125,12 @@ class Relation:
         repeated stable-argsort composition every sort consumer shares;
         passing an :class:`~repro.engine.parallel.ExecutionContext` runs
         it as parallel chunk-sorts plus a deterministic k-way merge with
-        bit-identical output.  ``stable=False`` keeps the historical
-        introsort (quicksort family) path for single-key sorts, matching
-        the paper's engine whose sort does not exploit pre-sortedness.
+        bit-identical output.
         """
         from repro.engine.parallel_sort import sort_permutation
 
         if ascending is None:
             ascending = [True] * len(keys)
-        if not stable and len(keys) == 1:
-            idx = np.argsort(self._columns[keys[0]], kind="quicksort")
-            if not ascending[0]:
-                idx = idx[::-1]
-            return self.take(idx)
         order = sort_permutation(
             [self._columns[k] for k in keys], ascending, context=context
         )

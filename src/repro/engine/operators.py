@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union as TUn
 
 import numpy as np
 
-from repro.engine.batch import ROWID, Relation
+from repro.engine.batch import Relation
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
 from repro.engine.interrupt import checkpoint, current_token
 from repro.engine.parallel import (
@@ -25,7 +25,8 @@ from repro.engine.parallel import (
     table_morsels,
 )
 from repro.engine.parallel_sort import (
-    merge_sorted_runs,
+    merge_run_slots,
+    scatter_runs,
     serial_sort_permutation,
     sort_permutation,
 )
@@ -117,12 +118,16 @@ class RelationSource(Operator):
 
 
 class Scan(Operator):
-    """Table scan with optional rowIDs, predicate and minmax pruning.
+    """Table scan with optional predicate, minmax pruning and row restriction.
 
     ``push_range`` implements range propagation (§5): a pushed
     ``(column, lo, hi)`` range prunes whole blocks via the table's minmax
     summaries before any tuple is touched, and is how the dynamic variant
-    restricts the probe side of the insert-handling join (Figure 5).
+    restricts the probe side of a join (Figure 5).  ``restrict_rows``
+    splits the table at a sorted set of rowIDs — the two flows of a
+    PatchIndex scan (:class:`PatchSelect`).  Both settle which rows are
+    read at all; the predicate sees only those, and every output column
+    is materialized exactly once.
     """
 
     def __init__(
@@ -130,32 +135,26 @@ class Scan(Operator):
         table,
         columns: Optional[Sequence[str]] = None,
         predicate: Optional[Expression] = None,
-        with_rowids: bool = False,
-        use_minmax: bool = True,
     ) -> None:
         self.table = table
         self.columns = list(columns) if columns is not None else list(table.schema.names)
         self.predicate = predicate
-        self.with_rowids = with_rowids
-        self.use_minmax = use_minmax
         self._ranges: List[Tuple[str, object, object]] = []
+        self._rowids: Optional[np.ndarray] = None
+        self._complement = False
 
     def push_range(self, column: str, lo, hi) -> None:
         """Restrict the scan to blocks possibly containing [lo, hi]."""
         self._ranges.append((column, lo, hi))
 
-    def _needed_columns(self, table) -> Tuple[List[str], List[str]]:
-        needed = list(self.columns)
-        extra = []
-        if self.predicate is not None:
-            for name in expression_columns(self.predicate):
-                if name not in needed and name in table.schema:
-                    extra.append(name)
-        return needed, extra
+    def restrict_rows(self, rowids: np.ndarray, complement: bool = False) -> None:
+        """Keep only the rows with these ascending global rowIDs (``complement``: all others)."""
+        self._rowids = np.asarray(rowids, dtype=np.int64)
+        self._complement = complement
 
     def _block_mask(self, table) -> Optional[np.ndarray]:
         """Minmax-pruning row mask over one table/partition, or None."""
-        if not (self.use_minmax and self._ranges and table.num_rows):
+        if not (self._ranges and table.num_rows):
             return None
         mask = np.ones(table.num_rows, dtype=bool)
         for column, lo, hi in self._ranges:
@@ -176,40 +175,56 @@ class Scan(Operator):
         is the table-wide minmax pruning mask (sliced here), so morsels
         share one mask computation.  Concatenating range scans in row
         order is bit-identical to a full serial scan.
-        """
-        needed, extra = self._needed_columns(table)
-        cols = {c: table.column(c)[start:stop] for c in needed + extra}
-        if self.with_rowids:
-            cols[ROWID] = np.arange(
-                rowid_offset, rowid_offset + (stop - start), dtype=np.int64
-            )
-        rel = Relation(cols)
-        if mask is not None:
-            rel = rel.filter(mask[start:stop])
-        if self.predicate is not None:
-            if rel.num_rows:
-                rel = rel.filter(np.asarray(self.predicate.evaluate(rel), dtype=bool))
-            else:
-                rel = rel.filter(np.zeros(0, dtype=bool))
-        if extra:
-            rel = rel.drop(extra)
-        return rel
 
-    def _scan_one(self, table, rowid_offset: int) -> Relation:
-        return self._scan_range(
-            table, 0, table.num_rows, rowid_offset, self._block_mask(table)
-        )
+        The rows to read are settled before any column is touched: an
+        index array (``rows``: the rowIDs restricted to, O(patches)), a
+        boolean mask (``keep``: minmax blocks minus the excluded rowIDs)
+        or the whole range.  The predicate reads its own columns at
+        those rows; each output column is cut once.
+        """
+        rows: TUnion[np.ndarray, slice] = slice(start, stop)
+        keep = None if mask is None else mask[start:stop]
+        if self._rowids is not None:
+            first = rowid_offset - start  # global rowID of this table's row 0
+            lo, hi = np.searchsorted(self._rowids, (first + start, first + stop))
+            local = self._rowids[lo:hi] - first
+            if self._complement:
+                keep = np.ones(stop - start, dtype=bool) if keep is None else keep.copy()
+                keep[local - start] = False
+            else:
+                rows, keep = (local if keep is None else local[mask[local]]), None
+        if self.predicate is not None:
+            if keep is not None:
+                rows, keep = np.flatnonzero(keep) + start, None
+            names = [c for c in expression_columns(self.predicate) if c in table.schema]
+            # a column-free predicate (``1 = 1``) still needs the row count
+            probe = Relation({c: table.column(c)[rows] for c in names or table.schema.names[:1]})
+            passed = np.zeros(0, dtype=bool)
+            if probe.num_rows:
+                passed = np.asarray(self.predicate.evaluate(probe), dtype=bool)
+            if isinstance(rows, slice):
+                keep = passed
+            else:
+                rows = rows[passed]
+        rel = Relation({c: table.column(c)[rows] for c in self.columns})
+        return rel if keep is None else rel.filter(keep)
+
+    def _morsel_thunks(self, morsels: Sequence[Morsel]) -> List["_ScanMorselThunk"]:
+        """One scan closure per morsel; minmax masks are computed once per table/partition."""
+        masks: Dict[int, Optional[np.ndarray]] = {}
+        for m in morsels:
+            if id(m.table) not in masks:
+                masks[id(m.table)] = self._block_mask(m.table)
+        return [_ScanMorselThunk(self, m, masks[id(m.table)]) for m in morsels]
 
     def parallel_morsel_thunks(self) -> Optional[List[Callable[[], Relation]]]:
         """Per-morsel scan closures in row order, or None when the bound
         context does not warrant parallel execution.
 
-        Used by this operator's parallel path and by fused pipelines
-        (:class:`Filter` / :class:`PatchSelect` on top of a scan) that
-        push their per-tuple work into the same morsel tasks.  The gate
-        runs before any minmax mask is materialized, so a serial
-        fallback costs nothing; masks are then computed once per
-        table/partition, on the calling thread.
+        Used by this operator's parallel path and by the fused
+        :class:`Filter`-over-scan pipeline, which pushes its per-tuple
+        work into the same tasks.  The gate runs before any minmax mask
+        is materialized, so a serial fallback costs nothing.
         """
         ctx = self.context
         if ctx is None or not ctx.active:
@@ -217,64 +232,35 @@ class Scan(Operator):
         morsels = table_morsels(self.table, ctx.morsel_rows)
         if not ctx.should_parallelize(self.table.num_rows, len(morsels)):
             return None
-        masks: Dict[int, Optional[np.ndarray]] = {}
-        for m in morsels:
-            key = id(m.table)
-            if key not in masks:
-                masks[key] = self._block_mask(m.table)
-        return [
-            _ScanMorselThunk(self, m, masks[id(m.table)]) for m in morsels
-        ]
+        return self._morsel_thunks(morsels)
 
     def execute(self) -> Relation:
         checkpoint()
         ctx = self.context
         # A bare scan only profits from morsels when there is per-tuple
         # work to do; otherwise the serial path is zero-copy.
-        if self.predicate is not None or self._ranges:
+        if self.predicate is not None or self._ranges or self._rowids is not None:
             thunks = self.parallel_morsel_thunks()
             if thunks is not None:
                 return Relation.concat(
-                    ctx.map_grouped(_call, thunks, _morsel_affinity_keys(thunks, ctx))
+                    ctx.map_grouped(lambda t: t(), thunks, _morsel_affinity_keys(thunks, ctx))
                 )
-        if current_token() is not None:
-            interruptible = self._scan_morsels_interruptible(ctx)
-            if interruptible is not None:
-                return interruptible
-        partitions = getattr(self.table, "partitions", None)
-        if partitions is None:
-            return self._scan_one(self.table, 0)
-        offsets = self.table.partition_offsets()
-        pieces = [
-            self._scan_one(part, int(offsets[i]))
-            for i, part in enumerate(partitions)
-        ]
-        return Relation.concat(pieces)
-
-    def _scan_morsels_interruptible(self, ctx) -> Optional[Relation]:
-        """Serial scan as a checkpointed morsel loop (token armed).
-
-        Concatenating contiguous range scans in row order is
-        bit-identical to the whole-table scan — the same property the
-        parallel path relies on — so arming a token changes nothing but
-        the interrupt granularity.  Returns None for single-morsel
-        tables, where the loop adds no interior checkpoint.
-        """
-        morsel_rows = ctx.morsel_rows if ctx is not None else DEFAULT_MORSEL_ROWS
-        morsels = table_morsels(self.table, morsel_rows)
-        if len(morsels) <= 1:
-            return None
-        masks: Dict[int, Optional[np.ndarray]] = {}
+        table, armed = self.table, current_token() is not None
+        if not armed and getattr(table, "partitions", None) is None:  # the common case
+            return self._scan_range(table, 0, table.num_rows, 0, self._block_mask(table))
+        # Piecewise: one piece per partition — per morsel while a
+        # cancellation token is armed, for interior checkpoints (range
+        # scans concatenated in row order equal the whole scan).
+        piece_rows = max(1, table.num_rows)
+        if armed:
+            piece_rows = ctx.morsel_rows if ctx is not None else DEFAULT_MORSEL_ROWS
         pieces = []
-        for m in morsels:
+        for thunk in self._morsel_thunks(table_morsels(table, piece_rows)):
             checkpoint()
-            key = id(m.table)
-            if key not in masks:
-                masks[key] = self._block_mask(m.table)
-            pieces.append(
-                self._scan_range(m.table, m.start, m.stop, m.rowid_offset, masks[key])
-            )
-        return Relation.concat(pieces)
+            pieces.append(thunk())
+        if len(pieces) == 1:
+            return pieces[0]
+        return Relation.concat(pieces) if pieces else self._scan_range(table, 0, 0, 0)
 
     def label(self) -> str:
         extra = ""
@@ -288,46 +274,29 @@ class Scan(Operator):
 class PatchSelect(Operator):
     """Selection operator merging PatchIndex information on-the-fly (§3.3).
 
-    ``mask_fn`` returns the current patch bitmap as a boolean array
-    aligned with the table's rowIDs; ``exclude_patches`` keeps non-patch
-    tuples, ``use_patches`` keeps the exceptions.  The decision is purely
+    ``rowids_fn`` returns the index's current patches as ascending
+    rowIDs of the scanned table, which is split at those positions
+    before any column is read: ``use_patches`` restricts the child
+    :class:`Scan` to the patches (an O(patches) gather per column, the
+    predicate evaluated on the patches only), ``exclude_patches`` to
+    every other row (one copy per column).  The decision is purely
     rowID-based, independent of the data types in the flow (§3.5).
     """
 
-    def __init__(self, child: Operator, mask_fn: Callable[[], np.ndarray], mode: str) -> None:
+    def __init__(self, child: Scan, rowids_fn: Callable[[], np.ndarray], mode: str) -> None:
         if mode not in (EXCLUDE_PATCHES, USE_PATCHES):
             raise ValueError(f"unknown selection mode {mode!r}")
         self.child = child
-        self.mask_fn = mask_fn
+        self.rowids_fn = rowids_fn
         self.mode = mode
 
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def _keep(self, rel: Relation, patch_mask: np.ndarray) -> Relation:
-        flags = patch_mask[rel.column(ROWID)]
-        keep = flags if self.mode == USE_PATCHES else ~flags
-        return rel.filter(keep)
-
     def execute(self) -> Relation:
         checkpoint()
-        ctx = self.context
-        if ctx is not None and isinstance(self.child, Scan):
-            # Fused scan→patch-select pipeline: the bitmap lookup and the
-            # filter run inside the scan's morsel tasks.
-            thunks = self.child.parallel_morsel_thunks()
-            if thunks is not None:
-                patch_mask = np.asarray(self.mask_fn(), dtype=bool)
-                return Relation.concat(
-                    ctx.map_grouped(
-                        lambda t: self._keep(t(), patch_mask),
-                        thunks,
-                        _morsel_affinity_keys(thunks, ctx),
-                    )
-                )
-        rel = self.child.execute()
-        patch_mask = np.asarray(self.mask_fn(), dtype=bool)
-        return self._keep(rel, patch_mask)
+        self.child.restrict_rows(self.rowids_fn(), complement=self.mode == EXCLUDE_PATCHES)
+        return self.child.execute()
 
     def label(self) -> str:
         return f"PatchSelect({self.mode})"
@@ -637,7 +606,9 @@ class Sort(Operator):
         order = sort_permutation(
             [rel.column(k) for k in self.keys], self.ascending, context=self.context
         )
-        return _take_with_context(rel, order, self.context)
+        return _build_columns(
+            rel.column_names, lambda name: rel.column(name)[order], len(order), self.context
+        )
 
     def label(self) -> str:
         return f"Sort({self.keys})"
@@ -973,16 +944,25 @@ class MergeUnion(Operator):
     Combines the already-sorted non-patch flow with the sorted patch
     flow without re-sorting the union: the inputs are treated as sorted
     runs and combined by the deterministic k-way merge of
-    :mod:`repro.engine.parallel_sort`.  Equal keys keep input order
-    (earlier input first, then within-input order) in BOTH directions —
-    bit-identical to stably re-sorting the concatenation, matching SQL's
-    per-key direction semantics where a descending key reverses only the
-    order *between* distinct key values, never the tie order within one.
-    Descending, the inputs must be non-increasing.
+    :mod:`repro.engine.parallel_sort`, which searches only the shorter
+    run of a pair into the longer one and yields, per input, the output
+    slots its rows take; every output column is written once by
+    scattering the inputs' columns to those slots.  Equal keys keep
+    input order (earlier input first, then within-input order) in BOTH
+    directions — bit-identical to stably re-sorting the concatenation,
+    matching SQL's per-key direction semantics where a descending key
+    reverses only the order *between* distinct key values, never the tie
+    order within one.  Descending, the inputs must be non-increasing.
     """
 
     def __init__(self, inputs: Sequence[Operator], key: str, ascending: bool = True) -> None:
-        self.inputs = list(inputs)
+        self.inputs: List[Operator] = []
+        for op in inputs:
+            # merging is associative and ties go to the earlier input: a
+            # nested merge on the same order (an NSC exclude flow's
+            # per-partition runs) joins this one, every row moves once
+            nested = isinstance(op, MergeUnion) and (op.key, op.ascending) == (key, ascending)
+            self.inputs.extend(op.inputs if nested else [op])
         self.key = key
         self.ascending = ascending
 
@@ -990,19 +970,20 @@ class MergeUnion(Operator):
         return list(self.inputs)
 
     def execute(self) -> Relation:
-        return self._merge_all([op.execute() for op in self.inputs])
-
-    def _merge_all(self, rels_all: Sequence[Relation]) -> Relation:
+        rels_all = [op.execute() for op in self.inputs]
         rels = [r for r in rels_all if r.num_rows > 0]
         if not rels:
             return rels_all[0] if rels_all else Relation({})
         if len(rels) == 1:
             return rels[0]
-        run_keys = [r.column(self.key) for r in rels]
-        order = merge_sorted_runs(
-            run_keys, context=self.context, ascending=self.ascending
+        names = rels[0].column_names
+        if any(set(r.column_names) != set(names) for r in rels[1:]):
+            raise ValueError("merge union requires identical column sets")
+        slots = merge_run_slots(
+            [r.column(self.key) for r in rels], context=self.context, ascending=self.ascending
         )
-        return _take_with_context(Relation.concat(rels), order, self.context)
+        merged = lambda name: scatter_runs(slots, [r.column(name) for r in rels])
+        return _build_columns(names, merged, sum(r.num_rows for r in rels), self.context)
 
     def label(self) -> str:
         return f"MergeUnion(key={self.key}, asc={self.ascending})"
@@ -1099,10 +1080,6 @@ class _ScanMorselThunk:
         return self.scan._scan_range(m.table, m.start, m.stop, m.rowid_offset, self.mask)
 
 
-def _call(thunk: Callable[[], Relation]) -> Relation:
-    return thunk()
-
-
 def _morsel_affinity_keys(
     thunks: Sequence[_ScanMorselThunk], ctx: ExecutionContext
 ) -> List[Tuple[int, int]]:
@@ -1132,25 +1109,22 @@ def _morsel_affinity_keys(
     return keys
 
 
-def _take_with_context(
-    rel: Relation, indices: np.ndarray, ctx: Optional[ExecutionContext]
+def _build_columns(
+    names: Sequence[str],
+    build: Callable[[str], np.ndarray],
+    num_rows: int,
+    ctx: Optional[ExecutionContext],
 ) -> Relation:
-    """Row gather, fanned out per column when a context warrants it.
+    """A relation of ``build(name)`` columns, fanned out per column when
+    a context warrants it.
 
-    Fancy indexing is independent per column (numpy releases the GIL for
-    the bulk copy), so wide sorted/merged outputs gather their columns
-    concurrently; order and values are identical to ``rel.take``.
+    Gathers and scatters are independent per column (numpy releases the
+    GIL for the bulk copy), so wide sorted/merged outputs materialize
+    their columns concurrently; order and values do not depend on it.
     """
-    if (
-        ctx is None
-        or not ctx.active
-        or len(rel.column_names) <= 1
-        or len(indices) < ctx.min_parallel_rows
-    ):
-        return rel.take(indices)
-    names = rel.column_names
-    arrays = ctx.map(lambda name: rel.column(name)[indices], names)
-    return Relation(dict(zip(names, arrays)))
+    if ctx is None or not ctx.active or len(names) <= 1 or num_rows < ctx.min_parallel_rows:
+        return Relation({name: build(name) for name in names})
+    return Relation(dict(zip(names, ctx.map(build, list(names)))))
 
 
 def _slice_relation(rel: Relation, start: int, stop: int) -> Relation:

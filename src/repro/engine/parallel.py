@@ -124,7 +124,7 @@ class Morsel:
     """A contiguous row range of one table (or partition).
 
     ``rowid_offset`` is the global rowID of row ``start``, so scans can
-    attach rowIDs that match a serial full-table scan.
+    tell which of a PatchIndex's (global) patch rowIDs fall into it.
     """
 
     table: object

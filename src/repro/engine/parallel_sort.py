@@ -67,6 +67,8 @@ __all__ = [
     "serial_sort_permutation",
     "sort_permutation",
     "merge_sorted_runs",
+    "merge_run_slots",
+    "scatter_runs",
     "sort_parallel_payoff",
     "parallel_sort_cost",
     "serial_sort_cost",
@@ -219,41 +221,68 @@ def serial_sort_permutation(
 # ----------------------------------------------------------------------
 # deterministic k-way merge (loser-tree bracket)
 # ----------------------------------------------------------------------
-def _merge_pair(
-    pair: Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
+#: A tournament contestant: its sorted keys (``None`` once nothing reads
+#: them) and, per input run merged into it, the increasing slots that
+#: run's rows occupy — ``None`` while it is a single input run.
+_Run = Tuple[Optional[np.ndarray], Optional[List[np.ndarray]]]
+
+
+def _merge_pair(pair: Tuple[_Run, _Run, bool]) -> _Run:
     """Vectorized two-way merge of sorted runs; the left run wins ties.
 
-    ``searchsorted(b, a, 'left')`` counts the b-elements strictly below
-    each a-element and ``searchsorted(a, b, 'right')`` the a-elements at
-    or below each b-element, so scattering both runs to
-    ``own_rank + other_count`` interleaves them in sorted order with
-    every tie resolved to the left (lower chunk index) run — numpy's
-    enhanced sort order makes the same NaN-is-largest comparisons the
-    chunk argsorts made.
+    Only the shorter run is binary-searched, into the longer one: a
+    right run's row lands behind the left rows at or below it
+    (``side='right'``), a left run's row behind the right rows strictly
+    below it (``side='left'``), so ties resolve to the left (lower chunk
+    index) run either way.  The longer run keeps its order in the slots
+    left free: O(short · log long + total), which lets a few sorted
+    patches join a long sorted run for less than re-sorting it (§3.3).
+    numpy's enhanced sort order makes the same NaN-is-largest
+    comparisons the chunk argsorts made.  The pair's third element says
+    whether a later match still needs the merged keys.
     """
-    (a_idx, a_key), (b_idx, b_key) = pair
-    pos_a = np.arange(len(a_key), dtype=np.int64) + np.searchsorted(
-        b_key, a_key, side="left"
-    )
-    pos_b = np.arange(len(b_key), dtype=np.int64) + np.searchsorted(
-        a_key, b_key, side="right"
-    )
+    (a_key, a_slots), (b_key, b_slots), want_keys = pair
     total = len(a_key) + len(b_key)
-    idx = np.empty(total, dtype=np.int64)
-    key = np.empty(total, dtype=a_key.dtype)
-    idx[pos_a] = a_idx
-    idx[pos_b] = b_idx
-    key[pos_a] = a_key
-    key[pos_b] = b_key
-    return idx, key
+    if total == len(a_key) or total == len(b_key) or a_key[-1] <= b_key[0]:
+        # already in order (range partitions, chunks of sorted data)
+        pos_a = np.arange(len(a_key), dtype=np.int64)
+        pos_b = np.arange(len(a_key), total, dtype=np.int64)
+    elif len(b_key) <= len(a_key):
+        pos_b = np.searchsorted(a_key, b_key, side="right") + np.arange(len(b_key))
+        pos_a = _free_slots(pos_b, total)
+    else:
+        pos_a = np.searchsorted(b_key, a_key, side="left") + np.arange(len(a_key))
+        pos_b = _free_slots(pos_a, total)
+    key = scatter_runs([pos_a, pos_b], [a_key, b_key]) if want_keys else None
+    slots = [pos_a] if a_slots is None else [pos_a[s] for s in a_slots]
+    slots += [pos_b] if b_slots is None else [pos_b[s] for s in b_slots]
+    return key, slots
+
+
+def _free_slots(taken: np.ndarray, total: int) -> np.ndarray:
+    """The slots of ``range(total)`` not in ``taken``, ascending."""
+    free = np.ones(total, dtype=bool)
+    free[taken] = False
+    return np.flatnonzero(free)
+
+
+def scatter_runs(slots: Sequence[np.ndarray], pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """One array holding ``pieces[i]`` at ``slots[i]``, for every run ``i``.
+
+    ``slots`` partition ``range(total)`` (as :func:`merge_run_slots`
+    returns them); each piece is written straight to its place, so
+    merging a column costs one pass and no concatenated intermediate.
+    """
+    out = np.empty(sum(len(s) for s in slots), dtype=np.result_type(*pieces))
+    for where, piece in zip(slots, pieces):
+        out[where] = piece
+    return out
 
 
 def _kway_merge(
-    runs: List[Tuple[np.ndarray, np.ndarray]],
-    context: Optional[ExecutionContext],
-) -> np.ndarray:
-    """Merge sorted ``(indices, keys)`` runs into one permutation.
+    run_keys: Sequence[np.ndarray], context: Optional[ExecutionContext]
+) -> List[np.ndarray]:
+    """Merge sorted key runs; returns each run's slots in the output.
 
     The runs play a tournament: adjacent runs meet in vectorized two-way
     matches, losers of each comparison wait at their match node and
@@ -264,11 +293,12 @@ def _kway_merge(
     chunk indices and the tie rule "lower (chunk, offset) first" holds
     by induction at every level.
     """
-    if not runs:
-        return np.arange(0, dtype=np.int64)
+    if len(run_keys) == 1:
+        return [np.arange(len(run_keys[0]), dtype=np.int64)]
+    runs: List[_Run] = [(keys, None) for keys in run_keys]
     while len(runs) > 1:
         checkpoint()
-        pairs = [(runs[i], runs[i + 1]) for i in range(0, len(runs) - 1, 2)]
+        pairs = [(runs[i], runs[i + 1], len(runs) > 2) for i in range(0, len(runs) - 1, 2)]
         if context is not None:
             merged = context.map(_merge_pair, pairs)
         else:
@@ -276,7 +306,7 @@ def _kway_merge(
         if len(runs) % 2:
             merged.append(runs[-1])
         runs = merged
-    return runs[0][0]
+    return runs[0][1] if runs else []
 
 
 def _reverse_groups(keys: np.ndarray) -> np.ndarray:
@@ -303,6 +333,38 @@ def _reverse_groups(keys: np.ndarray) -> np.ndarray:
     return np.repeat(rev_starts - out_starts, rev_lengths) + np.arange(n, dtype=np.int64)
 
 
+def merge_run_slots(
+    run_keys: Sequence[np.ndarray],
+    context: Optional[ExecutionContext] = None,
+    ascending: bool = True,
+) -> List[np.ndarray]:
+    """Per run, the increasing output slots its rows take in the merge.
+
+    ``run_keys`` are ascending-sorted key arrays and the merged output
+    orders their rows ascending, equal keys in ``(run index, within-run
+    offset)`` order; with ``ascending=False`` they are *non-increasing*
+    runs and the output is the canonical descending stable order — keys
+    non-increasing, equal keys still in ascending ``(run, offset)``
+    order, as ``Sort`` / :func:`serial_sort_permutation` produce for a
+    descending key (SQL ``ORDER BY ... DESC``: ties keep input order).
+    Either way a run's rows keep their relative order, so
+    ``scatter_runs(slots, columns)`` merges any column of the runs.
+
+    Descending mechanics: every run enters the tournament reversed
+    elementwise (making it non-decreasing) and the runs pair up in
+    reverse run order, so "left wins ties" resolves ties to the *higher*
+    (run, offset); mirroring the slots back flips keys to descending
+    and ties back to ascending (run, offset).
+    """
+    arrays = [np.asarray(keys) for keys in run_keys]
+    ctx = context if context is not None and context.active else None
+    if ascending:
+        return _kway_merge(arrays, ctx)
+    last = sum(len(a) for a in arrays) - 1
+    mirrored = _kway_merge([a[::-1] for a in reversed(arrays)], ctx)
+    return [(last - s)[::-1] for s in reversed(mirrored)]
+
+
 def merge_sorted_runs(
     run_keys: Sequence[np.ndarray],
     context: Optional[ExecutionContext] = None,
@@ -310,42 +372,18 @@ def merge_sorted_runs(
 ) -> np.ndarray:
     """Permutation merging already-sorted runs over their concatenation.
 
-    With ``ascending`` (the default), ``run_keys`` are ascending-sorted
-    key arrays; the result indexes into their concatenation and orders
-    it ascending with equal keys taken in ``(run index, within-run
-    offset)`` order — bit-identical to
+    Indexes into the concatenation of ``run_keys`` and orders it as
+    :func:`merge_run_slots` describes — ascending, bit-identical to
     ``np.argsort(np.concatenate(run_keys), kind="stable")`` whenever
-    each run is non-decreasing.  This is the merge the NSC flows need:
-    per-partition sorted streams (``MergeUnion``, ``SortKey``) combine
-    without re-sorting, and with a context the bracket's matches run on
-    the worker pool.
-
-    With ``ascending=False``, ``run_keys`` are *non-increasing* runs and
-    the result is the canonical descending stable order of the
-    concatenation: keys non-increasing, equal keys in ascending ``(run
-    index, within-run offset)`` order — matching what ``Sort`` /
-    :func:`serial_sort_permutation` produce for a descending key (ties
-    keep input order; SQL ``ORDER BY ... DESC`` semantics).  Mechanics:
-    every run enters the tournament reversed elementwise (making it
-    non-decreasing) and the runs pair up in reverse run order, so the
-    forward merge's "left wins ties" rule resolves ties to the *higher*
-    (run, offset); the single final reversal then flips keys to
-    descending and ties back to ascending (run, offset).
+    each run is non-decreasing: per-partition sorted streams
+    (``SortKey``) combine without re-sorting, and with a context the
+    bracket's matches run on the worker pool.
     """
-    arrays = [np.asarray(keys) for keys in run_keys]
-    offsets = np.concatenate([[0], np.cumsum([len(a) for a in arrays])]).astype(np.int64)
-    runs: List[Tuple[np.ndarray, np.ndarray]] = []
-    if ascending:
-        for keys, offset in zip(arrays, offsets):
-            idx = np.arange(offset, offset + len(keys), dtype=np.int64)
-            runs.append((idx, keys))
-    else:
-        for keys, offset in reversed(list(zip(arrays, offsets))):
-            idx = np.arange(offset + len(keys) - 1, offset - 1, -1, dtype=np.int64)
-            runs.append((idx, keys[::-1]))
-    ctx = context if context is not None and context.active else None
-    merged = _kway_merge(runs, ctx)
-    return merged if ascending else merged[::-1]
+    slots = merge_run_slots(run_keys, context, ascending)
+    order = np.empty(sum(len(s) for s in slots), dtype=np.int64)
+    if slots:  # the inverse of "row i of the concatenation goes to slot ..."
+        order[np.concatenate(slots)] = np.arange(len(order))
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +425,8 @@ def _stable_argsort(
     if not _should_parallelize(n, values.dtype, context):
         return np.argsort(values, kind="stable").astype(np.int64)
     runs = _chunk_runs(values, context, affinity)
-    return _kway_merge(runs, context)
+    slots = _kway_merge([keys for _, keys in runs], context)
+    return scatter_runs(slots, [idx for idx, _ in runs])
 
 
 def _should_parallelize(

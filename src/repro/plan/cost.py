@@ -11,6 +11,7 @@ forced, as done for the paper's forced-plan experiments).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Union
 
 from repro.engine.parallel import DEFAULT_MORSEL_ROWS
@@ -31,7 +32,9 @@ class CostModel:
     The defaults encode the orderings the paper's engine exhibits:
     hashing a tuple costs more than merging it, sorting pays an extra
     log factor, and the PatchSelect overhead is a small constant (the
-    "typically below 1 % of query runtime" observation of §3.5).
+    "typically below 1 % of query runtime" observation of §3.5).  A
+    use-patches flow touches only the patches; merging a short sorted
+    run into a long one searches the short run and copies once.
 
     ``parallelism`` makes the model aware of the morsel-parallel
     executor: per-tuple costs of the data-parallel operators (scans,
@@ -225,9 +228,11 @@ class CostModel:
             driving = float(self.catalog.table(node.table).num_rows)
             total = self._parallel(self.COST_SCAN * driving, driving)
         elif isinstance(node, nodes.PatchScanNode):
-            driving = float(node.index.num_rows)
+            # split at the patch positions: gather the patches / copy the rest
+            use = node.mode == "use_patches"
+            driving = float(node.index.num_patches if use else node.index.num_rows)
             total = self._parallel(
-                self.COST_SCAN * driving + self.COST_PATCH_SELECT * driving, driving
+                (self.COST_SCAN + self.COST_PATCH_SELECT) * driving, driving
             )
         elif isinstance(node, nodes.FilterNode):
             driving = estimate_rows(node.child, self.catalog)
@@ -266,7 +271,11 @@ class CostModel:
         elif isinstance(node, nodes.UnionNode):
             total = self.COST_UNION * rows
         elif isinstance(node, nodes.MergeCombineNode):
-            total = self.COST_MERGE_COMBINE * rows
+            # the shorter runs binary-search the longest (comparisons
+            # priced like a sort's), then every row is written once
+            longest = max((estimate_rows(c, self.catalog) for c in node.inputs), default=0.0)
+            startup = self.COST_SORT * (rows - longest) * math.log2(max(longest, 2.0))
+            total = startup + self.COST_MERGE_COMBINE * rows
         elif isinstance(node, nodes.ReuseCacheNode):
             # materialization write (the child's cost is added separately)
             total = self.COST_PROJECT * rows

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.engine.batch import ROWID, Relation
+from repro.engine.batch import Relation
 from repro.engine import operators as ops
 from repro.engine.parallel import ExecutionContext
 from repro.plan import nodes
@@ -50,11 +48,8 @@ def execute_plan(
     catalog: Catalog,
     context: Optional[ExecutionContext] = None,
 ) -> Relation:
-    """Build and run a plan; internal rowID columns are stripped."""
-    result = build_operator_tree(plan, catalog, context).execute()
-    if ROWID in result:
-        result = result.drop([ROWID])
-    return result
+    """Build and run a plan."""
+    return build_operator_tree(plan, catalog, context).execute()
 
 
 def explain_plan(plan: nodes.PlanNode, catalog: Catalog, cost_model=None, report=None) -> str:
@@ -142,11 +137,9 @@ def _lower_node(plan: nodes.PlanNode, ctx: _LoweringContext) -> ops.Operator:
     if isinstance(plan, nodes.LimitNode):
         return ops.Limit(_lower(plan.child, ctx), plan.n, plan.offset)
     if isinstance(plan, nodes.UnionNode):
-        return _ColumnAligningUnion([_lower(c, ctx) for c in plan.inputs])
+        return ops.Union([_lower(c, ctx) for c in plan.inputs])
     if isinstance(plan, nodes.MergeCombineNode):
-        return _ColumnAligningMergeUnion(
-            [_lower(c, ctx) for c in plan.inputs], plan.key, plan.ascending
-        )
+        return ops.MergeUnion([_lower(c, ctx) for c in plan.inputs], plan.key, plan.ascending)
     if isinstance(plan, nodes.ReuseCacheNode):
         return ops.ReuseCache(_lower(plan.child, ctx), ctx.slot(plan.slot_id))
     if isinstance(plan, nodes.ReuseLoadNode):
@@ -157,6 +150,11 @@ def _lower_node(plan: nodes.PlanNode, ctx: _LoweringContext) -> ops.Operator:
 def _lower_patch_scan(plan: nodes.PatchScanNode, ctx: _LoweringContext) -> ops.Operator:
     table = ctx.catalog.table(plan.table)
     index = plan.index
+
+    def flow(part, part_index) -> ops.Operator:
+        scan = ops.Scan(part, columns=plan.columns, predicate=plan.predicate)
+        return ops.PatchSelect(scan, part_index.patch_rowids, plan.mode)
+
     if (
         plan.sorted_output
         and plan.mode == "exclude_patches"
@@ -165,44 +163,6 @@ def _lower_patch_scan(plan: nodes.PatchScanNode, ctx: _LoweringContext) -> ops.O
     ):
         # NSC exclude flows are sorted *per partition*; merge them into a
         # global order (the partition merge step of §6.2).
-        parts = []
-        for i, part in enumerate(table.partitions):
-            scan = ops.Scan(part, columns=plan.columns, predicate=plan.predicate,
-                            with_rowids=True)
-            part_index = index.parts[i].index
-            parts.append(ops.PatchSelect(scan, part_index.patch_mask, plan.mode))
-        key = index.column
-        return _ColumnAligningMergeUnion(parts, key, plan.sort_ascending)
-    scan = ops.Scan(table, columns=plan.columns, predicate=plan.predicate,
-                    with_rowids=True)
-    return ops.PatchSelect(scan, index.patch_mask, plan.mode)
-
-
-class _ColumnAligningUnion(ops.Union):
-    """Union tolerant of rowID-column mismatches between cloned flows."""
-
-    def execute(self) -> Relation:
-        rels = [op.execute() for op in self.inputs]
-        rels = _strip_unshared_rowid(rels)
-        return Relation.concat(rels)
-
-
-class _ColumnAligningMergeUnion(ops.MergeUnion):
-    """MergeUnion tolerant of rowID-column mismatches between flows."""
-
-    def execute(self) -> Relation:
-        rels_all = [op.execute() for op in self.inputs]
-        return self._merge_all(_strip_unshared_rowid(rels_all))
-
-
-def _strip_unshared_rowid(rels) -> list:
-    """Drop the internal rowID column unless every input carries it.
-
-    RowIDs from different flows do not combine meaningfully anyway (they
-    are scan-local); keeping them only when universally present keeps
-    single-flow plans debuggable.
-    """
-    have = [ROWID in r for r in rels]
-    if all(have) or not any(have):
-        return list(rels)
-    return [r.drop([ROWID]) for r in rels]
+        parts = [flow(part, index.parts[i].index) for i, part in enumerate(table.partitions)]
+        return ops.MergeUnion(parts, index.column, plan.sort_ascending)
+    return flow(table, index)

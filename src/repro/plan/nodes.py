@@ -82,9 +82,9 @@ class PatchScanNode(PlanNode):
     """PatchIndex scan: table scan plus patch selection (§3.3).
 
     ``mode`` is ``"exclude_patches"`` or ``"use_patches"``; ``index`` is
-    the maintained index handle whose bitmap the selection merges into
-    the flow.  ``sorted_output`` marks the NSC exclude-side flow whose
-    per-partition streams must be merged to a global order.
+    the maintained index handle at whose patch rowIDs the selection
+    splits the scan.  ``sorted_output`` marks the NSC exclude-side flow
+    whose per-partition streams must be merged to a global order.
     """
 
     def __init__(

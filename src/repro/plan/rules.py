@@ -24,14 +24,14 @@ unless ``force=True`` (used to reproduce the paper's forced plans).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.core.constraints import (
     NearlyConstantColumn,
     NearlySortedColumn,
     NearlyUniqueColumn,
 )
-from repro.engine.expressions import BinaryExpr, ColumnRef, Literal
+from repro.engine.expressions import BinaryExpr, ColumnRef, Literal, expression_columns
 from repro.plan import nodes
 from repro.plan.cost import CostModel
 
@@ -81,19 +81,49 @@ def _clone_replacing_scan(
     raise TypeError(f"cannot clone {type(node).__name__} in a scan subtree")
 
 
-def _patch_scan(
-    scan: nodes.ScanNode, index, mode: str, sorted_output: bool = False,
+def _read_columns(node: nodes.PlanNode, wanted: Optional[Set[str]]) -> Optional[List[str]]:
+    """Scan columns a Filter/Project chain reads (None: every column).
+
+    ``wanted`` names the chain outputs its consumer uses (None: all).
+    A plain scan hands out zero-copy views of every column for free; a
+    PatchIndex scan copies what it selects, so its flows carry only the
+    columns something above them reads.
+    """
+    if isinstance(node, nodes.ProjectNode):
+        wanted = set()
+        for spec in node.outputs.values():
+            wanted |= {spec} if isinstance(spec, str) else expression_columns(spec)
+    elif isinstance(node, nodes.FilterNode) and wanted is not None:
+        wanted = wanted | expression_columns(node.predicate)
+    if not isinstance(node, nodes.ScanNode):
+        return _read_columns(node.children()[0], wanted)
+    if not wanted:
+        return node.columns
+    if node.columns is None:
+        return sorted(wanted)
+    return [c for c in node.columns if c in wanted]
+
+
+def _patch_flow(
+    subtree: nodes.PlanNode,
+    scan: nodes.ScanNode,
+    index,
+    mode: str,
+    wanted: Optional[Set[str]] = None,
+    sorted_output: bool = False,
     sort_ascending: bool = True,
-) -> nodes.PatchScanNode:
-    return nodes.PatchScanNode(
+) -> nodes.PlanNode:
+    """Clone ``subtree`` with its scan replaced by one PatchIndex flow."""
+    patch_scan = nodes.PatchScanNode(
         scan.table,
         index,
         mode,
-        columns=scan.columns,
+        columns=_read_columns(subtree, wanted),
         predicate=scan.predicate,
         sorted_output=sorted_output,
         sort_ascending=sort_ascending,
     )
+    return _clone_replacing_scan(subtree, patch_scan)
 
 
 def _accept(
@@ -132,14 +162,12 @@ def rewrite_distinct(
     if index is None or not isinstance(index.constraint, NearlyUniqueColumn):
         return None
     exclude_flow = nodes.ProjectNode(
-        _clone_replacing_scan(plan.child, _patch_scan(scan, index, EXCLUDE)),
-        {column: column},
+        _patch_flow(plan.child, scan, index, EXCLUDE, {column}), {column: column}
     )
     if zero_branch_pruning and index.num_patches == 0:
         return _accept(plan, exclude_flow, cost_model, force)
     use_flow = nodes.DistinctNode(
-        _clone_replacing_scan(plan.child, _patch_scan(scan, index, USE)),
-        [column],
+        _patch_flow(plan.child, scan, index, USE, {column}), [column]
     )
     candidate = nodes.UnionNode([exclude_flow, use_flow])
     return _accept(plan, candidate, cost_model, force)
@@ -170,16 +198,13 @@ def rewrite_sort(
         return None
     if index.constraint.ascending != ascending:
         return None  # the materialized order must match the query order
-    exclude_flow = _clone_replacing_scan(
-        plan.child,
-        _patch_scan(scan, index, EXCLUDE, sorted_output=True, sort_ascending=ascending),
+    exclude_flow = _patch_flow(
+        plan.child, scan, index, EXCLUDE, sorted_output=True, sort_ascending=ascending
     )
     if zero_branch_pruning and index.num_patches == 0:
         return _accept(plan, exclude_flow, cost_model, force)
     use_flow = nodes.SortNode(
-        _clone_replacing_scan(plan.child, _patch_scan(scan, index, USE)),
-        [column],
-        [ascending],
+        _patch_flow(plan.child, scan, index, USE), [column], [ascending]
     )
     candidate = nodes.MergeCombineNode([exclude_flow, use_flow], column, ascending)
     return _accept(plan, candidate, cost_model, force)
@@ -237,9 +262,8 @@ def _build_join_rewrite(
     force: bool,
 ) -> Optional[nodes.PlanNode]:
     ascending = index.constraint.ascending
-    y_exclude = _clone_replacing_scan(
-        y_side,
-        _patch_scan(scan, index, EXCLUDE, sorted_output=True, sort_ascending=ascending),
+    y_exclude = _patch_flow(
+        y_side, scan, index, EXCLUDE, sorted_output=True, sort_ascending=ascending
     )
     if zero_branch_pruning and index.num_patches == 0:
         candidate: nodes.PlanNode = nodes.JoinNode(
@@ -256,7 +280,7 @@ def _build_join_rewrite(
         hint = 1000.0
     x_again = nodes.ReuseLoadNode(slot_id, hint_rows=hint)
     merge_part = nodes.JoinNode(x_cached, y_exclude, x_key, y_key, algorithm="merge")
-    y_use = _clone_replacing_scan(y_side, _patch_scan(scan, index, USE))
+    y_use = _patch_flow(y_side, scan, index, USE)
     # hash table built on the patches: the lowest-cardinality side (§3.3)
     hash_part = nodes.JoinNode(
         y_use, x_again, y_key, x_key, algorithm="hash", build_side="left"
@@ -298,13 +322,11 @@ def rewrite_constant_filter(
     constant = getattr(index, "constant_value", None)
     if constant is None:
         return None
-    use_flow = nodes.FilterNode(
-        _patch_scan(scan, index, USE), plan.predicate
-    )
+    use_flow = nodes.FilterNode(_patch_flow(scan, scan, index, USE), plan.predicate)
     if value != constant:
         # the exclude flow cannot match: only patches can
         return _accept(plan, use_flow, cost_model, force)
-    exclude_flow = _patch_scan(scan, index, EXCLUDE)
+    exclude_flow = _patch_flow(scan, scan, index, EXCLUDE)
     if zero_branch_pruning and index.num_patches == 0:
         return _accept(plan, exclude_flow, cost_model, force)
     candidate = nodes.UnionNode([exclude_flow, use_flow])

@@ -1,9 +1,10 @@
 """Model test of NUC maintenance (§5.1, Figure 5) against the operator tree.
 
 Production maintenance probes the indexed column directly with the
-equi-join kernel.  The oracle below is the path it replaced, kept here
-verbatim: a ``Scan → HashJoin`` tree per statement, dynamic range
-propagation through ``Scan.push_range`` and a full ``patch_mask()``.
+equi-join kernel.  The oracle below is the path it replaced: a
+``Scan → HashJoin`` tree per statement (over a probe copy of the column
+that carries the rowIDs as a second column), dynamic range propagation
+through ``Scan.push_range`` and a full ``patch_mask()``.
 Two copies of one table receive the same seeded random statements, one
 maintained by each path; after every statement the production index
 must pass ``verify()`` and hold exactly the oracle's patch set.
@@ -42,7 +43,13 @@ def oracle_apply(index: PatchIndex, table, event, drp: bool) -> None:
     if len(touched) == 0:
         return
     build = RelationSource(Relation({index.column: np.unique(touched)}), name="delta")
-    probe = Scan(table, columns=[index.column], with_rowids=True)
+    probe = Scan(
+        Table.from_arrays(
+            "probe",
+            {index.column: table.column(index.column), ROWID: table.rowids()},
+            minmax_block_size=16,  # the block size of make_table
+        )
+    )
     join = HashJoin(
         build, probe, index.column, index.column,
         build_side="left", dynamic_range_propagation=drp,

@@ -136,6 +136,35 @@ class TestMaintenancePrimitives:
             b.remove_rows(dels)
         np.testing.assert_array_equal(a.patch_rowids(), b.patch_rowids())
 
+    def test_patch_rowids_cannot_mutate_index_state(self, design):
+        # regression: the identifier design copied its storage on every
+        # call; it now shares it, so the shared array must be read-only
+        t = nsc_table(40, patches=[7, 9])
+        pi = PatchIndex(t, "v", NearlySortedColumn(), design=design)
+        rowids = pi.patch_rowids()
+        with pytest.raises(ValueError):
+            rowids[0] = 3
+        with pytest.raises(ValueError):
+            rowids.sort()
+        assert pi.patch_rowids().tolist() == [7, 9]
+        assert pi.is_patch(7) and not pi.is_patch(3)
+
+    def test_patch_rowids_follow_every_mutator(self, design):
+        t = nsc_table(40, patches=[7, 9])
+        pi = PatchIndex(t, "v", NearlySortedColumn(), design=design)
+        seen = pi.patch_rowids()
+        assert pi.patch_rowids() is seen  # extracted once per patch-set change
+        pi.extend_rows(5)
+        pi.add_patches([41, 3])
+        assert pi.patch_rowids().tolist() == [3, 7, 9, 41]
+        pi.remove_rows(np.array([0, 7, 20]))
+        assert pi.patch_rowids().tolist() == [2, 7, 38]
+        pi.condense()
+        assert pi.patch_rowids().tolist() == [2, 7, 38]
+        pi.rebuild()  # back to what the (unchanged) table says
+        assert pi.patch_rowids().tolist() == [7, 9]
+        assert seen.tolist() == [7, 9]  # an array handed out never changes
+
 
 class TestMemory:
     def test_bitmap_memory_is_constant_in_e(self):

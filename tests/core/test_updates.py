@@ -250,7 +250,7 @@ class TestPartitioned:
         handle = mgr.create(pt, "v", NearlyUniqueColumn())
         assert handle.num_rows == 80
         assert handle.num_patches == 2
-        assert len(handle.patch_mask()) == 80
+        assert handle.patch_rowids().tolist() == [10, 11]  # global rowIDs
         assert handle.verify()
 
     def test_partitioned_insert_maintains_local_index(self):

@@ -17,7 +17,6 @@ from repro.engine import (
     col,
     lit,
 )
-from repro.engine.batch import ROWID
 from repro.engine.expressions import expression_columns
 from repro.storage import Table
 
@@ -90,9 +89,9 @@ class TestStringJoinsAndDistinct:
 class TestScanEdges:
     def test_scan_empty_table(self):
         t = Table.from_arrays("e", {"v": np.array([], dtype=np.int64)})
-        out = Scan(t, with_rowids=True).execute()
+        out = Scan(t).execute()
         assert out.num_rows == 0
-        assert ROWID in out
+        assert out.column_names == ["v"]
 
     def test_scan_empty_table_with_predicate(self):
         t = Table.from_arrays("e", {"v": np.array([], dtype=np.int64)})

@@ -22,7 +22,6 @@ from repro.engine import (
     Union,
     col,
 )
-from repro.engine.batch import ROWID
 from repro.engine.operators import ReuseSlot, factorize_rows, find_scans
 from repro.storage import PartitionedTable, Table
 
@@ -49,26 +48,40 @@ class TestScan:
         assert out.num_rows == 10
         assert set(out.column_names) == {"k", "v"}
 
-    def test_scan_with_rowids(self):
-        out = Scan(make_table(5), with_rowids=True).execute()
-        np.testing.assert_array_equal(out.column(ROWID), np.arange(5))
-
     def test_scan_predicate(self):
         out = Scan(make_table(10), predicate=col("k") < 3).execute()
         assert out.num_rows == 3
 
     def test_scan_minmax_pruning(self):
-        scan = Scan(make_table(100), with_rowids=True)
+        scan = Scan(make_table(100))
         scan.push_range("k", 25, 34)
         out = scan.execute()
         # block size is 10, so exactly blocks 2 and 3 survive
         assert out.num_rows == 20
         assert out.column("k").min() == 20 and out.column("k").max() == 39
 
-    def test_scan_partitioned_rowids_are_global(self):
+    def test_restrict_rows_takes_global_rowids_on_partitions(self):
         pt = PartitionedTable.from_table(make_table(40), "k", 4)
-        out = Scan(pt, with_rowids=True).execute()
-        np.testing.assert_array_equal(np.sort(out.column(ROWID)), np.arange(40))
+        rowids = np.array([0, 9, 10, 25, 39])
+        scan = Scan(pt)
+        scan.restrict_rows(rowids)
+        np.testing.assert_array_equal(scan.execute().column("k"), rowids)
+        scan.restrict_rows(rowids, complement=True)
+        np.testing.assert_array_equal(
+            scan.execute().column("k"), np.setdiff1d(np.arange(40), rowids)
+        )
+
+    def test_restrict_rows_composes_with_predicate_and_range(self):
+        scan = Scan(make_table(100), columns=["k"], predicate=col("v") > 2)
+        scan.push_range("k", 25, 34)  # blocks 2 and 3: rows 20..39
+        scan.restrict_rows(np.array([5, 21, 22, 30, 77]), complement=True)
+        k = np.arange(100)
+        want = k[(k >= 20) & (k < 40) & ~np.isin(k, [21, 22, 30]) & ((k * 3) % 7 > 2)]
+        np.testing.assert_array_equal(scan.execute().column("k"), want)
+        scan.restrict_rows(np.array([5, 21, 22, 30, 77]))
+        np.testing.assert_array_equal(
+            scan.execute().column("k"), [r for r in (21, 22, 30) if (r * 3) % 7 > 2]
+        )
 
     def test_scan_column_subset(self):
         out = Scan(make_table(5), columns=["v"]).execute()
@@ -78,23 +91,22 @@ class TestScan:
 class TestPatchSelect:
     def test_modes(self):
         table = make_table(10)
-        mask = np.zeros(10, dtype=bool)
-        mask[[2, 7]] = True
-        scan = Scan(table, with_rowids=True)
-        ex = PatchSelect(scan, lambda: mask, "exclude_patches").execute()
-        us = PatchSelect(Scan(table, with_rowids=True), lambda: mask, "use_patches").execute()
-        assert ex.num_rows == 8 and us.num_rows == 2
-        assert set(us.column("k").tolist()) == {2, 7}
+        patches = np.array([2, 7])
+        ex = PatchSelect(Scan(table), lambda: patches, "exclude_patches").execute()
+        us = PatchSelect(Scan(table), lambda: patches, "use_patches").execute()
+        assert ex.column("k").tolist() == [0, 1, 3, 4, 5, 6, 8, 9]
+        assert us.column("k").tolist() == [2, 7]
+        assert ex.column_names == us.column_names == ["k", "v"]
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            PatchSelect(src(a=[1]), lambda: np.zeros(1, bool), "bogus")
+            PatchSelect(Scan(make_table(1)), lambda: np.zeros(0, np.int64), "bogus")
 
-    def test_mask_read_at_execute_time(self):
+    def test_rowids_read_at_execute_time(self):
         table = make_table(4)
-        mask = np.zeros(4, dtype=bool)
-        op = PatchSelect(Scan(table, with_rowids=True), lambda: mask, "use_patches")
-        mask[1] = True  # updated after construction
+        patches = []
+        op = PatchSelect(Scan(table), lambda: np.array(patches, dtype=np.int64), "use_patches")
+        patches.append(1)  # updated after construction
         assert op.execute().column("k").tolist() == [1]
 
 
@@ -134,7 +146,7 @@ class TestJoins:
 
     def test_hash_join_drp_prunes_probe_scan(self):
         table = make_table(100)  # block size 10
-        probe = Scan(table, with_rowids=True)
+        probe = Scan(table)
         build = src(k=[42, 44])
         join = HashJoin(build, probe, "k", "k", build_side="left",
                         dynamic_range_propagation=True)
