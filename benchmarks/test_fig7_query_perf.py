@@ -11,6 +11,24 @@ e; PatchIndex runtime grows gently with e (more tuples take the patch
 path); both PatchIndex designs behave alike.  Every number is the
 median of five runs after one warm-up.
 
+NUC, measured (three runs on this 2-CPU box): the "w/o constraint"
+column fell about 20x, from 0.065–0.070 s to 3.3–3.8 ms (e <= 0.3),
+when the plain distinct stopped going through ``np.unique``'s hash
+table and became the group kernel's sort + neighbour compare
+(``engine/groups.py``); the PatchIndex columns did not move (1.4–1.6 ms
+at e = 0.01, 3.0–3.4 at 0.2, 5.2 at 0.5), so PI_bitmap / no-constraint
+rose from 0.014–0.15 to 0.40 at e = 0.01, 0.46–0.53 at 0.05, 0.65–0.68
+at 0.1, 0.94–0.97 at 0.2, 1.1–1.2 at 0.3, 1.9–2.0 at 0.5 and 3–5 beyond.
+That is the baseline becoming competent, as ROADMAP item 5 predicted,
+not a PatchIndex regression: the exclude flow still skips the
+aggregation, but what it skips is now a 3 ms sort, while cutting the
+patches out of four partitions costs 1–3 ms of boolean-mask copies that
+mispredict as e grows.  These are forced plans; with the cost model on
+the rewrite is taken for e <= 0.2 and declined from 0.5 on
+(``tests/plan/test_positional_cost.py``).  The first row's plain time
+(e = 0) is about twice its neighbours' because it is the first plan of
+the process and pays the allocator's page faults.
+
 NSC, measured (PI_bitmap / no-constraint, four runs on this 2-CPU box):
 0.75 at e = 0, 0.98–1.05 at 0.01, 1.02–1.08 at 0.05, 1.11–1.20 at 0.1,
 1.2–1.4 at 0.2 and 1.1–1.6 beyond; it was 2.5–3.3 at every e while
@@ -107,8 +125,9 @@ def check_shape(rows, constraint: str):
         fast, slow = sorted([row[3], row[4]])
         assert slow < fast * 5 + 0.05
     if constraint == "nuc":
-        # dropping the aggregation wins clearly at e = 0 and the
-        # PatchIndex never regresses vs the reference (paper shape)
+        # dropping the aggregation wins at e = 0; past e = 0.2 the forced
+        # plan loses to the plain sort-distinct (module docstring) and is
+        # only kept from running away
         assert rows[0][3] < rows[0][1], "NUC: PI_bitmap should win at e=0"
         for row in rows:
             assert row[3] < row[1] * 3 + 0.05

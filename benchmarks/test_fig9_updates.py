@@ -9,6 +9,22 @@ slower (especially at fine granularities); PatchIndex maintenance adds
 modest overhead that amortizes by ~50-tuple statements; delete is the
 cheapest PatchIndex path; the identifier design trails the bitmap
 design.
+
+NUC, measured (three runs each side, 200 five-row INSERTs): the
+per-statement materialized-view refresh fell 8x, 1.34–1.44 s to
+0.18–0.27 s, when its recompute moved from ``np.unique``'s hash table
+to the group kernel's sort + neighbour compare (``engine/groups.py``),
+while PI_bitmap stayed at 0.32–0.44 s.  Recomputing the distinct values
+of 60 k rows is 0.9 ms now; a five-row insert spends 1.6 ms on NUC
+maintenance (a collision join over the whole column — 20 % of the
+inserted values collide with random rows, so range propagation prunes
+nothing — and the positional-delta merge, ROADMAP item 4).  So
+"PatchIndex beats per-statement refresh" no longer holds for NUC at
+this scale: PI_bitmap / materialization is 1.2–1.8 at granularity 5 and
+3–5 at 50 (it was 0.25 and 0.4).  This is the baseline becoming
+competent, not maintenance getting dearer; both sides are linear in the
+table per statement.  It still holds for NSC, whose refresh re-sorts
+whole tuples.
 """
 
 import numpy as np
@@ -113,7 +129,10 @@ def test_fig9_update_performance(benchmark):
         ref, mat, pib = finest[1], finest[2], finest[3]
         # materialization refresh per statement is the most expensive path
         assert mat > ref, f"{constraint}: per-statement refresh must cost more than no constraint"
-        assert mat > pib, f"{constraint}: PatchIndex must beat per-statement refresh"
+        if constraint == "nsc":
+            assert mat > pib, "nsc: PatchIndex must beat per-statement refresh"
+        else:  # see the module docstring: a 60 k-row refresh is under a millisecond
+            assert pib < mat * 4, "nuc: PatchIndex maintenance out of expected band"
         # deletes are the cheapest PatchIndex maintenance path
         del_row = results[(constraint, "delete")][0]
         assert del_row[3] < mat

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.discovery import discover_nsc_patches, discover_nuc_patches
 from repro.core.lis import longest_sorted_subsequence
+from repro.engine.groups import group_codes
 
 __all__ = [
     "Constraint",
@@ -127,8 +128,9 @@ class NearlyConstantColumn(Constraint):
         """Minimal patches: everything that differs from the mode."""
         if len(values) == 0:
             return np.zeros(0, dtype=np.int64), None
-        uniq, counts = np.unique(values, return_counts=True)
-        constant = uniq[int(np.argmax(counts))]
+        codes, ngroups = group_codes([values])
+        mode = np.argmax(np.bincount(codes, minlength=ngroups))
+        constant = values[np.argmax(codes == mode)]
         patches = np.flatnonzero(values != constant).astype(np.int64)
         return patches, constant
 

@@ -19,6 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.lis import longest_sorted_subsequence
+from repro.engine.groups import group_codes
 
 __all__ = ["discover_nuc_patches", "discover_nsc_patches"]
 
@@ -30,11 +31,8 @@ def discover_nuc_patches(values: np.ndarray) -> np.ndarray:
     occur exactly once in the column, and the patch/non-patch value sets
     are disjoint (the invariant the distinct rewrite relies on).
     """
-    n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return np.flatnonzero(counts[inverse] > 1).astype(np.int64)
+    codes, ngroups = group_codes([values])
+    return np.flatnonzero(np.bincount(codes, minlength=ngroups)[codes] > 1)
 
 
 def discover_nsc_patches(

@@ -15,13 +15,14 @@ from __future__ import annotations
 from bisect import bisect_right
 import numpy as np
 
+from repro.engine.groups import group_codes
+
 __all__ = ["longest_sorted_subsequence", "order_codes"]
 
 
 def order_codes(values: np.ndarray, ascending: bool = True) -> np.ndarray:
     """Map values to dense int codes preserving (or reversing) order."""
-    _, codes = np.unique(values, return_inverse=True)
-    codes = codes.astype(np.int64)
+    codes, _ = group_codes([values])
     return codes if ascending else -codes
 
 

@@ -28,6 +28,7 @@ from repro.core.constraints import (
     NearlyConstantColumn,
     NearlySortedColumn,
 )
+from repro.engine.groups import sorted_unique
 from repro.engine.parallel import validate_parallelism
 
 __all__ = ["PatchIndex", "BITMAP_DESIGN", "IDENTIFIER_DESIGN"]
@@ -297,7 +298,7 @@ class PatchIndex:
             # Strong invariant of the distinct rewrite: every kept value
             # occurs exactly once in the whole column, i.e. kept values
             # are unique and disjoint from patch values.
-            if len(np.unique(kept)) != len(kept):
+            if len(sorted_unique(kept)) != len(kept):
                 return False
             patch_values = values[mask]
             return not bool(np.isin(kept, patch_values).any())

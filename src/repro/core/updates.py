@@ -37,7 +37,9 @@ from repro.core.constraints import (
     NearlySortedColumn,
     NearlyUniqueColumn,
 )
+from repro.core.discovery import discover_nuc_patches
 from repro.core.patchindex import PatchIndex
+from repro.engine.groups import sorted_unique
 from repro.engine.operators import _expand_matches
 from repro.storage.minmax import MinMaxIndex
 from repro.storage.pdt import UpdateEvent
@@ -99,7 +101,7 @@ def _collision_join(column: np.ndarray, touched_values: np.ndarray,
     and the values' [min, max] range prunes the probe to the row ranges
     whose blocks overlap it, each probed as a zero-copy slice.
     """
-    build = np.unique(touched_values)
+    build = sorted_unique(touched_values)
     if minmax is None:
         ranges = [(0, len(column))]
     else:
@@ -128,12 +130,8 @@ def nuc_collision_patches(
     patch is by construction non-unique, so its other members also
     become patches.  Existing patches never leave the patch set.
     """
-    if len(candidate_rowids) == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
-    colliding = counts[codes] > 1
-    new_patch_sel = colliding & ~is_patch
-    return np.sort(candidate_rowids[new_patch_sel]).astype(np.int64)
+    colliding = discover_nuc_patches(values)
+    return np.sort(candidate_rowids[colliding[~is_patch[colliding]]]).astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.engine.batch import Relation
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
+from repro.engine.groups import first_rows, group_codes, run_starts, sorted_unique
 from repro.engine.interrupt import checkpoint, current_token
 from repro.engine.parallel import (
     DEFAULT_MORSEL_ROWS,
@@ -421,11 +422,9 @@ def _expand_matches(
     hits = np.flatnonzero(sorted_keys.take(lo, mode="clip") == probe_keys)
     lo = lo[hits]
     # a hit points at the first key of a run of equal build keys
-    run_starts = np.flatnonzero(
-        np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    )
+    starts = np.flatnonzero(run_starts(sorted_keys))
     run_lengths = np.zeros(len(sorted_keys), dtype=np.int64)
-    run_lengths[run_starts] = np.diff(run_starts, append=len(sorted_keys))
+    run_lengths[starts] = np.diff(starts, append=len(sorted_keys))
     counts = run_lengths[lo]
     probe_idx = np.repeat(hits, counts)
     # run start of each pair, minus the pairs emitted before its probe
@@ -679,7 +678,13 @@ class TopN(Operator):
 
 
 class Distinct(Operator):
-    """Duplicate elimination over the given (default: all) columns."""
+    """Duplicate elimination over the given (default: all) columns.
+
+    Runs on the group kernel (:mod:`repro.engine.groups`): one column is
+    ``sorted_unique``; several are factorised once and the first row of
+    every group is kept.  Output is in key order either way; NULL (NaN /
+    ``None``) is one value.
+    """
 
     def __init__(self, child: Operator, columns: Optional[Sequence[str]] = None) -> None:
         self.child = child
@@ -692,11 +697,8 @@ class Distinct(Operator):
         rel = self.child.execute()
         checkpoint()
         cols = self.columns if self.columns is not None else rel.column_names
-        if rel.num_rows == 0:
-            return rel.select(cols)
         if len(cols) == 1:
-            uniq = np.unique(rel.column(cols[0]))
-            return Relation({cols[0]: uniq})
+            return Relation({cols[0]: sorted_unique(rel.column(cols[0]))})
         _, first_idx = factorize_rows([rel.column(c) for c in cols])
         return rel.select(cols).take(first_idx)
 
@@ -710,6 +712,11 @@ class GroupAggregate(Operator):
     ``aggregates`` maps output names to ``(func, input)`` where ``func``
     is one of ``sum``, ``count``, ``min``, ``max``, ``avg`` and ``input``
     is a column name or expression (ignored for ``count``).
+
+    The keys are factorised once by the group kernel
+    (:mod:`repro.engine.groups`) and every aggregate is one pass over
+    its codes in row order — a single code path, so group order (by
+    key), values and dtypes do not depend on the execution context.
     """
 
     _FUNCS = ("sum", "count", "min", "max", "avg")
@@ -740,164 +747,38 @@ class GroupAggregate(Operator):
         checkpoint()
         if not self.group_keys:
             return self._global_aggregate(rel)
-        ctx = self.context
-        if ctx is not None and ctx.active:
-            chunks = row_chunks(rel.num_rows, ctx.morsel_rows)
-            if ctx.should_parallelize(rel.num_rows, len(chunks)):
-                return self._parallel_aggregate(ctx, rel, chunks)
-        return self._serial_aggregate(rel)
+        return self._aggregate(rel)
 
-    def _serial_aggregate(self, rel: Relation) -> Relation:
+    def _aggregate(self, rel: Relation) -> Relation:
         codes, first_idx = factorize_rows([rel.column(k) for k in self.group_keys])
         ngroups = len(first_idx)
         out: Dict[str, np.ndarray] = {
             k: rel.column(k)[first_idx] for k in self.group_keys
         }
+        counts = np.bincount(codes, minlength=ngroups)  # shared by count and avg
         for name, (func, spec) in self.aggregates.items():
             if func == "count":
-                out[name] = np.bincount(codes, minlength=ngroups).astype(np.int64)
+                out[name] = counts
                 continue
             values = self._input_array(rel, spec)
-            if func == "sum" and values.dtype.kind in "iu":
-                # exact int64 accumulation (matches the parallel partial
-                # merge bit-for-bit at any magnitude)
+            is_int = values.dtype.kind in "iu"
+            if func == "sum" and is_int:
+                # exact int64 accumulation at any magnitude
                 acc_i = np.zeros(ngroups, dtype=np.int64)
                 np.add.at(acc_i, codes, values)
                 out[name] = acc_i
             elif func == "sum" or func == "avg":
+                # one bincount: accumulates in row order (and is typed
+                # int on empty input, whatever the weights)
                 sums = np.bincount(codes, weights=values.astype(np.float64), minlength=ngroups)
-                if func == "sum":
-                    out[name] = sums if values.dtype.kind == "f" else _maybe_int(sums, values)
-                else:
-                    counts = np.bincount(codes, minlength=ngroups)
-                    out[name] = sums / np.maximum(counts, 1)
-            elif func == "min":
-                acc = _filled(ngroups, values, np.inf)
-                np.minimum.at(acc, codes, values)
-                out[name] = _maybe_int(acc, values)
-            elif func == "max":
-                acc = _filled(ngroups, values, -np.inf)
-                np.maximum.at(acc, codes, values)
-                out[name] = _maybe_int(acc, values)
-        return Relation(out)
-
-    # ------------------------------------------------------------------
-    # two-phase parallel aggregation
-    # ------------------------------------------------------------------
-    def _parallel_aggregate(self, ctx: ExecutionContext, rel: Relation, chunks) -> Relation:
-        """Per-worker partial aggregation plus a merge step.
-
-        Phase 1 (parallel, one task per row chunk): factorize the
-        chunk-local group keys, evaluate aggregate inputs, and reduce
-        the *associative* aggregates (count, min, max, integer sum) to
-        chunk-local partials.  Phase 2 (merge, calling thread): unify the
-        chunk-local group keys into the global (key-sorted) group order
-        and combine the partials.
-
-        Floating-point sums and averages are NOT merged from partials —
-        IEEE addition is not associative, so that would diverge from the
-        serial plan by rounding.  For those the merge phase reduces the
-        chunk-evaluated inputs with one ordered ``bincount`` over the
-        globally mapped codes, which accumulates in original row order
-        and is therefore bit-identical to serial execution.  (Integer
-        sums use exact int64 accumulation on both the serial and the
-        parallel path, so they agree at any magnitude.)
-        """
-        nkeys = len(self.group_keys)
-        specs = list(self.aggregates.items())
-
-        def phase1(chunk):
-            start, stop = chunk
-            piece = _slice_relation(rel, start, stop)
-            local_keys = [piece.column(k) for k in self.group_keys]
-            codes, first_idx = factorize_rows(local_keys)
-            ngroups = len(first_idx)
-            uniques = [k[first_idx] for k in local_keys]
-            partials: Dict[str, np.ndarray] = {}
-            values: Dict[str, np.ndarray] = {}
-            for name, (func, spec) in specs:
-                if func == "count":
-                    partials[name] = np.bincount(codes, minlength=ngroups).astype(np.int64)
-                    continue
-                vals = self._input_array(piece, spec)
-                if func == "sum" and vals.dtype.kind in "iu":
-                    acc = np.zeros(ngroups, dtype=np.int64)
-                    np.add.at(acc, codes, vals)
-                    partials[name] = acc
-                elif func == "min":
-                    acc = _filled(ngroups, vals, np.inf)
-                    np.minimum.at(acc, codes, vals)
-                    partials[name] = acc
-                elif func == "max":
-                    acc = _filled(ngroups, vals, -np.inf)
-                    np.maximum.at(acc, codes, vals)
-                    partials[name] = acc
-                else:  # float sum / avg: keep inputs for the ordered merge
-                    values[name] = vals
-                    if func == "avg":
-                        partials[name] = np.bincount(codes, minlength=ngroups)
-            return codes, uniques, partials, values
-
-        results = ctx.map(phase1, chunks)
-
-        # merge phase: unify chunk-local groups into the global order
-        merged_keys = [
-            np.concatenate([res[1][i] for res in results]) for i in range(nkeys)
-        ]
-        global_codes, global_first = factorize_rows(merged_keys)
-        ngroups = len(global_first)
-        out: Dict[str, np.ndarray] = {
-            k: merged_keys[i][global_first] for i, k in enumerate(self.group_keys)
-        }
-        # chunk-local group c of chunk j maps to global group mappings[j][c]
-        mappings: List[np.ndarray] = []
-        offset = 0
-        for res in results:
-            nlocal = len(res[1][0])
-            mappings.append(global_codes[offset : offset + nlocal])
-            offset += nlocal
-
-        full_codes: Optional[np.ndarray] = None
-        for name, (func, spec) in specs:
-            needs_ordered = name in results[0][3]
-            if needs_ordered and full_codes is None:
-                full_codes = np.empty(rel.num_rows, dtype=np.int64)
-                for (start, stop), res, mapping in zip(chunks, results, mappings):
-                    full_codes[start:stop] = mapping[res[0]]
-            if func == "count":
-                acc_i = np.zeros(ngroups, dtype=np.int64)
-                for res, mapping in zip(results, mappings):
-                    acc_i[mapping] += res[2][name]
-                out[name] = acc_i
-            elif func == "min" or func == "max":
-                fill = np.inf if func == "min" else -np.inf
-                acc_f = np.full(ngroups, fill, dtype=np.float64)
-                combine = np.minimum if func == "min" else np.maximum
-                for res, mapping in zip(results, mappings):
-                    acc_f[mapping] = combine(acc_f[mapping], res[2][name])
-                # a one-row evaluation recovers the input dtype for the
-                # same int-vs-float output decision the serial path makes
-                sample = self._input_array(_slice_relation(rel, 0, 1), spec)
-                out[name] = _maybe_int(acc_f, sample)
-            elif func == "sum" and name not in results[0][3]:
-                acc_i = np.zeros(ngroups, dtype=np.int64)
-                for res, mapping in zip(results, mappings):
-                    acc_i[mapping] += res[2][name]
-                out[name] = acc_i
+                sums = sums.astype(np.float64, copy=False)
+                out[name] = sums if func == "sum" else sums / np.maximum(counts, 1)
             else:
-                # ordered reduction: accumulates in original row order,
-                # matching the serial bincount bit-for-bit
-                weights = np.concatenate([res[3][name] for res in results])
-                sums = np.bincount(
-                    full_codes, weights=weights.astype(np.float64), minlength=ngroups
-                )
-                if func == "sum":
-                    out[name] = sums
-                else:  # avg
-                    counts = np.zeros(ngroups, dtype=np.int64)
-                    for res, mapping in zip(results, mappings):
-                        counts[mapping] += res[2][name]
-                    out[name] = sums / np.maximum(counts, 1)
+                reduce_at, fill = (np.minimum, np.inf) if func == "min" else (np.maximum, -np.inf)
+                acc = np.full(ngroups, fill, dtype=np.float64)
+                # float operands keep ufunc.at on its fast path (int input: 12 -> 0.8 ms)
+                reduce_at.at(acc, codes, values.astype(np.float64) if is_int else values)
+                out[name] = acc.astype(np.int64) if is_int else acc
         return Relation(out)
 
     def _global_aggregate(self, rel: Relation) -> Relation:
@@ -1148,25 +1029,8 @@ def factorize_rows(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray
     """Dense group codes for multi-column keys.
 
     Returns ``(codes, first_idx)``: per-row group ids in ``[0, ngroups)``
-    and the index of the first row of each group (ordered by key).
+    and the index of the first row of each group (ordered by key) — the
+    group kernel's ``group_codes`` and ``first_rows`` in one call.
     """
-    if len(arrays) == 1:
-        _, first_idx, codes = np.unique(arrays[0], return_index=True, return_inverse=True)
-        return codes.astype(np.int64), first_idx.astype(np.int64)
-    combined = np.zeros(len(arrays[0]), dtype=np.int64)
-    for arr in arrays:
-        _, inv = np.unique(arr, return_inverse=True)
-        card = int(inv.max()) + 1 if len(inv) else 1
-        combined = combined * card + inv
-    _, first_idx, codes = np.unique(combined, return_index=True, return_inverse=True)
-    return codes.astype(np.int64), first_idx.astype(np.int64)
-
-
-def _filled(n: int, like: np.ndarray, fill: float) -> np.ndarray:
-    return np.full(n, fill, dtype=np.float64)
-
-
-def _maybe_int(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if values.dtype.kind in "iu":
-        return acc.astype(np.int64)
-    return acc
+    codes, ngroups = group_codes(arrays)
+    return codes, first_rows(codes, ngroups)

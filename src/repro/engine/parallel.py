@@ -20,10 +20,10 @@ Parallel execution must be indistinguishable from serial execution:
 * joins match on the calling thread with one vectorised kernel whose
   pair order (probe ascending, build insertion order within a key)
   does not depend on the context;
-* aggregation merges per-worker partials only for aggregates whose
-  reduction is exactly associative (count, min, max, int64 integer
-  sums); floating-point sums are reduced in original row order so IEEE
-  rounding matches the serial plan.
+* distinct and aggregation run on the calling thread over one group
+  kernel (:mod:`repro.engine.groups`): every aggregate is a single
+  pass in original row order, so IEEE rounding cannot depend on the
+  context.
 
 Operators consult the :class:`ExecutionContext` attached to their tree
 (see :meth:`repro.engine.operators.Operator.bind_context`); with no
@@ -177,7 +177,7 @@ class ExecutionContext:
         Worker count; ``1`` disables parallel paths entirely and ``None``
         uses the CPU count.
     morsel_rows:
-        Rows per morsel / per aggregation chunk.
+        Rows per morsel / per filter and top-n chunk.
     min_parallel_rows:
         Operators with fewer input rows stay serial.
     external_workers:

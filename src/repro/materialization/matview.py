@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.engine.groups import sorted_unique
 from repro.storage.table import Table
 
 __all__ = ["MaterializedView"]
@@ -45,7 +46,7 @@ class MaterializedView:
             table.add_update_hook(self._on_update)
 
     def _compute(self) -> Table:
-        values = np.unique(self.source.column(self.column))
+        values = sorted_unique(self.source.column(self.column))
         return Table.from_arrays(self.name, {self.column: values})
 
     def _on_update(self, table, event) -> None:

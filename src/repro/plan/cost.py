@@ -38,13 +38,14 @@ class CostModel:
 
     ``parallelism`` makes the model aware of the morsel-parallel
     executor: per-tuple costs of the data-parallel operators (scans,
-    filters, patch selections, hash joins, aggregations) are divided by
+    filters, patch selections, hash joins) are divided by
     the worker count achievable for the operator's input cardinality —
     an input smaller than a morsel cannot use more than one worker —
     plus a per-worker dispatch overhead.  Sorts cost the cheaper of the
     serial n-log-n path and the parallel chunk-sort + k-way merge
     pipeline (``sort_parallel_payoff``); the remaining order-sensitive
-    operators (merge join/combine) keep their serial cost.
+    operators (merge join/combine) and the group kernel's single-path
+    distinct/aggregation keep their serial cost.
     """
 
     COST_SCAN = 1.0
@@ -58,8 +59,13 @@ class CostModel:
     #: constants so the runtime payoff gate and this model cannot drift
     #: apart (they are documented as sharing one formula).
     COST_SORT = parallel_sort.SORT_UNIT
-    COST_DISTINCT = 3.0
-    COST_AGGREGATE = 3.0
+    #: Distinct and GroupAggregate are one group kernel: 11.6 ns/row on
+    #: the Fig. 7 NUC column where the hash distinct priced at 3.0 took
+    #: 230.  Fitted to where the measured plans cross (NUC rewrite 2.6 vs
+    #: 3.3 ms plain at e = 0.2, 3.3 vs 3.1 at 0.3, 4.3 vs 2.6 at 0.5):
+    #: the model crosses at e = (D - 0.25) / (D + 0.975) = 0.29.
+    COST_DISTINCT = 0.75
+    COST_AGGREGATE = 0.75
     COST_UNION = 0.05
     COST_MERGE_COMBINE = parallel_sort.MERGE_UNIT
     #: Per-tuple cost of applying a modify/delete to storage (serial:
@@ -265,7 +271,7 @@ class CostModel:
             total = self.COST_DISTINCT * driving
         elif isinstance(node, nodes.AggregateNode):
             driving = estimate_rows(node.child, self.catalog)
-            total = self._parallel(self.COST_AGGREGATE * driving, driving)
+            total = self.COST_AGGREGATE * driving
         elif isinstance(node, nodes.LimitNode):
             total = 0.0
         elif isinstance(node, nodes.UnionNode):

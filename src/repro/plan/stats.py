@@ -20,8 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Set
 
-import numpy as np
-
+from repro.engine.groups import sorted_unique
 from repro.plan import nodes
 from repro.storage.catalog import Catalog
 
@@ -66,7 +65,7 @@ def analyze_table(
     version = getattr(table, "version", None)
     for name in names:
         values = table.column(name)
-        count = int(len(np.unique(values))) if len(values) else 0
+        count = len(sorted_unique(values))
         catalog.add_structure(
             DISTINCT_STAT_KIND, table_name, name, ColumnStats(count, version)
         )

@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 #: Corpus revision; bump on any query add/remove/reword (see module doc).
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
 
 #: Relative float tolerance of the comparator (absolute 1e-12 floor).
 FLOAT_RTOL = 1e-9
@@ -533,6 +533,10 @@ def null_corpus() -> List[Query]:
                           "ORDER BY pid, rid"),
         ("join-null-key-float", "SELECT pid, rid FROM profiles JOIN regions "
                                 "ON score = rscore ORDER BY pid, rid"),
+        # NULL group / distinct keys form one group of their own
+        ("group-by-null-key", "SELECT city, COUNT(*) AS cnt FROM profiles GROUP BY city"),
+        ("distinct-null-key", "SELECT DISTINCT city FROM profiles"),
+        ("distinct-null-key-multi", "SELECT DISTINCT city, visits FROM profiles"),
     ]
     return [Query(f"null/{qid}", sql) for qid, sql in queries]
 

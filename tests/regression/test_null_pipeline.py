@@ -9,6 +9,12 @@ NULL join keys (PR 13): ``HashJoin`` used to match ``None = None``
 (dict probe) and ``MergeJoin`` ``NaN = NaN`` (``searchsorted``); SQL
 matches neither, and since both operators share one kernel neither do
 they.
+
+NULL group keys (PR 17): ``GROUP BY`` / ``DISTINCT`` over a string
+column holding NULL used to raise ``TypeError: '<' not supported
+between 'NoneType' and 'str'`` out of ``np.unique``'s object sort; the
+group kernel's dictionary strategy makes NULL one group, ordered first
+as in SQLite.
 """
 
 import asyncio
@@ -17,10 +23,16 @@ import numpy as np
 import pytest
 
 from repro.engine.batch import Relation
-from repro.engine.operators import HashJoin, MergeJoin, RelationSource
+from repro.engine.operators import (
+    Distinct,
+    GroupAggregate,
+    HashJoin,
+    MergeJoin,
+    RelationSource,
+)
 from repro.sql import AsyncSQLSession, NullStorageError, SQLSession
 from repro.storage import Catalog, Table
-from repro.testing import XFAIL_MANIFEST, default_corpus
+from repro.testing import CORPUS_VERSION, XFAIL_MANIFEST, default_corpus
 
 
 def make_catalog():
@@ -128,6 +140,62 @@ class TestNullJoinKeys:
         assert probes <= ids
         assert not probes & set(XFAIL_MANIFEST)
         assert len(XFAIL_MANIFEST) == 7
+
+
+class TestNullGroupKeys:
+    @pytest.fixture
+    def session(self):
+        s = SQLSession(make_catalog())
+        s.execute("UPDATE people SET pname = NULL WHERE pid IN (1, 4)")
+        s.execute("UPDATE people SET pname = 'p0' WHERE pid = 5")
+        s.execute("UPDATE people SET score = NULL WHERE pid IN (0, 1)")
+        return s
+
+    def test_group_by_null_key(self, session):
+        rel = session.execute("SELECT pname, COUNT(*) AS n FROM people GROUP BY pname")
+        assert rel.to_rows() == [(None, 2), ("p0", 2), ("p2", 1), ("p3", 1)]
+
+    def test_distinct_null_key(self, session):
+        rel = session.execute("SELECT DISTINCT pname FROM people")
+        assert rel.to_rows() == [(None,), ("p0",), ("p2",), ("p3",)]
+
+    def test_distinct_null_key_multi(self, session):
+        rel = session.execute("SELECT DISTINCT pname, score FROM people")
+        # a NULL string sorts first, a NULL (NaN) float last within its string
+        assert rel.column("pname").tolist() == [None, None, "p0", "p0", "p2", "p3"]
+        np.testing.assert_array_equal(
+            rel.column("score"), [4.0, np.nan, 5.0, np.nan, 2.0, 3.0]
+        )
+
+    def test_operators_group_none_and_nan(self):
+        rel = Relation(
+            {
+                "s": np.array(["b", None, "a", None, "b"], dtype=object),
+                "f": np.array([np.nan, 1.0, np.nan, 1.0, np.nan]),
+                "v": np.arange(5, dtype=np.int64),
+            }
+        )
+        agg = GroupAggregate(
+            RelationSource(rel), ["s"], {"n": ("count", None), "t": ("sum", "v")}
+        ).execute()
+        assert agg.to_rows() == [(None, 2, 4), ("a", 1, 2), ("b", 2, 4)]
+        assert Distinct(RelationSource(rel), ["s"]).execute().to_rows() == [
+            (None,), ("a",), ("b",)
+        ]
+        pairs = Distinct(RelationSource(rel), ["s", "f"]).execute()
+        assert pairs.column("s").tolist() == [None, "a", "b"]
+        np.testing.assert_array_equal(pairs.column("f"), [1.0, np.nan, np.nan])
+
+    def test_corpus_carries_the_probes_unexcused(self):
+        ids = {q.qid for q in default_corpus(seed=7)}
+        probes = {
+            "null/group-by-null-key",
+            "null/distinct-null-key",
+            "null/distinct-null-key-multi",
+        }
+        assert probes <= ids
+        assert not probes & set(XFAIL_MANIFEST)
+        assert CORPUS_VERSION == 3 and len(XFAIL_MANIFEST) == 7
 
 
 class TestWalReplay:
