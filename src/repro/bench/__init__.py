@@ -1,19 +1,5 @@
-"""Benchmark support: timing, report formatting, qualitative scoring.
+"""Benchmark support: timing, report formatting, qualitative scoring."""
 
-:mod:`repro.bench.baselines` adds stored per-query timing baselines
-with a noise-tolerant CI diff gate (see its module doc for the
-``BENCH_WRITE`` / ``BENCH_BASELINE_*`` protocol).
-"""
-
-from repro.bench.baselines import (
-    BaselineDiff,
-    BaselineGateError,
-    diff_against_baselines,
-    gate_and_maybe_write,
-    load_baselines,
-    measure_queries,
-    save_baselines,
-)
 from repro.bench.harness import (
     format_table,
     time_dml_serial_vs_parallel,
@@ -31,11 +17,4 @@ __all__ = [
     "write_report",
     "rank_scores",
     "qualitative_scores",
-    "BaselineDiff",
-    "BaselineGateError",
-    "diff_against_baselines",
-    "gate_and_maybe_write",
-    "load_baselines",
-    "measure_queries",
-    "save_baselines",
 ]

@@ -128,11 +128,6 @@ class ShardedBitmap:
     # shard geometry
     # ------------------------------------------------------------------
     @property
-    def shard_bits(self) -> int:
-        """Shard size in bits."""
-        return self._shard_bits
-
-    @property
     def num_shards(self) -> int:
         """Number of (virtual) shards currently allocated."""
         return len(self._starts)

@@ -10,7 +10,6 @@ table scans (§5).
 
 from repro.core.constraints import (
     Constraint,
-    NearlyConstantColumn,
     NearlySortedColumn,
     NearlyUniqueColumn,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "Constraint",
     "NearlyUniqueColumn",
     "NearlySortedColumn",
-    "NearlyConstantColumn",
     "discover_nuc_patches",
     "discover_nsc_patches",
     "longest_sorted_subsequence",

@@ -15,13 +15,11 @@ import numpy as np
 
 from repro.core.discovery import discover_nsc_patches, discover_nuc_patches
 from repro.core.lis import longest_sorted_subsequence
-from repro.engine.groups import group_codes
 
 __all__ = [
     "Constraint",
     "NearlyUniqueColumn",
     "NearlySortedColumn",
-    "NearlyConstantColumn",
 ]
 
 
@@ -35,10 +33,6 @@ class Constraint:
         """Minimal patch rowIDs for a freshly indexed column."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Human-readable constraint description."""
-        raise NotImplementedError
-
 
 class NearlyUniqueColumn(Constraint):
     """NUC: all values distinct, except the patches."""
@@ -47,9 +41,6 @@ class NearlyUniqueColumn(Constraint):
 
     def initial_patches(self, values: np.ndarray) -> np.ndarray:
         return discover_nuc_patches(values)
-
-    def describe(self) -> str:
-        return "nearly unique column"
 
 
 class NearlySortedColumn(Constraint):
@@ -100,45 +91,3 @@ class NearlySortedColumn(Constraint):
         keep = eligible[keep_local]
         new_last = inserted[keep[-1]] if len(keep) else last_value
         return keep, new_last
-
-    def describe(self) -> str:
-        direction = "ascending" if self.ascending else "descending"
-        return f"nearly sorted column ({direction})"
-
-
-class NearlyConstantColumn(Constraint):
-    """NCC: all values equal one constant, except the patches.
-
-    The "approximate constancy of column values" the paper names as
-    future work (§7), implemented through the §5.5 expandability recipe:
-    a constraint-specific initial fill plus insert/modify semantics (any
-    touched tuple whose value differs from the constant is a patch),
-    while delete handling is the generic drop-tracking path.
-    """
-
-    kind = "ncc"
-
-    def initial_patches(self, values: np.ndarray) -> np.ndarray:
-        patches, _ = self.initial_patches_with_state(values)
-        return patches
-
-    def initial_patches_with_state(
-        self, values: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[object]]:
-        """Minimal patches: everything that differs from the mode."""
-        if len(values) == 0:
-            return np.zeros(0, dtype=np.int64), None
-        codes, ngroups = group_codes([values])
-        mode = np.argmax(np.bincount(codes, minlength=ngroups))
-        constant = values[np.argmax(codes == mode)]
-        patches = np.flatnonzero(values != constant).astype(np.int64)
-        return patches, constant
-
-    def violating(self, values: np.ndarray, constant: Optional[object]) -> np.ndarray:
-        """Positions (into ``values``) violating the constant."""
-        if constant is None:
-            return np.arange(len(values), dtype=np.int64)
-        return np.flatnonzero(values != constant).astype(np.int64)
-
-    def describe(self) -> str:
-        return "nearly constant column"

@@ -61,8 +61,3 @@ def longest_sorted_subsequence(
         out[k] = i
         i = parent[i]
     return out
-
-
-def lis_length(values: np.ndarray, ascending: bool = True) -> int:
-    """Length of the longest sorted subsequence (no reconstruction)."""
-    return len(longest_sorted_subsequence(values, ascending))

@@ -90,10 +90,6 @@ class PartitionedPatchIndex:
         return self.parts[0].index.constraint
 
     @property
-    def design(self) -> str:
-        return self.parts[0].index.design
-
-    @property
     def num_rows(self) -> int:
         return sum(p.index.num_rows for p in self.parts)
 
@@ -251,10 +247,6 @@ class _SingleIndexHandle:
         return self._maintained.index.constraint
 
     @property
-    def design(self) -> str:
-        return self._maintained.index.design
-
-    @property
     def num_rows(self) -> int:
         return self._maintained.index.num_rows
 
@@ -266,15 +258,8 @@ class _SingleIndexHandle:
     def exception_rate(self) -> float:
         return self._maintained.index.exception_rate
 
-    @property
-    def constant_value(self):
-        return self._maintained.index.constant_value
-
     def patch_rowids(self) -> np.ndarray:
         return self._maintained.index.patch_rowids()
-
-    def is_patch(self, rowid: int) -> bool:
-        return self._maintained.index.is_patch(rowid)
 
     def memory_bytes(self) -> int:
         return self._maintained.index.memory_bytes()

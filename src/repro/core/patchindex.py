@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.bitmap import ParallelBulkDeleter, ShardedBitmap
 from repro.bitmap.sharded import DEFAULT_SHARD_BITS
-from repro.core.constraints import (
-    Constraint,
-    NearlyConstantColumn,
-    NearlySortedColumn,
-)
+from repro.core.constraints import Constraint, NearlySortedColumn
 from repro.engine.groups import sorted_unique
 from repro.engine.parallel import validate_parallelism
 
@@ -109,8 +105,6 @@ class PatchIndex:
             self._deleter = None
         #: boundary value of the kept sorted run (NSC state, §5.1)
         self.last_sorted_value: Optional[object] = None
-        #: the dominating value (NCC state, §5.5 extension)
-        self.constant_value: Optional[object] = None
         if build:
             self.rebuild()
         else:
@@ -141,9 +135,6 @@ class PatchIndex:
         if isinstance(self.constraint, NearlySortedColumn):
             patches, last = self.constraint.initial_patches_with_state(values)
             self.last_sorted_value = last
-        elif isinstance(self.constraint, NearlyConstantColumn):
-            patches, constant = self.constraint.initial_patches_with_state(values)
-            self.constant_value = constant
         else:
             patches = self.constraint.initial_patches(values)
         self._init_storage(patches)
@@ -189,13 +180,6 @@ class PatchIndex:
             rowids.flags.writeable = False
             self._rowids = rowids
         return self._rowids
-
-    def is_patch(self, rowid: int) -> bool:
-        """Whether a single rowID is an exception."""
-        if self._bitmap is not None:
-            return self._bitmap.get(rowid)
-        pos = np.searchsorted(self._ids, rowid)
-        return bool(pos < len(self._ids) and self._ids[pos] == rowid)
 
     def is_patch_many(self, rowids: np.ndarray) -> np.ndarray:
         """Whether each of many rowIDs is an exception (boolean array)."""
@@ -308,10 +292,6 @@ class PatchIndex:
             asc = getattr(self.constraint, "ascending", True)
             pairs_ok = kept[1:] >= kept[:-1] if asc else kept[1:] <= kept[:-1]
             return bool(np.all(pairs_ok))
-        if self.constraint.kind == "ncc":
-            if len(kept) == 0:
-                return True
-            return bool(np.all(kept == self.constant_value))
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

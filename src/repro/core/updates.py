@@ -32,11 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.constraints import (
-    NearlyConstantColumn,
-    NearlySortedColumn,
-    NearlyUniqueColumn,
-)
+from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
 from repro.core.discovery import discover_nuc_patches
 from repro.core.patchindex import PatchIndex
 from repro.engine.groups import sorted_unique
@@ -58,8 +54,6 @@ def apply_update(index: PatchIndex, table, event: UpdateEvent,
         _handle_nuc(index, table, event, dynamic_range_propagation)
     elif isinstance(constraint, NearlySortedColumn):
         _handle_nsc(index, table, event)
-    elif isinstance(constraint, NearlyConstantColumn):
-        _handle_ncc(index, table, event)
     else:
         raise TypeError(
             f"no update handler for constraint {type(constraint).__name__}; "
@@ -154,29 +148,3 @@ def _handle_nsc(index: PatchIndex, table, event: UpdateEvent) -> None:
         if index.column not in event.values:
             return  # indexed column untouched: sorted run unaffected
         index.add_patches(event.rowids)
-
-
-# ----------------------------------------------------------------------
-# nearly constant columns (§5.5 / §7 extension)
-# ----------------------------------------------------------------------
-def _handle_ncc(index: PatchIndex, table, event: UpdateEvent) -> None:
-    """Tuples whose value differs from the constant become patches.
-
-    A purely local decision per touched tuple — no join, no table scan;
-    the cheapest maintenance path of the three constraints.
-    """
-    constraint: NearlyConstantColumn = index.constraint  # type: ignore[assignment]
-    if index.column not in event.values:
-        if event.kind == "insert":
-            raise KeyError(f"insert event lacks column {index.column!r}")
-        return
-    touched = np.asarray(event.values[index.column])
-    rowids = np.asarray(event.rowids)
-    if event.kind == "insert":
-        index.extend_rows(len(rowids))
-        if index.constant_value is None and len(touched):
-            # first tuples define the constant
-            _, constant = constraint.initial_patches_with_state(touched)
-            index.constant_value = constant
-    bad_local = constraint.violating(touched, index.constant_value)
-    index.add_patches(rowids[bad_local])

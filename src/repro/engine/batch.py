@@ -68,10 +68,6 @@ class Relation:
         """Column projection."""
         return Relation({n: self.column(n) for n in names})
 
-    def rename(self, mapping: Dict[str, str]) -> "Relation":
-        """Rename columns; unmentioned columns keep their names."""
-        return Relation({mapping.get(n, n): arr for n, arr in self._columns.items()})
-
     def with_column(self, name: str, values: np.ndarray) -> "Relation":
         """Add or replace one column."""
         if len(values) != self._num_rows and self._columns:
@@ -98,11 +94,6 @@ class Relation:
         return Relation(
             {n: np.concatenate([r.column(n) for r in relations]) for n in names}
         )
-
-    @staticmethod
-    def empty_like(rel: "Relation") -> "Relation":
-        """A zero-row relation with the same columns."""
-        return Relation({n: arr[:0] for n, arr in rel._columns.items()})
 
     # ------------------------------------------------------------------
     # convenience

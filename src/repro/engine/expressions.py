@@ -81,15 +81,6 @@ class Expression:
     def __mod__(self, other: object):
         return BinaryExpr(operator.mod, "%", self, _wrap(other))
 
-    def __rmul__(self, other: object):
-        return BinaryExpr(operator.mul, "*", _wrap(other), self)
-
-    def __rsub__(self, other: object):
-        return BinaryExpr(operator.sub, "-", _wrap(other), self)
-
-    def __radd__(self, other: object):
-        return BinaryExpr(operator.add, "+", _wrap(other), self)
-
     def isin(self, values) -> "Expression":
         """Membership test against a fixed value set."""
         return IsInExpr(self, values)

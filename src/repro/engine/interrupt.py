@@ -107,16 +107,6 @@ class CancellationToken:
         self._cancelled = True
 
     @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
-
-    @property
-    def timeout_ms(self) -> Optional[int]:
-        """The timeout this token was armed with, if any."""
-        return self._timeout_ms
-
-    @property
     def deadline(self) -> Optional[float]:
         """Absolute ``time.monotonic()`` deadline, if a timeout is armed."""
         return self._deadline
@@ -126,10 +116,6 @@ class CancellationToken:
         if self._deadline is None:
             return None
         return self._deadline - time.monotonic()
-
-    def expired(self) -> bool:
-        """Whether the deadline (if any) has passed."""
-        return self._deadline is not None and time.monotonic() >= self._deadline
 
     def check(self) -> None:
         """Raise the matching :class:`QueryInterruptedError` if signalled.

@@ -39,7 +39,6 @@ from repro.plan.joinorder import (
     dp_order,
     enumerate_orders,
     extract_join_graph,
-    greedy_order,
     reorder_joins,
 )
 from repro.plan.selection import (
@@ -80,7 +79,6 @@ __all__ = [
     "enumerate_orders",
     "build_join_tree",
     "dp_order",
-    "greedy_order",
     "reorder_joins",
     "PhysicalOperatorSelection",
     "PhysicalOperatorAssignment",

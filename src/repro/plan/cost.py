@@ -68,9 +68,6 @@ class CostModel:
     COST_AGGREGATE = 0.75
     COST_UNION = 0.05
     COST_MERGE_COMBINE = parallel_sort.MERGE_UNIT
-    #: Per-tuple cost of applying a modify/delete to storage (serial:
-    #: positional deltas are order-sensitive, so writes never fan out).
-    COST_DML_WRITE = 0.5
     #: Fixed cost of dispatching work to one parallel worker.
     COST_WORKER_DISPATCH = parallel_sort.DISPATCH_UNIT
 
@@ -137,23 +134,6 @@ class CostModel:
         """
         units = self._dml_scan_units(num_rows, num_predicate_columns)
         return self._parallel(units, float(num_rows))
-
-    def dml_cost(
-        self,
-        num_rows: float,
-        matched_rows: float,
-        num_predicate_columns: int = 1,
-    ) -> float:
-        """Total cost of one UPDATE/DELETE statement.
-
-        Predicate scan (parallel) plus the per-matched-tuple write,
-        which stays serial: positional delta maintenance is
-        order-sensitive.
-        """
-        return (
-            self.dml_scan_cost(num_rows, num_predicate_columns)
-            + self.COST_DML_WRITE * float(matched_rows)
-        )
 
     def dml_parallel_payoff(self, num_rows: float, num_predicate_columns: int = 1) -> bool:
         """Whether the parallel DML scan undercuts the serial scan.

@@ -3,14 +3,9 @@
 The parser emits joins in syntactic order; this module extracts the
 *join graph* of a multi-join region (base relations as vertices,
 equi-join predicates as edges) and searches for a cheaper order under
-the cost model:
-
-* **dp** — exhaustive left-deep dynamic programming over connected
-  subsets (no cross products), exact up to :data:`DP_MAX_RELATIONS`
-  relations, falling back to greedy above;
-* **greedy** — repeatedly joins the relation that minimizes the
-  estimated intermediate cardinality (a classic GOO-style heuristic);
-* **off** — keep the parser's order.
+the cost model by exhaustive left-deep dynamic programming over
+connected subsets (no cross products).  Regions larger than
+:data:`DP_MAX_RELATIONS` relations keep the parser's order.
 
 A reordered tree is adopted only when its modeled cost is *strictly*
 lower than the parser plan's, and reordering never crosses anything but
@@ -28,7 +23,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 from repro.engine.expressions import col
 from repro.plan import nodes
-from repro.plan.stats import estimate_rows, output_columns
+from repro.plan.stats import output_columns
 from repro.storage.catalog import Catalog
 
 __all__ = [
@@ -39,18 +34,13 @@ __all__ = [
     "enumerate_orders",
     "build_join_tree",
     "dp_order",
-    "greedy_order",
     "reorder_joins",
     "DP_MAX_RELATIONS",
-    "JOIN_ORDER_STRATEGIES",
 ]
 
 #: Largest relation count the exhaustive DP enumerates; larger regions
-#: fall back to the greedy heuristic.
+#: keep the parser's order (no workload joins more than five relations).
 DP_MAX_RELATIONS = 6
-
-#: Valid values of the ``join_order_search`` session knob.
-JOIN_ORDER_STRATEGIES = ("dp", "greedy", "off")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,10 +51,6 @@ class JoinEdge:
     a_key: str
     b: int
     b_key: str
-
-    def touches(self, rel: int) -> bool:
-        """Whether this edge is incident to relation index ``rel``."""
-        return self.a == rel or self.b == rel
 
 
 @dataclasses.dataclass
@@ -111,7 +97,6 @@ class JoinGraph:
 class JoinOrderDecision:
     """Outcome of the stage-1 search over one join region (for EXPLAIN)."""
 
-    strategy: str
     relations: List[str]
     order: List[str]
     parser_cost: float
@@ -123,11 +108,11 @@ class JoinOrderDecision:
         chain = " ⨝ ".join(self.order)
         if self.applied:
             return (
-                f"join order [{self.strategy}]: {chain} "
+                f"join order [dp]: {chain} "
                 f"(cost {self.chosen_cost:,.1f} < parser {self.parser_cost:,.1f})"
             )
         return (
-            f"join order [{self.strategy}]: parser order kept "
+            "join order [dp]: parser order kept "
             f"(best enumerated {chain} at {self.chosen_cost:,.1f} "
             f">= parser {self.parser_cost:,.1f})"
         )
@@ -315,67 +300,25 @@ def dp_order(graph: JoinGraph, cost_model) -> Optional[Tuple[int, ...]]:
     return full[1] if full is not None else None
 
 
-def greedy_order(graph: JoinGraph, catalog: Catalog) -> Optional[Tuple[int, ...]]:
-    """Order by greedily minimizing intermediate result cardinality.
-
-    Starts from the edge with the smallest estimated join output, then
-    repeatedly appends the connected relation whose join keeps the
-    estimated intermediate smallest.  Linear in joins per step, so it
-    scales past the DP cutoff.
-    """
-    n = graph.num_relations
-    if n < 2 or not graph.edges:
-        return None
-
-    def rows_of(order: Sequence[int]) -> float:
-        """Estimated output cardinality of a (partial) order's tree."""
-        return estimate_rows(build_join_tree(graph, order), catalog)
-
-    seeds = {(min(e.a, e.b), max(e.a, e.b)) for e in graph.edges}
-    order = list(min(seeds, key=lambda pair: (rows_of(pair), pair)))
-    used = set(order)
-    while len(order) < n:
-        frontier = [
-            r for r in range(n) if r not in used and (graph.neighbors(r) & used)
-        ]
-        if not frontier:
-            return None  # disconnected graph
-        nxt = min(frontier, key=lambda r: (rows_of(order + [r]), r))
-        order.append(nxt)
-        used.add(nxt)
-    return tuple(order)
-
-
 def reorder_joins(
     plan: nodes.PlanNode,
     catalog: Catalog,
     cost_model,
-    strategy: str,
 ) -> Tuple[nodes.PlanNode, List[JoinOrderDecision]]:
     """Run the stage-1 search over every join region of a plan.
 
     Returns the (possibly rebuilt) plan plus one
-    :class:`JoinOrderDecision` per region of three or more relations.
-    Regions keep the parser's order unless an enumerated order's
-    modeled cost is strictly lower.
+    :class:`JoinOrderDecision` per searched region of three to
+    :data:`DP_MAX_RELATIONS` relations.  Regions keep the parser's
+    order unless the DP order's modeled cost is strictly lower.
     """
-    if strategy not in JOIN_ORDER_STRATEGIES:
-        raise ValueError(
-            f"unknown join_order_search strategy {strategy!r}; "
-            f"expected one of {', '.join(JOIN_ORDER_STRATEGIES)}"
-        )
     decisions: List[JoinOrderDecision] = []
-    if strategy == "off":
-        return plan, decisions
 
     def walk(node: nodes.PlanNode) -> nodes.PlanNode:
         """Reorder every maximal join region under ``node``."""
         graph = extract_join_graph(node, catalog)
         if graph is not None and graph.num_relations >= 3:
-            reordered = _search_region(node, graph, cost_model, strategy, decisions)
-            if reordered is not node:
-                return reordered
-            return node
+            return _search_region(node, graph, cost_model, decisions)
         kids = node.children()
         if not kids:
             return node
@@ -393,17 +336,10 @@ def _search_region(
     node: nodes.PlanNode,
     graph: JoinGraph,
     cost_model,
-    strategy: str,
     decisions: List[JoinOrderDecision],
 ) -> nodes.PlanNode:
     """Search one join region, recording the decision taken."""
-    effective = strategy
-    if strategy == "dp" and graph.num_relations > DP_MAX_RELATIONS:
-        effective = "greedy"
-    if effective == "dp":
-        order = dp_order(graph, cost_model)
-    else:
-        order = greedy_order(graph, cost_model.catalog)
+    order = dp_order(graph, cost_model)
     if order is None:
         return node
     candidate = build_join_tree(graph, order)
@@ -412,7 +348,6 @@ def _search_region(
     applied = chosen_cost < parser_cost
     decisions.append(
         JoinOrderDecision(
-            strategy=effective,
             relations=[graph.relation_name(r) for r in range(graph.num_relations)],
             order=[graph.relation_name(r) for r in order],
             parser_cost=parser_cost,

@@ -4,9 +4,9 @@ Optimization runs in two stages (the PostBOUND-style split ROADMAP
 item 3 calls for):
 
 1. **Join ordering** (:mod:`repro.plan.joinorder`) — multi-join regions
-   are flattened into a join graph and re-ordered by DP (≤6 relations)
-   or greedily, keeping the parser's order unless an enumerated order's
-   modeled cost is strictly lower.
+   are flattened into a join graph and re-ordered by DP (≤6 relations),
+   keeping the parser's order unless the DP order's modeled cost is
+   strictly lower.
 2. **Physical operator selection** (:mod:`repro.plan.selection`) — a
    chain of ``PhysicalOperatorSelection`` links assigns physical
    operators per logical node: the PatchIndex rewrites of §3.3 (first
@@ -29,11 +29,7 @@ from typing import List, Tuple
 from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.plan import nodes
 from repro.plan.cost import CostModel
-from repro.plan.joinorder import (
-    JOIN_ORDER_STRATEGIES,
-    JoinOrderDecision,
-    reorder_joins,
-)
+from repro.plan.joinorder import JoinOrderDecision, reorder_joins
 from repro.plan.selection import (
     PhysicalOperatorAssignment,
     default_selection_chain,
@@ -85,8 +81,6 @@ class Optimizer:
         :class:`~repro.plan.cost.CostModel`); both feed the parallel
         payoff gates, e.g. ``sort_parallel_payoff`` deciding whether a
         SortNode is costed as a fanned-out chunk-sort.
-    join_order_search:
-        Stage-1 strategy: ``"dp"`` (default), ``"greedy"`` or ``"off"``.
     """
 
     def __init__(
@@ -97,18 +91,11 @@ class Optimizer:
         use_cost_model: bool = True,
         parallelism: int = 1,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        join_order_search: str = "dp",
     ) -> None:
-        if join_order_search not in JOIN_ORDER_STRATEGIES:
-            raise ValueError(
-                f"unknown join_order_search strategy {join_order_search!r}; "
-                f"expected one of {', '.join(JOIN_ORDER_STRATEGIES)}"
-            )
         self.catalog = catalog
         self.index_manager = index_manager
         self.zero_branch_pruning = zero_branch_pruning
         self.use_cost_model = use_cost_model
-        self.join_order_search = join_order_search
         self.cost_model = CostModel(
             catalog, parallelism=parallelism, morsel_rows=morsel_rows
         )
@@ -124,10 +111,8 @@ class Optimizer:
     ) -> Tuple[nodes.PlanNode, OptimizationReport]:
         """Run both stages, returning the plan plus the decision report."""
         decisions: List[JoinOrderDecision] = []
-        if self.use_cost_model and self.join_order_search != "off":
-            plan, decisions = reorder_joins(
-                plan, self.catalog, self.cost_model, self.join_order_search
-            )
+        if self.use_cost_model:
+            plan, decisions = reorder_joins(plan, self.catalog, self.cost_model)
         assignment = PhysicalOperatorAssignment()
         chain = default_selection_chain(
             self.catalog,

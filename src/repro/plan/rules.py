@@ -24,14 +24,10 @@ unless ``force=True`` (used to reproduce the paper's forced plans).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
-from repro.core.constraints import (
-    NearlyConstantColumn,
-    NearlySortedColumn,
-    NearlyUniqueColumn,
-)
-from repro.engine.expressions import BinaryExpr, ColumnRef, Literal, expression_columns
+from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
+from repro.engine.expressions import expression_columns
 from repro.plan import nodes
 from repro.plan.cost import CostModel
 
@@ -39,7 +35,6 @@ __all__ = [
     "rewrite_distinct",
     "rewrite_sort",
     "rewrite_join",
-    "rewrite_constant_filter",
     "find_single_scan",
     "is_sorted_on",
 ]
@@ -287,62 +282,6 @@ def _build_join_rewrite(
     )
     candidate = nodes.UnionNode([merge_part, hash_part])
     return _accept(plan, candidate, cost_model, force)
-
-
-# ----------------------------------------------------------------------
-# constant-filter rewrite (§5.5 / §7 extension: nearly constant columns)
-# ----------------------------------------------------------------------
-def rewrite_constant_filter(
-    plan: nodes.PlanNode,
-    index_lookup: Callable[[str, str], Optional[object]],
-    cost_model: Optional[CostModel] = None,
-    zero_branch_pruning: bool = False,
-    force: bool = False,
-) -> Optional[nodes.PlanNode]:
-    """Rewrite an equality filter on an NCC column, or return None.
-
-    Non-patch tuples all carry the constant, so their predicate outcome
-    is known at optimization time: for ``column = constant`` the whole
-    exclude-patches flow qualifies without evaluating the predicate;
-    for any other comparison value the exclude flow is provably empty
-    and only the patches need to be checked.
-    """
-    if not isinstance(plan, nodes.FilterNode):
-        return None
-    match = _match_column_eq_literal(plan.predicate)
-    if match is None:
-        return None
-    column, value = match
-    if not isinstance(plan.child, nodes.ScanNode):
-        return None
-    scan = plan.child
-    index = index_lookup(scan.table, column)
-    if index is None or not isinstance(index.constraint, NearlyConstantColumn):
-        return None
-    constant = getattr(index, "constant_value", None)
-    if constant is None:
-        return None
-    use_flow = nodes.FilterNode(_patch_flow(scan, scan, index, USE), plan.predicate)
-    if value != constant:
-        # the exclude flow cannot match: only patches can
-        return _accept(plan, use_flow, cost_model, force)
-    exclude_flow = _patch_flow(scan, scan, index, EXCLUDE)
-    if zero_branch_pruning and index.num_patches == 0:
-        return _accept(plan, exclude_flow, cost_model, force)
-    candidate = nodes.UnionNode([exclude_flow, use_flow])
-    return _accept(plan, candidate, cost_model, force)
-
-
-def _match_column_eq_literal(pred) -> Optional[Tuple[str, object]]:
-    """Decompose ``col(X) == lit(v)`` (either operand order), else None."""
-    if not isinstance(pred, BinaryExpr) or pred.symbol != "=":
-        return None
-    left, right = pred.left, pred.right
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return left.name, right.value
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
-        return right.name, left.value
-    return None
 
 
 # ----------------------------------------------------------------------

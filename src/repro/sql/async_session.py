@@ -327,11 +327,6 @@ class AsyncSQLSession:
         return self._session.parallelism
 
     @property
-    def join_order_search(self) -> str:
-        """Stage-1 join-order strategy of the session core."""
-        return self._session.join_order_search
-
-    @property
     def data_dir(self) -> Optional[str]:
         """Durable data directory of the session core (None = in-memory)."""
         return self._session.data_dir

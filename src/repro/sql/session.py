@@ -44,7 +44,6 @@ from repro.engine.parallel import (
 from repro.plan import nodes
 from repro.plan.cost import CostModel
 from repro.plan.executor import execute_plan, explain_plan
-from repro.plan.joinorder import JOIN_ORDER_STRATEGIES
 from repro.plan.optimizer import Optimizer
 from repro.sql.binder import bind_statement
 from repro.sql.parser import (
@@ -235,7 +234,6 @@ class SQLSession:
         self._context: Optional[ExecutionContext] = None
         self._owns_context = True
         self._exec_guard = threading.Lock()
-        self._join_order_search = "dp"
         # durability knobs validate up front even without a data_dir,
         # so a misconfigured server fails at construction, not first use
         self._wal_sync = validate_wal_sync(wal_sync)
@@ -485,33 +483,6 @@ class SQLSession:
             )
         return plan.explain()
 
-    def set_join_order_search(self, strategy: str) -> str:
-        """Reconfigure the stage-1 join-order search (``dp|greedy|off``).
-
-        Validated even without an optimizer attached (the knob then
-        records the preference for a later optimizer), mirroring the SQL
-        statement ``SET join_order_search = dp``.
-        """
-        if not isinstance(strategy, str):
-            raise TypeError(
-                f"join_order_search must be a string, got {strategy!r}"
-            )
-        strategy = strategy.lower()
-        if strategy not in JOIN_ORDER_STRATEGIES:
-            raise ValueError(
-                f"unknown join_order_search strategy {strategy!r}; "
-                f"expected one of {', '.join(JOIN_ORDER_STRATEGIES)}"
-            )
-        self._join_order_search = strategy
-        if self.optimizer is not None:
-            self.optimizer.join_order_search = strategy
-        return strategy
-
-    @property
-    def join_order_search(self) -> str:
-        """Current stage-1 join-order search strategy."""
-        return self._join_order_search
-
     def set_statement_timeout_ms(self, timeout_ms: Optional[int]) -> Optional[int]:
         """Reconfigure the default statement deadline (None disables).
 
@@ -610,9 +581,6 @@ class SQLSession:
         if name == "parallelism":
             self.set_parallelism(stmt.value)
             return self.parallelism
-        if name == "join_order_search":
-            self.set_join_order_search(stmt.value)
-            return self._join_order_search
         if name == "statement_timeout_ms":
             value = stmt.value
             if isinstance(value, str) and value.lower() in ("off", "none"):

@@ -7,13 +7,12 @@ paper's PDT [17]), minmax summaries (small materialized aggregates [22])
 for scan pruning and range propagation, and a catalog tying it together.
 """
 
-from repro.storage.column import ColumnType, Column
+from repro.storage.column import ColumnType
 from repro.storage.minmax import MinMaxIndex
 from repro.storage.pdt import PositionalDelta, UpdateEvent
 from repro.storage.table import Field, Schema, Table
 from repro.storage.partition import PartitionedTable
 from repro.storage.catalog import Catalog
-from repro.storage.snapshot import Snapshot, ShardLockManager
 from repro.storage.wal import (
     WAL_SYNC_POLICIES,
     DurabilityManager,
@@ -32,7 +31,6 @@ from repro.storage.recovery import (
 
 __all__ = [
     "ColumnType",
-    "Column",
     "MinMaxIndex",
     "PositionalDelta",
     "UpdateEvent",
@@ -41,8 +39,6 @@ __all__ = [
     "Table",
     "PartitionedTable",
     "Catalog",
-    "Snapshot",
-    "ShardLockManager",
     "WAL_SYNC_POLICIES",
     "DurabilityManager",
     "WALError",

@@ -6,7 +6,7 @@ views, SortKeys and JoinIndexes applicable to a query (§3.3/§6).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
@@ -59,14 +59,6 @@ class Catalog:
     def structure(self, kind: str, table: str, column: str) -> Optional[object]:
         """Look an auxiliary structure up, or None."""
         return self._structures.get((table, column, kind))
-
-    def structures_on(self, table: str) -> List[Tuple[str, str, object]]:
-        """All (kind, column, structure) registered on a table."""
-        return [
-            (kind, column, obj)
-            for (tab, column, kind), obj in self._structures.items()
-            if tab == table
-        ]
 
     def remove_structure(self, kind: str, table: str, column: str) -> None:
         """Drop one auxiliary structure if present."""

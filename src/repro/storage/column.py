@@ -1,6 +1,6 @@
-"""Typed columns over numpy arrays.
+"""Logical column types over numpy arrays.
 
-Columns are immutable value sequences; tables own the mutation logic
+Tables hold one numpy array per column and own the mutation logic
 (through positional deltas).  Three logical types cover the paper's
 workloads: 64-bit integers, 64-bit floats and strings.
 """
@@ -8,11 +8,10 @@ workloads: 64-bit integers, 64-bit floats and strings.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ColumnType", "Column"]
+__all__ = ["ColumnType"]
 
 
 class ColumnType(enum.Enum):
@@ -38,85 +37,3 @@ class ColumnType(enum.Enum):
         if np.issubdtype(values.dtype, np.floating):
             return cls.FLOAT64
         return cls.STRING
-
-
-def _coerce(values: Union[Sequence, np.ndarray], ctype: ColumnType) -> np.ndarray:
-    if ctype is ColumnType.STRING:
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = [None if v is None else str(v) for v in values]
-        return arr
-    return np.asarray(values, dtype=ctype.numpy_dtype)
-
-
-class Column:
-    """A named, typed, immutable column of values.
-
-    Parameters
-    ----------
-    name:
-        Column name.
-    values:
-        Any sequence; coerced to the numpy dtype of ``ctype``.
-    ctype:
-        Logical type; inferred from ``values`` if omitted.
-    """
-
-    __slots__ = ("name", "type", "_data")
-
-    def __init__(
-        self,
-        name: str,
-        values: Union[Sequence, np.ndarray],
-        ctype: ColumnType | None = None,
-    ) -> None:
-        if isinstance(values, np.ndarray):
-            arr = values
-        else:
-            arr = np.asarray(values, dtype=object if _has_strings(values) else None)
-        if ctype is None:
-            ctype = ColumnType.infer(arr)
-        self.name = name
-        self.type = ctype
-        self._data = _coerce(arr, ctype)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The backing numpy array (treat as read-only)."""
-        return self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def take(self, indices: np.ndarray) -> "Column":
-        """Select rows by position."""
-        return Column(self.name, self._data[indices], self.type)
-
-    def concat(self, other: "Column") -> "Column":
-        """Append another column of the same type."""
-        if other.type is not self.type:
-            raise TypeError(
-                f"cannot concat column of type {other.type} to {self.type}"
-            )
-        return Column(self.name, np.concatenate([self._data, other._data]), self.type)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Column):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.type is other.type
-            and len(self) == len(other)
-            and bool(np.all(self._data == other._data))
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Column({self.name!r}, {self.type.value}, n={len(self)})"
-
-
-def _has_strings(values: Iterable) -> bool:
-    for v in values:
-        if isinstance(v, str):
-            return True
-        if v is not None:
-            return False
-    return False

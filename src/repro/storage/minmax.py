@@ -41,11 +41,6 @@ class MinMaxIndex:
             self._maxs = np.asarray(maxs, dtype=object)
 
     @property
-    def block_size(self) -> int:
-        """Rows per summarized bucket."""
-        return self._block_size
-
-    @property
     def num_blocks(self) -> int:
         """Number of summarized buckets."""
         return len(self._mins)
@@ -76,9 +71,3 @@ class MinMaxIndex:
         for start, end in self.row_ranges_in_range(lo, hi):
             mask[start:end] = True
         return mask
-
-    def selectivity(self, lo, hi) -> float:
-        """Fraction of blocks that survive pruning for [lo, hi]."""
-        if self.num_blocks == 0:
-            return 0.0
-        return len(self.blocks_in_range(lo, hi)) / self.num_blocks

@@ -172,11 +172,6 @@ class PartitionedTable:
                 {c: v[mask] for c, v in aligned.items()},
             )
 
-    def checkpoint(self) -> None:
-        """Checkpoint every partition's delta structure."""
-        for part in self._partitions:
-            part.checkpoint()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PartitionedTable({self.name!r}, parts={self.num_partitions}, "

@@ -66,11 +66,6 @@ class PositionalDelta:
     # size
     # ------------------------------------------------------------------
     @property
-    def base_rows(self) -> int:
-        """Rows in the base image."""
-        return self._base_rows
-
-    @property
     def num_rows(self) -> int:
         """Rows in the merged (current) image."""
         return self._base_rows - len(self._deleted_base) + self._insert_rows
@@ -185,23 +180,6 @@ class PositionalDelta:
         self._deleted_base = np.zeros(0, dtype=np.int64)
         self._modify = {}
         self._cache = dict(self._base)
-
-    # ------------------------------------------------------------------
-    # statement-delta scans used by PatchIndex maintenance (§5.1)
-    # ------------------------------------------------------------------
-    def pending_inserts(self) -> Dict[str, np.ndarray]:
-        """Columnar view of all not-yet-checkpointed inserted tuples."""
-        out = {}
-        for name, buffers in self._insert_buffers.items():
-            if buffers:
-                out[name] = np.concatenate(buffers)
-            else:
-                out[name] = self._base[name][:0]
-        return out
-
-    def pending_insert_rowids(self) -> np.ndarray:
-        """Current-image rowids of the pending inserted tuples."""
-        return np.arange(self.num_rows - self._insert_rows, self.num_rows, dtype=np.int64)
 
 
 def _as_object(vals) -> np.ndarray:

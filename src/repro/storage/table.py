@@ -130,12 +130,6 @@ class Table:
             arrays[col] = arr
         return cls(name, Schema(fields), arrays, minmax_block_size=minmax_block_size)
 
-    @classmethod
-    def empty_like(cls, name: str, other: "Table") -> "Table":
-        """An empty table sharing ``other``'s schema."""
-        cols = {c: other.column(c)[:0] for c in other.schema.names}
-        return cls(name, other.schema, cols, minmax_block_size=other._minmax_block_size)
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -221,15 +215,6 @@ class Table:
                 values={k: np.asarray(v) for k, v in values.items()},
             )
         )
-
-    def checkpoint(self) -> None:
-        """Fold buffered deltas into the base arrays (no hook fires)."""
-        self._delta.checkpoint()
-
-    @property
-    def delta(self) -> PositionalDelta:
-        """The table's positional delta structure (queried by PatchIndexes)."""
-        return self._delta
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={len(self.schema)})"

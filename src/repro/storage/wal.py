@@ -545,18 +545,9 @@ class DurabilityManager:
         return interval
 
     @property
-    def last_seq(self) -> int:
-        """Sequence number of the newest logged record."""
-        return self._last_seq
-
-    @property
     def checkpoints_written(self) -> int:
         """Checkpoints taken by this manager instance."""
         return self._checkpoints_written
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------------
     # recovery + lifecycle

@@ -26,9 +26,8 @@ Three moving parts:
   randomized SELECT / DML mixes (:func:`random_select_corpus`,
   :func:`random_dml_corpus`).  ``CORPUS_VERSION`` names the corpus
   revision: bump it whenever a query is added, removed or reworded so
-  stored expectations (e.g. timing baselines keyed by query id) are
-  invalidated explicitly rather than silently compared across
-  revisions.
+  stored expectations keyed by query id are invalidated explicitly
+  rather than silently compared across revisions.
 
 Known, deliberate semantic gaps live in :data:`XFAIL_MANIFEST` — each
 entry says *why* the engines diverge.  :func:`run_corpus` enforces the

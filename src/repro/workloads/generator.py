@@ -39,14 +39,6 @@ class GeneratedDataset:
     num_rows: int
     seed: int
 
-    @property
-    def key_column(self) -> str:
-        return "k"
-
-    @property
-    def value_column(self) -> str:
-        return "v"
-
 
 def generate_dataset(
     num_rows: int,

@@ -44,7 +44,6 @@ class TestNUCDiscovery:
         c = NearlyUniqueColumn()
         assert c.kind == "nuc"
         assert c.initial_patches(np.array([1, 1])).tolist() == [0, 1]
-        assert "unique" in c.describe()
 
 
 class TestNSCDiscovery:
@@ -81,7 +80,6 @@ class TestNSCDiscovery:
         assert c.initial_patches(np.array([2, 1, 3])).tolist() in ([0], [1])
         patches, last = c.initial_patches_with_state(np.array([1, 5, 2, 3]))
         assert last == 3
-        assert "ascending" in c.describe()
 
 
 class TestNSCExtension:

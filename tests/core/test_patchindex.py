@@ -56,8 +56,7 @@ class TestBuild:
     def test_is_patch(self, design):
         t = nsc_table(20, patches=[7])
         pi = PatchIndex(t, "v", NearlySortedColumn(), design=design)
-        assert pi.is_patch(7)
-        assert not pi.is_patch(8)
+        assert pi.is_patch_many(np.array([7, 8])).tolist() == [True, False]
 
     def test_is_patch_many_reads_the_mask(self, design):
         t = nuc_table(300, 7)
@@ -147,7 +146,7 @@ class TestMaintenancePrimitives:
         with pytest.raises(ValueError):
             rowids.sort()
         assert pi.patch_rowids().tolist() == [7, 9]
-        assert pi.is_patch(7) and not pi.is_patch(3)
+        assert pi.is_patch_many(np.array([7, 3])).tolist() == [True, False]
 
     def test_patch_rowids_follow_every_mutator(self, design):
         t = nsc_table(40, patches=[7, 9])

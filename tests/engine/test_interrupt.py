@@ -66,7 +66,6 @@ class TestCancellationToken:
     def test_fresh_token_passes_checks(self):
         token = CancellationToken()
         token.check()  # no signal: no raise
-        assert not token.cancelled and not token.expired()
         assert token.deadline is None and token.remaining() is None
 
     def test_cancel_raises_typed_error(self):
@@ -80,9 +79,9 @@ class TestCancellationToken:
 
     def test_deadline_expires(self):
         token = CancellationToken(timeout_ms=1)
-        assert token.timeout_ms == 1 and token.deadline is not None
+        assert token.deadline is not None
         time.sleep(0.01)
-        assert token.expired()
+        assert token.remaining() < 0
         with pytest.raises(QueryTimeoutError, match="timed out after 1 ms"):
             token.check()
 

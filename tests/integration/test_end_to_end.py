@@ -17,7 +17,7 @@ from repro.plan import (
     execute_plan,
 )
 from repro.sql import SQLSession
-from repro.storage import Catalog, Snapshot, Table
+from repro.storage import Catalog, Table
 from repro.workloads import generate_dataset, generate_tpch, perturb_order
 from repro.workloads.tpch_queries import q3_plan, q12_plan
 
@@ -148,18 +148,6 @@ class TestBaselinesSideBySide:
             np.sort(out.column("revenue")), np.sort(reference.column("revenue"))
         )
         assert len(joined["o_orderdate"]) == data.lineitem.num_rows
-
-
-class TestSnapshotInterplay:
-    def test_snapshot_isolates_queries_from_index_maintenance(self):
-        ds = generate_dataset(5_000, 0.1, "nuc", seed=8, name="snap")
-        mgr = PatchIndexManager()
-        handle = mgr.create(ds.table, "v", NearlyUniqueColumn())
-        snap = Snapshot(ds.table)
-        ds.table.delete(np.arange(1_000))
-        assert snap.num_rows == 5_000
-        assert handle.num_rows == 4_000
-        assert handle.verify()
 
 
 class TestCostModelProtection:

@@ -5,24 +5,23 @@ import threading
 import numpy as np
 
 from repro.bitmap import ShardedBitmap
-from repro.storage import ShardLockManager
 
 SHARD = 256
 
 
 class TestConcurrentShardMutation:
     def test_disjoint_shard_sets_commute(self):
-        """Concurrent set() on disjoint shards with per-shard locks."""
+        """Concurrent set() on disjoint shards, one lock per shard."""
         nshards = 8
         bm = ShardedBitmap(nshards * SHARD, shard_bits=SHARD)
-        locks = ShardLockManager(nshards)
+        locks = [threading.Lock() for _ in range(nshards)]
         errors = []
 
         def worker(shard: int):
             try:
                 base = shard * SHARD
                 for i in range(SHARD):
-                    with locks.locked(shard):
+                    with locks[shard]:
                         bm.set(base + i)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -53,28 +52,3 @@ class TestConcurrentShardMutation:
         for chunk in reversed(chunks):  # later positions deleted first
             out.bulk_delete(chunk)
         np.testing.assert_array_equal(out.to_bool_array(), ref.to_bool_array())
-
-    def test_locked_many_no_deadlock_on_overlapping_sets(self):
-        locks = ShardLockManager(16)
-        stop = threading.Event()
-        errors = []
-
-        def worker(seed: int):
-            rng = np.random.default_rng(seed)
-            try:
-                for _ in range(100):
-                    shards = rng.choice(16, size=4, replace=False)
-                    with locks.locked_many(shards.tolist()):
-                        pass
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-            finally:
-                stop.set()
-
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors
-        assert all(not t.is_alive() for t in threads)

@@ -19,7 +19,6 @@ from repro.plan import (
     enumerate_orders,
     execute_plan,
     extract_join_graph,
-    greedy_order,
     reorder_joins,
 )
 from repro.plan.cost import CostModel
@@ -298,23 +297,28 @@ class TestSearch:
             cost_model.cost(build_join_tree(graph, exhaustive))
         )
 
-    def test_dp_bails_above_relation_cap(self, tpch):
+    def test_dp_bails_above_relation_cap(self):
+        # a 7-relation FK chain, fact table first: a cheaper order
+        # exists, but the DP declines the region and the parser order stays
         n = DP_MAX_RELATIONS + 1
-        graph = JoinGraph(
-            relations=[scan(f"r{i}") for i in range(n)],
-            columns=[{f"c{i}"} for i in range(n)],
-            edges=[JoinEdge(i, f"c{i}", i + 1, f"c{i + 1}") for i in range(n - 1)],
-        )
-        assert dp_order(graph, CostModel(tpch)) is None
-
-    def test_greedy_returns_connected_order(self, tpch):
-        graph = extract_join_graph(q5_shape(), tpch)
-        order = greedy_order(graph, tpch)
-        assert sorted(order) == list(range(graph.num_relations))
-        placed = {order[0]}
-        for rel in order[1:]:
-            assert graph.neighbors(rel) & placed
-            placed.add(rel)
+        catalog = Catalog()
+        plan = scan("r0")
+        for i in range(n):
+            keys = np.arange(4000 if i == 0 else 50, dtype=np.int64)
+            catalog.register(Table.from_arrays(f"r{i}", {f"k{i}": keys, f"f{i}": keys % 50}))
+            analyze_table(catalog, f"r{i}")
+            if i:
+                plan = JoinNode(plan, scan(f"r{i}"), f"f{i - 1}", f"k{i}")
+        graph = extract_join_graph(plan, catalog)
+        assert graph.num_relations == n
+        cost_model = CostModel(catalog)
+        assert min(
+            cost_model.cost(build_join_tree(graph, o)) for o in enumerate_orders(graph)
+        ) < cost_model.cost(plan)
+        assert dp_order(graph, cost_model) is None
+        new_plan, decisions = reorder_joins(plan, catalog, cost_model)
+        assert new_plan is plan
+        assert decisions == []
 
 
 class TestReorderJoins:
@@ -326,38 +330,27 @@ class TestReorderJoins:
             "c_custkey",
         )
 
-    @pytest.mark.parametrize("strategy", ["dp", "greedy"])
-    def test_reorder_applies_and_stays_bit_identical(self, tpch, strategy):
+    def test_reorder_applies_and_stays_bit_identical(self, tpch):
         plan = self.bad_parser_plan()
         reference = execute_plan(plan, tpch)
         cost_model = CostModel(tpch)
-        new_plan, decisions = reorder_joins(plan, tpch, cost_model, strategy)
+        new_plan, decisions = reorder_joins(plan, tpch, cost_model)
         assert len(decisions) == 1
         assert decisions[0].applied
         assert decisions[0].chosen_cost < decisions[0].parser_cost
         assert new_plan is not plan
         assert_bit_identical(reference, execute_plan(new_plan, tpch))
 
-    def test_off_keeps_parser_plan(self, tpch):
-        plan = self.bad_parser_plan()
-        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch), "off")
-        assert new_plan is plan
-        assert decisions == []
-
-    def test_unknown_strategy_rejected(self, tpch):
-        with pytest.raises(ValueError, match="join_order_search"):
-            reorder_joins(self.bad_parser_plan(), tpch, CostModel(tpch), "bogus")
-
     def test_optimal_parser_order_is_kept(self, tpch):
         plan = q3_shape()  # customer first: already the cheap order
-        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch), "dp")
+        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch))
         assert len(decisions) == 1
         assert not decisions[0].applied
         assert new_plan is plan
 
     def test_two_way_joins_are_not_searched(self, tpch):
         plan = JoinNode(scan("customer"), scan("orders"), "c_custkey", "o_custkey")
-        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch), "dp")
+        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch))
         assert new_plan is plan
         assert decisions == []
 
@@ -366,14 +359,14 @@ class TestReorderJoins:
 
         plan = FilterNode(self.bad_parser_plan(), col("c_custkey") < 100)
         reference = execute_plan(plan, tpch)
-        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch), "dp")
+        new_plan, decisions = reorder_joins(plan, tpch, CostModel(tpch))
         assert len(decisions) == 1 and decisions[0].applied
         assert isinstance(new_plan, FilterNode)
         assert_bit_identical(reference, execute_plan(new_plan, tpch))
 
-    def test_decision_describe_mentions_strategy(self):
+    def test_decision_describe_names_the_dp(self):
         decision = JoinOrderDecision(
-            strategy="dp", relations=["a", "b", "c"], order=["b", "a", "c"],
+            relations=["a", "b", "c"], order=["b", "a", "c"],
             parser_cost=20.0, chosen_cost=10.0, applied=True,
         )
         text = decision.describe()
@@ -412,12 +405,6 @@ class TestOptimizerIntegration:
         new_plan, report = opt.optimize_staged(plan)
         assert new_plan is plan
         assert report.join_orders == []
-
-    def test_invalid_strategy_rejected_at_construction(self, tpch):
-        from repro.core import PatchIndexManager
-
-        with pytest.raises(ValueError, match="join_order_search"):
-            Optimizer(tpch, PatchIndexManager(tpch), join_order_search="fastest")
 
 
 def _walk(node):

@@ -57,8 +57,7 @@ class TestAnalyze:
         assert distinct_count(catalog, "t", "a") == 6
 
     def test_stats_live_in_catalog_structures(self, tpch):
-        kinds = {kind for kind, _, _ in tpch.structures_on("customer")}
-        assert DISTINCT_STAT_KIND in kinds
+        assert tpch.structure(DISTINCT_STAT_KIND, "customer", "c_custkey") is not None
 
 
 class TestJoinSelectivity:

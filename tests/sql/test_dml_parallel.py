@@ -248,9 +248,6 @@ class TestDMLCostModel:
         assert parallel.dml_scan_cost(rows) < serial.dml_scan_cost(rows)
         # tiny statements stay serial: no phantom dispatch overhead
         assert parallel.dml_scan_cost(100) == serial.dml_scan_cost(100)
-        # the write tail is serial and identical under both models
-        diff = parallel.dml_cost(rows, 1000) - parallel.dml_scan_cost(rows)
-        assert diff == pytest.approx(CostModel.COST_DML_WRITE * 1000)
 
     def test_payoff_respects_morsel_size(self):
         from repro.plan.cost import CostModel

@@ -1,4 +1,4 @@
-"""Staged optimizer through the SQL surface: SET knob, EXPLAIN, TopN."""
+"""Staged optimizer through the SQL surface: EXPLAIN, join order, TopN."""
 
 import asyncio
 
@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import PatchIndexManager
+from repro.plan import execute_plan
 from repro.plan.stats import analyze_table
 from repro.sql import AsyncSQLSession, SQLSession
+from repro.sql.binder import bind_statement
+from repro.sql.parser import parse_statement
 from repro.storage import Catalog
 from repro.workloads import generate_tpch
 
@@ -29,6 +32,13 @@ def session():
         yield s
 
 
+def parser_plan(session, sql):
+    """The bound plan in parser order, before the optimizer sees it."""
+    stmt = parse_statement(sql)
+    bind_statement(stmt, session.catalog)
+    return stmt.plan
+
+
 def assert_bit_identical(reference, result):
     assert result.num_rows == reference.num_rows
     assert result.column_names == reference.column_names
@@ -36,27 +46,13 @@ def assert_bit_identical(reference, result):
         np.testing.assert_array_equal(result.column(name), reference.column(name))
 
 
-class TestJoinOrderKnob:
-    def test_default_is_dp(self, session):
-        assert session.join_order_search == "dp"
-        assert session.optimizer.join_order_search == "dp"
+class TestNoJoinOrderKnob:
+    def test_set_join_order_search_is_unknown(self, session):
+        with pytest.raises(ValueError, match="unknown session setting"):
+            session.execute("SET join_order_search = dp")
+        assert not hasattr(session, "join_order_search")
 
-    @pytest.mark.parametrize("strategy", ["greedy", "off", "dp"])
-    def test_set_statement_routes_to_optimizer(self, session, strategy):
-        session.execute(f"SET join_order_search = {strategy}")
-        assert session.join_order_search == strategy
-        assert session.optimizer.join_order_search == strategy
-
-    def test_unknown_strategy_rejected(self, session):
-        with pytest.raises(ValueError, match="join_order_search"):
-            session.execute("SET join_order_search = sideways")
-        assert session.join_order_search == "dp"  # unchanged
-
-    def test_non_string_value_rejected(self, session):
-        with pytest.raises(TypeError):
-            session.set_join_order_search(3)
-
-    def test_async_session_accepts_the_knob(self):
+    def test_async_session_rejects_the_setting(self):
         catalog = Catalog()
         generate_tpch(scale=0.002, seed=3).register(catalog)
         for name in ("customer", "orders", "lineitem"):
@@ -66,12 +62,11 @@ class TestJoinOrderKnob:
             async with AsyncSQLSession(
                 catalog, index_manager=PatchIndexManager(catalog)
             ) as s:
-                await s.execute("SET join_order_search = greedy")
-                strategy = s.join_order_search
-                return strategy, await s.execute(BACKWARDS_Q3)
+                with pytest.raises(ValueError, match="unknown session setting"):
+                    await s.execute("SET join_order_search = dp")
+                return await s.execute(BACKWARDS_Q3)
 
-        strategy, result = asyncio.run(asyncio.wait_for(scenario(), 60.0))
-        assert strategy == "greedy"
+        result = asyncio.run(asyncio.wait_for(scenario(), 60.0))
         assert result.num_rows > 0
 
 
@@ -94,13 +89,11 @@ class TestExplain:
         # the chosen order leads with a smaller relation, not lineitem
         assert not line.split(":", 1)[1].strip().startswith("lineitem")
 
-    def test_off_keeps_parser_shape(self, session):
-        session.execute("SET join_order_search = off")
-        text = session.explain(BACKWARDS_Q3, costs=True)
-        assert "join order search:" not in text
+    def test_parser_shape_differs_from_the_dp_shape(self, session):
         # parser shape: lineitem scanned in the innermost join
-        plain = session.explain(BACKWARDS_Q3)
-        assert plain.index("Scan(lineitem)") < plain.index("Scan(customer)")
+        parser = parser_plan(session, BACKWARDS_Q3).explain()
+        assert parser.index("Scan(lineitem)") < parser.index("Scan(customer)")
+        assert session.explain(BACKWARDS_Q3) != parser
 
     def test_explain_without_costs_is_just_the_plan(self, session):
         text = session.explain(BACKWARDS_Q3)
@@ -109,11 +102,8 @@ class TestExplain:
 
 
 class TestReorderedExecution:
-    @pytest.mark.parametrize("strategy", ["dp", "greedy"])
-    def test_bit_identical_to_search_off(self, session, strategy):
-        session.execute("SET join_order_search = off")
-        reference = session.execute(BACKWARDS_Q3)
-        session.execute(f"SET join_order_search = {strategy}")
+    def test_bit_identical_to_parser_order(self, session):
+        reference = execute_plan(parser_plan(session, BACKWARDS_Q3), session.catalog)
         assert_bit_identical(reference, session.execute(BACKWARDS_Q3))
 
     def test_five_way_join_bit_identical(self, session):
@@ -124,9 +114,7 @@ class TestReorderedExecution:
             "JOIN supplier ON l_suppkey = s_suppkey "
             "JOIN nation ON s_nationkey = n_nationkey"
         )
-        session.execute("SET join_order_search = off")
-        reference = session.execute(sql)
-        session.execute("SET join_order_search = dp")
+        reference = execute_plan(parser_plan(session, sql), session.catalog)
         assert_bit_identical(reference, session.execute(sql))
 
     def test_filtered_query_bit_identical(self, session):
@@ -136,9 +124,7 @@ class TestReorderedExecution:
             "JOIN customer ON o_custkey = c_custkey "
             "WHERE o_orderdate < 5000"
         )
-        session.execute("SET join_order_search = off")
-        reference = session.execute(sql)
-        session.execute("SET join_order_search = dp")
+        reference = execute_plan(parser_plan(session, sql), session.catalog)
         assert_bit_identical(reference, session.execute(sql))
 
 

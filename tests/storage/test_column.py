@@ -1,9 +1,8 @@
-"""Unit tests for typed columns."""
+"""Unit tests for logical column types."""
 
 import numpy as np
-import pytest
 
-from repro.storage import Column, ColumnType
+from repro.storage import ColumnType
 
 
 class TestColumnType:
@@ -21,36 +20,3 @@ class TestColumnType:
         assert ColumnType.INT64.numpy_dtype is np.int64
         assert ColumnType.FLOAT64.numpy_dtype is np.float64
         assert ColumnType.STRING.numpy_dtype is object
-
-
-class TestColumn:
-    def test_int_column(self):
-        col = Column("x", [1, 2, 3])
-        assert col.type is ColumnType.INT64
-        assert len(col) == 3
-        np.testing.assert_array_equal(col.data, [1, 2, 3])
-
-    def test_string_column_from_list(self):
-        col = Column("s", ["a", "b", None])
-        assert col.type is ColumnType.STRING
-        assert col.data[2] is None
-
-    def test_take(self):
-        col = Column("x", [10, 20, 30, 40])
-        sub = col.take(np.array([0, 3]))
-        np.testing.assert_array_equal(sub.data, [10, 40])
-        assert sub.name == "x"
-
-    def test_concat(self):
-        a = Column("x", [1, 2])
-        b = Column("x", [3])
-        np.testing.assert_array_equal(a.concat(b).data, [1, 2, 3])
-
-    def test_concat_type_mismatch(self):
-        with pytest.raises(TypeError):
-            Column("x", [1]).concat(Column("x", ["a"]))
-
-    def test_equality(self):
-        assert Column("x", [1, 2]) == Column("x", [1, 2])
-        assert Column("x", [1, 2]) != Column("y", [1, 2])
-        assert Column("x", [1, 2]) != Column("x", [1, 3])

@@ -45,18 +45,10 @@ class TestInsert:
         with pytest.raises(ValueError):
             pdt.insert({"k": np.array([1, 2]), "v": np.array([1])})
 
-    def test_pending_inserts_scan(self):
-        pdt = make_pdt(3)
-        pdt.insert({"k": np.array([7, 8]), "v": np.array([70, 80])})
-        pending = pdt.pending_inserts()
-        np.testing.assert_array_equal(pending["k"], [7, 8])
-        np.testing.assert_array_equal(pdt.pending_insert_rowids(), [3, 4])
-
     def test_checkpoint_clears_pending(self):
         pdt = make_pdt(3)
         pdt.insert({"k": np.array([7]), "v": np.array([70])})
         pdt.checkpoint()
-        assert len(pdt.pending_inserts()["k"]) == 0
         assert pdt.num_rows == 4
         assert not pdt.has_deltas
 
@@ -118,4 +110,4 @@ class TestCheckpoint:
         pdt.checkpoint()
         for c in ("k", "v"):
             np.testing.assert_array_equal(pdt.column(c), merged_before[c])
-        assert pdt.base_rows == pdt.num_rows == 5
+        assert pdt.num_rows == 5 and not pdt.has_deltas

@@ -1,6 +1,4 @@
-"""Unit tests for tables, partitions, minmax, catalog and snapshots."""
-
-import threading
+"""Unit tests for tables, partitions, minmax and the catalog."""
 
 import numpy as np
 import pytest
@@ -12,8 +10,6 @@ from repro.storage import (
     MinMaxIndex,
     PartitionedTable,
     Schema,
-    ShardLockManager,
-    Snapshot,
     Table,
 )
 
@@ -56,12 +52,6 @@ class TestTableBasics:
         with pytest.raises(KeyError):
             t.column("missing")
 
-    def test_empty_like(self):
-        t = make_table()
-        e = Table.empty_like("e", t)
-        assert e.num_rows == 0
-        assert e.schema == t.schema
-
 
 class TestTableUpdates:
     def test_insert_returns_rowids_and_bumps_version(self):
@@ -101,13 +91,6 @@ class TestTableUpdates:
         t.delete(np.array([0]))
         assert calls == []
 
-    def test_checkpoint_preserves_image(self):
-        t = make_table(10)
-        t.insert({"k": np.array([999]), "v": np.array([1])})
-        image = t.column("k").copy()
-        t.checkpoint()
-        np.testing.assert_array_equal(t.column("k"), image)
-
 
 class TestMinMax:
     def test_blocks_and_pruning(self):
@@ -120,11 +103,6 @@ class TestMinMax:
         idx = MinMaxIndex(np.arange(50), block_size=10)
         mask = idx.row_mask_in_range(0, 9)
         assert mask[:10].all() and not mask[10:].any()
-
-    def test_selectivity(self):
-        idx = MinMaxIndex(np.arange(100), block_size=10)
-        assert idx.selectivity(0, 9) == pytest.approx(0.1)
-        assert idx.selectivity(1000, 2000) == 0.0
 
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
@@ -205,39 +183,5 @@ class TestCatalog:
         cat.add_structure("patchindex", "t", "v", "OBJ")
         assert cat.structure("patchindex", "t", "v") == "OBJ"
         assert cat.structure("patchindex", "t", "k") is None
-        assert cat.structures_on("t") == [("patchindex", "v", "OBJ")]
         cat.drop("t")
         assert cat.structure("patchindex", "t", "v") is None
-
-
-class TestSnapshot:
-    def test_snapshot_isolated_from_updates(self):
-        t = make_table(10)
-        snap = Snapshot(t)
-        t.delete(np.array([0]))
-        assert snap.num_rows == 10
-        assert snap.column("k")[0] == 0
-        assert t.num_rows == 9
-
-
-class TestShardLockManager:
-    def test_locked_many_is_exclusive(self):
-        mgr = ShardLockManager(8)
-        counter = {"v": 0}
-
-        def work():
-            for _ in range(200):
-                with mgr.locked_many([1, 3]):
-                    cur = counter["v"]
-                    counter["v"] = cur + 1
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert counter["v"] == 800
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardLockManager(0)
