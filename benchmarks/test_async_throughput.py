@@ -99,7 +99,7 @@ def run_async_clients(statements) -> tuple:
 
     async def main():
         async with AsyncSQLSession(
-            catalog, parallelism=1, max_inflight=N_CLIENTS
+            catalog, max_inflight=N_CLIENTS
         ) as db:
 
             async def client(slice_):

@@ -9,7 +9,11 @@ both PatchIndex designs, for e in 0..1.  Laptop scale: 300 K tuples,
 Expected shape: PatchIndex ≈ materialization ≪ no-constraint for small
 e; PatchIndex runtime grows gently with e (more tuples take the patch
 path); both PatchIndex designs behave alike.  Every number is the
-median of five runs after one warm-up.
+median of five runs after one warm-up.  The three plans the shape
+checks compare (no constraint and both PatchIndex designs) are timed
+round-robin, one run of each per round, so a slow spell of the machine
+lands on all three medians alike instead of on whichever plan it
+happened to overlap.
 
 NUC, measured (three runs on this 2-CPU box): the "w/o constraint"
 column fell about 20x, from 0.065–0.070 s to 3.3–3.8 ms (e <= 0.3),
@@ -43,6 +47,8 @@ which numpy's stable sort does in one cheap pass over nearly sorted
 keys; what it adds is the patch sort, the binary search of the patches
 and, at e = 0.2, a boolean-mask copy whose branches no longer predict.
 """
+
+import time
 
 from repro.bench import format_table, time_fn, write_report
 from repro.core import (
@@ -84,16 +90,30 @@ def query_plan(ds, constraint: str):
     return SortNode(ScanNode(ds.table.name), ["v"])
 
 
-def reference_time(ds, constraint: str, catalog) -> float:
+def reference_query(ds, constraint: str, catalog):
     plan = query_plan(ds, constraint)
-    return time_fn(lambda: execute_plan(plan, catalog), repeats=REPEATS)
+    return lambda: execute_plan(plan, catalog)
 
 
-def patchindex_time(ds, constraint: str, catalog, mgr) -> float:
+def patchindex_query(ds, constraint: str, catalog, mgr):
     opt = Optimizer(catalog, mgr, use_cost_model=False).optimize(
         query_plan(ds, constraint)
     )
-    return time_fn(lambda: execute_plan(opt, catalog), repeats=REPEATS)
+    return lambda: execute_plan(opt, catalog)
+
+
+def round_robin_times(fns, repeats: int = REPEATS):
+    """Median seconds of each of ``fns``, timed one run of each per round
+    after one warm-up run of each."""
+    for fn in fns:
+        fn()
+    samples = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, out in zip(fns, samples):
+            start = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - start)
+    return [sorted(out)[len(out) // 2] for out in samples]
 
 
 def materialization_time(ds, constraint: str) -> float:
@@ -110,11 +130,13 @@ def run_constraint(constraint: str):
     rows = []
     for e in RATES:
         ds, catalog, mgr = build_env(constraint, e, "bitmap")
-        ref = reference_time(ds, constraint, catalog)
-        mat = materialization_time(ds, constraint)
-        pi_bitmap = patchindex_time(ds, constraint, catalog, mgr)
         ds2, catalog2, mgr2 = build_env(constraint, e, "identifier")
-        pi_ident = patchindex_time(ds2, constraint, catalog2, mgr2)
+        ref, pi_bitmap, pi_ident = round_robin_times([
+            reference_query(ds, constraint, catalog),
+            patchindex_query(ds, constraint, catalog, mgr),
+            patchindex_query(ds2, constraint, catalog2, mgr2),
+        ])
+        mat = materialization_time(ds, constraint)
         rows.append([e, ref, mat, pi_bitmap, pi_ident])
     return rows
 

@@ -4,10 +4,12 @@ Measures how long a cooperative cancel takes to unwind a full-table
 aggregation that is already executing: a worker thread runs the query
 under a caller-held :class:`CancellationToken`, the main thread fires
 ``cancel()`` mid-scan, and the latency is the gap between the cancel
-and the worker observing :class:`QueryCancelledError`.  Checkpoints sit
-between morsels, so p99 must stay under one morsel's work (with a 50 ms
-scheduling floor).  A second pass measures deadline overshoot: how far
-past ``timeout_ms`` a timed-out query actually returns.
+and the worker observing :class:`QueryCancelledError`.  With a token
+armed the scan runs in ``CHECKPOINT_ROWS`` pieces with a checkpoint
+between them, so p99 must stay under one piece's work: the armed
+runtime divided by ``rows / CHECKPOINT_ROWS`` (with a 50 ms scheduling
+floor).  A second pass measures deadline overshoot: how far past
+``timeout_ms`` a timed-out query actually returns.
 
 Set ``BENCH_QUICK=1`` to shrink the dataset (the CI smoke job).
 """
@@ -25,13 +27,13 @@ from repro.engine import (
     QueryTimeoutError,
     cancellation_scope,
 )
+from repro.engine.interrupt import CHECKPOINT_ROWS
 from repro.sql import SQLSession
 from repro.storage import Catalog, Table
 
 QUICK = bool(int(os.environ.get("BENCH_QUICK", "0")))
 N_ROWS = 200_000 if QUICK else 1_500_000
 ITERS = 10 if QUICK else 30
-MORSEL_ROWS = 8_192
 SQL = "SELECT SUM(val) AS s FROM events WHERE val >= 0"
 
 
@@ -48,7 +50,7 @@ def make_session() -> SQLSession:
             },
         )
     )
-    return SQLSession(catalog, parallelism=2, morsel_rows=MORSEL_ROWS)
+    return SQLSession(catalog)
 
 
 def percentile(samples, q):
@@ -58,14 +60,15 @@ def percentile(samples, q):
 def test_interrupt_latency():
     session = make_session()
     try:
-        # warm the pool, then take the uninterrupted runtime as the
-        # yardstick for one morsel's work
-        session.execute(SQL)
-        start = time.perf_counter()
-        session.execute(SQL)
-        runtime = time.perf_counter() - start
-        num_morsels = max(1, N_ROWS // MORSEL_ROWS)
-        per_morsel = runtime / num_morsels
+        # warm up, then time the piecewise scan an armed token runs:
+        # one piece's share of it is the yardstick
+        never = CancellationToken(timeout_ms=3_600_000)
+        with cancellation_scope(never):
+            session.execute(SQL)
+            start = time.perf_counter()
+            session.execute(SQL)
+            runtime = time.perf_counter() - start
+        per_piece = runtime / max(1.0, N_ROWS / CHECKPOINT_ROWS)
 
         # --- cancel latency -------------------------------------------
         cancel_delay = 0.25 * runtime
@@ -96,11 +99,11 @@ def test_interrupt_latency():
         cancel_p50 = percentile(latencies, 50)
         cancel_p99 = percentile(latencies, 99)
 
-        # acceptance: p99 under one morsel's work, 50 ms floor
-        bound = max(0.050, per_morsel)
+        # acceptance: p99 under one piece's work, 50 ms floor
+        bound = max(0.050, per_piece)
         assert cancel_p99 <= bound, (
             f"cancel p99 {cancel_p99 * 1e3:.2f} ms exceeds "
-            f"{bound * 1e3:.2f} ms (morsel {per_morsel * 1e3:.3f} ms)"
+            f"{bound * 1e3:.2f} ms (piece {per_piece * 1e3:.3f} ms)"
         )
 
         # --- deadline overshoot ---------------------------------------
@@ -127,8 +130,8 @@ def test_interrupt_latency():
             ["measure", "samples", "p50 (ms)", "p99 (ms)"],
             rows,
             title=(
-                f"Interrupt latency: {N_ROWS} rows, morsel_rows={MORSEL_ROWS}, "
-                f"scan {runtime * 1e3:.1f} ms (~{per_morsel * 1e3:.3f} ms/morsel), "
+                f"Interrupt latency: {N_ROWS} rows, {CHECKPOINT_ROWS}-row pieces, "
+                f"scan {runtime * 1e3:.1f} ms (~{per_piece * 1e3:.3f} ms/piece), "
                 f"deadline {timeout_ms} ms"
             ),
         )

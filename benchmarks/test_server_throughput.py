@@ -90,7 +90,7 @@ def run_inprocess(statements):
 
     async def main():
         async with AsyncSQLSession(
-            catalog, parallelism=1, max_inflight=N_CLIENTS
+            catalog, max_inflight=N_CLIENTS
         ) as db:
 
             async def client(slice_):
@@ -117,7 +117,6 @@ def run_server(statements):
     async def main():
         async with SQLServer(
             catalog,
-            parallelism=1,
             session_max_inflight=N_CLIENTS,
             max_connections=N_CLIENTS,
         ) as srv:

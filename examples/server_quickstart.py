@@ -69,7 +69,7 @@ def blocking_client(port: int) -> None:
 
 
 async def main() -> None:
-    async with SQLServer(build_catalog(), parallelism=2) as server:
+    async with SQLServer(build_catalog()) as server:
         print(f"serving on {server.host}:{server.port}")
         await asyncio.gather(
             async_client(server.port),

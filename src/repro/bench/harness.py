@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 __all__ = [
     "time_fn",
-    "time_serial_vs_parallel",
-    "time_dml_serial_vs_parallel",
     "format_table",
     "write_report",
     "results_dir",
@@ -34,66 +32,6 @@ def time_fn(fn: Callable[[], object], repeats: int = 3, warmup: int = 1) -> floa
         samples.append(time.perf_counter() - start)
     samples.sort()
     return samples[len(samples) // 2]
-
-
-def time_serial_vs_parallel(
-    fn: Callable[[object], object],
-    parallelism: int = 4,
-    repeats: int = 3,
-    warmup: int = 1,
-    **context_kwargs,
-) -> Tuple[float, float]:
-    """Time ``fn`` under serial and morsel-parallel execution.
-
-    ``fn`` receives an execution context (``None`` for the serial run, a
-    live :class:`~repro.engine.parallel.ExecutionContext` for the
-    parallel run) and should execute the workload with it.  Returns
-    ``(serial_seconds, parallel_seconds)`` medians; the ratio is the
-    serial-vs-parallel speedup the benchmark reports.
-    """
-    from repro.engine.parallel import ExecutionContext
-
-    serial = time_fn(lambda: fn(None), repeats=repeats, warmup=warmup)
-    with ExecutionContext(parallelism=parallelism, **context_kwargs) as context:
-        parallel = time_fn(lambda: fn(context), repeats=repeats, warmup=warmup)
-    return serial, parallel
-
-
-def time_dml_serial_vs_parallel(
-    setup: Callable[[int], object],
-    run: Callable[[object], object],
-    parallelism: int = 4,
-    repeats: int = 3,
-    warmup: int = 1,
-    teardown: Optional[Callable[[object], object]] = None,
-) -> Tuple[float, float]:
-    """Time a *mutating* workload under serial and parallel execution.
-
-    DML consumes its input, so unlike :func:`time_serial_vs_parallel`
-    every sample gets fresh state: ``setup(parallelism)`` builds the
-    workload state (tables, sessions, bitmaps — untimed, with the worker
-    count already configured, e.g. ``SQLSession(catalog, parallelism=n)``)
-    and ``run(state)`` executes the DML statements (timed).
-    ``teardown(state)`` releases the state after each sample — untimed,
-    so worker-pool shutdown never skews the parallel measurement.
-    Returns ``(serial_seconds, parallel_seconds)`` medians.
-    """
-
-    def timed(workers: int) -> float:
-        samples = []
-        for i in range(warmup + repeats):
-            state = setup(workers)
-            start = time.perf_counter()
-            run(state)
-            elapsed = time.perf_counter() - start
-            if teardown is not None:
-                teardown(state)
-            if i >= warmup:
-                samples.append(elapsed)
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    return timed(1), timed(parallelism)
 
 
 def format_table(

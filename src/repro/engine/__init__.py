@@ -38,13 +38,8 @@ from repro.engine.expressions import (
     lit,
     where,
 )
-from repro.engine.parallel import ExecutionContext, validate_parallelism
-from repro.engine.parallel_sort import (
-    merge_sorted_runs,
-    serial_sort_permutation,
-    sort_parallel_payoff,
-    sort_permutation,
-)
+from repro.engine.parallel import validate_parallelism
+from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
 from repro.engine.operators import (
     Distinct,
     Filter,
@@ -66,7 +61,6 @@ from repro.engine.operators import (
 
 __all__ = [
     "Relation",
-    "ExecutionContext",
     "validate_parallelism",
     "CancellationToken",
     "QueryInterruptedError",
@@ -78,8 +72,6 @@ __all__ = [
     "validate_timeout_ms",
     "merge_sorted_runs",
     "serial_sort_permutation",
-    "sort_parallel_payoff",
-    "sort_permutation",
     "Expression",
     "expression_columns",
     "ComparisonExpr",

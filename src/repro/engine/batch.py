@@ -107,24 +107,16 @@ class Relation:
         self,
         keys: Sequence[str],
         ascending: Optional[Sequence[bool]] = None,
-        context=None,
     ) -> "Relation":
         """Multi-key sort in the engine's canonical stable order.
 
         The permutation is
-        :func:`repro.engine.parallel_sort.sort_permutation` — the
-        repeated stable-argsort composition every sort consumer shares;
-        passing an :class:`~repro.engine.parallel.ExecutionContext` runs
-        it as parallel chunk-sorts plus a deterministic k-way merge with
-        bit-identical output.
+        :func:`repro.engine.parallel_sort.serial_sort_permutation` — the
+        repeated stable-argsort composition every sort consumer shares.
         """
-        from repro.engine.parallel_sort import sort_permutation
+        from repro.engine.parallel_sort import serial_sort_permutation
 
-        if ascending is None:
-            ascending = [True] * len(keys)
-        order = sort_permutation(
-            [self._columns[k] for k in keys], ascending, context=context
-        )
+        order = serial_sort_permutation([self._columns[k] for k in keys], ascending)
         return self.take(order)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

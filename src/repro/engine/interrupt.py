@@ -3,21 +3,17 @@
 A :class:`CancellationToken` carries two independent stop signals — an
 explicit :meth:`~CancellationToken.cancel` flag and an optional
 monotonic deadline derived from ``timeout_ms`` — and is *polled*, never
-preemptive: morsel pipelines call :func:`checkpoint` (or
-``token.check()``) between units of work and unwind via a typed
+preemptive: operators call :func:`checkpoint` (or ``token.check()``)
+between units of work and unwind via a typed
 :class:`QueryInterruptedError` subclass.  Because every check sits
-*between* morsels, interruption can never observe (or produce) a
-half-processed morsel: reads leave tables and PatchIndexes untouched,
+*between* chunks, interruption can never observe (or produce) a
+half-processed chunk: reads leave tables and PatchIndexes untouched,
 and DML performs one final check before applying its mutation, so a
 write is either fully applied or provably un-applied.
 
 The active token travels through a thread-local *scope*
 (:func:`cancellation_scope`), installed by the session layer around a
-statement.  Worker threads of an
-:class:`~repro.engine.parallel.ExecutionContext` pool do not inherit
-the submitter's thread-local state — the context captures the current
-token at fan-out time and closes over it in the per-morsel task, which
-is why checkpoints fire on pool workers too.
+statement on the thread that runs it.
 
 The no-token fast path is a single thread-local read per checkpoint, so
 instrumenting operators costs nothing when interruption is not armed.
@@ -40,14 +36,22 @@ __all__ = [
     "current_token",
     "checkpoint",
     "validate_timeout_ms",
+    "CHECKPOINT_ROWS",
 ]
+
+#: Rows between two checkpoints while a token is armed: scans and DML
+#: predicates then run in pieces of this size.  65 536 rows keep the
+#: numpy kernel time of a piece well above the per-piece overhead (one
+#: slice per column and one concatenation), and still let a 1 M-row
+#: statement stop after at most 1/16 of its work.
+CHECKPOINT_ROWS = 65_536
 
 
 class QueryInterruptedError(RuntimeError):
     """A statement unwound cooperatively before completing.
 
     Base class of the two interruption causes; catching it covers both.
-    The engine raises it only *between* morsels (or before a DML
+    The engine raises it only *between* chunks (or before a DML
     mutation is applied), so whatever raised it left the stored data
     exactly as it was.
     """
@@ -64,7 +68,7 @@ class QueryTimeoutError(QueryInterruptedError):
 def validate_timeout_ms(value, name: str = "statement_timeout_ms") -> int:
     """Validate a millisecond timeout knob: a positive integer.
 
-    Mirrors :func:`~repro.engine.parallel.validate_parallelism`: rejects
+    Like :func:`~repro.engine.parallel.validate_parallelism`, rejects
     ``bool`` (a common footgun since ``True == 1``), non-integers, and
     values below 1.  ``None`` (= disabled) is handled by callers before
     validation, never here.
@@ -164,7 +168,7 @@ def cancellation_scope(token: Optional[CancellationToken]) -> Iterator[None]:
 def checkpoint() -> None:
     """Poll this thread's active token; no-op when no scope is installed.
 
-    This is the call operators sprinkle between morsels — the disarmed
+    This is the call operators sprinkle between chunks — the disarmed
     cost is one thread-local attribute read.
     """
     token = _SCOPE.token

@@ -17,20 +17,9 @@ import numpy as np
 from repro.engine.batch import Relation
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
 from repro.engine.groups import first_rows, group_codes, run_starts, sorted_unique
-from repro.engine.interrupt import checkpoint, current_token
-from repro.engine.parallel import (
-    DEFAULT_MORSEL_ROWS,
-    ExecutionContext,
-    Morsel,
-    row_chunks,
-    table_morsels,
-)
-from repro.engine.parallel_sort import (
-    merge_run_slots,
-    scatter_runs,
-    serial_sort_permutation,
-    sort_permutation,
-)
+from repro.engine.interrupt import CHECKPOINT_ROWS, checkpoint, current_token
+from repro.engine.parallel_sort import merge_run_slots, scatter_runs, serial_sort_permutation
+from repro.testing import faults
 
 __all__ = [
     "Operator",
@@ -62,31 +51,9 @@ USE_PATCHES = "use_patches"
 class Operator:
     """Base class for physical operators."""
 
-    #: Execution context attached by :meth:`bind_context`; ``None`` (the
-    #: class default) means serial execution.
-    context: Optional[ExecutionContext] = None
-
-    #: Explicit execution-mode assignment from the plan-level operator
-    #: selection: ``"serial"`` keeps this operator off the parallel
-    #: paths (its context is never bound), ``"parallel"`` marks
-    #: eligibility (runtime gates still apply), ``None`` defers wholly
-    #: to the runtime heuristics.
-    forced_mode: Optional[str] = None
-
     def execute(self) -> Relation:
         """Produce the operator's full result relation."""
         raise NotImplementedError
-
-    def bind_context(self, context: Optional[ExecutionContext]) -> "Operator":
-        """Attach an execution context to this subtree (returns self).
-
-        An operator pinned serial by the optimizer (``forced_mode``)
-        stays unbound; its children still receive the context.
-        """
-        self.context = None if self.forced_mode == "serial" else context
-        for child in self.children():
-            child.bind_context(context)
-        return self
 
     def children(self) -> List["Operator"]:
         """Child operators, for tree traversal."""
@@ -173,9 +140,9 @@ class Scan(Operator):
         """Scan rows ``[start, stop)`` of one table/partition.
 
         ``rowid_offset`` is the global rowID of row ``start``; ``mask``
-        is the table-wide minmax pruning mask (sliced here), so morsels
+        is the table-wide minmax pruning mask (sliced here), so pieces
         share one mask computation.  Concatenating range scans in row
-        order is bit-identical to a full serial scan.
+        order is bit-identical to a whole-table scan.
 
         The rows to read are settled before any column is touched: an
         index array (``rows``: the rowIDs restricted to, O(patches)), a
@@ -210,55 +177,31 @@ class Scan(Operator):
         rel = Relation({c: table.column(c)[rows] for c in self.columns})
         return rel if keep is None else rel.filter(keep)
 
-    def _morsel_thunks(self, morsels: Sequence[Morsel]) -> List["_ScanMorselThunk"]:
-        """One scan closure per morsel; minmax masks are computed once per table/partition."""
-        masks: Dict[int, Optional[np.ndarray]] = {}
-        for m in morsels:
-            if id(m.table) not in masks:
-                masks[id(m.table)] = self._block_mask(m.table)
-        return [_ScanMorselThunk(self, m, masks[id(m.table)]) for m in morsels]
-
-    def parallel_morsel_thunks(self) -> Optional[List[Callable[[], Relation]]]:
-        """Per-morsel scan closures in row order, or None when the bound
-        context does not warrant parallel execution.
-
-        Used by this operator's parallel path and by the fused
-        :class:`Filter`-over-scan pipeline, which pushes its per-tuple
-        work into the same tasks.  The gate runs before any minmax mask
-        is materialized, so a serial fallback costs nothing.
-        """
-        ctx = self.context
-        if ctx is None or not ctx.active:
-            return None
-        morsels = table_morsels(self.table, ctx.morsel_rows)
-        if not ctx.should_parallelize(self.table.num_rows, len(morsels)):
-            return None
-        return self._morsel_thunks(morsels)
-
     def execute(self) -> Relation:
         checkpoint()
-        ctx = self.context
-        # A bare scan only profits from morsels when there is per-tuple
-        # work to do; otherwise the serial path is zero-copy.
-        if self.predicate is not None or self._ranges or self._rowids is not None:
-            thunks = self.parallel_morsel_thunks()
-            if thunks is not None:
-                return Relation.concat(
-                    ctx.map_grouped(lambda t: t(), thunks, _morsel_affinity_keys(thunks, ctx))
-                )
         table, armed = self.table, current_token() is not None
-        if not armed and getattr(table, "partitions", None) is None:  # the common case
+        partitions = getattr(table, "partitions", None)
+        if not armed and partitions is None:  # the common case
             return self._scan_range(table, 0, table.num_rows, 0, self._block_mask(table))
-        # Piecewise: one piece per partition — per morsel while a
-        # cancellation token is armed, for interior checkpoints (range
-        # scans concatenated in row order equal the whole scan).
-        piece_rows = max(1, table.num_rows)
-        if armed:
-            piece_rows = ctx.morsel_rows if ctx is not None else DEFAULT_MORSEL_ROWS
+        # Piecewise: one piece per partition, cut into CHECKPOINT_ROWS
+        # pieces while a cancellation token is armed so the scan can stop
+        # between them (range scans concatenated in row order equal the
+        # whole scan).  The fault point sits before the piece's check, so
+        # an injected stall is seen by that same check.
+        if partitions is None:
+            parts, offsets = [table], [0]
+        else:
+            parts, offsets = partitions, table.partition_offsets()
         pieces = []
-        for thunk in self._morsel_thunks(table_morsels(table, piece_rows)):
-            checkpoint()
-            pieces.append(thunk())
+        for part, offset in zip(parts, offsets):
+            mask = self._block_mask(part)
+            step = CHECKPOINT_ROWS if armed else max(1, part.num_rows)
+            for start in range(0, part.num_rows, step):
+                if faults.ACTIVE:
+                    faults.fire("worker.morsel")
+                checkpoint()
+                stop = min(start + step, part.num_rows)
+                pieces.append(self._scan_range(part, start, stop, int(offset) + start, mask))
         if len(pieces) == 1:
             return pieces[0]
         return Relation.concat(pieces) if pieces else self._scan_range(table, 0, 0, 0)
@@ -313,36 +256,12 @@ class Filter(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def _apply(self, rel: Relation) -> Relation:
+    def execute(self) -> Relation:
+        checkpoint()
+        rel = self.child.execute()
         if rel.num_rows == 0:
             return rel
         return rel.filter(np.asarray(self.predicate.evaluate(rel), dtype=bool))
-
-    def execute(self) -> Relation:
-        checkpoint()
-        ctx = self.context
-        if ctx is not None and isinstance(self.child, Scan):
-            # Fused scan→filter pipeline over the scan's morsels.
-            thunks = self.child.parallel_morsel_thunks()
-            if thunks is not None:
-                return Relation.concat(
-                    ctx.map_grouped(
-                        lambda t: self._apply(t()),
-                        thunks,
-                        _morsel_affinity_keys(thunks, ctx),
-                    )
-                )
-        rel = self.child.execute()
-        if ctx is not None and ctx.active:
-            chunks = row_chunks(rel.num_rows, ctx.morsel_rows)
-            if ctx.should_parallelize(rel.num_rows, len(chunks)):
-                # Predicates are elementwise, so chunked evaluation is
-                # bit-identical to one whole-relation evaluation.
-                pieces = ctx.map(
-                    lambda c: self._apply(_slice_relation(rel, c[0], c[1])), chunks
-                )
-                return Relation.concat(pieces)
-        return self._apply(rel)
 
     def label(self) -> str:
         return f"Filter({self.predicate!r})"
@@ -570,20 +489,18 @@ class MergeJoin(Operator):
 
 
 class Sort(Operator):
-    """Multi-key sort through the stable parallel sort engine.
+    """Multi-key stable sort.
 
-    The permutation always equals ``np.argsort(kind="stable")``
-    composed over the keys (see
-    :func:`repro.engine.parallel_sort.serial_sort_permutation`), which
-    is what lets a bound execution context fan the sort out as morsel
-    chunk-sorts plus a deterministic k-way merge without breaking the
-    engine's bit-identity contract.  Methodology note vs the paper's
-    QuickSort (§6.2.1): the stable sort's integer-key radix path does
-    not collapse on pre-sorted input — the microbenchmark datasets sort
-    integer keys, so the NSC optimization's measured value remains what
-    the index removes — but float/string keys now use an adaptive
-    mergesort that partially exploits pre-sortedness, a deliberate
-    trade for the parallel determinism contract.
+    The permutation is ``np.argsort(kind="stable")`` composed over the
+    keys (:func:`repro.engine.parallel_sort.serial_sort_permutation`):
+    SQL ``ORDER BY`` with ties in input order, which is what lets
+    ``MergeUnion`` reproduce a sort by merging sorted runs.
+    Methodology note vs the paper's QuickSort (§6.2.1): the stable
+    sort's integer-key radix path does not collapse on pre-sorted input
+    — the microbenchmark datasets sort integer keys, so the NSC
+    optimization's measured value remains what the index removes — but
+    float/string keys use an adaptive mergesort that partially exploits
+    pre-sortedness, the price of a deterministic tie order.
     """
 
     def __init__(
@@ -602,30 +519,22 @@ class Sort(Operator):
     def execute(self) -> Relation:
         rel = self.child.execute()
         checkpoint()
-        order = sort_permutation(
-            [rel.column(k) for k in self.keys], self.ascending, context=self.context
-        )
-        return _build_columns(
-            rel.column_names, lambda name: rel.column(name)[order], len(order), self.context
-        )
+        order = serial_sort_permutation([rel.column(k) for k in self.keys], self.ascending)
+        return rel.take(order)
 
     def label(self) -> str:
         return f"Sort({self.keys})"
 
 
 class TopN(Operator):
-    """First ``n`` rows under a sort order, without a full sort.
+    """First ``n`` rows under a sort order.
 
     Physical form of ``ORDER BY … LIMIT n`` chosen by the optimizer's
-    TopN selection link: the input is cut into chunks, each chunk
-    contributes its ``n`` best rows under the canonical stable order
-    (keys, then original position), and the surviving candidates are
-    stably sorted once.  Every row of the true top ``n`` is necessarily
-    within the top ``n`` of its own chunk, and restricting the total
-    order to the candidate set preserves it — so the result is
-    bit-identical to the full sort followed by a limit, chunked or not.
-    With a bound context the per-chunk selections fan out as morsel
-    tasks.
+    TopN selection link: the rows of the canonical stable order (keys,
+    then original position) up to ``n``, bit-identical to the full sort
+    followed by a limit.  The sort keys of the whole input are sorted
+    once, but only the first ``n`` rows are gathered (``Sort`` gathers
+    every row before ``Limit`` drops them).
     """
 
     def __init__(
@@ -645,33 +554,11 @@ class TopN(Operator):
     def children(self) -> List[Operator]:
         return [self.child]
 
-    def _chunk_top(self, rel: Relation, start: int, stop: int) -> np.ndarray:
-        """Global indices of chunk ``[start, stop)``'s best ``n`` rows."""
-        piece = _slice_relation(rel, start, stop)
-        order = serial_sort_permutation(
-            [piece.column(k) for k in self.keys], self.ascending
-        )
-        return (order[: self.n] + start).astype(np.int64)
-
     def execute(self) -> Relation:
         rel = self.child.execute()
         checkpoint()
-        if self.n == 0 or rel.num_rows == 0:
-            return rel.take(np.empty(0, dtype=np.int64))
-        ctx = self.context
-        chunk_rows = ctx.morsel_rows if ctx is not None else rel.num_rows
-        chunks = row_chunks(rel.num_rows, max(1, chunk_rows))
-        if ctx is not None and ctx.should_parallelize(rel.num_rows, len(chunks)):
-            parts = ctx.map(lambda c: self._chunk_top(rel, c[0], c[1]), chunks)
-        else:
-            parts = [self._chunk_top(rel, start, stop) for start, stop in chunks]
-        # ascending candidate indices keep the final stable sort equal to
-        # the restriction of the full-input stable sort
-        candidates = np.sort(np.concatenate(parts))
-        order = serial_sort_permutation(
-            [rel.column(k)[candidates] for k in self.keys], self.ascending
-        )
-        return rel.take(candidates[order[: self.n]])
+        order = serial_sort_permutation([rel.column(k) for k in self.keys], self.ascending)
+        return rel.take(order[: self.n])
 
     def label(self) -> str:
         return f"TopN({self.keys}, n={self.n})"
@@ -715,8 +602,7 @@ class GroupAggregate(Operator):
 
     The keys are factorised once by the group kernel
     (:mod:`repro.engine.groups`) and every aggregate is one pass over
-    its codes in row order — a single code path, so group order (by
-    key), values and dtypes do not depend on the execution context.
+    its codes in row order; groups come out in key order.
     """
 
     _FUNCS = ("sum", "count", "min", "max", "avg")
@@ -860,11 +746,10 @@ class MergeUnion(Operator):
         names = rels[0].column_names
         if any(set(r.column_names) != set(names) for r in rels[1:]):
             raise ValueError("merge union requires identical column sets")
-        slots = merge_run_slots(
-            [r.column(self.key) for r in rels], context=self.context, ascending=self.ascending
+        slots = merge_run_slots([r.column(self.key) for r in rels], self.ascending)
+        return Relation(
+            {name: scatter_runs(slots, [r.column(name) for r in rels]) for name in names}
         )
-        merged = lambda name: scatter_runs(slots, [r.column(name) for r in rels])
-        return _build_columns(names, merged, sum(r.num_rows for r in rels), self.context)
 
     def label(self) -> str:
         return f"MergeUnion(key={self.key}, asc={self.ascending})"
@@ -946,73 +831,6 @@ class Limit(Operator):
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-class _ScanMorselThunk:
-    """Zero-arg callable producing one morsel's scan result."""
-
-    __slots__ = ("scan", "morsel", "mask")
-
-    def __init__(self, scan: Scan, morsel: Morsel, mask: Optional[np.ndarray]) -> None:
-        self.scan = scan
-        self.morsel = morsel
-        self.mask = mask
-
-    def __call__(self) -> Relation:
-        m = self.morsel
-        return self.scan._scan_range(m.table, m.start, m.stop, m.rowid_offset, self.mask)
-
-
-def _morsel_affinity_keys(
-    thunks: Sequence[_ScanMorselThunk], ctx: ExecutionContext
-) -> List[Tuple[int, int]]:
-    """Partition-pinned affinity keys for scan-morsel dispatch.
-
-    Morsels of one table/partition share a key component, so
-    :meth:`~repro.engine.parallel.ExecutionContext.map_grouped` keeps a
-    partition's contiguous chunks (and the caches their processing
-    touches — minmax summaries, patch bitmaps) on one worker.  Each
-    partition is additionally striped into about
-    ``ceil(workers / partitions)`` contiguous runs: a group never spans
-    partitions, yet an unpartitioned table still fans out across the
-    pool instead of collapsing into one serial group.
-    """
-    counts: Dict[int, int] = {}
-    for t in thunks:
-        key = id(t.morsel.table)
-        counts[key] = counts.get(key, 0) + 1
-    stripes = max(1, -(-ctx.parallelism // len(counts)))
-    seen: Dict[int, int] = {}
-    keys: List[Tuple[int, int]] = []
-    for t in thunks:
-        key = id(t.morsel.table)
-        pos = seen.get(key, 0)
-        seen[key] = pos + 1
-        keys.append((key, pos * stripes // counts[key]))
-    return keys
-
-
-def _build_columns(
-    names: Sequence[str],
-    build: Callable[[str], np.ndarray],
-    num_rows: int,
-    ctx: Optional[ExecutionContext],
-) -> Relation:
-    """A relation of ``build(name)`` columns, fanned out per column when
-    a context warrants it.
-
-    Gathers and scatters are independent per column (numpy releases the
-    GIL for the bulk copy), so wide sorted/merged outputs materialize
-    their columns concurrently; order and values do not depend on it.
-    """
-    if ctx is None or not ctx.active or len(names) <= 1 or num_rows < ctx.min_parallel_rows:
-        return Relation({name: build(name) for name in names})
-    return Relation(dict(zip(names, ctx.map(build, list(names)))))
-
-
-def _slice_relation(rel: Relation, start: int, stop: int) -> Relation:
-    """Row range of a relation as numpy views (no copies)."""
-    return Relation({n: arr[start:stop] for n, arr in rel.columns().items()})
-
-
 def find_scans(op: Operator) -> List[Scan]:
     """All Scan operators in a subtree (range-propagation targets)."""
     found: List[Scan] = []

@@ -8,16 +8,8 @@ PatchIndexes which leave the physical order untouched (§6.2.3).
 
 We materialize the ordered data as a separate sorted copy (our tables
 do not support in-place reordering), which is equivalent for both query
-and maintenance cost accounting.  Updates re-sort (recompute) the copy.
-
-Refresh runs through the stable parallel sort engine
-(:mod:`repro.engine.parallel_sort`): with an execution context, a
-partitioned source sorts its partitions concurrently — each partition's
-sort-and-gather is one pool task pinned to a fixed worker (partition
-affinity), so its column and minmax caches stay warm — while a plain
-table fans out as morsel chunk-sorts plus the deterministic k-way
-merge.  Either way the sorted copies are bit-identical to the serial
-``np.argsort(kind="stable")`` materialization.
+and maintenance cost accounting.  Updates re-sort (recompute) the copy,
+one stable sort per partition (:mod:`repro.engine.parallel_sort`).
 """
 
 from __future__ import annotations
@@ -26,8 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.parallel import ExecutionContext
-from repro.engine.parallel_sort import merge_sorted_runs, sort_permutation
+from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
@@ -38,11 +29,7 @@ REFRESH_MANUAL = "manual"
 
 
 class SortKey:
-    """Physically sorted materialization of a table on one column.
-
-    ``parallelism`` (or a shared ``context``) enables parallel refresh
-    and scan-merge; ``1``/``None`` keeps the historical serial path.
-    """
+    """Physically sorted materialization of a table on one column."""
 
     def __init__(
         self,
@@ -51,8 +38,6 @@ class SortKey:
         ascending: bool = True,
         refresh_policy: str = REFRESH_IMMEDIATE,
         catalog=None,
-        context: Optional[ExecutionContext] = None,
-        parallelism: Optional[int] = None,
     ) -> None:
         if refresh_policy not in (REFRESH_IMMEDIATE, REFRESH_MANUAL):
             raise ValueError(f"unknown refresh policy {refresh_policy!r}")
@@ -61,11 +46,6 @@ class SortKey:
         self.ascending = ascending
         self.refresh_policy = refresh_policy
         self.refresh_count = 0
-        self._owned_context: Optional[ExecutionContext] = None
-        if context is None and parallelism is not None and parallelism > 1:
-            context = ExecutionContext(parallelism=parallelism)
-            self._owned_context = context
-        self._context = context
         self._scan_order: Optional[np.ndarray] = None
         self.sorted_parts: List[Table] = self._compute()
         self._source_version = _version_of(table)
@@ -78,29 +58,13 @@ class SortKey:
             catalog.add_structure("sortkey", table.name, column, self)
 
     # ------------------------------------------------------------------
-    def _sorted_copy(self, base: Table, context: Optional[ExecutionContext]) -> Table:
-        order = sort_permutation(
-            [base.column(self.column)], [self.ascending], context=context
-        )
+    def _sorted_copy(self, base: Table) -> Table:
+        order = serial_sort_permutation([base.column(self.column)], [self.ascending])
         cols = {c: base.column(c)[order] for c in base.schema.names}
         return Table(f"{base.name}__sorted_{self.column}", base.schema, cols)
 
     def _compute(self) -> List[Table]:
-        bases = _base_tables(self.source)
-        ctx = self._context
-        if ctx is not None and ctx.active and len(bases) > 1:
-            # Partition affinity: each partition's sort+gather is one
-            # pool task keyed by partition id, so a partition lands on a
-            # fixed worker; the tasks themselves run serially inside
-            # (leaf-level work — no nested pool dispatch).
-            items = list(enumerate(bases))
-            return ctx.map_grouped(
-                lambda item: self._sorted_copy(item[1], context=None),
-                items,
-                [i for i, _ in items],
-            )
-        # single base table: chunk-parallel sort within the table
-        return [self._sorted_copy(base, context=ctx) for base in bases]
+        return [self._sorted_copy(base) for base in _base_tables(self.source)]
 
     def _on_update(self, table, event) -> None:
         self.refresh()
@@ -123,18 +87,13 @@ class SortKey:
         Computed once per refresh and cached: repeated scans — in
         particular scans requesting only a column subset — no longer
         re-materialize the full permutation.  Both directions merge the
-        per-partition runs with the deterministic k-way merge: ascending
-        keys take equal keys in partition order (bit-identical to the
-        stable argsort of the concatenation), descending keys in
-        *reversed* partition order (bit-identical to the reversed-stable
-        argsort the serial reference used — the merge learned that tie
-        rule, so the full re-sort fallback is gone).
+        per-partition runs with the deterministic k-way merge, equal keys
+        in partition order: bit-identical to the stable sort of the
+        concatenation in the SortKey's direction.
         """
         if self._scan_order is None:
             key_arrays = [p.column(self.column) for p in self.sorted_parts]
-            self._scan_order = merge_sorted_runs(
-                key_arrays, context=self._context, ascending=self.ascending
-            )
+            self._scan_order = merge_sorted_runs(key_arrays, self.ascending)
         return self._scan_order
 
     def scan_sorted(self, columns: Optional[List[str]] = None) -> dict:
@@ -149,27 +108,20 @@ class SortKey:
             part = self.sorted_parts[0]
             return {c: part.column(c) for c in columns}
         order = self._merge_order()
-
-        def gather(c: str) -> np.ndarray:
-            return np.concatenate([p.column(c) for p in self.sorted_parts])[order]
-
-        ctx = self._context
-        if ctx is not None and ctx.active and len(columns) > 1:
-            return dict(zip(columns, ctx.map(gather, list(columns))))
-        return {c: gather(c) for c in columns}
+        return {
+            c: np.concatenate([p.column(c) for p in self.sorted_parts])[order]
+            for c in columns
+        }
 
     def memory_bytes(self) -> int:
         """Extra storage: zero beyond the reordered data itself (§6.4)."""
         return 0
 
     def detach(self) -> None:
-        """Stop auto-refreshing and release any owned worker pool."""
+        """Stop auto-refreshing."""
         for part in self._hooked:
             part.remove_update_hook(self._on_update)
         self._hooked = []
-        if self._owned_context is not None:
-            self._owned_context.close()
-            self._owned_context = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SortKey({self.source.name}.{self.column}, parts={len(self.sorted_parts)})"

@@ -5,8 +5,8 @@ The :class:`~repro.plan.optimizer.Optimizer` runs in two stages: join
 orders are enumerated over the join graph first
 (:mod:`repro.plan.joinorder`), then a chain of
 :class:`~repro.plan.selection.PhysicalOperatorSelection` links — the
-PatchIndex rewrites of §3.3, join algorithm/build side, TopN pushdown,
-serial/parallel variants — assigns physical operators, gated by the
+PatchIndex rewrites of §3.3, join algorithm/build side and TopN
+pushdown — assigns physical operators, gated by the
 cost model of §3.5.  The :mod:`~repro.plan.executor` lowers the
 annotated plans onto the physical operators of :mod:`repro.engine`.
 """
@@ -43,7 +43,6 @@ from repro.plan.joinorder import (
 )
 from repro.plan.selection import (
     JoinOperatorSelection,
-    ParallelVariantSelection,
     PatchIndexSelection,
     PhysicalOperatorAssignment,
     PhysicalOperatorSelection,
@@ -85,7 +84,6 @@ __all__ = [
     "PatchIndexSelection",
     "JoinOperatorSelection",
     "TopNSelection",
-    "ParallelVariantSelection",
     "default_selection_chain",
     "Optimizer",
     "OptimizationReport",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Union
 
-from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.engine import parallel_sort
 from repro.plan import nodes
 from repro.plan.stats import estimate_rows
@@ -35,17 +34,6 @@ class CostModel:
     "typically below 1 % of query runtime" observation of §3.5).  A
     use-patches flow touches only the patches; merging a short sorted
     run into a long one searches the short run and copies once.
-
-    ``parallelism`` makes the model aware of the morsel-parallel
-    executor: per-tuple costs of the data-parallel operators (scans,
-    filters, patch selections, hash joins) are divided by
-    the worker count achievable for the operator's input cardinality —
-    an input smaller than a morsel cannot use more than one worker —
-    plus a per-worker dispatch overhead.  Sorts cost the cheaper of the
-    serial n-log-n path and the parallel chunk-sort + k-way merge
-    pipeline (``sort_parallel_payoff``); the remaining order-sensitive
-    operators (merge join/combine) and the group kernel's single-path
-    distinct/aggregation keep their serial cost.
     """
 
     COST_SCAN = 1.0
@@ -55,9 +43,8 @@ class CostModel:
     COST_HASH_BUILD = 4.0
     COST_HASH_PROBE = 2.0
     COST_MERGE_JOIN = 1.0
-    #: Sort/merge/dispatch units alias the parallel-sort module's
-    #: constants so the runtime payoff gate and this model cannot drift
-    #: apart (they are documented as sharing one formula).
+    #: Sort and merge units alias the sort module's constants, whose
+    #: ``serial_sort_cost`` prices every sort.
     COST_SORT = parallel_sort.SORT_UNIT
     #: Distinct and GroupAggregate are one group kernel: 11.6 ns/row on
     #: the Fig. 7 NUC column where the hash distinct priced at 3.0 took
@@ -68,18 +55,9 @@ class CostModel:
     COST_AGGREGATE = 0.75
     COST_UNION = 0.05
     COST_MERGE_COMBINE = parallel_sort.MERGE_UNIT
-    #: Fixed cost of dispatching work to one parallel worker.
-    COST_WORKER_DISPATCH = parallel_sort.DISPATCH_UNIT
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        parallelism: int = 1,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    ) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.parallelism = max(1, int(parallelism))
-        self.morsel_rows = max(1, int(morsel_rows))
 
     def cost(self, node: nodes.PlanNode) -> float:
         """Total estimated cost of a plan subtree."""
@@ -104,91 +82,29 @@ class CostModel:
         except (TypeError, KeyError, ValueError):
             return 0.0
 
-    def _parallel(self, cost_units: float, rows: float) -> float:
-        """Scale a data-parallel operator's cost by achievable workers.
-
-        Inputs smaller than a morsel run serially in the executor, so
-        they keep the serial cost — no phantom dispatch overhead.
-        """
-        if self.parallelism <= 1 or rows <= 0:
-            return cost_units
-        workers = min(float(self.parallelism), rows / self.morsel_rows)
-        if workers <= 1.0:
-            return cost_units
-        return cost_units / workers + self.COST_WORKER_DISPATCH * workers
-
-    def _dml_scan_units(self, num_rows: float, num_predicate_columns: int) -> float:
-        """Serial cost units of an UPDATE/DELETE predicate scan."""
-        rows = float(num_rows)
-        return (
-            self.COST_SCAN * rows * max(1, num_predicate_columns)
-            + self.COST_FILTER * rows
-        )
-
     def dml_scan_cost(self, num_rows: float, num_predicate_columns: int = 1) -> float:
         """Cost of an UPDATE/DELETE predicate scan.
 
-        The scan reads only the columns the predicate references and is
-        data-parallel (the session evaluates it per morsel), so it
-        scales with the worker count exactly like a SELECT scan+filter.
+        The scan reads only the columns the predicate references, then
+        evaluates the predicate once per row.
         """
-        units = self._dml_scan_units(num_rows, num_predicate_columns)
-        return self._parallel(units, float(num_rows))
-
-    def dml_parallel_payoff(self, num_rows: float, num_predicate_columns: int = 1) -> bool:
-        """Whether the parallel DML scan undercuts the serial scan.
-
-        The session consults this before fanning a predicate scan out to
-        the worker pool: dispatch overhead must be amortized by the
-        per-worker cost reduction, otherwise the statement stays serial.
-        """
-        if self.parallelism <= 1:
-            return False
-        units = self._dml_scan_units(num_rows, num_predicate_columns)
-        return self._parallel(units, float(num_rows)) < units
+        rows = float(num_rows)
+        return self.COST_SCAN * rows * max(1, num_predicate_columns) + self.COST_FILTER * rows
 
     def sort_cost(self, num_rows: float) -> float:
-        """Cost of sorting ``num_rows``: the cheaper of the serial
-        n-log-n sort and the chunk-sort + k-way merge pipeline.
-
-        Shares the formula the runtime gate uses (see
-        :func:`repro.engine.parallel_sort.parallel_sort_cost`), so plan
-        decisions and execution agree on when a sort fans out.
-        """
-        serial = parallel_sort.serial_sort_cost(num_rows, self.COST_SORT)
-        if not self.sort_parallel_payoff(num_rows):
-            return serial
-        return parallel_sort.parallel_sort_cost(
-            num_rows,
-            self.parallelism,
-            self.morsel_rows,
-            sort_unit=self.COST_SORT,
-            merge_unit=self.COST_MERGE_COMBINE,
-            dispatch_unit=self.COST_WORKER_DISPATCH,
-        )
-
-    def sort_parallel_payoff(self, num_rows: float) -> bool:
-        """Whether a parallel chunk-sort undercuts the serial sort
-        (mirrors ``dml_parallel_payoff`` for the ORDER BY path)."""
-        if self.parallelism <= 1:
-            return False
-        return parallel_sort.sort_parallel_payoff(
-            num_rows,
-            self.parallelism,
-            self.morsel_rows,
-            sort_unit=self.COST_SORT,
-            merge_unit=self.COST_MERGE_COMBINE,
-            dispatch_unit=self.COST_WORKER_DISPATCH,
-        )
+        """Cost of an n-log-n sort of ``num_rows``."""
+        return parallel_sort.serial_sort_cost(num_rows, self.COST_SORT)
 
     def topn_cost(self, num_rows: float, n: float) -> float:
         """Cost of selecting the first ``n`` rows under a sort order.
 
-        One linear selection pass over the input (per-chunk top-n) plus
-        a full sort of the surviving candidates.  Undercuts
-        :meth:`sort_cost` whenever ``n`` is small relative to the input,
-        which is what lets the TopN selection link replace
-        Limit-over-Sort only when the pushdown actually pays off.
+        One linear selection pass over the input plus a sort of the
+        ``n`` candidates.  Undercuts :meth:`sort_cost` whenever ``n`` is
+        small relative to the input, which is what lets the TopN
+        selection link replace Limit-over-Sort.  The operator itself
+        sorts the keys of the whole input and saves only the gather of
+        the rows past ``n`` (:class:`repro.engine.operators.TopN`), so
+        this formula is optimistic; it stays as is so that no plan moves.
         """
         candidates = min(float(n), float(num_rows))
         return self.COST_SORT * float(num_rows) + parallel_sort.serial_sort_cost(
@@ -203,26 +119,23 @@ class CostModel:
         (marginal units per driving input row), ``startup`` (fixed units
         spent before the first output row — hash-build work, blocking
         sorts) and ``total``.  ``total`` is the authoritative figure the
-        optimizer compares (it includes parallel scaling, so it is not
-        always ``startup + time_per_row * cardinality``); the other keys
-        decompose it for EXPLAIN and the stage-2 selection links.
+        optimizer compares; the other keys decompose it for EXPLAIN and
+        the stage-2 selection links.
         """
         rows = estimate_rows(node, self.catalog)
         startup = 0.0
         driving = rows
         if isinstance(node, nodes.ScanNode):
             driving = float(self.catalog.table(node.table).num_rows)
-            total = self._parallel(self.COST_SCAN * driving, driving)
+            total = self.COST_SCAN * driving
         elif isinstance(node, nodes.PatchScanNode):
             # split at the patch positions: gather the patches / copy the rest
             use = node.mode == "use_patches"
             driving = float(node.index.num_patches if use else node.index.num_rows)
-            total = self._parallel(
-                (self.COST_SCAN + self.COST_PATCH_SELECT) * driving, driving
-            )
+            total = (self.COST_SCAN + self.COST_PATCH_SELECT) * driving
         elif isinstance(node, nodes.FilterNode):
             driving = estimate_rows(node.child, self.catalog)
-            total = self._parallel(self.COST_FILTER * driving, driving)
+            total = self.COST_FILTER * driving
         elif isinstance(node, nodes.ProjectNode):
             total = self.COST_PROJECT * rows
         elif isinstance(node, nodes.JoinNode):
@@ -235,9 +148,7 @@ class CostModel:
                 build, probe = min(left, right), max(left, right)
                 driving = probe
                 startup = self.COST_HASH_BUILD * build
-                total = self._parallel(
-                    self.COST_HASH_BUILD * build + self.COST_HASH_PROBE * probe, probe
-                )
+                total = self.COST_HASH_BUILD * build + self.COST_HASH_PROBE * probe
         elif isinstance(node, nodes.SortNode):
             driving = estimate_rows(node.child, self.catalog)
             total = self.sort_cost(driving)

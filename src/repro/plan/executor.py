@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.engine.batch import Relation
 from repro.engine import operators as ops
-from repro.engine.parallel import ExecutionContext
 from repro.plan import nodes
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
@@ -27,29 +26,19 @@ class _LoweringContext:
         return self.slots[slot_id]
 
 
-def build_operator_tree(
-    plan: nodes.PlanNode,
-    catalog: Catalog,
-    context: Optional[ExecutionContext] = None,
-) -> ops.Operator:
+def build_operator_tree(plan: nodes.PlanNode, catalog: Catalog, context=None) -> ops.Operator:
     """Translate a logical plan into a physical operator tree.
 
-    ``context`` attaches a morsel-parallel execution context to every
-    operator of the tree; ``None`` keeps execution serial.
+    ``context`` is ignored: execution is serial.  The benchmark spine's
+    tracer (``benchmarks/spine/spine_trace.py``) still passes
+    ``SQLSession.context`` (always ``None``) as a third argument.
     """
-    root = _lower(plan, _LoweringContext(catalog))
-    if context is not None:
-        root.bind_context(context)
-    return root
+    return _lower(plan, _LoweringContext(catalog))
 
 
-def execute_plan(
-    plan: nodes.PlanNode,
-    catalog: Catalog,
-    context: Optional[ExecutionContext] = None,
-) -> Relation:
+def execute_plan(plan: nodes.PlanNode, catalog: Catalog) -> Relation:
     """Build and run a plan."""
-    return build_operator_tree(plan, catalog, context).execute()
+    return build_operator_tree(plan, catalog).execute()
 
 
 def explain_plan(plan: nodes.PlanNode, catalog: Catalog, cost_model=None, report=None) -> str:
@@ -94,16 +83,6 @@ def explain_plan(plan: nodes.PlanNode, catalog: Catalog, cost_model=None, report
 
 
 def _lower(plan: nodes.PlanNode, ctx: _LoweringContext) -> ops.Operator:
-    op = _lower_node(plan, ctx)
-    if plan.exec_mode is not None:
-        # stage-2 operator assignment: honor the planned execution mode
-        # instead of re-deriving it ("serial" keeps the operator off the
-        # parallel paths; "parallel" marks eligibility)
-        op.forced_mode = plan.exec_mode
-    return op
-
-
-def _lower_node(plan: nodes.PlanNode, ctx: _LoweringContext) -> ops.Operator:
     if isinstance(plan, nodes.ScanNode):
         table = ctx.catalog.table(plan.table)
         return ops.Scan(table, columns=plan.columns, predicate=plan.predicate)

@@ -31,17 +31,7 @@ __all__ = [
 
 
 class PlanNode:
-    """Base class for logical plan nodes.
-
-    ``exec_mode`` is an operator-assignment annotation written by the
-    stage-2 physical operator selection (:mod:`repro.plan.selection`):
-    ``"serial"`` pins the lowered operator to the serial path,
-    ``"parallel"`` marks it eligible for morsel fan-out, and ``None``
-    (the default) leaves the decision to the executor's runtime gates.
-    """
-
-    #: Physical execution-mode annotation ("serial" / "parallel" / None).
-    exec_mode: Optional[str] = None
+    """Base class for logical plan nodes."""
 
     def children(self) -> List["PlanNode"]:
         """Child nodes, left to right (empty for leaves)."""

@@ -10,8 +10,7 @@ item 3 calls for):
 2. **Physical operator selection** (:mod:`repro.plan.selection`) — a
    chain of ``PhysicalOperatorSelection`` links assigns physical
    operators per logical node: the PatchIndex rewrites of §3.3 (first
-   link), join algorithm/build side, TopN pushdown and serial/parallel
-   execution modes.
+   link), join algorithm/build side and TopN pushdown.
 
 :meth:`Optimizer.optimize` returns just the plan (the seed API);
 :meth:`Optimizer.optimize_staged` additionally returns the
@@ -26,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Tuple
 
-from repro.engine.parallel import DEFAULT_MORSEL_ROWS
 from repro.plan import nodes
 from repro.plan.cost import CostModel
 from repro.plan.joinorder import JoinOrderDecision, reorder_joins
@@ -76,11 +74,6 @@ class Optimizer:
         Gate rewrites on estimated cost; when False, every matching
         PatchIndex rewrite is applied (the paper's forced plans) and the
         join-order/operator stages are disabled.
-    parallelism / morsel_rows:
-        Worker count and morsel size the cost model should assume (see
-        :class:`~repro.plan.cost.CostModel`); both feed the parallel
-        payoff gates, e.g. ``sort_parallel_payoff`` deciding whether a
-        SortNode is costed as a fanned-out chunk-sort.
     """
 
     def __init__(
@@ -89,16 +82,12 @@ class Optimizer:
         index_manager,
         zero_branch_pruning: bool = False,
         use_cost_model: bool = True,
-        parallelism: int = 1,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
     ) -> None:
         self.catalog = catalog
         self.index_manager = index_manager
         self.zero_branch_pruning = zero_branch_pruning
         self.use_cost_model = use_cost_model
-        self.cost_model = CostModel(
-            catalog, parallelism=parallelism, morsel_rows=morsel_rows
-        )
+        self.cost_model = CostModel(catalog)
 
     # ------------------------------------------------------------------
     def optimize(self, plan: nodes.PlanNode) -> nodes.PlanNode:

@@ -12,17 +12,14 @@ physical operators:
   vs HashJoin, and an explicit build side when both input cardinalities
   are exact;
 * :class:`TopNSelection` — Limit-over-Sort collapsed into the physical
-  TopN operator when the pushdown undercuts the full sort;
-* :class:`ParallelVariantSelection` — serial vs parallel execution-mode
-  annotations (``PlanNode.exec_mode``) for morsel-eligible operators.
+  TopN operator when the pushdown undercuts the full sort.
 
 Decisions are recorded in a :class:`PhysicalOperatorAssignment` keyed by
 node identity, with the per-operator cost dicts of
 :meth:`repro.plan.cost.CostModel.operator_cost`, so EXPLAIN can surface
-what each link chose and why.  Every link is bound by the engine's
-bit-identity contract: an assignment may only change *how* a node
-executes, never the rows (or row order) it returns — which is why the
-build-side and serial pins only fire on exact cardinalities, where the
+what each link chose and why.  An assignment may only change *how* a
+node executes, never the rows (or row order) it returns — which is why
+the build-side pin only fires on exact cardinalities, where the
 plan-time decision provably matches the one the runtime would take.
 """
 
@@ -32,7 +29,6 @@ import abc
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.parallel import DEFAULT_MIN_PARALLEL_ROWS
 from repro.plan import nodes
 from repro.plan.cost import CostModel, OperatorCost
 from repro.plan.rules import (
@@ -51,7 +47,6 @@ __all__ = [
     "PatchIndexSelection",
     "JoinOperatorSelection",
     "TopNSelection",
-    "ParallelVariantSelection",
     "default_selection_chain",
 ]
 
@@ -81,8 +76,8 @@ class PhysicalOperatorAssignment:
     """Log of stage-2 decisions, keyed by plan-node identity.
 
     The plan nodes themselves carry the operative annotations
-    (``JoinNode.algorithm`` / ``build_side``, ``PlanNode.exec_mode``,
-    rewritten subtrees); this log is the introspection side — which link
+    (``JoinNode.algorithm`` / ``build_side``, rewritten subtrees); this
+    log is the introspection side — which link
     decided what, with the operator's cost entry — surfaced through
     ``EXPLAIN (costs)``.
     """
@@ -370,74 +365,6 @@ class TopNSelection(PhysicalOperatorSelection):
         return topn
 
 
-class ParallelVariantSelection(PhysicalOperatorSelection):
-    """Serial vs parallel execution-mode annotations.
-
-    Writes ``PlanNode.exec_mode``: ``"serial"`` pins an operator to the
-    serial path — only where the runtime gate would provably stay serial
-    anyway (exact driving cardinality below the parallel threshold, or a
-    one-worker model), so the pin documents and hard-wires a decision
-    without changing it — and ``"parallel"`` marks eligibility for
-    morsel fan-out (the runtime payoff gates still apply).  Everything
-    else defers to the executor's heuristics.
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        cost_model: CostModel,
-        min_parallel_rows: int = DEFAULT_MIN_PARALLEL_ROWS,
-    ) -> None:
-        super().__init__()
-        self.catalog = catalog
-        self.cost_model = cost_model
-        self.min_parallel_rows = int(min_parallel_rows)
-
-    def _driving_rows(self, node: nodes.PlanNode) -> Optional[float]:
-        """Exact morsel-pipeline driving cardinality, or None.
-
-        Scan-rooted pipelines are gated by the *table* cardinality (the
-        morsel source), which is exact no matter what predicates sit in
-        the pipeline.
-        """
-        if isinstance(node, nodes.ScanNode):
-            try:
-                return float(self.catalog.table(node.table).num_rows)
-            except KeyError:
-                return None
-        if isinstance(node, nodes.PatchScanNode):
-            return float(node.index.num_rows)
-        if isinstance(node, nodes.FilterNode) and isinstance(node.child, nodes.ScanNode):
-            return self._driving_rows(node.child)
-        return None
-
-    def _apply_selection(
-        self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
-    ) -> nodes.PlanNode:
-        for child in plan.children():
-            self._apply_selection(child, assignment)
-        if not isinstance(
-            plan, (nodes.ScanNode, nodes.PatchScanNode, nodes.FilterNode)
-        ):
-            return plan
-        rows = self._driving_rows(plan)
-        if rows is None:
-            return plan
-        name = type(plan).__name__
-        name = name[:-4] if name.endswith("Node") else name
-        if self.cost_model.parallelism <= 1 or rows < self.min_parallel_rows:
-            plan.exec_mode = "serial"
-            assignment.assign(
-                plan, f"{name}[serial]", self.cost_model, type(self).__name__
-            )
-        else:
-            plan.exec_mode = "parallel"
-            assignment.assign(
-                plan, f"{name}[parallel]", self.cost_model, type(self).__name__
-            )
-        return plan
-
-
 def default_selection_chain(
     catalog: Catalog,
     index_manager,
@@ -445,7 +372,7 @@ def default_selection_chain(
     zero_branch_pruning: bool = False,
     force: bool = False,
 ) -> PhysicalOperatorSelection:
-    """The standard stage-2 chain: PatchIndex → joins → TopN → parallel.
+    """The standard stage-2 chain: PatchIndex → joins → TopN.
 
     In ``force`` mode (the paper's forced-plan experiments) the chain is
     the PatchIndex link alone, reproducing the pre-staged optimizer's
@@ -459,5 +386,4 @@ def default_selection_chain(
     return (
         head.chain_with(JoinOperatorSelection(catalog, cost_model))
         .chain_with(TopNSelection(catalog, cost_model))
-        .chain_with(ParallelVariantSelection(catalog, cost_model))
     )

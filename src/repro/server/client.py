@@ -651,7 +651,7 @@ class AsyncSQLClient:
         Best-effort (spec §3.5): a queued statement is aborted and its
         :meth:`wait` raises :class:`ServerError` with code
         ``query-cancelled``; a statement already executing has its
-        cancellation token fired and unwinds at the next morsel
+        cancellation token fired and unwinds at the next
         checkpoint (writes atomically un-applied) — it may still reply
         with its normal result if it was already past the final
         checkpoint.

@@ -103,7 +103,7 @@ FATAL_ERROR_CODES = frozenset({ERR_AUTH, ERR_PROTOCOL, ERR_TOO_LARGE, ERR_CAPACI
 
 #: Codes a client may transparently retry (spec §5): the statement
 #: provably did not apply.  ``query-timeout`` qualifies because engine
-#: checkpoints only fire between morsels and before a write's atomic
+#: checkpoints only fire between chunks and before a write's atomic
 #: mutation; ``overloaded`` and ``capacity`` were refused before
 #: admission.  ``query-cancelled`` is deliberately NOT retryable — the
 #: cancel expressed user intent.  Retryable error frames may carry an

@@ -5,8 +5,7 @@ The network front door of the ROADMAP's "millions of users" leg: an
 ``docs/protocol.md`` (normative; see :mod:`repro.server.protocol` for
 the codec), multiplexing every connection onto **one**
 :class:`~repro.sql.async_session.AsyncSQLSession` — and therefore one
-:class:`~repro.engine.parallel.ExecutionContext` worker pool and one
-write order.  ``docs/architecture.md`` places this layer in the system
+statement lane and one write order.  ``docs/architecture.md`` places this layer in the system
 and explains why connections share the session core: per-connection
 session cores would each carry their own writer lock over the same
 catalog, which is exactly the unsynchronized concurrent DML the
@@ -35,7 +34,7 @@ Lifecycle
   still-queued statement is removed and never runs; a statement already
   *executing* has its
   :class:`~repro.engine.interrupt.CancellationToken` fired and unwinds
-  at its next between-morsel checkpoint — reads leave tables untouched,
+  at its next between-chunk checkpoint — reads leave tables untouched,
   writes are atomically un-applied (the last checkpoint sits
   immediately before the mutation).  The reply carries the
   ``query-cancelled`` error code either way.  Statement deadlines ride
@@ -53,7 +52,7 @@ Lifecycle
   *queued* statements with typed ``server-closed`` error frames
   (:class:`~repro.sql.async_session.ServerClosedError` underneath), let
   in-flight statements commit and deliver their results, then say
-  ``goodbye`` on every connection and release the pools.
+  ``goodbye`` on every connection and release the statement lane.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from repro.engine.interrupt import (
     QueryTimeoutError,
     validate_timeout_ms,
 )
-from repro.engine.parallel import DEFAULT_MORSEL_ROWS, validate_parallelism
+from repro.engine.parallel import validate_parallelism
 from repro.sql.async_session import (
     AsyncSQLSession,
     QueryStats,
@@ -186,15 +185,13 @@ class SQLServer:
     Parameters
     ----------
     catalog / index_manager / zero_branch_pruning / use_cost_model /
-    parallelism / morsel_rows / session_max_inflight /
-    session_max_queued / statement_timeout_ms / stall_timeout_s /
+    session_max_inflight / session_max_queued / statement_timeout_ms /
     stats_history:
         Forwarded to the single shared :class:`AsyncSQLSession`
         (``session_max_inflight`` is its global ``max_inflight``
         admission bound, ``session_max_queued`` its overload-shedding
-        queue bound, ``statement_timeout_ms`` the default per-statement
-        deadline clients may override per statement, and
-        ``stall_timeout_s`` the wedged-pool self-heal trigger).
+        queue bound, and ``statement_timeout_ms`` the default
+        per-statement deadline clients may override per statement).
     data_dir / wal_sync / checkpoint_interval / checkpoint_retain:
         Durability knobs, forwarded to the shared session.  With
         ``data_dir`` set, the server recovers the directory's committed
@@ -236,12 +233,9 @@ class SQLServer:
         max_inflight: int = 16,
         zero_branch_pruning: bool = False,
         use_cost_model: bool = True,
-        parallelism: int = 1,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
         session_max_inflight: int = 8,
         session_max_queued: Optional[int] = None,
         statement_timeout_ms: Optional[int] = None,
-        stall_timeout_s: Optional[float] = None,
         stats_history: int = 256,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         data_dir: Optional[str] = None,
@@ -264,12 +258,9 @@ class SQLServer:
             index_manager,
             zero_branch_pruning=zero_branch_pruning,
             use_cost_model=use_cost_model,
-            parallelism=parallelism,
-            morsel_rows=morsel_rows,
             max_inflight=session_max_inflight,
             max_queued=session_max_queued,
             statement_timeout_ms=statement_timeout_ms,
-            stall_timeout_s=stall_timeout_s,
             stats_history=stats_history,
             data_dir=data_dir,
             wal_sync=wal_sync,
@@ -342,7 +333,7 @@ class SQLServer:
         with typed ``server-closed`` errors, waits for in-flight
         statements to commit *and their result frames to be written*,
         then says ``goodbye`` on every connection and releases the
-        session's worker pools.
+        session's statement lane.
         """
         if self._closed:
             return

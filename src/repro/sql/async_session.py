@@ -3,8 +3,7 @@
 The ROADMAP's north star — heavy traffic from many concurrent clients —
 needs more than one blocking :class:`~repro.sql.session.SQLSession`:
 this module multiplexes many ``await session.execute(sql)`` callers
-onto **one** session core and **one**
-:class:`~repro.engine.parallel.ExecutionContext` worker pool.
+onto **one** session core and one statement lane of worker threads.
 
 Scheduling discipline
 ---------------------
@@ -14,10 +13,9 @@ Scheduling discipline
   runs only once the statement holds its execution slot — so rewrites
   that snapshot live index state (zero-branch pruning reads patch
   counts) see exactly the state execution will.  Execution is
-  dispatched to worker threads through the context's external lane
-  (:meth:`ExecutionContext.submit_external`, the
-  ``run_in_executor``-style entry point), where the numpy kernels
-  release the GIL.
+  dispatched to the statement lane, a
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``max_inflight``
+  threads, where the numpy kernels release the GIL.
 * Admission is a **fair FIFO queue** bounded by ``max_inflight``:
   statements are admitted strictly in arrival order, so a burst of
   cheap queries cannot starve an earlier expensive one, and at most
@@ -35,7 +33,7 @@ Scheduling discipline
   still queued removes it before it ever starts (the statement never
   runs); cancelling after dispatch fires the statement's
   :class:`~repro.engine.interrupt.CancellationToken`, so a *running*
-  morsel pipeline unwinds at its next between-morsel checkpoint with
+  statement unwinds at its next between-chunk checkpoint with
   :class:`~repro.engine.interrupt.QueryCancelledError` — reads leave
   tables untouched, writes are atomically un-applied (the last
   checkpoint sits immediately before the mutation).  The awaiting
@@ -72,6 +70,7 @@ import asyncio
 import collections
 import dataclasses
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, List, Optional, Tuple
 
 from repro.engine.interrupt import (
@@ -80,11 +79,7 @@ from repro.engine.interrupt import (
     cancellation_scope,
     validate_timeout_ms,
 )
-from repro.engine.parallel import (
-    DEFAULT_MORSEL_ROWS,
-    ExecutionContext,
-    validate_parallelism,
-)
+from repro.engine.parallel import validate_parallelism
 from repro.sql.parser import parse_statement
 from repro.sql.session import (
     KIND_READ,
@@ -173,9 +168,7 @@ def _timed_run(
     The cancellation scope is installed *here*, around the
     ``run_prepared`` call, rather than threading the token through the
     session API — the scope is thread-local, and this is the thread the
-    statement (and therefore every checkpoint on it) runs on; morsel
-    fan-outs re-capture the token explicitly at dispatch
-    (see :meth:`~repro.engine.parallel.ExecutionContext.map`).
+    statement (and therefore every checkpoint on it) runs on.
     """
     if faults.ACTIVE:
         faults.fire("session.dispatch")
@@ -196,14 +189,9 @@ class AsyncSQLSession:
     ----------
     catalog / index_manager / zero_branch_pruning / use_cost_model:
         Forwarded to the underlying :class:`SQLSession`.
-    parallelism / morsel_rows:
-        Morsel-parallel execution knobs; the async session creates one
-        shared :class:`ExecutionContext` with them and hands it to the
-        session core (pool handle sharing), so every client's morsel
-        work lands on the same pool.
     max_inflight:
         Admission bound: at most this many statements execute on worker
-        threads at once (also the external lane's thread count); the
+        threads at once (also the statement lane's thread count); the
         rest wait in the FIFO queue.
     max_queued:
         Overload shedding bound: when set, a statement arriving while
@@ -217,12 +205,8 @@ class AsyncSQLSession:
         it via ``execute(..., timeout_ms=...)``.  Expired statements
         raise :class:`~repro.engine.interrupt.QueryTimeoutError`; a
         timed-out write never mutated anything (the engine's
-        checkpoints fire only between morsels and before the atomic
+        checkpoints fire only between chunks and before the atomic
         mutation), so timeouts are always safe to retry.
-    stall_timeout_s:
-        Forwarded to the shared :class:`ExecutionContext`: seconds
-        before a silent morsel task is treated as a wedged pool and the
-        self-healing serial fallback engages (``None`` disables).
     stats_history:
         How many per-query :class:`QueryStats` records to retain.
     data_dir / wal_sync / checkpoint_interval / checkpoint_retain:
@@ -237,7 +221,7 @@ class AsyncSQLSession:
 
     Usage::
 
-        async with AsyncSQLSession(catalog, parallelism=4) as db:
+        async with AsyncSQLSession(catalog, max_inflight=4) as db:
             rows = await db.execute("SELECT COUNT(*) AS n FROM t")
     """
 
@@ -247,12 +231,9 @@ class AsyncSQLSession:
         index_manager=None,
         zero_branch_pruning: bool = False,
         use_cost_model: bool = True,
-        parallelism: int = 1,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
         max_inflight: int = 8,
         max_queued: Optional[int] = None,
         statement_timeout_ms: Optional[int] = None,
-        stall_timeout_s: Optional[float] = None,
         stats_history: int = 256,
         data_dir: Optional[str] = None,
         wal_sync: str = "fsync",
@@ -265,30 +246,21 @@ class AsyncSQLSession:
             if max_queued is None
             else validate_parallelism(max_queued, name="max_queued")
         )
-        self._context = ExecutionContext(
-            parallelism=parallelism,
-            morsel_rows=morsel_rows,
-            external_workers=self._max_inflight,
-            stall_timeout_s=stall_timeout_s,
+        self._session = SQLSession(
+            catalog,
+            index_manager,
+            zero_branch_pruning=zero_branch_pruning,
+            use_cost_model=use_cost_model,
+            statement_timeout_ms=statement_timeout_ms,
+            data_dir=data_dir,
+            wal_sync=wal_sync,
+            checkpoint_interval=checkpoint_interval,
+            checkpoint_retain=checkpoint_retain,
         )
-        try:
-            self._session = SQLSession(
-                catalog,
-                index_manager,
-                zero_branch_pruning=zero_branch_pruning,
-                use_cost_model=use_cost_model,
-                context=self._context,
-                statement_timeout_ms=statement_timeout_ms,
-                data_dir=data_dir,
-                wal_sync=wal_sync,
-                checkpoint_interval=checkpoint_interval,
-                checkpoint_retain=checkpoint_retain,
-            )
-        except BaseException:
-            # a failed recovery (or a rejected durability knob) must not
-            # leak the just-created worker pool
-            self._context.close()
-            raise
+        # the statement lane: threads start on first use
+        self._lane = ThreadPoolExecutor(
+            max_workers=self._max_inflight, thread_name_prefix="repro-stmt"
+        )
         self._queue: Deque[_Waiter] = collections.deque()
         self._inflight = 0
         self._active_reads = 0
@@ -320,11 +292,6 @@ class AsyncSQLSession:
     def statement_timeout_ms(self) -> Optional[int]:
         """Default statement deadline of the session core (None = off)."""
         return self._session.statement_timeout_ms
-
-    @property
-    def parallelism(self) -> int:
-        """Morsel worker count of the session core."""
-        return self._session.parallelism
 
     @property
     def data_dir(self) -> Optional[str]:
@@ -531,8 +498,8 @@ class AsyncSQLSession:
 
         Interruption: every dispatched statement runs under its own
         :class:`~repro.engine.interrupt.CancellationToken`.  Cancelling
-        the awaiting task fires the token, so a *running* morsel
-        pipeline unwinds at its next checkpoint instead of grinding to
+        the awaiting task fires the token, so a *running* statement
+        unwinds at its next checkpoint instead of grinding to
         completion; the admission slot is still held until the worker
         thread actually returns.  The effective deadline
         (``timeout_ms`` override, else the session default) is measured
@@ -584,8 +551,7 @@ class AsyncSQLSession:
 
         if kind == KIND_SESSION:
             # session knobs (SET) run inline on the loop: they are
-            # metadata-cheap, and swapping the execution context from a
-            # pool thread the context itself owns would be self-joining
+            # metadata-cheap
             try:
                 t0 = time.perf_counter_ns()
                 result = self._session.run_prepared(prepared)
@@ -597,13 +563,11 @@ class AsyncSQLSession:
             )
 
         seq_at_start = self._commit_seq
-        future = self._context.submit_external(
-            _timed_run, self._session, prepared, token
-        )
+        future = self._lane.submit(_timed_run, self._session, prepared, token)
         try:
             result, exec_ns = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
-            # fire the token so the statement's morsel pipeline unwinds
+            # fire the token so the statement unwinds
             # at its next checkpoint instead of grinding to completion;
             # the slot is held until the worker thread actually returns
             token.cancel()
@@ -714,19 +678,20 @@ class AsyncSQLSession:
         are rejected with :class:`ServerClosedError`, statements still
         *queued* for admission are aborted with the same typed error
         (they never ran, so the committed write order is untouched), and
-        statements already in flight run to completion before the worker
-        pools are released.  Returns the number of aborted statements.
+        statements already in flight run to completion before the
+        statement lane is released.  Returns the number of aborted
+        statements.
         Idempotent; :meth:`aclose` after ``shutdown`` is a no-op.
         """
         self._closed = True
         aborted = self._abort_queued()
         await self.drain()
         self._session.close()
-        self._context.close()
+        self._lane.shutdown()
         return aborted
 
     async def aclose(self) -> None:
-        """Stop admitting new statements, drain, release the pools.
+        """Stop admitting new statements, drain, release the lane.
 
         Queued statements still run to completion; only statements
         submitted after ``aclose`` began are rejected.
@@ -736,7 +701,7 @@ class AsyncSQLSession:
         self._closed = True
         await self.drain()
         self._session.close()
-        self._context.close()
+        self._lane.shutdown()
 
     def close(self) -> None:
         """Synchronous teardown for use outside any event loop.
@@ -748,7 +713,7 @@ class AsyncSQLSession:
         if self._queue or self._inflight:
             raise RuntimeError("statements still in flight; use aclose()")
         self._session.close()
-        self._context.close()
+        self._lane.shutdown()
 
     async def __aenter__(self) -> "AsyncSQLSession":
         return self
@@ -758,7 +723,7 @@ class AsyncSQLSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"AsyncSQLSession(parallelism={self.parallelism}, "
-            f"max_inflight={self._max_inflight}, inflight={self._inflight}, "
+            f"AsyncSQLSession(max_inflight={self._max_inflight}, "
+            f"inflight={self._inflight}, "
             f"queued={len(self._queue)}, commits={self._commit_seq})"
         )

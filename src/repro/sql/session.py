@@ -29,17 +29,12 @@ import numpy as np
 from repro.engine.batch import ROWID, Relation
 from repro.engine.expressions import expression_columns
 from repro.engine.interrupt import (
+    CHECKPOINT_ROWS,
     CancellationToken,
     cancellation_scope,
     checkpoint,
     current_token,
     validate_timeout_ms,
-)
-from repro.engine.parallel import (
-    DEFAULT_MORSEL_ROWS,
-    ExecutionContext,
-    row_chunks,
-    validate_parallelism,
 )
 from repro.plan import nodes
 from repro.plan.cost import CostModel
@@ -95,8 +90,7 @@ class ConcurrentSessionError(RuntimeError):
     """A second thread entered a blocking :class:`SQLSession`.
 
     The blocking session owns mutable per-statement state (positional
-    delta maintenance, the execution-context swap of ``SET
-    parallelism``) and is strictly one-statement-at-a-time; interleaved
+    delta maintenance) and is strictly one-statement-at-a-time; interleaved
     use from several threads used to corrupt DML state silently.  Use
     :class:`repro.sql.async_session.AsyncSQLSession` for concurrent
     clients — it multiplexes onto one session core with a proper
@@ -111,7 +105,7 @@ def classify_statement(stmt: Statement) -> str:
     concurrently with each other; ``write`` statements (INSERT / UPDATE
     / DELETE) mutate storage and require exclusive access; ``session``
     statements (SET) reconfigure the session itself — also exclusive,
-    since e.g. ``SET parallelism`` swaps the live execution context.
+    since e.g. ``SET wal_sync`` changes how the next commit is logged.
     """
     if isinstance(stmt, SelectStatement):
         return KIND_READ
@@ -152,29 +146,11 @@ class SQLSession:
         rewrites fire on plain SQL text.
     zero_branch_pruning / use_cost_model:
         Forwarded to the optimizer.
-    parallelism:
-        Worker count for morsel-parallel execution of SELECT statements
-        (including ORDER BY, which runs as parallel chunk-sorts plus a
-        deterministic k-way merge gated by ``sort_parallel_payoff``)
-        and UPDATE/DELETE predicate scans; ``1`` (the default) runs
-        serially.  Also settable per session via the SQL statement
-        ``SET parallelism = N``.  Parallel results are bit-identical to
-        serial execution.  DML addresses plain and partitioned tables
-        alike: matched global rowids route through
-        ``PartitionedTable.modify_global``/``delete_global``.
-    morsel_rows:
-        Rows per parallel work unit (see :mod:`repro.engine.parallel`).
-    context:
-        An externally-owned :class:`ExecutionContext` to share (pool
-        handle sharing): the session runs its morsel work on the given
-        context instead of creating one, never closes it, and takes its
-        ``parallelism``/``morsel_rows`` knobs from it.  This is how
-        ``AsyncSQLSession`` multiplexes many clients onto one pool.
     statement_timeout_ms:
         Default per-statement deadline in milliseconds; ``None`` (the
         default) disables it.  :meth:`execute` arms a
         :class:`~repro.engine.interrupt.CancellationToken` with this
-        deadline, and morsel pipelines unwind with
+        deadline, and statements unwind with
         :class:`~repro.engine.interrupt.QueryTimeoutError` when it
         expires — reads leave tables untouched, DML either fully
         applies or raises before mutating anything.  Also settable per
@@ -204,7 +180,10 @@ class SQLSession:
         Checkpoint files kept on disk (WAL segments are pruned only
         once no retained checkpoint needs them).
 
-    The blocking session executes one statement at a time; concurrent
+    Execution is serial.  DML addresses plain and partitioned tables
+    alike: matched global rowids route through
+    ``PartitionedTable.modify_global``/``delete_global``.  The blocking
+    session executes one statement at a time; concurrent
     :meth:`execute` calls from other threads raise
     :class:`ConcurrentSessionError` (see the module docstring).
     """
@@ -215,9 +194,6 @@ class SQLSession:
         index_manager=None,
         zero_branch_pruning: bool = False,
         use_cost_model: bool = True,
-        parallelism: int = 1,
-        morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        context: Optional[ExecutionContext] = None,
         statement_timeout_ms: Optional[int] = None,
         data_dir: Optional[str] = None,
         wal_sync: str = "fsync",
@@ -225,14 +201,9 @@ class SQLSession:
         checkpoint_retain: int = 2,
     ) -> None:
         self.catalog = catalog
-        if context is not None:
-            parallelism = context.parallelism
-            morsel_rows = context.morsel_rows
-        self._morsel_rows = morsel_rows
         self._statement_timeout_ms: Optional[int] = None
         self.set_statement_timeout_ms(statement_timeout_ms)
-        self._context: Optional[ExecutionContext] = None
-        self._owns_context = True
+        self._cost_model = CostModel(catalog)
         self._exec_guard = threading.Lock()
         # durability knobs validate up front even without a data_dir,
         # so a misconfigured server fails at construction, not first use
@@ -250,13 +221,7 @@ class SQLSession:
                 index_manager,
                 zero_branch_pruning=zero_branch_pruning,
                 use_cost_model=use_cost_model,
-                parallelism=parallelism,
-                morsel_rows=morsel_rows,
             )
-        if context is not None:
-            self._attach_context(context)
-        else:
-            self.set_parallelism(parallelism)
         if data_dir is not None:
             self._durability = DurabilityManager(
                 catalog,
@@ -269,76 +234,25 @@ class SQLSession:
             # mode: nothing re-logs), then arms commit-point logging
             self._durability.recover(self)
 
-    # ------------------------------------------------------------------
-    # parallelism knob
-    # ------------------------------------------------------------------
     @property
-    def parallelism(self) -> int:
-        """Current worker count (1 = serial)."""
-        return self._context.parallelism if self._context is not None else 1
+    def context(self) -> None:
+        """Always ``None``: execution is serial.
 
-    @property
-    def context(self) -> Optional[ExecutionContext]:
-        """The live execution context handle (``None`` when serial).
-
-        Exposed for pool handle sharing: a front-end may dispatch
-        statement-granular work onto the same context via
-        :meth:`ExecutionContext.submit_external`.
+        Kept because the benchmark spine's tracer
+        (``benchmarks/spine/spine_trace.py``) passes it to
+        :func:`~repro.plan.executor.build_operator_tree`.
         """
-        return self._context
-
-    def _refresh_cost_models(self, parallelism: int) -> None:
-        #: costs the DML predicate scan at the session's morsel size
-        #: (the optimizer's model keeps the plan-level default)
-        self._dml_cost_model = CostModel(
-            self.catalog, parallelism=parallelism, morsel_rows=self._morsel_rows
-        )
-        if self.optimizer is not None:
-            self.optimizer.cost_model.parallelism = parallelism
-
-    def _attach_context(self, context: ExecutionContext) -> None:
-        """Adopt a shared, externally-owned execution context."""
-        self._context = context
-        self._owns_context = False
-        self._refresh_cost_models(context.parallelism)
-
-    def set_parallelism(self, parallelism: int) -> None:
-        """Reconfigure the session's worker count.
-
-        Replaces the execution context (shutting the old worker pool
-        down when the session owns it; a shared context is merely
-        detached and stays open for its owner) and updates the
-        optimizer's cost model so plan decisions reflect the new worker
-        count.  The worker count covers SELECT and DML alike:
-        UPDATE/DELETE predicate scans run morsel-parallel on the same
-        context.  Rejects non-integers and values below 1.
-        """
-        parallelism = validate_parallelism(parallelism)
-        old, self._context = self._context, None
-        if old is not None and self._owns_context:
-            old.close()
-        self._owns_context = True
-        if parallelism > 1:
-            self._context = ExecutionContext(
-                parallelism=parallelism, morsel_rows=self._morsel_rows
-            )
-        self._refresh_cost_models(parallelism)
+        return None
 
     def close(self) -> None:
-        """Release the worker pool and seal durability.
+        """Seal durability.
 
-        The session stays usable serially (a shared context is
-        detached, not closed — its owner decides its lifetime), but a
-        durable session's WAL is synced, checkpointed (when any commit
-        happened since the last checkpoint) and closed: this is the
-        graceful-shutdown flush the server drain relies on.  Writes
-        after close on a durable session raise
-        :class:`~repro.storage.wal.WALError`.
+        The session stays usable, but a durable session's WAL is synced,
+        checkpointed (when any commit happened since the last
+        checkpoint) and closed: this is the graceful-shutdown flush the
+        server drain relies on.  Writes after close on a durable session
+        raise :class:`~repro.storage.wal.WALError`.
         """
-        old, self._context = self._context, None
-        if old is not None and self._owns_context:
-            old.close()
-        self._owns_context = True
         if self._durability is not None:
             self._durability.close(checkpoint=True)
 
@@ -384,7 +298,7 @@ class SQLSession:
             plan = stmt.plan
             if self.optimizer is not None:
                 plan = self.optimizer.optimize(plan)
-            cost_hint = self._dml_cost_model.admission_cost(plan)
+            cost_hint = self._cost_model.admission_cost(plan)
         elif isinstance(stmt, (UpdateStatement, DeleteStatement)):
             try:
                 table = self.catalog.table(stmt.table)
@@ -396,7 +310,7 @@ class SQLSession:
                     if stmt.predicate is not None
                     else 0
                 )
-                cost_hint = self._dml_cost_model.dml_scan_cost(
+                cost_hint = self._cost_model.dml_scan_cost(
                     table.num_rows, max(1, width)
                 )
         return PreparedStatement(
@@ -415,7 +329,7 @@ class SQLSession:
         stmt = prepared.statement
         if isinstance(stmt, SelectStatement):
             plan = prepared.plan if prepared.plan is not None else stmt.plan
-            return execute_plan(plan, self.catalog, context=self._context)
+            return execute_plan(plan, self.catalog)
         if isinstance(stmt, InsertStatement):
             return self._run_insert(stmt, prepared.sql)
         if isinstance(stmt, UpdateStatement):
@@ -439,7 +353,7 @@ class SQLSession:
         statement runs under a deadline-armed
         :class:`~repro.engine.interrupt.CancellationToken` and raises
         :class:`~repro.engine.interrupt.QueryTimeoutError` if it runs
-        past it — always from *between* morsels, so storage is never
+        past it — always from *between* chunks, so storage is never
         half-mutated.  A token already installed by the caller (via
         :func:`~repro.engine.interrupt.cancellation_scope`) takes
         precedence; the session never overrides an explicit scope.
@@ -479,7 +393,7 @@ class SQLSession:
             plan, report = self.optimizer.optimize_staged(plan)
         if costs:
             return explain_plan(
-                plan, self.catalog, cost_model=self._dml_cost_model, report=report
+                plan, self.catalog, cost_model=self._cost_model, report=report
             )
         return plan.explain()
 
@@ -578,9 +492,6 @@ class SQLSession:
 
     def _run_set(self, stmt: SetStatement) -> int:
         name = stmt.name.lower()
-        if name == "parallelism":
-            self.set_parallelism(stmt.value)
-            return self.parallelism
         if name == "statement_timeout_ms":
             value = stmt.value
             if isinstance(value, str) and value.lower() in ("off", "none"):
@@ -636,12 +547,10 @@ class SQLSession:
         """RowIDs of the tuples matching a DML predicate.
 
         Only the columns the predicate references are materialized —
-        untouched columns never leave storage.  With an active execution
-        context — and when the cost model says the fan-out pays for its
-        dispatch overhead — the predicate is evaluated per morsel on the
-        shared worker pool and the per-morsel rowid arrays are
-        concatenated in morsel order, so the result is bit-identical to
-        the serial scan.
+        untouched columns never leave storage.  While a cancellation
+        token is armed the predicate runs in ``CHECKPOINT_ROWS`` chunks
+        with a checkpoint before each; predicates are elementwise, so
+        the concatenated per-chunk rowids equal one whole-table pass.
         """
         if predicate is None:
             return table.rowids()
@@ -656,29 +565,15 @@ class SQLSession:
             return np.flatnonzero(mask).astype(np.int64)
         arrays = table.columns(referenced)
         num_rows = table.num_rows
-        ctx = self._context
-        if ctx is not None and ctx.active:
-            chunks = row_chunks(num_rows, ctx.morsel_rows)
-            if ctx.should_parallelize(num_rows, len(chunks)) and (
-                self._dml_cost_model.dml_parallel_payoff(num_rows, len(referenced))
-            ):
-                pieces = ctx.map(
-                    lambda chunk: _morsel_predicate_rowids(arrays, predicate, chunk),
-                    chunks,
-                )
-                return np.concatenate(pieces)
-        if current_token() is not None:
-            # interruptible serial path: same morsel loop, checkpointed.
-            # Concatenating per-chunk rowids in chunk order is the
-            # parallel path's own bit-identity property.
-            morsel_rows = ctx.morsel_rows if ctx is not None else self._morsel_rows
-            chunks = row_chunks(num_rows, max(1, morsel_rows))
-            if len(chunks) > 1:
-                pieces = []
-                for chunk in chunks:
-                    checkpoint()
-                    pieces.append(_morsel_predicate_rowids(arrays, predicate, chunk))
-                return np.concatenate(pieces)
+        if current_token() is not None and num_rows > CHECKPOINT_ROWS:
+            pieces = []
+            for start in range(0, num_rows, CHECKPOINT_ROWS):
+                checkpoint()
+                stop = min(start + CHECKPOINT_ROWS, num_rows)
+                chunk = Relation({name: arr[start:stop] for name, arr in arrays.items()})
+                mask = np.asarray(predicate.evaluate(chunk), dtype=bool)
+                pieces.append(np.flatnonzero(mask).astype(np.int64) + start)
+            return np.concatenate(pieces)
         mask = np.asarray(predicate.evaluate(Relation(arrays)), dtype=bool)
         return np.flatnonzero(mask).astype(np.int64)
 
@@ -773,15 +668,3 @@ def _coerce_for_storage(column: str, field, raw) -> np.ndarray:
         raw = [np.nan if v is None else v for v in raw]
     return np.asarray(raw, dtype=dtype)
 
-
-def _morsel_predicate_rowids(arrays, predicate, chunk) -> np.ndarray:
-    """Matching rowids of one morsel (global rowid space).
-
-    ``arrays`` are whole-table column views materialized once on the
-    calling thread; the morsel task only slices them (zero-copy) and
-    runs the vectorized predicate kernels, which release the GIL.
-    """
-    start, stop = chunk
-    rel = Relation({name: arr[start:stop] for name, arr in arrays.items()})
-    mask = np.asarray(predicate.evaluate(rel), dtype=bool)
-    return np.flatnonzero(mask).astype(np.int64) + start

@@ -7,7 +7,7 @@ boolean read, so the harness costs nothing outside the chaos suites.
 oracle: it replays a versioned SQL corpus through :class:`SQLSession`
 and stdlib ``sqlite3`` side by side and reports row-level divergences.
 Its names are re-exported lazily — the differential module pulls in the
-whole SQL stack, while :mod:`repro.engine.parallel` imports *this*
+whole SQL stack, while :mod:`repro.engine.operators` imports *this*
 package for the fault points, so an eager import would be circular.
 """
 

@@ -20,11 +20,11 @@ Supported actions:
     Raise ``rule.exc`` (default :class:`InjectedWorkerError`) at the
     point — a worker crash, a dropped connection, a poisoned task.
 ``sleep``
-    Sleep ``rule.sleep_s`` — a slow morsel or a laggy peer.
+    Sleep ``rule.sleep_s`` — a slow scan piece or a laggy peer.
 ``block``
     Park the calling thread on an event until the test calls
     :meth:`FaultInjector.release` (or a safety cap expires) — a wedged
-    pool worker, used to drive the stall-quarantine path.
+    statement thread holding its admission slot.
 
 Byte corruption is separate: codecs call :func:`mutate` on outgoing
 frames, and a ``corrupt`` rule flips one deterministically chosen byte.
@@ -32,8 +32,8 @@ frames, and a ``corrupt`` rule flips one deterministically chosen byte.
 Known injection points (the :data:`KNOWN_POINTS` registry; grep for
 ``faults.fire`` / ``faults.mutate`` — a test asserts the two agree):
 
-- ``worker.morsel`` — inside every pool/inline morsel task
-  (:meth:`repro.engine.parallel.ExecutionContext.map`).
+- ``worker.morsel`` — once per piece of a piecewise scan, before the
+  piece's checkpoint (:meth:`repro.engine.operators.Scan.execute`).
 - ``session.dispatch`` — at the top of the async session's worker-thread
   statement body.
 - ``server.send`` — before a server frame is written to a connection.

@@ -1,11 +1,12 @@
 """Cooperative interruption primitives and their engine integration.
 
 Covers the token/scope/checkpoint machinery of
-:mod:`repro.engine.interrupt`, the morsel-granular interruption of
-:meth:`ExecutionContext.map` (inline and pool paths), the
-worker-exception and wedged-pool self-heal behaviors, the fault
-injection harness itself, and the bit-identity of an interruptible
-serial scan against the plain one.
+:mod:`repro.engine.interrupt`, the fault injection harness itself, the
+piecewise scan an armed token switches to — it covers every row once in
+pieces that never span a partition, interrupts between pieces, fires
+the ``worker.morsel`` fault point once per piece, and is bit-identical
+to the plain scan — and the checkpoint every blocking operator and the
+run merge take before their kernels.
 """
 
 import threading
@@ -15,7 +16,10 @@ import numpy as np
 import pytest
 
 from repro.engine import operators as ops
+from repro.engine.batch import Relation
+from repro.engine.expressions import col
 from repro.engine.interrupt import (
+    CHECKPOINT_ROWS,
     CancellationToken,
     QueryCancelledError,
     QueryInterruptedError,
@@ -25,9 +29,12 @@ from repro.engine.interrupt import (
     current_token,
     validate_timeout_ms,
 )
-from repro.engine.parallel import ExecutionContext, validate_stall_timeout
+from repro.engine.parallel_sort import merge_sorted_runs
 from repro.testing import FaultInjector, FaultRule, InjectedWorkerError, inject
-from repro.storage import Table
+from repro.storage import PartitionedTable, Table
+
+#: Enough rows for three scan pieces while a token is armed.
+PIECEWISE_ROWS = 2 * CHECKPOINT_ROWS + 5
 
 
 def make_table(n=1000, name="t"):
@@ -50,16 +57,6 @@ class TestValidateTimeoutMs:
     def test_rejects_non_integers(self, value):
         with pytest.raises(TypeError):
             validate_timeout_ms(value)
-
-    def test_stall_timeout_validation(self):
-        assert validate_stall_timeout(2.5) == 2.5
-        assert validate_stall_timeout(3) == 3.0
-        for bad in (0, -1.0):
-            with pytest.raises(ValueError):
-                validate_stall_timeout(bad)
-        for bad in (True, "2", None):
-            with pytest.raises(TypeError):
-                validate_stall_timeout(bad)
 
 
 class TestCancellationToken:
@@ -144,120 +141,6 @@ class TestScope:
         assert seen == [None]
 
 
-class TestMapInterruption:
-    def test_inline_map_checks_token(self):
-        token = CancellationToken()
-        token.cancel()
-        with ExecutionContext(parallelism=1) as ctx:
-            with cancellation_scope(token):
-                with pytest.raises(QueryCancelledError):
-                    ctx.map(lambda x: x * 2, [1, 2, 3])
-
-    def test_pool_map_checks_token(self):
-        # workers don't inherit thread-locals: the token must be
-        # captured at fan-out for the pool path to interrupt at all
-        token = CancellationToken()
-        token.cancel()
-        with ExecutionContext(parallelism=2) as ctx:
-            with cancellation_scope(token):
-                with pytest.raises(QueryCancelledError):
-                    ctx.map(lambda x: x * 2, list(range(8)))
-
-    def test_pool_map_timeout_token(self):
-        token = CancellationToken(timeout_ms=1)
-        time.sleep(0.01)
-        with ExecutionContext(parallelism=2) as ctx:
-            with cancellation_scope(token):
-                with pytest.raises(QueryTimeoutError):
-                    ctx.map(lambda x: x, list(range(8)))
-
-    def test_unsignalled_token_changes_nothing(self):
-        token = CancellationToken(timeout_ms=3_600_000)
-        with ExecutionContext(parallelism=2) as ctx:
-            plain = ctx.map(lambda x: x * 3, list(range(16)))
-            with cancellation_scope(token):
-                armed = ctx.map(lambda x: x * 3, list(range(16)))
-        assert plain == armed
-
-    def test_map_grouped_checks_token(self):
-        token = CancellationToken()
-        token.cancel()
-        items = list(range(8))
-        with ExecutionContext(parallelism=2) as ctx:
-            with cancellation_scope(token):
-                with pytest.raises(QueryCancelledError):
-                    ctx.map_grouped(lambda x: x, items, [i % 2 for i in items])
-
-
-class TestWorkerExceptionRecovery:
-    def test_worker_exception_propagates_with_original_traceback(self):
-        def boom(x):
-            raise ValueError(f"morsel {x} exploded")
-
-        with ExecutionContext(parallelism=2) as ctx:
-            with pytest.raises(ValueError, match="exploded") as err:
-                ctx.map(boom, list(range(8)))
-        # the traceback reaches into the worker fn, not just the
-        # future.result() re-raise site
-        frames = []
-        tb = err.value.__traceback__
-        while tb is not None:
-            frames.append(tb.tb_frame.f_code.co_name)
-            tb = tb.tb_next
-        assert "boom" in frames
-
-    def test_pool_survives_poisoned_morsel(self):
-        def boom(x):
-            if x == 3:
-                raise RuntimeError("poisoned")
-            return x * 2
-
-        with ExecutionContext(parallelism=2) as ctx:
-            with pytest.raises(RuntimeError):
-                ctx.map(boom, list(range(8)))
-            # the same context keeps working at full fan-out
-            assert ctx.map(lambda x: x + 1, list(range(8))) == list(range(1, 9))
-            assert ctx.heal_count == 0
-
-    def test_injected_worker_crash_recycles(self):
-        injector = FaultInjector(
-            seed=7, rules={"worker.morsel": FaultRule(max_fires=1)}
-        )
-        with ExecutionContext(parallelism=2) as ctx:
-            with inject(injector):
-                with pytest.raises(InjectedWorkerError):
-                    ctx.map(lambda x: x, list(range(8)))
-                assert injector.fired["worker.morsel"] == 1
-                # rule exhausted: the very next map succeeds
-                assert ctx.map(lambda x: x, [1, 2, 3]) == [1, 2, 3]
-
-
-class TestStallSelfHeal:
-    def test_wedged_pool_quarantined_and_results_recomputed(self):
-        injector = FaultInjector(
-            seed=11,
-            rules={"worker.morsel": FaultRule(action="block", max_fires=1)},
-        )
-        ctx = ExecutionContext(parallelism=2, stall_timeout_s=0.2)
-        try:
-            with inject(injector):
-                got = ctx.map(lambda x: x * 2, list(range(6)))
-            assert got == [x * 2 for x in range(6)]
-            assert ctx.heal_count == 1
-            # a replacement pool is built lazily and works
-            assert ctx.map(lambda x: x + 5, list(range(6))) == list(range(5, 11))
-            assert ctx.heal_count == 1
-        finally:
-            injector.release_all()
-            ctx.close()
-
-    def test_stall_timeout_knob_surfaces(self):
-        with ExecutionContext(parallelism=2, stall_timeout_s=1.5) as ctx:
-            assert ctx.stall_timeout_s == 1.5
-        with pytest.raises(ValueError):
-            ExecutionContext(parallelism=2, stall_timeout_s=0)
-
-
 class TestFaultInjector:
     def test_same_seed_same_decisions(self):
         def draw(seed):
@@ -312,33 +195,178 @@ class TestFaultInjector:
 
 class TestScanInterruption:
     def test_cancelled_scan_unwinds(self):
-        table = make_table(2_000)
         token = CancellationToken()
         token.cancel()
-        op = ops.Scan(table)
-        op.bind_context(ExecutionContext(parallelism=1, morsel_rows=256))
         with cancellation_scope(token):
             with pytest.raises(QueryCancelledError):
-                op.execute()
+                ops.Scan(make_table(2_000)).execute()
 
-    def test_armed_scan_is_bit_identical_to_plain(self):
-        table = make_table(2_000)
-        plain = ops.Scan(table).execute()
-        token = CancellationToken(timeout_ms=3_600_000)
-        op = ops.Scan(table)
-        op.bind_context(ExecutionContext(parallelism=1, morsel_rows=256))
-        with cancellation_scope(token):
-            armed = op.execute()
+    @pytest.mark.parametrize("partitions", [None, 3])
+    def test_armed_scan_is_bit_identical_to_plain(self, partitions):
+        table = make_table(PIECEWISE_ROWS)
+        if partitions is not None:
+            table = PartitionedTable.from_table(table, "k", partitions)
+        plain = ops.Scan(table, predicate=col("v") >= 7).execute()
+        with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            armed = ops.Scan(table, predicate=col("v") >= 7).execute()
         assert plain.column_names == armed.column_names
         for name in plain.column_names:
             np.testing.assert_array_equal(plain.column(name), armed.column(name))
 
+    @pytest.mark.parametrize("partitions", [None, 2])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_armed_restricted_scan_is_bit_identical_to_plain(self, partitions, complement):
+        # rowid restriction and minmax pruning cut across piece boundaries
+        table = make_table(PIECEWISE_ROWS)
+        if partitions is not None:
+            table = PartitionedTable.from_table(table, "k", partitions)
+        rowids = np.arange(3, PIECEWISE_ROWS, 7, dtype=np.int64)
+
+        def scan():
+            op = ops.Scan(table, columns=["v"], predicate=col("k") % 3 != 0)
+            op.push_range("k", 1_000, PIECEWISE_ROWS - 1_000)
+            op.restrict_rows(rowids, complement=complement)
+            return op.execute()
+
+        plain = scan()
+        with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            armed = scan()
+        assert plain.num_rows > 0
+        np.testing.assert_array_equal(plain.column("v"), armed.column("v"))
+
     def test_expired_deadline_interrupts_scan(self):
-        table = make_table(2_000)
         token = CancellationToken(timeout_ms=1)
         time.sleep(0.01)
-        op = ops.Scan(table)
-        op.bind_context(ExecutionContext(parallelism=1, morsel_rows=256))
         with cancellation_scope(token):
             with pytest.raises(QueryTimeoutError):
+                ops.Scan(make_table(2_000)).execute()
+
+    def test_fault_point_fires_once_per_piece(self):
+        injector = FaultInjector(
+            seed=3, rules={"worker.morsel": FaultRule(action="sleep", sleep_s=0.0)}
+        )
+        with inject(injector):
+            ops.Scan(make_table(2_000)).execute()  # unarmed, unpartitioned: one slice
+            assert injector.fired.get("worker.morsel", 0) == 0
+            with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+                ops.Scan(make_table(PIECEWISE_ROWS)).execute()
+            assert injector.fired["worker.morsel"] == 3
+
+    def test_injected_crash_unwinds_and_the_next_scan_succeeds(self):
+        table = PartitionedTable.from_table(make_table(2_000), "k", 2)
+        injector = FaultInjector(seed=7, rules={"worker.morsel": FaultRule(max_fires=1)})
+        with inject(injector):
+            with pytest.raises(InjectedWorkerError):
+                ops.Scan(table).execute()
+            assert injector.fired["worker.morsel"] == 1
+            # rule exhausted: the very next scan succeeds
+            assert ops.Scan(table).execute().num_rows == 2_000
+
+    def test_exception_in_a_piece_propagates_unwrapped(self):
+        # a predicate that cannot evaluate fails the same way whole or
+        # piecewise: the piece loop neither wraps nor swallows it
+        table = Table.from_arrays(
+            "s", {"name": np.array(["a", "b"] * 100, dtype=object), "k": np.arange(200)}
+        )
+        with pytest.raises(TypeError) as whole:
+            ops.Scan(table, predicate=col("name") > 1).execute()
+        with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            with pytest.raises(TypeError) as piecewise:
+                ops.Scan(table, predicate=col("name") > 1).execute()
+        assert str(piecewise.value) == str(whole.value)
+
+
+def counting_injector():
+    return FaultInjector(seed=5, rules={"worker.morsel": FaultRule(action="sleep", sleep_s=0.0)})
+
+
+STEP = 64
+
+
+class TestScanPieces:
+    """Armed, a scan cuts each partition into ``CHECKPOINT_ROWS`` pieces
+    (shrunk to 64 rows here): one piece per started 64 rows, none
+    spanning a partition, every row read exactly once."""
+
+    @pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, STEP + 1, 3 * STEP + 2])
+    def test_plain_table_cover(self, piece_rows, n):
+        piece_rows(STEP)
+        table = make_table(n)
+        whole = ops.Scan(table).execute()
+        injector = counting_injector()
+        with inject(injector), cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            armed = ops.Scan(table).execute()
+        assert injector.fired.get("worker.morsel", 0) == -(-n // STEP)
+        assert armed.column_names == whole.column_names == ["k", "v"]
+        for name in whole.column_names:
+            assert armed.column(name).dtype == whole.column(name).dtype
+            np.testing.assert_array_equal(armed.column(name), whole.column(name))
+
+    def test_partitioned_table_respects_boundaries(self, piece_rows):
+        piece_rows(STEP)
+        # unequal partitions, none a multiple of the piece size
+        table = PartitionedTable.from_table(make_table(5 * STEP + 17), "k", 3)
+        sizes = [p.num_rows for p in table.partitions]
+        assert len(set(sizes)) > 1 or sizes[0] % STEP
+        injector = counting_injector()
+        with inject(injector), cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            armed = ops.Scan(table).execute()
+        assert injector.fired["worker.morsel"] == sum(-(-size // STEP) for size in sizes)
+        np.testing.assert_array_equal(armed.column("k"), np.arange(5 * STEP + 17))
+
+    def test_unarmed_partitioned_scan_is_one_piece_per_partition(self):
+        table = PartitionedTable.from_table(make_table(1_000), "k", 4)
+        injector = counting_injector()
+        with inject(injector):
+            rel = ops.Scan(table).execute()
+        assert injector.fired["worker.morsel"] == 4
+        np.testing.assert_array_equal(rel.column("k"), np.arange(1_000))
+
+
+def _sorted_relation(n=300):
+    return Relation({"k": np.arange(n, dtype=np.int64), "v": np.arange(n) % 7})
+
+
+BLOCKING_OPERATORS = {
+    "sort": lambda src: ops.Sort(src, ["v"]),
+    "topn": lambda src: ops.TopN(src, ["v"], [True], 5),
+    "distinct": lambda src: ops.Distinct(src, ["v"]),
+    "aggregate": lambda src: ops.GroupAggregate(src, ["v"], {"n": ("count", None)}),
+    "hash_join": lambda src: ops.HashJoin(
+        ops.RelationSource(Relation({"k": np.arange(20, dtype=np.int64)})), src, "k", "k"
+    ),
+}
+
+
+class TestOperatorCheckpoints:
+    @pytest.mark.parametrize("kind", sorted(BLOCKING_OPERATORS))
+    def test_cancelled_token_stops_the_operator(self, kind):
+        # the input does not check the token (a materialized relation):
+        # the operator's own checkpoint must, before its kernel runs
+        op = BLOCKING_OPERATORS[kind](ops.RelationSource(_sorted_relation()))
+        token = CancellationToken()
+        token.cancel()
+        with cancellation_scope(token):
+            with pytest.raises(QueryCancelledError):
                 op.execute()
+        assert op.execute().num_rows > 0  # and runs normally unarmed
+
+    def test_cancelled_token_stops_the_run_merge(self):
+        runs = [np.arange(i, 300, 3, dtype=np.int64) for i in range(3)]
+        token = CancellationToken()
+        token.cancel()
+        with cancellation_scope(token):
+            with pytest.raises(QueryCancelledError):
+                merge_sorted_runs(runs)
+
+    def test_unsignalled_token_changes_nothing(self):
+        runs = [np.arange(i, 300, 3, dtype=np.int64) for i in range(3)]
+        src = ops.RelationSource(_sorted_relation())
+        want_merge = merge_sorted_runs(runs)
+        want_sort = ops.Sort(src, ["v"]).execute()
+        with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            got_merge = merge_sorted_runs(runs)
+            got_sort = ops.Sort(src, ["v"]).execute()
+        np.testing.assert_array_equal(got_merge, want_merge)
+        for name in want_sort.column_names:
+            np.testing.assert_array_equal(got_sort.column(name), want_sort.column(name))

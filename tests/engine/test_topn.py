@@ -1,11 +1,15 @@
-"""TopN operator equivalence and partition-affinity morsel dispatch."""
+"""TopN operator: the first ``n`` rows of the stable ``ORDER BY``.
+
+Its input may come from a plain scan, a partitioned one or a piecewise
+one (a token armed, the rows arriving as many concatenated pieces); the
+rows TopN returns must not depend on which.
+"""
 
 import numpy as np
 import pytest
 
 from repro.engine import operators as ops
-from repro.engine.batch import Relation
-from repro.engine.parallel import ExecutionContext
+from repro.engine.interrupt import CancellationToken, cancellation_scope
 from repro.storage import PartitionedTable, Table
 
 
@@ -20,9 +24,10 @@ def make_table(n, seed, name="t"):
 
 
 def reference_topn(table, keys, ascending, n):
-    """Full stable sort, then the first n rows."""
-    rel = ops.Sort(ops.Scan(table), keys, ascending).execute()
-    return rel.take(np.arange(min(n, rel.num_rows)))
+    """``np.lexsort`` (stable) over the int keys, negated where descending."""
+    rel = ops.Scan(table).execute()
+    signed = [rel.column(k) if asc else -rel.column(k) for k, asc in zip(keys, ascending)]
+    return rel.take(np.lexsort(signed[::-1])[:n])
 
 
 def assert_rel_equal(expected, actual):
@@ -60,111 +65,17 @@ class TestTopNOperator:
         with pytest.raises(ValueError):
             ops.TopN(ops.Scan(table), ["a"], [True], -1)
 
-    @pytest.mark.parametrize("n", [0, 3, 64, 500, 20_000])
-    def test_parallel_matches_serial(self, n):
-        table = make_table(20_000, seed=4)
-        serial = ops.TopN(ops.Scan(table), ["a", "b"], [True, False], n).execute()
-        with ExecutionContext(
-            parallelism=4, morsel_rows=1024, min_parallel_rows=1
-        ) as ctx:
-            op = ops.TopN(ops.Scan(table), ["a", "b"], [True, False], n)
-            op.bind_context(ctx)
-            parallel = op.execute()
-        assert_rel_equal(serial, parallel)
-
-    def test_parallel_matches_full_sort(self):
-        table = make_table(20_000, seed=5)
-        expected = reference_topn(table, ["b"], [True], 77)
-        with ExecutionContext(
-            parallelism=4, morsel_rows=2048, min_parallel_rows=1
-        ) as ctx:
-            op = ops.TopN(ops.Scan(table), ["b"], [True], 77)
-            op.bind_context(ctx)
-            got = op.execute()
+    def test_partitioned_input(self):
+        table = PartitionedTable.from_table(make_table(6000, seed=7), "payload", 3)
+        expected = reference_topn(table, ["b", "a"], [False, True], 25)
+        got = ops.TopN(ops.Scan(table), ["b", "a"], [False, True], 25).execute()
         assert_rel_equal(expected, got)
 
-    def test_forced_serial_mode_skips_the_pool(self):
-        table = make_table(20_000, seed=6)
-
-        class ExplodingContext(ExecutionContext):
-            def map(self, fn, items):
-                raise AssertionError("forced-serial operator used the pool")
-
-        op = ops.TopN(ops.Scan(table), ["a"], [True], 10)
-        op.forced_mode = "serial"
-        op.bind_context(ExplodingContext(parallelism=4, min_parallel_rows=1))
-        expected = reference_topn(table, ["a"], [True], 10)
-        assert_rel_equal(expected, op.execute())
-
-
-class _SpyContext(ExecutionContext):
-    """Records every map_grouped dispatch for affinity assertions."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.grouped_calls = []
-
-    def map_grouped(self, fn, items, keys):
-        self.grouped_calls.append(
-            [(key, id(thunk.morsel.table)) for key, thunk in zip(keys, items)]
-        )
-        return super().map_grouped(fn, items, keys)
-
-
-class TestPartitionAffinity:
-    def partitioned(self, n=40_000, parts=4):
-        rng = np.random.default_rng(9)
-        table = Table.from_arrays("pt", {
-            "k": np.sort(rng.integers(0, 1000, n)).astype(np.int64),
-            "v": rng.integers(0, 100, n).astype(np.int64),
-        })
-        return PartitionedTable.from_table(table, "k", parts)
-
-    def run_filtered_scan(self, ctx, table):
-        from repro.engine import col
-
-        op = ops.Scan(table, predicate=col("v") < 50)
-        op.bind_context(ctx)
-        return op.execute()
-
-    def test_no_group_spans_partitions(self):
-        table = self.partitioned()
-        with _SpyContext(
-            parallelism=4, morsel_rows=1024, min_parallel_rows=1
-        ) as ctx:
-            result = self.run_filtered_scan(ctx, table)
-        assert result.num_rows > 0
-        assert ctx.grouped_calls, "morsel scan did not use grouped dispatch"
-        for call in ctx.grouped_calls:
-            owner = {}
-            for key, table_id in call:
-                # a group (shared key) must stay within one partition
-                assert owner.setdefault(key, table_id) == table_id
-
-    def test_partitions_split_into_stripes(self):
-        table = self.partitioned(parts=2)
-        with _SpyContext(
-            parallelism=8, morsel_rows=1024, min_parallel_rows=1
-        ) as ctx:
-            self.run_filtered_scan(ctx, table)
-        call = ctx.grouped_calls[0]
-        keys_per_partition = {}
-        for key, table_id in call:
-            keys_per_partition.setdefault(table_id, set()).add(key)
-        # with workers to spare, each partition fans out over >1 group
-        # so affinity does not serialize the whole partition
-        assert all(len(keys) > 1 for keys in keys_per_partition.values())
-
-    def test_grouped_dispatch_is_bit_identical_to_serial(self):
-        table = self.partitioned()
-        from repro.engine import col
-
-        serial_op = ops.Scan(table, predicate=col("v") < 50)
-        expected = serial_op.execute()
-        with _SpyContext(
-            parallelism=4, morsel_rows=1024, min_parallel_rows=1
-        ) as ctx:
-            got = self.run_filtered_scan(ctx, table)
-        assert got.num_rows == expected.num_rows
-        for name in expected.column_names:
-            np.testing.assert_array_equal(got.column(name), expected.column(name))
+    @pytest.mark.parametrize("n", [0, 3, 64, 500, 20_000])
+    def test_piecewise_input_matches_sort_then_limit(self, piece_rows, n):
+        table = PartitionedTable.from_table(make_table(20_000, seed=4), "b", 3)
+        expected = reference_topn(table, ["a", "b"], [True, False], n)
+        piece_rows(1024)
+        with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+            got = ops.TopN(ops.Scan(table), ["a", "b"], [True, False], n).execute()
+        assert_rel_equal(expected, got)

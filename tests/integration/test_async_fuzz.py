@@ -1,7 +1,7 @@
 """Randomized async stress: concurrent clients vs. serial replay.
 
 Seeded fuzz over the whole async surface: 2/4/8 concurrent clients
-fire a randomized mix of queries, DML, ``SET parallelism`` and
+fire a randomized mix of queries, DML, ``SET statement_timeout_ms`` and
 SortKey-refreshing writes (an immediate-refresh SortKey — including a
 *descending* one on a partitioned table, exercising the k-way merge's
 reversed-stable tie rule — hangs off the mutated tables) at one
@@ -28,7 +28,6 @@ TIMEOUT = 180.0
 N_EVENTS = 6_000
 N_METRICS = 4_000
 STATEMENTS_PER_CLIENT = 18
-MORSEL_ROWS = 1024
 
 
 def run_async(coro, timeout: float = TIMEOUT):
@@ -83,7 +82,13 @@ WRITES = [
     "UPDATE metrics SET v = v / 1.01 WHERE bucket = {b}",
     "DELETE FROM metrics WHERE mid % 307 = {m7}",
 ]
-SETS = ["SET parallelism = 1", "SET parallelism = 2", "SET parallelism = 3"]
+# deadlines no statement reaches: SETs serialise behind the writer lock
+# without ever interrupting anything
+SETS = [
+    "SET statement_timeout_ms = 60000",
+    "SET statement_timeout_ms = 120000",
+    "SET statement_timeout_ms = off",
+]
 
 
 def client_statements(rng: np.random.Generator, client_id: int):
@@ -138,8 +143,6 @@ def test_fuzz_final_state_matches_serial_replay(clients):
         catalog, sortkeys = make_catalog(seed)
         async with AsyncSQLSession(
             catalog,
-            parallelism=2,
-            morsel_rows=MORSEL_ROWS,
             max_inflight=clients,
             stats_history=10_000,
         ) as db:
@@ -189,7 +192,7 @@ def test_fuzz_reads_never_see_torn_state(clients):
     async def main():
         catalog, sortkeys = make_catalog(seed)
         async with AsyncSQLSession(
-            catalog, parallelism=2, morsel_rows=MORSEL_ROWS, max_inflight=clients
+            catalog, max_inflight=clients
         ) as db:
 
             async def mutator(i):

@@ -145,8 +145,6 @@ def run_crash_chaos(
     async def main():
         session = AsyncSQLSession(
             make_catalog(seed),
-            parallelism=2,
-            morsel_rows=1024,
             data_dir=data_dir,
             wal_sync=wal_sync,
             checkpoint_interval=4,
@@ -161,9 +159,9 @@ def run_crash_chaos(
             )
         wal = session.durability.wal
         synced, active_segment = wal.synced_offset, wal.path
-        # abandon the session: release the worker pool, but no drain
+        # abandon the session: release the statement lane, but no drain
         # checkpoint and no final fsync — the crash already happened
-        session._context.close()
+        session._lane.shutdown()
         return synced, active_segment
 
     synced_offset, active_segment = run_async(main())

@@ -1,10 +1,12 @@
-"""Concurrency stress for the morsel-parallel executor.
+"""Concurrency stress for statement execution.
 
 Complements ``test_sharded_bitmap_concurrency.py``: that file covers the
-bitmap layer, this one hammers the execution layer — many client threads
-sharing one :class:`~repro.engine.parallel.ExecutionContext` (and one
-:class:`~repro.sql.SQLSession`), all queries running with parallel
-morsel dispatch at once.
+bitmap layer, this one the execution layer — many client threads
+running plans over one catalog at once, each under its own cancellation
+scope (so their scans go piecewise concurrently), a blocking
+:class:`~repro.sql.SQLSession` hammered from threads, and the supported
+concurrent path, :class:`~repro.sql.AsyncSQLSession`, whose statement
+lane runs reads side by side.
 """
 
 import asyncio
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.engine import col
-from repro.engine.parallel import ExecutionContext
+from repro.engine.interrupt import CancellationToken, cancellation_scope
 from repro.plan import AggregateNode, FilterNode, ScanNode, execute_plan
 from repro.sql import AsyncSQLSession, ConcurrentSessionError, SQLSession
 from repro.storage import Catalog, Table
@@ -58,9 +60,10 @@ def run_threads(worker, n_threads=N_THREADS):
     assert not errors, errors
 
 
-class TestSharedContextStress:
-    def test_concurrent_plan_execution(self, catalog):
-        """N client threads × M queries over one shared worker pool."""
+class TestSharedCatalogStress:
+    def test_concurrent_plan_execution(self, catalog, piece_rows):
+        """N client threads × M queries over one catalog, piecewise."""
+        piece_rows(512)
         plans = [
             FilterNode(ScanNode("events"), col("val") > 0.6),
             AggregateNode(
@@ -74,29 +77,17 @@ class TestSharedContextStress:
         ]
         expected = [execute_plan(p, catalog) for p in plans]
 
-        with ExecutionContext(parallelism=4, morsel_rows=512, min_parallel_rows=0) as ctx:
+        def worker(i):
+            for q in range(N_QUERIES):
+                k = (i + q) % len(plans)
+                with cancellation_scope(CancellationToken(timeout_ms=3_600_000)):
+                    out = execute_plan(plans[k], catalog)
+                want = expected[k]
+                assert out.column_names == want.column_names
+                for name in want.column_names:
+                    np.testing.assert_array_equal(out.column(name), want.column(name))
 
-            def worker(i):
-                for q in range(N_QUERIES):
-                    k = (i + q) % len(plans)
-                    out = execute_plan(plans[k], catalog, context=ctx)
-                    want = expected[k]
-                    assert out.column_names == want.column_names
-                    for name in want.column_names:
-                        np.testing.assert_array_equal(out.column(name), want.column(name))
-
-            run_threads(worker)
-
-    def test_map_hammered_from_many_threads(self):
-        """ctx.map itself is safe under concurrent callers."""
-        with ExecutionContext(parallelism=3) as ctx:
-
-            def worker(i):
-                for q in range(50):
-                    items = list(range(i, i + 20))
-                    assert ctx.map(lambda x: x * 2, items) == [x * 2 for x in items]
-
-            run_threads(worker)
+        run_threads(worker)
 
 
 class TestSessionConcurrency:
@@ -106,18 +97,17 @@ class TestSessionConcurrency:
         "SELECT COUNT(*) AS n FROM events WHERE grp = 7",
     ]
 
+    def expected(self, catalog):
+        serial = SQLSession(catalog)
+        return {sql: serial.execute(sql) for sql in self.QUERIES}
+
     def test_blocking_session_rejects_concurrent_threads(self, catalog):
         """Hammering one blocking session from threads never corrupts:
         every call either returns the right answer or is rejected with
         ``ConcurrentSessionError`` (the supported concurrent path is
         ``AsyncSQLSession``)."""
-        expected = {}
-        serial = SQLSession(catalog)
-        for sql in self.QUERIES:
-            expected[sql] = serial.execute(sql)
-        rejected = []
-
-        with SQLSession(catalog, parallelism=4, morsel_rows=512) as session:
+        expected = self.expected(catalog)
+        with SQLSession(catalog) as session:
 
             def worker(i):
                 for sql in self.QUERIES * 5:
@@ -125,7 +115,6 @@ class TestSessionConcurrency:
                     try:
                         out = session.execute(sql)
                     except ConcurrentSessionError:
-                        rejected.append(sql)
                         continue
                     for name in want.column_names:
                         np.testing.assert_array_equal(out.column(name), want.column(name))
@@ -136,25 +125,18 @@ class TestSessionConcurrency:
 
     def test_async_session_is_the_concurrent_path(self, catalog):
         """The same multi-client workload through ``AsyncSQLSession``
-        runs concurrently and every result is bit-identical."""
-        expected = {}
-        serial = SQLSession(catalog)
-        for sql in self.QUERIES:
-            expected[sql] = serial.execute(sql)
+        runs on its statement lane and every result is bit-identical."""
+        expected = self.expected(catalog)
 
         async def main():
-            async with AsyncSQLSession(
-                catalog, parallelism=4, morsel_rows=512, max_inflight=N_THREADS
-            ) as db:
+            async with AsyncSQLSession(catalog, max_inflight=N_THREADS) as db:
 
                 async def client(i):
                     for sql in self.QUERIES * 5:
                         out = await db.execute(sql)
                         want = expected[sql]
                         for name in want.column_names:
-                            np.testing.assert_array_equal(
-                                out.column(name), want.column(name)
-                            )
+                            np.testing.assert_array_equal(out.column(name), want.column(name))
 
                 await asyncio.gather(*(client(i) for i in range(N_THREADS)))
 

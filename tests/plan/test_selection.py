@@ -18,7 +18,6 @@ from repro.plan.cost import CostModel
 from repro.plan.nodes import DistinctNode, FilterNode
 from repro.plan.selection import (
     JoinOperatorSelection,
-    ParallelVariantSelection,
     PatchIndexSelection,
     PhysicalOperatorAssignment,
     PhysicalOperatorSelection,
@@ -94,7 +93,6 @@ class TestChain:
             "PatchIndexSelection",
             "JoinOperatorSelection",
             "TopNSelection",
-            "ParallelVariantSelection",
         ]
 
     def test_force_mode_is_patchindex_alone(self, catalog):
@@ -109,14 +107,14 @@ class TestAssignmentLog:
     def test_assign_get_describe(self, catalog):
         node = ScanNode("small")
         assignment = PhysicalOperatorAssignment()
-        assignment.assign(node, "Scan[serial]", CostModel(catalog), "TestLink")
+        assignment.assign(node, "Scan[test]", CostModel(catalog), "TestLink")
         choice = assignment.get(node)
-        assert choice.operator == "Scan[serial]"
+        assert choice.operator == "Scan[test]"
         assert choice.source == "TestLink"
         assert choice.cost["cardinality"] == 200.0
         lines = assignment.describe(node)
         assert len(lines) == 1
-        assert "Scan[serial]" in lines[0] and "TestLink" in lines[0]
+        assert "Scan[test]" in lines[0] and "TestLink" in lines[0]
 
     def test_cost_model_failure_degrades_to_empty_dict(self, catalog):
         node = ScanNode("missing_table")
@@ -270,46 +268,6 @@ class TestTopNSelection:
         plan = LimitNode(ScanNode("huge"), 10)
         out, _ = self.run(catalog, plan)
         assert out is plan
-
-
-class TestParallelVariantSelection:
-    def run(self, catalog, plan, parallelism):
-        assignment = PhysicalOperatorAssignment()
-        link = ParallelVariantSelection(
-            catalog, CostModel(catalog, parallelism=parallelism)
-        )
-        link.select_physical_operators(plan, assignment)
-        return assignment
-
-    def test_small_scan_pinned_serial(self, catalog):
-        plan = ScanNode("small")
-        assignment = self.run(catalog, plan, parallelism=8)
-        assert plan.exec_mode == "serial"
-        assert assignment.get(plan).operator == "Scan[serial]"
-
-    def test_large_scan_marked_parallel(self, catalog):
-        plan = ScanNode("huge")
-        assignment = self.run(catalog, plan, parallelism=8)
-        assert plan.exec_mode == "parallel"
-        assert assignment.get(plan).operator == "Scan[parallel]"
-
-    def test_one_worker_model_pins_serial(self, catalog):
-        plan = ScanNode("huge")
-        self.run(catalog, plan, parallelism=1)
-        assert plan.exec_mode == "serial"
-
-    def test_filter_pipeline_gated_by_table_cardinality(self, catalog):
-        plan = FilterNode(ScanNode("huge"), col("hk") < 3)
-        assignment = self.run(catalog, plan, parallelism=8)
-        # the filter's output estimate is small, but the morsel source
-        # (the scan's table) is what the runtime gate sees
-        assert plan.exec_mode == "parallel"
-        assert assignment.get(plan).operator == "Filter[parallel]"
-
-    def test_join_is_left_alone(self, catalog):
-        plan = JoinNode(ScanNode("small"), ScanNode("big"), "sk", "bk")
-        self.run(catalog, plan, parallelism=8)
-        assert plan.exec_mode is None
 
 
 class TestPatchIndexLink:

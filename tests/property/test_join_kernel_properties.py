@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.engine.batch import Relation
 from repro.engine.operators import HashJoin, MergeJoin, RelationSource, _expand_matches
-from repro.engine.parallel import ExecutionContext
 
 
 def is_null(key) -> bool:
@@ -89,21 +88,17 @@ def test_kernel_on_a_sorted_build_side(keys):
 
 @given(KEY_PAIRS)
 @settings(max_examples=60, deadline=None)
-def test_join_operators_identical_at_every_parallelism(keys):
+def test_join_operators_match_the_reference(keys):
     build, probe = keys
     left = Relation({"k": build, "l": np.arange(len(build), dtype=np.int64)})
     right = Relation({"j": probe, "r": np.arange(len(probe), dtype=np.int64)})
     build_idx, probe_idx = reference_join(build, probe)
     for operator, kwargs in ((HashJoin, {"build_side": "left"}), (MergeJoin, {})):
-        for parallelism in (1, 2, 8):
-            join = operator(RelationSource(left), RelationSource(right), "k", "j", **kwargs)
-            with ExecutionContext(
-                parallelism=parallelism, morsel_rows=4, min_parallel_rows=0
-            ) as ctx:
-                out = join.bind_context(ctx).execute()
-            assert out.column_names == ["k", "l", "j", "r"]
-            np.testing.assert_array_equal(out.column("l"), build_idx)
-            np.testing.assert_array_equal(out.column("r"), probe_idx)
-            for name, source, idx in (("k", build, build_idx), ("j", probe, probe_idx)):
-                assert out.column(name).dtype == source.dtype
-                np.testing.assert_array_equal(out.column(name), source[idx])
+        join = operator(RelationSource(left), RelationSource(right), "k", "j", **kwargs)
+        out = join.execute()
+        assert out.column_names == ["k", "l", "j", "r"]
+        np.testing.assert_array_equal(out.column("l"), build_idx)
+        np.testing.assert_array_equal(out.column("r"), probe_idx)
+        for name, source, idx in (("k", build, build_idx), ("j", probe, probe_idx)):
+            assert out.column(name).dtype == source.dtype
+            np.testing.assert_array_equal(out.column(name), source[idx])

@@ -11,7 +11,7 @@ plain and partitioned tables.
 ``merge_sorted_runs`` searches the short run of every pair into the long
 one; it must still equal ``np.argsort(concat, kind="stable")`` for any
 run-length ratio, with ties across runs, NaN, empty runs, in both
-directions and at any worker count.
+directions.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.core.manager import MaintainedIndex
 from repro.engine.batch import Relation
 from repro.engine.expressions import col
 from repro.engine.operators import MergeUnion, PatchSelect, RelationSource, Scan
-from repro.engine.parallel import ExecutionContext
 from repro.engine.parallel_sort import merge_sorted_runs
 from repro.storage import PartitionedTable, Table
 from repro.storage.minmax import DEFAULT_BLOCK_SIZE
@@ -86,11 +85,8 @@ class TestPatchSelectAgainstMaskOracle:
         partitions=st.sampled_from([1, 3]),
         with_predicate=st.booleans(),
         pushed=st.one_of(st.none(), st.tuples(st.integers(0, ROWS), st.integers(0, ROWS))),
-        parallelism=st.sampled_from([1, 2, 8]),
     )
-    def test_both_modes(
-        self, patches, mode, design, partitions, with_predicate, pushed, parallelism
-    ):
+    def test_both_modes(self, patches, mode, design, partitions, with_predicate, pushed):
         table = make_table(partitions)
         patch_mask = np.zeros(ROWS, dtype=bool)
         patch_mask[patches] = True
@@ -109,9 +105,7 @@ class TestPatchSelectAgainstMaskOracle:
             keep = keep & surviving_blocks(table, min(pushed), max(pushed))
         want = np.flatnonzero(keep)
 
-        op = PatchSelect(scan, index.patch_rowids, mode)
-        with ExecutionContext(parallelism=parallelism, morsel_rows=16, min_parallel_rows=0) as ctx:
-            got = op.bind_context(ctx).execute()
+        got = PatchSelect(scan, index.patch_rowids, mode).execute()
         assert got.column_names == ["k", "name"]
         np.testing.assert_array_equal(got.column("k"), want)
         np.testing.assert_array_equal(got.column("name"), table.column("name")[want])
@@ -142,17 +136,15 @@ def runs_with_ratio(draw):
 
 class TestMergeAgainstStableArgsort:
     @settings(max_examples=150, deadline=None)
-    @given(runs=runs_with_ratio(), ascending=st.booleans(), parallelism=st.sampled_from([1, 2, 8]))
-    def test_permutation(self, runs, ascending, parallelism):
+    @given(runs=runs_with_ratio(), ascending=st.booleans())
+    def test_permutation(self, runs, ascending):
         runs = [sorted_run(r, ascending) for r in runs]
         concat = np.concatenate(runs)
         # descending stable order: key groups reversed, ties in input order
         want = np.argsort(concat, kind="stable")
         if not ascending:
             want = _descending_stable(concat)
-        with ExecutionContext(parallelism=parallelism, min_parallel_rows=0) as ctx:
-            got = merge_sorted_runs(runs, context=ctx, ascending=ascending)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(merge_sorted_runs(runs, ascending=ascending), want)
 
     @settings(max_examples=60, deadline=None)
     @given(runs=runs_with_ratio(), ascending=st.booleans())

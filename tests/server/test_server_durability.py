@@ -21,7 +21,7 @@ def test_server_writes_survive_restart(tmp_path):
 
     async def first_run():
         async with SQLServer(
-            make_catalog(seed), parallelism=2, data_dir=data_dir
+            make_catalog(seed), data_dir=data_dir
         ) as srv:
             assert srv.session.data_dir == data_dir
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
@@ -38,7 +38,7 @@ def test_server_writes_survive_restart(tmp_path):
     # graceful drain checkpointed: the WAL tail is empty on restart
     async def second_run():
         async with SQLServer(
-            make_catalog(seed), parallelism=2, data_dir=data_dir
+            make_catalog(seed), data_dir=data_dir
         ) as srv:
             report = srv.session.durability.recovery_report
             assert report.records_replayed == 0
@@ -67,7 +67,7 @@ def test_abandoned_server_session_recovers_from_wal(tmp_path):
     seed = 32
 
     async def crashy_run():
-        srv = SQLServer(make_catalog(seed), parallelism=2, data_dir=data_dir)
+        srv = SQLServer(make_catalog(seed), data_dir=data_dir)
         await srv.start()
         try:
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
@@ -76,11 +76,11 @@ def test_abandoned_server_session_recovers_from_wal(tmp_path):
                         f"UPDATE metrics SET v = v + 1.0 WHERE bucket = {k}"
                     )
         finally:
-            # crash: tear the listener and the pool down, but skip the
-            # session close (no final sync, no shutdown checkpoint)
+            # crash: tear the listener and the statement lane down, but
+            # skip the session close (no final sync, no shutdown checkpoint)
             srv._server.close()
             await srv._server.wait_closed()
-            srv.session._context.close()
+            srv.session._lane.shutdown()
 
     run_async(crashy_run())
 

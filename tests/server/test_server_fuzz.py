@@ -234,7 +234,6 @@ class TestDisconnectFuzz:
         async def main():
             async with SQLServer(
                 make_catalog(seed),
-                parallelism=2,
                 session_max_inflight=4,
                 stats_history=10_000,
             ) as srv:

@@ -44,7 +44,7 @@ def gate_session(async_session) -> threading.Event:
 
 def test_select_dml_and_stats_over_the_wire():
     async def main():
-        async with SQLServer(make_catalog(1), parallelism=2) as srv:
+        async with SQLServer(make_catalog(1)) as srv:
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
                 r = await cli.execute("SELECT COUNT(*) AS n FROM events WHERE grp < 10")
                 assert r.columns == ["n"] and len(r.rows) == 1
@@ -135,6 +135,19 @@ def test_sql_errors_keep_connection_usable():
                 assert ok.rows[0][0] == len(
                     srv.session.catalog.table("events").rowids()
                 )
+
+    run_async(main())
+
+
+def test_removed_parallelism_setting_is_a_statement_error():
+    async def main():
+        async with SQLServer(make_catalog(5)) as srv:
+            async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
+                with pytest.raises(ServerError, match="unknown session setting") as err:
+                    await cli.execute("SET parallelism = 2")
+                assert err.value.code == "sql" and not err.value.fatal
+                ok = await cli.execute("SELECT COUNT(*) AS n FROM events")
+                assert ok.rows[0][0] > 0
 
     run_async(main())
 
@@ -400,17 +413,16 @@ class TestKnobValidation:
         with pytest.raises((TypeError, ValueError)):
             SQLServer(make_catalog(11), session_max_queued=value)
 
-    @pytest.mark.parametrize("value", [0, -1.0, "2", True])
-    def test_stall_timeout_rejected(self, value):
-        with pytest.raises((TypeError, ValueError)):
-            SQLServer(make_catalog(11), stall_timeout_s=value)
+    @pytest.mark.parametrize("name", ["parallelism", "morsel_rows", "stall_timeout_s"])
+    def test_removed_knobs_rejected(self, name):
+        with pytest.raises(TypeError):
+            SQLServer(make_catalog(11), **{name: 2})
 
     def test_resilience_knobs_forwarded(self):
         srv = SQLServer(
             make_catalog(11),
             session_max_queued=5,
             statement_timeout_ms=1_000,
-            stall_timeout_s=2.5,
         )
         assert srv.session.max_queued == 5
         assert srv.session.statement_timeout_ms == 1_000

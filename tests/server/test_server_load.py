@@ -60,7 +60,6 @@ def test_32_connections_mixed_workload_replays_bit_identical(seed):
     async def main():
         async with SQLServer(
             make_catalog(seed),
-            parallelism=2,
             session_max_inflight=6,
             max_connections=N_CONNECTIONS,
             stats_history=10_000,

@@ -30,8 +30,6 @@ from repro.storage import Catalog, Table
 from repro.workloads import generate_tpch
 
 TIMEOUT = 120.0
-#: Tiny morsels force real parallel fan-out on test-sized tables.
-MORSEL_ROWS = 1024
 
 
 def run_async(coro, timeout: float = TIMEOUT):
@@ -119,7 +117,7 @@ class TestClassification:
             ("INSERT INTO t (a) VALUES (1)", KIND_WRITE),
             ("UPDATE t SET a = 1", KIND_WRITE),
             ("DELETE FROM t WHERE a = 1", KIND_WRITE),
-            ("SET parallelism = 2", KIND_SESSION),
+            ("SET statement_timeout_ms = 2", KIND_SESSION),
         ],
     )
     def test_kinds(self, sql, kind):
@@ -180,8 +178,6 @@ class TestLinearizability:
         async def main():
             async with AsyncSQLSession(
                 tpch_catalog(seed=seed),
-                parallelism=2,
-                morsel_rows=MORSEL_ROWS,
                 max_inflight=clients,
             ) as db:
                 jobs = []
@@ -310,16 +306,12 @@ class TestWriterLock:
 
         run_async(main())
 
-    def test_set_parallelism_is_exclusive_and_applies(self):
+    def test_set_applies_to_later_statements(self):
         async def main():
-            async with AsyncSQLSession(
-                events_catalog(), parallelism=2, max_inflight=4
-            ) as db:
-                assert db.parallelism == 2
-                out = await db.execute("SET parallelism = 3")
-                assert out == 3
-                assert db.parallelism == 3
-                # queries still work on the swapped context
+            async with AsyncSQLSession(events_catalog(), max_inflight=4) as db:
+                out = await db.execute("SET statement_timeout_ms = 30000")
+                assert out == 30_000
+                assert db.statement_timeout_ms == 30_000
                 rel = await db.execute("SELECT COUNT(*) AS n FROM events")
                 assert rel.column("n").tolist() == [5_000]
 
@@ -549,42 +541,29 @@ def _wait_until(predicate, timeout):
 
 
 # ----------------------------------------------------------------------
-# pool handle sharing between the async layer and the session core
+# the statement lane
 # ----------------------------------------------------------------------
-class TestSharedContext:
-    def test_session_adopts_shared_context_and_never_closes_it(self):
-        from repro.engine.parallel import ExecutionContext
-
-        ctx = ExecutionContext(parallelism=2, morsel_rows=MORSEL_ROWS)
-        session = SQLSession(events_catalog(), context=ctx)
-        assert session.parallelism == 2
-        assert session.context is ctx
-        session.close()
-        # the shared context survives the session: its owner decides
-        assert ctx.submit_external(lambda: 41).result(timeout=10) == 41
-        ctx.close()
-
-    def test_set_parallelism_detaches_but_keeps_shared_context_open(self):
-        from repro.engine.parallel import ExecutionContext
-
-        ctx = ExecutionContext(parallelism=2, morsel_rows=MORSEL_ROWS)
-        session = SQLSession(events_catalog(), context=ctx)
-        assert session.execute("SET parallelism = 3") == 3
-        assert session.context is not ctx
-        # the shared context is still usable by its owner
-        assert ctx.submit_external(lambda: 1).result(timeout=10) == 1
-        session.close()
-        ctx.close()
-
-    def test_async_session_multiplexes_one_context(self):
+class TestStatementLane:
+    def test_statements_run_on_the_lane_not_the_loop(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), parallelism=2, max_inflight=3)
-            assert db._session.context is db._context
-            # SET swaps the session's morsel context; dispatch keeps
-            # using the async session's own (still-open) lane
-            await db.execute("SET parallelism = 1")
-            rel = await db.execute("SELECT COUNT(*) AS n FROM events")
-            assert rel.column("n").tolist() == [5_000]
+            db = AsyncSQLSession(events_catalog(), max_inflight=3)
+            inner = db._session
+            real = inner.run_prepared
+            threads = []
+
+            def spy(prepared):
+                threads.append(threading.current_thread())
+                return real(prepared)
+
+            inner.run_prepared = spy
+            await asyncio.gather(
+                *(db.execute("SELECT COUNT(*) AS n FROM events") for _ in range(6))
+            )
+            loop_thread = threading.current_thread()
+            assert len(threads) == 6
+            assert all(t is not loop_thread for t in threads)
+            assert all(t.name.startswith("repro-stmt") for t in threads)
+            assert len(set(threads)) <= 3  # max_inflight threads at most
             await db.aclose()
 
         run_async(main())

@@ -4,8 +4,8 @@
 :class:`PartitionedTable` the write step raised.  Matched global rowids
 now route through ``PartitionedTable.modify_global`` /
 ``delete_global``, and the result must be equivalent to (a) the same
-statements on an unpartitioned copy of the data and (b) serial
-per-partition DML applied by hand, at any session parallelism.
+statements on an unpartitioned copy of the data and (b) per-partition
+DML applied by hand — for one partition, a pair and eight.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import pytest
 from repro.sql.session import SQLSession
 from repro.storage import Catalog, PartitionedTable, Table
 
-PARALLELISMS = [1, 2, 8]
 N = 20_000
 PARTS = 5
 
@@ -36,10 +35,10 @@ def plain_catalog(seed: int = 0) -> Catalog:
     return catalog
 
 
-def partitioned_catalog(seed: int = 0) -> Catalog:
+def partitioned_catalog(seed: int = 0, parts: int = PARTS) -> Catalog:
     table = Table.from_arrays("events", make_rows(seed))
     catalog = Catalog()
-    catalog.register(PartitionedTable.from_table(table, "pk", PARTS))
+    catalog.register(PartitionedTable.from_table(table, "pk", parts))
     return catalog
 
 
@@ -60,20 +59,16 @@ def assert_images_identical(a, b) -> None:
 
 
 class TestPartitionedDMLEquivalence:
-    @pytest.mark.parametrize("parallelism", PARALLELISMS)
-    def test_matches_plain_table_dml(self, parallelism):
+    @pytest.mark.parametrize("parts", [1, 2, 8])
+    def test_matches_plain_table_dml(self, parts):
         plain = SQLSession(plain_catalog(seed=1))
-        with SQLSession(
-            partitioned_catalog(seed=1), parallelism=parallelism, morsel_rows=1024
-        ) as parted:
-            for sql in STATEMENTS:
-                assert plain.execute(sql) == parted.execute(sql), sql
-                assert_images_identical(
-                    plain.catalog.table("events"), parted.catalog.table("events")
-                )
+        parted = SQLSession(partitioned_catalog(seed=1, parts=parts))
+        for sql in STATEMENTS:
+            assert plain.execute(sql) == parted.execute(sql), sql
+            assert_images_identical(plain.catalog.table("events"), parted.catalog.table("events"))
 
     def test_matches_per_partition_serial_dml(self):
-        """Equivalence against serial DML applied partition by partition."""
+        """Equivalence against DML applied partition by partition."""
         session = SQLSession(partitioned_catalog(seed=2))
         reference = partitioned_catalog(seed=2).table("events")
         for sql in STATEMENTS:
@@ -92,7 +87,7 @@ class TestPartitionedDMLEquivalence:
         assert_images_identical(session.catalog.table("events"), reference)
 
     def test_delete_spanning_partition_boundaries(self):
-        with SQLSession(partitioned_catalog(seed=3), parallelism=2, morsel_rows=512) as s:
+        with SQLSession(partitioned_catalog(seed=3)) as s:
             table = s.catalog.table("events")
             before = table.num_rows
             # a key-range predicate straddling several partition bounds
@@ -105,7 +100,7 @@ class TestPartitionedDMLEquivalence:
             )
 
     def test_update_all_rows_without_predicate(self):
-        with SQLSession(partitioned_catalog(seed=4), parallelism=2) as s:
+        with SQLSession(partitioned_catalog(seed=4)) as s:
             count = s.execute("UPDATE events SET val = 0")
             assert count == N
             assert np.all(s.catalog.table("events").column("val") == 0.0)

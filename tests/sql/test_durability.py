@@ -2,7 +2,7 @@
 
 Satellite contract: ``wal_sync``, ``checkpoint_interval`` and
 ``data_dir`` are validated with the same ``validate_*`` discipline as
-``parallelism`` — a bad value raises at ``SET``, at the
+``statement_timeout_ms`` — a bad value raises at ``SET``, at the
 :class:`~repro.sql.SQLSession` constructor, and at the
 :class:`~repro.sql.AsyncSQLSession` constructor alike.
 """

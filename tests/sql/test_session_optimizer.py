@@ -77,7 +77,8 @@ class TestExplain:
         assert "operator assignments:" in text
         assert "admission cost hint:" in text
         assert "[JoinOperatorSelection]" in text
-        assert "[ParallelVariantSelection]" in text
+        assert "ParallelVariantSelection" not in text
+        assert "[serial]" not in text and "[parallel]" not in text
 
     def test_dp_picks_non_parser_order_with_lower_cost(self, session):
         text = session.explain(BACKWARDS_Q3, costs=True)

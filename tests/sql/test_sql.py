@@ -1,10 +1,12 @@
 """Tests for the SQL front-end."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.core import NearlySortedColumn, NearlyUniqueColumn, PatchIndexManager
-from repro.sql import SQLSession, parse_statement, tokenize
+from repro.sql import AsyncSQLSession, SQLSession, parse_statement, tokenize
 from repro.sql.lexer import SQLSyntaxError, TokenKind
 from repro.sql.parser import (
     DeleteStatement,
@@ -221,67 +223,45 @@ class TestPredicateRowids:
         assert session._predicate_rowids(table, stmt.predicate).tolist() == [0, 3]
 
 
-class TestSetParallelism:
+class TestSetStatement:
     def test_set_statement_parsed(self):
-        stmt = parse_statement("SET parallelism = 4")
+        stmt = parse_statement("SET statement_timeout_ms = 4")
         assert isinstance(stmt, SetStatement)
-        assert stmt.name == "parallelism"
+        assert stmt.name == "statement_timeout_ms"
         assert stmt.value == 4
-
-    def test_set_parallelism_roundtrip(self, session):
-        assert session.parallelism == 1
-        assert session.execute("SET parallelism = 3") == 3
-        assert session.parallelism == 3
-        assert session.execute("SET parallelism = 1") == 1
-        assert session.parallelism == 1
-
-    def test_constructor_knob_and_identical_results(self):
-        users = Table.from_arrays(
-            "users",
-            {
-                "uid": np.arange(50_000, dtype=np.int64),
-                "age": np.tile(np.arange(20, 70), 1000).astype(np.int64),
-            },
-        )
-        catalog = Catalog()
-        catalog.register(users)
-        serial = SQLSession(catalog)
-        sql = "SELECT age, COUNT(*) AS n FROM users WHERE age > 30 GROUP BY age ORDER BY age"
-        want = serial.execute(sql)
-        with SQLSession(catalog, parallelism=3, morsel_rows=4096) as par:
-            assert par.parallelism == 3
-            out = par.execute(sql)
-        for name in want.column_names:
-            np.testing.assert_array_equal(out.column(name), want.column(name))
-
-    def test_set_parallelism_midstream(self, session):
-        before = session.execute("SELECT uid FROM users ORDER BY uid")
-        session.execute("SET parallelism = 2")
-        after = session.execute("SELECT uid FROM users ORDER BY uid")
-        np.testing.assert_array_equal(before.column("uid"), after.column("uid"))
-        session.close()
-
-    def test_invalid_parallelism_rejected(self, session):
-        with pytest.raises(ValueError):
-            session.execute("SET parallelism = 0")
 
     def test_unknown_setting_rejected(self, session):
         with pytest.raises(ValueError):
             session.execute("SET frobnication = 7")
 
-    def test_updates_cost_model_parallelism(self):
-        n = 3000
-        values = np.arange(n, dtype=np.int64)
-        t = Table.from_arrays("events", {"eid": np.arange(n), "val": values})
-        catalog = Catalog()
-        catalog.register(t)
-        mgr = PatchIndexManager(catalog)
-        mgr.create(t, "val", NearlyUniqueColumn())
-        session = SQLSession(catalog, index_manager=mgr)
-        session.execute("SET parallelism = 4")
-        assert session.optimizer.cost_model.parallelism == 4
-        session.execute("SET parallelism = 1")
-        assert session.optimizer.cost_model.parallelism == 1
+
+class TestNoParallelismKnob:
+    """Execution is serial: the setting and its constructor knobs are gone."""
+
+    def test_set_parallelism_is_unknown(self, session):
+        with pytest.raises(ValueError, match="unknown session setting"):
+            session.execute("SET parallelism = 2")
+        assert not hasattr(session, "parallelism")
+
+    @pytest.mark.parametrize("name", ["parallelism", "morsel_rows", "context"])
+    def test_constructor_knobs_rejected(self, name):
+        with pytest.raises(TypeError):
+            SQLSession(Catalog(), **{name: 2})
+
+    def test_async_session_rejects_the_setting(self):
+        async def scenario():
+            async with AsyncSQLSession(Catalog()) as db:
+                with pytest.raises(ValueError, match="unknown session setting"):
+                    await db.execute("SET parallelism = 2")
+                assert not hasattr(db, "parallelism")
+                assert await db.execute("SET statement_timeout_ms = 5") == 5
+
+        asyncio.run(asyncio.wait_for(scenario(), 60.0))
+
+    @pytest.mark.parametrize("name", ["parallelism", "morsel_rows", "stall_timeout_s"])
+    def test_async_constructor_knobs_rejected(self, name):
+        with pytest.raises(TypeError):
+            AsyncSQLSession(Catalog(), **{name: 2})
 
 
 class TestDMLExecution:

@@ -83,16 +83,11 @@ class TestSyncSessionKnob:
 
 
 class TestSyncSessionInterruption:
-    def test_timeout_interrupts_a_parallel_scan(self):
-        # the injected sleep outlasts the 50 ms deadline, so the first
-        # post-sleep checkpoint (between morsels, on a pool worker)
-        # observes the expired token
-        session = SQLSession(
-            make_catalog(20_000),
-            parallelism=2,
-            morsel_rows=512,
-            statement_timeout_ms=50,
-        )
+    def test_timeout_interrupts_a_scan(self):
+        # the injected sleep outlasts the 50 ms deadline, so the scan
+        # piece's checkpoint right after the fault point observes the
+        # expired token
+        session = SQLSession(make_catalog(20_000), statement_timeout_ms=50)
         injector = FaultInjector(
             seed=1,
             rules={"worker.morsel": FaultRule(action="sleep", sleep_s=0.2)},
@@ -107,7 +102,7 @@ class TestSyncSessionInterruption:
     def test_caller_scope_takes_precedence(self):
         # a pre-cancelled caller token interrupts even though the
         # session's own knob is off
-        session = SQLSession(make_catalog(), parallelism=1, morsel_rows=256)
+        session = SQLSession(make_catalog())
         token = CancellationToken()
         token.cancel()
         with cancellation_scope(token):
@@ -115,9 +110,7 @@ class TestSyncSessionInterruption:
                 session.execute("SELECT eid FROM events")
 
     def test_cancel_from_another_thread(self):
-        session = SQLSession(
-            make_catalog(20_000), parallelism=2, morsel_rows=512
-        )
+        session = SQLSession(make_catalog(20_000))
         token = CancellationToken()
         injector = FaultInjector(
             seed=2,
@@ -149,7 +142,7 @@ class TestWriteAtomicity:
     )
     def test_cancelled_write_is_unapplied(self, sql):
         catalog = make_catalog()
-        session = SQLSession(catalog, parallelism=1, morsel_rows=256)
+        session = SQLSession(catalog)
         table = catalog.table("events")
         before = {
             name: np.array(table.column(name), copy=True)
@@ -168,7 +161,7 @@ class TestWriteAtomicity:
 
     def test_completed_write_still_commits(self):
         catalog = make_catalog()
-        session = SQLSession(catalog, parallelism=1, morsel_rows=256)
+        session = SQLSession(catalog)
         token = CancellationToken(timeout_ms=3_600_000)  # armed, far away
         with cancellation_scope(token):
             n = session.execute("UPDATE events SET val = 0 WHERE grp = 1")
@@ -189,11 +182,6 @@ class TestAsyncKnobs:
     def test_max_queued_rejected(self, value):
         with pytest.raises((TypeError, ValueError)):
             AsyncSQLSession(make_catalog(), max_queued=value)
-
-    @pytest.mark.parametrize("value", [0, -1.0, "2", True])
-    def test_stall_timeout_rejected(self, value):
-        with pytest.raises((TypeError, ValueError)):
-            AsyncSQLSession(make_catalog(), stall_timeout_s=value)
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, "4", True])
     def test_execute_timeout_override_rejected(self, value):

@@ -20,7 +20,7 @@ from repro.testing import FaultInjector, FaultRule, inject
 
 
 # ----------------------------------------------------------------------
-# knob validators (satellite: same validate_* discipline as parallelism)
+# knob validators (same validate_* discipline as statement_timeout_ms)
 # ----------------------------------------------------------------------
 def test_validate_wal_sync_accepts_enum():
     for policy in ("off", "group", "fsync", "FSYNC", "Group"):

@@ -45,8 +45,11 @@ SRC = os.path.join(REPO, "src")
 PACKAGE = os.path.join(SRC, "repro")
 RECORDS_ENV = "REACH_CENSUS_RECORDS"
 
-_PARALLEL = "ROADMAP item 5: the parallel stack waits for its trial on the spine's parallelism axis"
-_FRONT_END = "ROADMAP item 7: front ends and their knob plumbing fold into one statement pipeline"
+_PARALLEL = (
+    "ROADMAP item 7: §4.2.3's shard-parallel maintenance, timed by Fig. 6 and the bulk-delete"
+    " ablation, waits for its trial"
+)
+_FRONT_END = "ROADMAP item 9: front ends and their knob plumbing fold into one statement pipeline"
 _SAFETY = "safety code: runs only when a write, a WAL frame or an injected fault goes wrong"
 _SPINE_TRACE = "read by the spine's --trace 1 probes, which the census runs untraced"
 _EXPLAIN = "EXPLAIN rendering (no spine statement explains); ROADMAP items 8 and 9 build on it"
@@ -62,18 +65,7 @@ _BASELINES = "the paper's comparison baselines (§6, Figs. 8-11); their unit tes
 #: (``repro.*.__repr__``) covers every function it matches; a glob
 #: relative to ``src/repro`` ending in ``.py`` covers whole modules.
 ALLOWLIST: Dict[str, str] = {
-    "engine/parallel*.py": _PARALLEL,
     "bitmap/parallel.py": _PARALLEL,
-    "repro.engine.operators._morsel_affinity_keys": _PARALLEL,
-    "repro.plan.cost.CostModel.dml_parallel_payoff": _PARALLEL,
-    "repro.sql.session.SQLSession.parallelism": _PARALLEL,
-    "repro.sql.session.SQLSession.context": _PARALLEL,
-    "repro.bench.harness.time_*serial_vs_parallel": (
-        "ROADMAP item 5: timing of benchmarks/test_{parallel,dml}_speedup.py, the trial's evidence"
-    ),
-    "repro.bitmap.sharded.ShardedBitmap.from_bool_array": (
-        "ROADMAP item 5: benchmarks/test_dml_speedup.py builds its bitmaps with it"
-    ),
     "server/*.py": _FRONT_END,
     "sql/async_session.py": _FRONT_END,
     "repro.sql.parser._Parser._parse_set": _FRONT_END,
@@ -103,6 +95,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.engine.batch.Relation.__contains__": _SPINE_TRACE,
     "repro.engine.batch.Relation.drop": _SPINE_TRACE,
     "repro.engine.operators.*.children": _SPINE_TRACE,
+    "repro.sql.session.SQLSession.context": _SPINE_TRACE,
     "repro.storage.wal.WriteAheadLog.offset": _SPINE_TRACE,
     "repro.storage.wal.DurabilityManager.checkpoints_written": _SPINE_TRACE,
     "repro.*.label": _EXPLAIN,
@@ -136,6 +129,7 @@ ALLOWLIST: Dict[str, str] = {
     "repro.bitmap.sharded.ShardedBitmap.unset": _BITMAP_MODEL,
     "repro.bitmap.sharded.ShardedBitmap.append": _BITMAP_MODEL,
     "repro.bitmap.sharded.ShardedBitmap.num_shards": _BITMAP_MODEL,
+    "repro.bitmap.sharded.ShardedBitmap.from_bool_array": _BITMAP_MODEL,
     "repro.materialization.*.is_stale": _BASELINES,
     "repro.materialization.joinindex.JoinIndex.partners": _BASELINES,
     "repro.materialization.joinindex.JoinIndex.verify": _BASELINES,
