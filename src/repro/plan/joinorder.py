@@ -325,9 +325,7 @@ def reorder_joins(
         new_kids = [walk(c) for c in kids]
         if all(a is b for a, b in zip(kids, new_kids)):
             return node
-        from repro.plan.optimizer import rebuild_node
-
-        return rebuild_node(node, new_kids)
+        return nodes.rebuild_node(node, new_kids)
 
     return walk(plan), decisions
 

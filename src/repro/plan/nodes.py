@@ -27,6 +27,7 @@ __all__ = [
     "MergeCombineNode",
     "ReuseCacheNode",
     "ReuseLoadNode",
+    "rebuild_node",
 ]
 
 
@@ -338,3 +339,34 @@ class ReuseLoadNode(PlanNode):
     def label(self) -> str:
         """One-line node description."""
         return f"ReuseLoad({self.slot_id})"
+
+
+def rebuild_node(plan: PlanNode, kids) -> PlanNode:
+    """Copy a node with new children (structural rebuild)."""
+    if isinstance(plan, FilterNode):
+        return FilterNode(kids[0], plan.predicate)
+    if isinstance(plan, ProjectNode):
+        return ProjectNode(kids[0], plan.outputs)
+    if isinstance(plan, JoinNode):
+        return JoinNode(
+            kids[0], kids[1], plan.left_key, plan.right_key,
+            algorithm=plan.algorithm, build_side=plan.build_side,
+            dynamic_range_propagation=plan.dynamic_range_propagation,
+        )
+    if isinstance(plan, DistinctNode):
+        return DistinctNode(kids[0], plan.columns)
+    if isinstance(plan, AggregateNode):
+        return AggregateNode(kids[0], plan.group_keys, plan.aggregates)
+    if isinstance(plan, SortNode):
+        return SortNode(kids[0], plan.keys, plan.ascending)
+    if isinstance(plan, TopNNode):
+        return TopNNode(kids[0], plan.keys, plan.ascending, plan.n)
+    if isinstance(plan, LimitNode):
+        return LimitNode(kids[0], plan.n, plan.offset)
+    if isinstance(plan, UnionNode):
+        return UnionNode(kids)
+    if isinstance(plan, MergeCombineNode):
+        return MergeCombineNode(kids, plan.key, plan.ascending)
+    if isinstance(plan, ReuseCacheNode):
+        return ReuseCacheNode(kids[0], plan.slot_id)
+    raise TypeError(f"cannot rebuild {type(plan).__name__}")

@@ -34,7 +34,7 @@ from repro.plan.selection import (
 )
 from repro.storage.catalog import Catalog
 
-__all__ = ["Optimizer", "OptimizationReport", "rebuild_node"]
+__all__ = ["Optimizer", "OptimizationReport"]
 
 
 @dataclasses.dataclass
@@ -112,34 +112,3 @@ class Optimizer:
         )
         plan = chain.select_physical_operators(plan, assignment)
         return plan, OptimizationReport(decisions, assignment)
-
-
-def rebuild_node(plan: nodes.PlanNode, kids) -> nodes.PlanNode:
-    """Copy a node with new children (structural rebuild)."""
-    if isinstance(plan, nodes.FilterNode):
-        return nodes.FilterNode(kids[0], plan.predicate)
-    if isinstance(plan, nodes.ProjectNode):
-        return nodes.ProjectNode(kids[0], plan.outputs)
-    if isinstance(plan, nodes.JoinNode):
-        return nodes.JoinNode(
-            kids[0], kids[1], plan.left_key, plan.right_key,
-            algorithm=plan.algorithm, build_side=plan.build_side,
-            dynamic_range_propagation=plan.dynamic_range_propagation,
-        )
-    if isinstance(plan, nodes.DistinctNode):
-        return nodes.DistinctNode(kids[0], plan.columns)
-    if isinstance(plan, nodes.AggregateNode):
-        return nodes.AggregateNode(kids[0], plan.group_keys, plan.aggregates)
-    if isinstance(plan, nodes.SortNode):
-        return nodes.SortNode(kids[0], plan.keys, plan.ascending)
-    if isinstance(plan, nodes.TopNNode):
-        return nodes.TopNNode(kids[0], plan.keys, plan.ascending, plan.n)
-    if isinstance(plan, nodes.LimitNode):
-        return nodes.LimitNode(kids[0], plan.n, plan.offset)
-    if isinstance(plan, nodes.UnionNode):
-        return nodes.UnionNode(kids)
-    if isinstance(plan, nodes.MergeCombineNode):
-        return nodes.MergeCombineNode(kids, plan.key, plan.ascending)
-    if isinstance(plan, nodes.ReuseCacheNode):
-        return nodes.ReuseCacheNode(kids[0], plan.slot_id)
-    raise TypeError(f"cannot rebuild {type(plan).__name__}")

@@ -19,15 +19,20 @@ recombines:
 Zero-branch pruning (§6.3) drops the patch subtree entirely when the
 known patch count is zero.  The cost model (§3.5) gates each rewrite
 unless ``force=True`` (used to reproduce the paper's forced plans).
+
+:func:`push_to_scans` runs before all of these, when a statement is
+bound: it puts each single-table WHERE conjunct and the referenced
+column list on its scan, the placement the paper's plans assume
+(selections below the join, §3.3).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
-from repro.engine.expressions import expression_columns
+from repro.engine.expressions import BinaryExpr, Expression, expression_columns
 from repro.plan import nodes
 from repro.plan.cost import CostModel
 
@@ -37,6 +42,7 @@ __all__ = [
     "rewrite_join",
     "find_single_scan",
     "is_sorted_on",
+    "push_to_scans",
 ]
 
 EXCLUDE = "exclude_patches"
@@ -76,44 +82,26 @@ def _clone_replacing_scan(
     raise TypeError(f"cannot clone {type(node).__name__} in a scan subtree")
 
 
-def _read_columns(node: nodes.PlanNode, wanted: Optional[Set[str]]) -> Optional[List[str]]:
-    """Scan columns a Filter/Project chain reads (None: every column).
-
-    ``wanted`` names the chain outputs its consumer uses (None: all).
-    A plain scan hands out zero-copy views of every column for free; a
-    PatchIndex scan copies what it selects, so its flows carry only the
-    columns something above them reads.
-    """
-    if isinstance(node, nodes.ProjectNode):
-        wanted = set()
-        for spec in node.outputs.values():
-            wanted |= {spec} if isinstance(spec, str) else expression_columns(spec)
-    elif isinstance(node, nodes.FilterNode) and wanted is not None:
-        wanted = wanted | expression_columns(node.predicate)
-    if not isinstance(node, nodes.ScanNode):
-        return _read_columns(node.children()[0], wanted)
-    if not wanted:
-        return node.columns
-    if node.columns is None:
-        return sorted(wanted)
-    return [c for c in node.columns if c in wanted]
-
-
 def _patch_flow(
     subtree: nodes.PlanNode,
     scan: nodes.ScanNode,
     index,
     mode: str,
-    wanted: Optional[Set[str]] = None,
     sorted_output: bool = False,
     sort_ascending: bool = True,
 ) -> nodes.PlanNode:
-    """Clone ``subtree`` with its scan replaced by one PatchIndex flow."""
+    """Clone ``subtree`` with its scan replaced by one PatchIndex flow.
+
+    The flow reads the scan's column list, which binding
+    (:func:`push_to_scans`) has already cut to what the statement reads:
+    a plain scan hands out zero-copy views, a PatchIndex scan copies
+    what it selects.
+    """
     patch_scan = nodes.PatchScanNode(
         scan.table,
         index,
         mode,
-        columns=_read_columns(subtree, wanted),
+        columns=scan.columns,
         predicate=scan.predicate,
         sorted_output=sorted_output,
         sort_ascending=sort_ascending,
@@ -157,12 +145,12 @@ def rewrite_distinct(
     if index is None or not isinstance(index.constraint, NearlyUniqueColumn):
         return None
     exclude_flow = nodes.ProjectNode(
-        _patch_flow(plan.child, scan, index, EXCLUDE, {column}), {column: column}
+        _patch_flow(plan.child, scan, index, EXCLUDE), {column: column}
     )
     if zero_branch_pruning and index.num_patches == 0:
         return _accept(plan, exclude_flow, cost_model, force)
     use_flow = nodes.DistinctNode(
-        _patch_flow(plan.child, scan, index, USE, {column}), [column]
+        _patch_flow(plan.child, scan, index, USE), [column]
     )
     candidate = nodes.UnionNode([exclude_flow, use_flow])
     return _accept(plan, candidate, cost_model, force)
@@ -282,6 +270,124 @@ def _build_join_rewrite(
     )
     candidate = nodes.UnionNode([merge_part, hash_part])
     return _accept(plan, candidate, cost_model, force)
+
+
+# ----------------------------------------------------------------------
+# scan binding: selection and projection pushdown
+# ----------------------------------------------------------------------
+def push_to_scans(
+    plan: nodes.PlanNode, schemas: Mapping[str, Sequence[str]]
+) -> nodes.PlanNode:
+    """Move WHERE conjuncts and column lists onto the scans that feed them.
+
+    ``schemas`` maps each scanned table to its column names.  A Filter
+    predicate whose columns all belong to one scan below it (through
+    joins and filters only) is ANDed into that scan's predicate;
+    otherwise each top-level ``AND`` conjunct is placed the same way.
+    Cross-scan, column-free and OR-spanning conjuncts stay in the
+    Filter.  Every scan keeps just the columns the plan above it reads
+    — at least one, so the row count survives.  A scan with no
+    projecting node above it (``SELECT *``) keeps all of them.  Joins
+    are inner, so neither move changes the result.  Applying the pass
+    twice gives the same plan.
+    """
+    return _push(plan, None, {}, schemas)
+
+
+def _push(
+    node: nodes.PlanNode,
+    needed: Optional[Set[str]],
+    moved: Dict[int, List[Expression]],
+    schemas: Mapping[str, Sequence[str]],
+) -> nodes.PlanNode:
+    """``node`` with the conjuncts in ``moved`` (keyed by the ``id`` of
+    their scan) on its scans, and every scan cut to what the consumer
+    of ``node`` reads: ``needed`` of its output (None: every column)."""
+    if isinstance(node, nodes.ScanNode):
+        predicate = node.predicate
+        for conjunct in moved.get(id(node), ()):
+            predicate = conjunct if predicate is None else predicate & conjunct
+        columns = node.columns
+        names = columns if columns is not None else schemas.get(node.table)
+        if needed is not None and names is not None:
+            columns = [c for c in names if c in needed] or list(names[:1])
+        if predicate is node.predicate and columns == node.columns:
+            return node
+        return nodes.ScanNode(node.table, columns, predicate)
+    if isinstance(node, nodes.FilterNode):
+        moved, kept = dict(moved), []
+        _place(node.predicate, _region_scans(node.child), schemas, moved, kept)
+        if not kept:
+            return _push(node.child, needed, moved, schemas)
+        predicate = kept[0]
+        for conjunct in kept[1:]:
+            predicate = predicate & conjunct
+        if needed is not None:
+            needed = needed | expression_columns(predicate)
+        return nodes.FilterNode(_push(node.child, needed, moved, schemas), predicate)
+    reads = _child_reads(node, needed)
+    kids = [_push(child, reads, moved, schemas) for child in node.children()]
+    return node if kids == node.children() else nodes.rebuild_node(node, kids)
+
+
+def _place(
+    expr: Expression,
+    scans: List[nodes.ScanNode],
+    schemas: Mapping[str, Sequence[str]],
+    moved: Dict[int, List[Expression]],
+    kept: List[Expression],
+) -> None:
+    """Give ``expr`` to the one scan whose table has every column it
+    reads; failing that, place the operands of a top-level ``AND`` one
+    by one; failing that, keep it."""
+    reads = expression_columns(expr)
+    owners = [s for s in scans if not reads.isdisjoint(schemas.get(s.table, ()))]
+    if len(owners) == 1 and reads.issubset(schemas[owners[0].table]):
+        moved[id(owners[0])] = moved.get(id(owners[0]), []) + [expr]
+    elif isinstance(expr, BinaryExpr) and expr.symbol == "AND":
+        _place(expr.left, scans, schemas, moved, kept)
+        _place(expr.right, scans, schemas, moved, kept)
+    else:
+        kept.append(expr)
+
+
+def _region_scans(node: nodes.PlanNode) -> List[nodes.ScanNode]:
+    """The scans under a region of joins and filters."""
+    if isinstance(node, nodes.ScanNode):
+        return [node]
+    if isinstance(node, (nodes.JoinNode, nodes.FilterNode)):
+        return [scan for child in node.children() for scan in _region_scans(child)]
+    return []
+
+
+def _spec_columns(spec) -> Set[str]:
+    """Columns one projection output or aggregate input reads."""
+    if spec is None:
+        return set()
+    if isinstance(spec, str):
+        return {spec}
+    return expression_columns(spec)
+
+
+def _child_reads(node: nodes.PlanNode, needed: Optional[Set[str]]) -> Optional[Set[str]]:
+    """Columns ``node`` reads from its children when its consumer reads
+    ``needed`` of its output (None: every column)."""
+    if isinstance(node, nodes.ProjectNode):
+        return set().union(*map(_spec_columns, node.outputs.values()))
+    if isinstance(node, nodes.AggregateNode):
+        inputs = (spec for _, spec in node.aggregates.values())
+        return set(node.group_keys).union(*map(_spec_columns, inputs))
+    if isinstance(node, nodes.DistinctNode) and node.columns is not None:
+        return set(node.columns)
+    if needed is None:
+        return None
+    if isinstance(node, (nodes.SortNode, nodes.TopNNode)):
+        return needed | set(node.keys)
+    if isinstance(node, nodes.JoinNode):
+        return needed | {node.left_key, node.right_key}
+    if isinstance(node, nodes.LimitNode):
+        return needed
+    return None
 
 
 # ----------------------------------------------------------------------

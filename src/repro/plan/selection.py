@@ -200,9 +200,7 @@ class PatchIndexSelection(PhysicalOperatorSelection):
         if kids:
             new_kids = [self._apply_selection(c, assignment) for c in kids]
             if not all(a is b for a, b in zip(kids, new_kids)):
-                from repro.plan.optimizer import rebuild_node
-
-                plan = rebuild_node(plan, new_kids)
+                plan = nodes.rebuild_node(plan, new_kids)
         return self._apply_rules(plan, assignment)
 
     def _apply_rules(
@@ -335,9 +333,7 @@ class TopNSelection(PhysicalOperatorSelection):
         if kids:
             new_kids = [self._apply_selection(c, assignment) for c in kids]
             if not all(a is b for a, b in zip(kids, new_kids)):
-                from repro.plan.optimizer import rebuild_node
-
-                plan = rebuild_node(plan, new_kids)
+                plan = nodes.rebuild_node(plan, new_kids)
         if not isinstance(plan, nodes.LimitNode):
             return plan
         if plan.offset:

@@ -547,7 +547,12 @@ class AsyncSQLSession:
                     "waiting for admission"
                 ) from None
         queued_ns = time.perf_counter_ns() - t_arrival
-        prepared = self._session.prepare_parsed(stmt, sql)
+        try:
+            prepared = self._session.prepare_parsed(stmt, sql)
+        except BaseException:
+            # a statement that fails to bind or plan gives its slot back
+            self._release(kind)
+            raise
 
         if kind == KIND_SESSION:
             # session knobs (SET) run inline on the loop: they are

@@ -20,14 +20,22 @@ silent wrong-answer behavior into typed errors:
   instead of a wrong answer; the differential harness tracks it in the
   xfail manifest.
 
+Once a SELECT's references check out, binding also places them:
+:func:`~repro.plan.rules.push_to_scans` moves each single-table WHERE
+conjunct into its table's scan and cuts every scan to the columns the
+statement reads.  Binding is the one step every planner path runs
+(``SQLSession.prepare`` and ``explain``, the benchmark tracer), so they
+all plan the same tree.
+
 Statements naming tables the catalog does not know are left unbound;
 execution raises the ordinary unknown-table error.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
+from repro.plan.rules import push_to_scans
 from repro.sql.parser import (
     ColumnRefInfo,
     DeleteStatement,
@@ -81,32 +89,37 @@ class QualifiedRefUnsupportedError(BindError):
 
 
 def bind_statement(stmt: Statement, catalog: Catalog) -> None:
-    """Validate every column reference of a parsed statement.
+    """Validate every column reference of a parsed statement, then place
+    a SELECT's conjuncts and column lists on its scans (``stmt.plan`` is
+    replaced).
 
     Raises a :class:`BindError` subclass on the first invalid
     reference; statements without recorded references (INSERT, SET)
     pass through untouched.
     """
     if isinstance(stmt, SelectStatement):
-        _bind_refs(stmt.column_refs, stmt.sources, set(stmt.derived_names), catalog)
+        schemas = _source_schemas(stmt.sources, catalog)
+        if schemas is not None:
+            _bind_refs(stmt.column_refs, schemas, set(stmt.derived_names))
+            names = {stmt.sources[rv]: schema.names for rv, schema in schemas.items()}
+            stmt.plan = push_to_scans(stmt.plan, names)
     elif isinstance(stmt, (UpdateStatement, DeleteStatement)):
-        _bind_refs(stmt.column_refs, {stmt.table: stmt.table}, set(), catalog)
+        schemas = _source_schemas({stmt.table: stmt.table}, catalog)
+        if schemas is not None:
+            _bind_refs(stmt.column_refs, schemas, set())
 
 
-def _bind_refs(
-    refs: List[ColumnRefInfo],
-    sources: Dict[str, str],
-    derived: Set[str],
-    catalog: Catalog,
-) -> None:
+def _source_schemas(sources: Dict[str, str], catalog: Catalog) -> Optional[Dict[str, object]]:
+    """Each FROM range variable's schema; None if a table is unknown
+    (binding is skipped and execution raises the real error)."""
+    try:
+        return {rv: catalog.table(table).schema for rv, table in sources.items()}
+    except KeyError:
+        return None
+
+
+def _bind_refs(refs: List[ColumnRefInfo], schemas: Dict[str, object], derived: Set[str]) -> None:
     """Check refs against the FROM sources' schemas (see module doc)."""
-    schemas = {}
-    for range_var, table in sources.items():
-        try:
-            schemas[range_var] = catalog.table(table).schema
-        except KeyError:
-            # unknown table: skip binding, execution raises the real error
-            return
     for ref in refs:
         if ref.qualifier is not None:
             _bind_qualified(ref, schemas)

@@ -175,8 +175,9 @@ class _Parser:
         self._expect(TokenKind.KEYWORD, "FROM")
         plan, tables = self._parse_from()
         if self._keyword("WHERE"):
-            predicate = self._parse_expr()
-            plan = self._push_predicate(plan, predicate)
+            # a Filter over the FROM tree; binding moves its conjuncts
+            # onto the scans (repro.plan.rules.push_to_scans)
+            plan = nodes.FilterNode(plan, self._parse_expr())
         group_keys: List[str] = []
         if self._keyword("GROUP"):
             self._expect(TokenKind.KEYWORD, "BY")
@@ -288,13 +289,6 @@ class _Parser:
             ):
                 return self._advance().value
         return None
-
-    def _push_predicate(
-        self, plan: nodes.PlanNode, predicate: Expression
-    ) -> nodes.PlanNode:
-        if isinstance(plan, nodes.ScanNode) and plan.predicate is None:
-            return nodes.ScanNode(plan.table, plan.columns, predicate)
-        return nodes.FilterNode(plan, predicate)
 
     def _apply_projection(
         self,

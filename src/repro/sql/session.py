@@ -295,9 +295,7 @@ class SQLSession:
         plan: Optional[nodes.PlanNode] = None
         cost_hint = 0.0
         if isinstance(stmt, SelectStatement):
-            plan = stmt.plan
-            if self.optimizer is not None:
-                plan = self.optimizer.optimize(plan)
+            plan, _ = self._optimize(stmt.plan)
             cost_hint = self._cost_model.admission_cost(plan)
         elif isinstance(stmt, (UpdateStatement, DeleteStatement)):
             try:
@@ -387,15 +385,21 @@ class SQLSession:
         stmt = parse_statement(sql)
         if not isinstance(stmt, SelectStatement):
             raise ValueError("EXPLAIN supports SELECT statements only")
-        plan = stmt.plan
-        report = None
-        if self.optimizer is not None:
-            plan, report = self.optimizer.optimize_staged(plan)
+        # the steps of prepare_parsed: EXPLAIN rejects what execution
+        # rejects and shows the plan that runs
+        bind_statement(stmt, self.catalog)
+        plan, report = self._optimize(stmt.plan)
         if costs:
             return explain_plan(
                 plan, self.catalog, cost_model=self._cost_model, report=report
             )
         return plan.explain()
+
+    def _optimize(self, plan: nodes.PlanNode):
+        """A bound plan through the optimizer: ``(plan, report or None)``."""
+        if self.optimizer is None:
+            return plan, None
+        return self.optimizer.optimize_staged(plan)
 
     def set_statement_timeout_ms(self, timeout_ms: Optional[int]) -> Optional[int]:
         """Reconfigure the default statement deadline (None disables).

@@ -22,7 +22,8 @@ Three moving parts:
   :class:`UnsupportedSQL` — honest "not implemented", never a silent
   skip.
 * **The corpus** — :func:`default_corpus` assembles TPC-H Q-shapes,
-  PublicBI-style profile probes, NULL-semantics probes and seeded
+  PublicBI-style profile probes, NULL-semantics probes, WHERE-over-join
+  probes and seeded
   randomized SELECT / DML mixes (:func:`random_select_corpus`,
   :func:`random_dml_corpus`).  ``CORPUS_VERSION`` names the corpus
   revision: bump it whenever a query is added, removed or reworded so
@@ -49,6 +50,7 @@ import numpy as np
 from repro.sql.session import SQLSession
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnType
+from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from repro.workloads.tpch import generate_tpch
 
@@ -69,6 +71,7 @@ __all__ = [
     "publicbi_corpus",
     "null_corpus",
     "feature_corpus",
+    "join_where_corpus",
     "random_select_corpus",
     "random_dml_corpus",
     "default_corpus",
@@ -76,7 +79,7 @@ __all__ = [
 ]
 
 #: Corpus revision; bump on any query add/remove/reword (see module doc).
-CORPUS_VERSION = 3
+CORPUS_VERSION = 4
 
 #: Relative float tolerance of the comparator (absolute 1e-12 floor).
 FLOAT_RTOL = 1e-9
@@ -382,6 +385,9 @@ def build_reference_catalog(seed: int = 0) -> Catalog:
     * ``events`` — a small int-keyed table the DML mixes mutate;
     * ``regions`` — six rows whose string and float columns join against
       ``profiles.city`` / ``profiles.score`` and hold NULLs on their own.
+    * ``shipments`` — 240 rows referencing ``orders`` by key,
+      range-partitioned three ways, so joins also read a
+      :class:`~repro.storage.partition.PartitionedTable`.
 
     Everything derives from ``seed`` so a corpus run is reproducible.
     """
@@ -438,6 +444,16 @@ def build_reference_catalog(seed: int = 0) -> Catalog:
             },
         )
     )
+    k = 240
+    shipments = Table.from_arrays(
+        "shipments",
+        {
+            "sh_id": np.arange(k, dtype=np.int64),
+            "sh_orderkey": rng.choice(catalog.table("orders").column("o_orderkey"), k),
+            "sh_weight": (rng.random(k) * 20).round(2),
+        },
+    )
+    catalog.register(PartitionedTable.from_table(shipments, "sh_id", 3))
     return catalog
 
 
@@ -563,6 +579,40 @@ def feature_corpus() -> List[Query]:
     return [Query(f"feature/{qid}", sql) for qid, sql in queries]
 
 
+def join_where_corpus() -> List[Query]:
+    """WHERE over joins: binding moves each single-table conjunct onto
+    its scan and keeps the rest above the join."""
+    queries = [
+        ("both-sides-plus-cross", "SELECT o_orderpriority, COUNT(*) AS n, "
+                                  "SUM(l_extendedprice) AS total FROM orders "
+                                  "JOIN lineitem ON o_orderkey = l_orderkey "
+                                  "WHERE o_orderdate < 19960101 AND l_discount >= 0.04 "
+                                  "AND l_shipdate > o_orderdate "
+                                  "GROUP BY o_orderpriority ORDER BY o_orderpriority"),
+        ("or-across-tables", "SELECT o_orderkey, l_extendedprice FROM orders "
+                             "JOIN lineitem ON o_orderkey = l_orderkey "
+                             "WHERE o_orderpriority = '1-URGENT' OR l_discount > 0.09"),
+        ("not-one-side", "SELECT l_shipmode, COUNT(*) AS n FROM orders "
+                         "JOIN lineitem ON o_orderkey = l_orderkey "
+                         "WHERE NOT (l_shipmode = 'MAIL') AND o_orderdate >= 19950101 "
+                         "GROUP BY l_shipmode"),
+        ("is-null-one-side", "SELECT pid, rid FROM profiles JOIN regions ON city = rcity "
+                             "WHERE pname IS NULL"),
+        ("is-not-null-both-sides", "SELECT pid, rid, score FROM profiles "
+                                   "JOIN regions ON city = rcity "
+                                   "WHERE score IS NOT NULL AND rscore IS NOT NULL"),
+        ("count-3way", "SELECT COUNT(*) AS n FROM customer "
+                       "JOIN orders ON c_custkey = o_custkey "
+                       "JOIN lineitem ON o_orderkey = l_orderkey "
+                       "WHERE c_mktsegment = 'MACHINERY' AND l_shipmode <> 'AIR'"),
+        ("partitioned-side", "SELECT o_orderpriority, COUNT(*) AS n, SUM(sh_weight) AS w "
+                             "FROM shipments JOIN orders ON sh_orderkey = o_orderkey "
+                             "WHERE sh_weight > 5.0 AND o_orderdate < 19970101 "
+                             "GROUP BY o_orderpriority ORDER BY o_orderpriority"),
+    ]
+    return [Query(f"join/{qid}", sql) for qid, sql in queries]
+
+
 def random_select_corpus(seed: int = 7, count: int = 12) -> List[Query]:
     """Seeded randomized SELECTs over ``events`` and ``profiles``.
 
@@ -665,6 +715,7 @@ def default_corpus(seed: int = 7) -> List[Query]:
             publicbi_corpus(),
             null_corpus(),
             feature_corpus(),
+            join_where_corpus(),
             random_select_corpus(seed=seed),
             random_dml_corpus(seed=seed + 4),
         )

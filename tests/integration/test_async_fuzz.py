@@ -11,6 +11,11 @@ catalog: the final table states, SortKey materializations and refresh
 counts must be **bit-identical** — whatever interleaving the scheduler
 chose, the outcome is one of the serial histories.
 
+A seeded share of the statements fails at bind time (ambiguous or
+unknown column, reads and writes alike): each must raise its
+:class:`~repro.sql.binder.BindError` and give its admission slot back,
+or the clients behind it starve.
+
 Seeded and deterministic per client; every await is wrapped in a
 timeout so a scheduling bug fails fast instead of hanging CI.
 """
@@ -22,6 +27,7 @@ import pytest
 
 from repro.materialization.sortkey import SortKey
 from repro.sql import AsyncSQLSession, SQLSession
+from repro.sql.binder import BindError
 from repro.storage import Catalog, PartitionedTable, Table
 
 TIMEOUT = 180.0
@@ -89,9 +95,17 @@ SETS = [
     "SET statement_timeout_ms = 120000",
     "SET statement_timeout_ms = off",
 ]
+# statements that fail to bind: prepared after admission, so each
+# holds a read or write slot when it raises
+BIND_ERRORS = [
+    "SELECT grp FROM events x JOIN events y ON eid = eid",  # ambiguous
+    "SELECT nosuch FROM events WHERE grp < {k}",
+    "UPDATE events SET val = 0.5 WHERE nosuch = {k}",
+]
 
 
 def client_statements(rng: np.random.Generator, client_id: int):
+    """``(sql, fails_to_bind)`` pairs for one client."""
     out = []
     for step in range(STATEMENTS_PER_CLIENT):
         params = {
@@ -103,13 +117,15 @@ def client_statements(rng: np.random.Generator, client_id: int):
             "ins": 1_000_000 + client_id * 1_000 + step,
         }
         r = rng.random()
-        if r < 0.55:
+        if r < 0.5:
             template = READS[rng.integers(len(READS))]
-        elif r < 0.92:
+        elif r < 0.83:
             template = WRITES[rng.integers(len(WRITES))]
-        else:
+        elif r < 0.9:
             template = SETS[rng.integers(len(SETS))]
-        out.append(template.format(**params))
+        else:
+            template = BIND_ERRORS[rng.integers(len(BIND_ERRORS))]
+        out.append((template.format(**params), template in BIND_ERRORS))
     return out
 
 
@@ -132,9 +148,15 @@ def assert_table_equal(a, b, name):
 def test_fuzz_final_state_matches_serial_replay(clients):
     seed = 9_000 + clients
     write_records = []
+    bind_errors = []
 
     async def client(db, statements):
-        for sql in statements:
+        for sql, fails_to_bind in statements:
+            if fails_to_bind:
+                with pytest.raises(BindError):
+                    await db.execute(sql)
+                bind_errors.append(sql)
+                continue
             _, stats = await db.execute(sql, with_stats=True)
             if stats.kind == "write":
                 write_records.append((stats.write_seq, sql))
@@ -152,9 +174,12 @@ def test_fuzz_final_state_matches_serial_replay(clients):
                 jobs.append(client(db, client_statements(rng, i)))
             await asyncio.gather(*jobs)
             assert db.commit_count == len(write_records)
+            assert db.inflight == 0 and db.queued == 0
         return catalog, sortkeys
 
     catalog, sortkeys = run_async(main())
+    # as many bind failures as slots: leaked slots would have starved the run
+    assert len(bind_errors) >= clients
 
     # commit order is gapless FIFO
     seqs = sorted(seq for seq, _ in write_records)

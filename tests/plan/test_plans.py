@@ -300,3 +300,201 @@ class TestExecutorMisc:
         )
         result = execute_plan(plan, catalog)
         assert result.column("n")[0] == 2000
+
+
+class TestPushToScans:
+    """Binding places WHERE conjuncts and column lists on the scans."""
+
+    Q3 = (
+        "SELECT l_orderkey, o_orderdate, o_shippriority, "
+        "SUM(l_extendedprice * (1.0 - l_discount)) AS revenue "
+        "FROM customer JOIN orders ON c_custkey = o_custkey "
+        "JOIN lineitem ON o_orderkey = l_orderkey "
+        "WHERE c_mktsegment = 'BUILDING' AND o_orderdate < 19950315 "
+        "AND l_shipdate > 19950315 "
+        "GROUP BY l_orderkey, o_orderdate, o_shippriority"
+    )
+    Q12 = (
+        "SELECT l_shipmode, COUNT(*) AS n FROM orders "
+        "JOIN lineitem ON o_orderkey = l_orderkey "
+        "WHERE l_shipmode IN ('MAIL', 'SHIP') AND l_commitdate < l_receiptdate "
+        "AND l_shipdate < l_commitdate AND l_receiptdate >= 19940101 "
+        "AND l_receiptdate < 19950101 GROUP BY l_shipmode"
+    )
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        from repro.workloads import generate_tpch
+
+        catalog = Catalog()
+        generate_tpch(scale=0.002, seed=3).register(catalog)
+        return catalog
+
+    @staticmethod
+    def bound(catalog, sql):
+        from repro.sql import bind_statement, parse_statement
+
+        stmt = parse_statement(sql)
+        bind_statement(stmt, catalog)
+        return stmt.plan
+
+    @staticmethod
+    def nodes_of(plan, kind):
+        out = [plan] if isinstance(plan, kind) else []
+        for child in plan.children():
+            out += TestPushToScans.nodes_of(child, kind)
+        return out
+
+    def scans(self, plan):
+        return {s.table: s for s in self.nodes_of(plan, ScanNode)}
+
+    def assert_same_rows(self, catalog, sql):
+        from repro.sql import parse_statement
+
+        unbound = execute_plan(parse_statement(sql).plan, catalog)
+        got = execute_plan(self.bound(catalog, sql), catalog)
+        assert got.column_names == unbound.column_names
+        assert sorted(got.to_rows()) == sorted(unbound.to_rows())
+
+    def test_q3_conjuncts_land_on_their_scans(self, catalog):
+        plan = self.bound(catalog, self.Q3)
+        assert not self.nodes_of(plan, FilterNode)
+        scans = self.scans(plan)
+        assert repr(scans["customer"].predicate) == "(col('c_mktsegment') = lit('BUILDING'))"
+        assert repr(scans["orders"].predicate) == "(col('o_orderdate') < lit(19950315))"
+        assert repr(scans["lineitem"].predicate) == "(col('l_shipdate') > lit(19950315))"
+        # predicate-only columns are read by the scan's own predicate
+        assert scans["customer"].columns == ["c_custkey"]
+        assert scans["orders"].columns == [
+            "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"
+        ]
+        assert scans["lineitem"].columns == ["l_orderkey", "l_extendedprice", "l_discount"]
+        self.assert_same_rows(catalog, self.Q3)
+
+    def test_q12_puts_every_conjunct_on_lineitem(self, catalog):
+        plan = self.bound(catalog, self.Q12)
+        assert not self.nodes_of(plan, FilterNode)
+        scans = self.scans(plan)
+        assert scans["orders"].predicate is None
+        assert scans["orders"].columns == ["o_orderkey"]
+        assert repr(scans["lineitem"].predicate).count("AND") == 4
+        assert scans["lineitem"].columns == ["l_orderkey", "l_shipmode"]
+        self.assert_same_rows(catalog, self.Q12)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "o_orderdate < 19950101 OR l_shipdate > 19970101",  # OR across sources
+            "o_orderdate < l_shipdate",  # cross-source comparison
+            "1 = 0",  # column-free
+        ],
+    )
+    def test_conjunct_that_no_single_scan_owns_stays_above_the_join(self, catalog, where):
+        sql = (
+            "SELECT o_orderkey, l_discount FROM orders "
+            f"JOIN lineitem ON o_orderkey = l_orderkey WHERE {where}"
+        )
+        plan = self.bound(catalog, sql)
+        (filt,) = self.nodes_of(plan, FilterNode)
+        assert isinstance(filt.child, JoinNode)
+        assert all(s.predicate is None for s in self.scans(plan).values())
+        self.assert_same_rows(catalog, sql)
+
+    def test_mixed_where_splits_at_top_level_and(self, catalog):
+        sql = (
+            "SELECT o_orderkey FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+            "WHERE o_orderdate < 19960101 AND (o_orderdate > 19930101 OR l_discount > 0.02) "
+            "AND l_extendedprice > 10"
+        )
+        plan = self.bound(catalog, sql)
+        (filt,) = self.nodes_of(plan, FilterNode)
+        assert "OR" in repr(filt.predicate) and "AND" not in repr(filt.predicate)
+        scans = self.scans(plan)
+        assert "o_orderdate" in repr(scans["orders"].predicate)
+        assert "l_extendedprice" in repr(scans["lineitem"].predicate)
+        # the Filter's columns stay on the scans below it
+        assert "l_discount" in scans["lineitem"].columns
+        self.assert_same_rows(catalog, sql)
+
+    def test_qualified_and_aliased_refs_are_pushed(self, catalog):
+        sql = (
+            "SELECT o.o_orderkey, l.l_extendedprice FROM orders o "
+            "JOIN lineitem l ON o_orderkey = l_orderkey "
+            "WHERE o.o_orderdate < 19960101 AND l.l_discount >= 0.05"
+        )
+        plan = self.bound(catalog, sql)
+        assert not self.nodes_of(plan, FilterNode)
+        scans = self.scans(plan)
+        assert "o_orderdate" in repr(scans["orders"].predicate)
+        assert "l_discount" in repr(scans["lineitem"].predicate)
+        self.assert_same_rows(catalog, sql)
+
+    def test_unknown_table_is_left_for_execution(self, catalog):
+        from repro.sql import SQLSession
+
+        sql = "SELECT x FROM no_such_table WHERE x > 1"
+        plan = self.bound(catalog, sql)  # does not raise
+        assert isinstance(plan.child, FilterNode)
+        with pytest.raises(KeyError, match="no_such_table"):
+            SQLSession(catalog).execute(sql)
+
+    def test_count_star_keeps_one_column(self, catalog):
+        plan = self.bound(catalog, "SELECT COUNT(*) AS n FROM lineitem")
+        assert self.scans(plan)["lineitem"].columns == ["l_orderkey"]
+        out = execute_plan(plan, catalog)
+        assert out.column("n").tolist() == [catalog.table("lineitem").num_rows]
+
+    def test_join_side_contributing_only_its_key(self, catalog):
+        sql = "SELECT o_orderdate FROM orders JOIN customer ON o_custkey = c_custkey"
+        plan = self.bound(catalog, sql)
+        assert self.scans(plan)["customer"].columns == ["c_custkey"]
+        count = self.bound(
+            catalog, "SELECT COUNT(*) AS n FROM orders JOIN customer ON o_custkey = c_custkey"
+        )
+        assert execute_plan(count, catalog).column("n").tolist() == [
+            catalog.table("orders").num_rows
+        ]
+        self.assert_same_rows(catalog, sql)
+
+    @pytest.mark.parametrize("distinct", ["", "DISTINCT "])
+    def test_select_star_over_a_join_is_unpruned(self, catalog, distinct):
+        sql = (
+            f"SELECT {distinct}* FROM orders JOIN customer ON o_custkey = c_custkey "
+            "WHERE c_custkey < 20 ORDER BY o_orderkey LIMIT 30"
+        )
+        plan = self.bound(catalog, sql)
+        scans = self.scans(plan)
+        assert scans["orders"].columns is None and scans["customer"].columns is None
+        assert scans["customer"].predicate is not None
+        self.assert_same_rows(catalog, sql)
+
+    def test_existing_scan_predicate_is_anded(self, env):
+        from repro.plan.rules import push_to_scans
+
+        catalog, _ = env
+        join = JoinNode(
+            ScanNode("nuc_t", predicate=col("k") < 1500), ScanNode("nsc_t", ["k"]), "k", "k"
+        )
+        plan = ProjectNode(FilterNode(join, col("v") > 10_000), {"k": "k"})
+        schemas = {name: catalog.table(name).schema.names for name in ("nuc_t", "nsc_t")}
+        pushed = push_to_scans(plan, schemas)
+        scans = self.scans(pushed)
+        # ``v`` is in both tables: the conjunct has no single owner
+        assert isinstance(pushed.child, FilterNode)
+        assert repr(scans["nuc_t"].predicate) == "(col('k') < lit(1500))"
+        plan = FilterNode(ScanNode("nuc_t", predicate=col("k") < 1500), col("v") > 10_000)
+        pushed = push_to_scans(plan, schemas)
+        assert isinstance(pushed, ScanNode)
+        assert repr(pushed.predicate) == "((col('k') < lit(1500)) AND (col('v') > lit(10000)))"
+
+    def test_binding_twice_changes_nothing(self, catalog):
+        from repro.sql import bind_statement, parse_statement
+
+        stmt = parse_statement(self.Q3)
+        bind_statement(stmt, catalog)
+        once = stmt.plan
+        bind_statement(stmt, catalog)
+        assert stmt.plan.explain() == once.explain()
+        assert [s.columns for s in self.nodes_of(stmt.plan, ScanNode)] == [
+            s.columns for s in self.nodes_of(once, ScanNode)
+        ]

@@ -195,7 +195,7 @@ class TestNullGroupKeys:
         }
         assert probes <= ids
         assert not probes & set(XFAIL_MANIFEST)
-        assert CORPUS_VERSION == 3 and len(XFAIL_MANIFEST) == 7
+        assert CORPUS_VERSION == 4 and len(XFAIL_MANIFEST) == 7
 
 
 class TestWalReplay:

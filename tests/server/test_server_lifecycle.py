@@ -139,6 +139,27 @@ def test_sql_errors_keep_connection_usable():
     run_async(main())
 
 
+def test_bind_errors_do_not_leak_session_slots():
+    async def main():
+        async with SQLServer(make_catalog(5), session_max_inflight=2) as srv:
+            async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
+                bad = "SELECT grp FROM events a JOIN events b ON eid = eid"
+                for _ in range(2 * srv.session.max_inflight):
+                    with pytest.raises(ServerError, match="ambiguous column") as err:
+                        await cli.execute(bad)
+                    assert err.value.code == "sql" and not err.value.fatal
+                ok = await asyncio.wait_for(
+                    cli.execute("SELECT COUNT(*) AS n FROM events"), 10.0
+                )
+                assert ok.rows[0][0] > 0
+                w = await asyncio.wait_for(
+                    cli.execute("DELETE FROM events WHERE eid = 0"), 10.0
+                )
+                assert w.row_count == 1
+
+    run_async(main(), timeout=30.0)
+
+
 def test_removed_parallelism_setting_is_a_statement_error():
     async def main():
         async with SQLServer(make_catalog(5)) as srv:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.sql import AsyncSQLSession, ConcurrentSessionError, SQLSession
+from repro.sql.binder import AmbiguousColumnError
 from repro.sql.session import KIND_READ, KIND_SESSION, KIND_WRITE, classify_statement
 from repro.sql.parser import parse_statement
 from repro.storage import Catalog, Table
@@ -252,6 +253,22 @@ class TestBackpressure:
             await db.aclose()
 
         run_async(main())
+
+    def test_bind_errors_give_their_slot_back(self):
+        async def main():
+            # no ``async with``: closing a session with leaked slots hangs
+            db = AsyncSQLSession(events_catalog(), max_inflight=2)
+            bad = "SELECT grp FROM events a JOIN events b ON eid = eid"
+            for _ in range(2 * db.max_inflight):
+                with pytest.raises(AmbiguousColumnError):
+                    await db.execute(bad)
+            assert db.inflight == 0 and db.queued == 0
+            rel = await db.execute("SELECT COUNT(*) AS n FROM events")
+            assert rel.column("n").tolist() == [5_000]
+            assert await db.execute("DELETE FROM events WHERE eid = 0") == 1
+            await db.aclose()
+
+        run_async(main(), timeout=30.0)
 
     def test_invalid_max_inflight_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from repro.core import PatchIndexManager
 from repro.plan import execute_plan
 from repro.plan.stats import analyze_table
 from repro.sql import AsyncSQLSession, SQLSession
-from repro.sql.binder import bind_statement
+from repro.sql.binder import AmbiguousColumnError, bind_statement
 from repro.sql.parser import parse_statement
 from repro.storage import Catalog
 from repro.workloads import generate_tpch
@@ -95,6 +95,28 @@ class TestExplain:
         parser = parser_plan(session, BACKWARDS_Q3).explain()
         assert parser.index("Scan(lineitem)") < parser.index("Scan(customer)")
         assert session.explain(BACKWARDS_Q3) != parser
+
+    def test_explain_rejects_what_execution_rejects(self, session):
+        sql = "SELECT o_orderdate FROM orders a JOIN orders b ON o_orderkey = o_orderkey"
+        with pytest.raises(AmbiguousColumnError):
+            session.execute(sql)
+        with pytest.raises(AmbiguousColumnError):
+            session.explain(sql)
+        with pytest.raises(AmbiguousColumnError):
+            session.explain(sql, costs=True)
+
+    def test_explain_shows_the_pushed_plan_that_runs(self, session):
+        sql = (
+            "SELECT c_custkey, l_extendedprice FROM lineitem "
+            "JOIN orders ON l_orderkey = o_orderkey "
+            "JOIN customer ON o_custkey = c_custkey "
+            "WHERE o_orderdate < 5000 AND l_discount > 0.05"
+        )
+        text = session.explain(sql)
+        assert "Filter(" not in text
+        assert "Scan(orders, pred=(col('o_orderdate') < lit(5000)))" in text
+        assert "Scan(lineitem, pred=(col('l_discount') > lit(0.05)))" in text
+        assert text == session.prepare(sql).plan.explain()
 
     def test_explain_without_costs_is_just_the_plan(self, session):
         text = session.explain(BACKWARDS_Q3)
