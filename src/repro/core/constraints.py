@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.discovery import discover_nsc_patches, discover_nuc_patches
-from repro.core.lis import longest_sorted_subsequence
+from repro.core.lis import longest_nondecreasing, order_codes
 
 __all__ = [
     "Constraint",
@@ -66,28 +66,33 @@ class NearlySortedColumn(Constraint):
         return discover_nsc_patches(values, self.ascending)
 
     def extend_sorted_run(
-        self, inserted: np.ndarray, last_value: Optional[object]
+        self,
+        inserted: np.ndarray,
+        last_value: Optional[object],
+        null_boundary: bool = False,
     ) -> Tuple[np.ndarray, Optional[object]]:
         """Local extension of the sorted run over inserted values (§5.1).
 
-        Only values beyond ``last_value`` may extend the run; among them a
-        longest sorted subsequence is kept.  Returns the positions (into
-        ``inserted``) that join the run and the new boundary value.  The
-        globally longest subsequence may be lost — the accepted
-        optimality trade-off of §5.1.
+        Only values at or beyond ``last_value`` in ``ORDER BY`` order may
+        extend the run; among them a longest sorted subsequence is kept.
+        Returns the positions (into ``inserted``) that join the run and
+        the new boundary value.  The globally longest subsequence may be
+        lost — the accepted optimality trade-off of §5.1.
+
+        ``last_value`` None means the run is empty, unless
+        ``null_boundary`` says it is a NULL ending the run.  Values are
+        compared through one set of order codes over the boundary and
+        the inserted values, so NULL and NaN rank as the sort does.
         """
         n = len(inserted)
         if n == 0:
             return np.zeros(0, dtype=np.int64), last_value
-        if last_value is None:
-            eligible = np.arange(n, dtype=np.int64)
-        elif self.ascending:
-            eligible = np.flatnonzero(inserted >= last_value).astype(np.int64)
+        if last_value is None and not null_boundary:
+            keep = longest_nondecreasing(order_codes(inserted, self.ascending))
         else:
-            eligible = np.flatnonzero(inserted <= last_value).astype(np.int64)
-        if len(eligible) == 0:
-            return np.zeros(0, dtype=np.int64), last_value
-        keep_local = longest_sorted_subsequence(inserted[eligible], self.ascending)
-        keep = eligible[keep_local]
+            both = np.concatenate([np.asarray([last_value]), inserted])
+            codes = order_codes(both, self.ascending)
+            eligible = np.flatnonzero(codes[1:] >= codes[0])
+            keep = eligible[longest_nondecreasing(codes[1:][eligible])]
         new_last = inserted[keep[-1]] if len(keep) else last_value
         return keep, new_last

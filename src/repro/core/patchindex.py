@@ -24,6 +24,7 @@ import numpy as np
 from repro.bitmap import ParallelBulkDeleter, ShardedBitmap
 from repro.bitmap.sharded import DEFAULT_SHARD_BITS
 from repro.core.constraints import Constraint, NearlySortedColumn
+from repro.core.lis import order_codes
 from repro.engine.groups import sorted_unique
 from repro.engine.parallel import validate_parallelism
 
@@ -289,9 +290,9 @@ class PatchIndex:
         if self.constraint.kind == "nsc":
             if len(kept) <= 1:
                 return True
-            asc = getattr(self.constraint, "ascending", True)
-            pairs_ok = kept[1:] >= kept[:-1] if asc else kept[1:] <= kept[:-1]
-            return bool(np.all(pairs_ok))
+            # sorted in ORDER BY order: compare the kernel's order codes
+            codes = order_codes(kept, getattr(self.constraint, "ascending", True))
+            return bool(np.all(codes[1:] >= codes[:-1]))
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

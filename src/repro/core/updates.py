@@ -135,10 +135,11 @@ def _handle_nsc(index: PatchIndex, table, event: UpdateEvent) -> None:
     constraint: NearlySortedColumn = index.constraint  # type: ignore[assignment]
     if event.kind == "insert":
         inserted = np.asarray(event.values[index.column])
+        last = index.last_sorted_value
+        # a None boundary is a NULL ending the run while the run keeps rows
+        null_boundary = last is None and index.num_patches < index.num_rows
+        keep_local, new_last = constraint.extend_sorted_run(inserted, last, null_boundary)
         index.extend_rows(len(event.rowids))
-        keep_local, new_last = constraint.extend_sorted_run(
-            inserted, index.last_sorted_value
-        )
         keep_mask = np.zeros(len(inserted), dtype=bool)
         keep_mask[keep_local] = True
         index.add_patches(np.asarray(event.rowids)[~keep_mask])

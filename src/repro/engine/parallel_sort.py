@@ -256,6 +256,11 @@ def merge_run_slots(
     and ties back to ascending (run, offset).
     """
     arrays = [np.asarray(keys) for keys in run_keys]
+    if any(a.dtype.kind == "O" for a in arrays):
+        # one key encoding for every run, so NULL ranks after every
+        # value in all of them, as Sort ranks it
+        whole = _orderable_key(np.concatenate(arrays))
+        arrays = np.split(whole, np.cumsum([len(a) for a in arrays[:-1]]))
     if ascending:
         return _kway_merge(arrays)
     last = sum(len(a) for a in arrays) - 1

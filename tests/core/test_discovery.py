@@ -119,3 +119,48 @@ class TestNSCExtension:
         c = NearlySortedColumn()
         keep, last = c.extend_sorted_run(np.array([]), 5)
         assert len(keep) == 0 and last == 5
+
+
+class TestNSCNullOrder:
+    """NULL and NaN rank where ORDER BY ranks them: after every value."""
+
+    def test_discovery_keeps_null_last(self):
+        values = np.array([None, "a", "b", "d", "c"], dtype=object)
+        patches, last = discover_nsc_patches(values)
+        assert patches.tolist() == [0, 3]
+        assert last == "c"
+
+    def test_discovery_descending_keeps_null_first(self):
+        values = np.array([None, "a", "b", "d", "c"], dtype=object)
+        patches, last = discover_nsc_patches(values, ascending=False)
+        assert patches.tolist() == [1, 2]
+        assert last == "c"
+
+    def test_extension_compares_null_through_codes(self):
+        c = NearlySortedColumn()
+        keep, last = c.extend_sorted_run(np.array([None, "f"], dtype=object), "c")
+        assert keep.tolist() == [1]
+        assert last == "f"
+        keep, last = c.extend_sorted_run(np.array(["e", None, "a"], dtype=object), "c")
+        assert keep.tolist() == [0, 1]
+        assert last is None
+
+    def test_null_boundary_admits_only_null(self):
+        c = NearlySortedColumn()
+        inserted = np.array(["z", None], dtype=object)
+        keep, last = c.extend_sorted_run(inserted, None, null_boundary=True)
+        assert keep.tolist() == [1]
+        assert last is None
+        # descending: NULL comes first, so every value may follow it
+        desc = NearlySortedColumn(ascending=False)
+        keep, last = desc.extend_sorted_run(np.array(["z", "y"], dtype=object), None, True)
+        assert keep.tolist() == [0, 1]
+        assert last == "y"
+
+    def test_nan_boundary_admits_nan(self):
+        c = NearlySortedColumn()
+        keep, last = c.extend_sorted_run(np.array([1.0, np.nan, 2.0]), np.nan)
+        assert keep.tolist() == [1]
+        assert np.isnan(last)
+        keep, last = c.extend_sorted_run(np.array([7.0, np.nan]), 5.0)
+        assert keep.tolist() == [0, 1]

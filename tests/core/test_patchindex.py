@@ -195,3 +195,27 @@ class TestInvalid:
     def test_unknown_design(self):
         with pytest.raises(ValueError):
             PatchIndex(nuc_table(), "v", NearlyUniqueColumn(), design="roaring")
+
+
+class TestVerifyNSC:
+    """verify() checks sortedness in ORDER BY order: NULL and NaN last."""
+
+    def test_trailing_nan_is_sorted(self):
+        t = Table.from_arrays("t", {"v": np.array([1.0, 2.0, np.nan])})
+        pi = PatchIndex(t, "v", NearlySortedColumn())
+        assert pi.num_patches == 0
+        assert pi.verify()
+
+    def test_kept_null(self):
+        t = Table.from_arrays("t", {"v": np.array(["a", "b", None], dtype=object)})
+        pi = PatchIndex(t, "v", NearlySortedColumn())
+        assert pi.num_patches == 0
+        assert pi.verify()
+
+    def test_null_first_is_not_sorted(self):
+        # no patches over [NULL, a, b]: the kept run is out of ORDER BY
+        # order (NULL sorts last), which the old order accepted
+        t = Table.from_arrays("t", {"v": np.array([None, "a", "b"], dtype=object)})
+        assert not PatchIndex(t, "v", NearlySortedColumn(), build=False).verify()
+        assert PatchIndex(t, "v", NearlySortedColumn(ascending=False), build=False).verify() is False
+        assert PatchIndex(t, "v", NearlySortedColumn()).verify()

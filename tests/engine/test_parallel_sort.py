@@ -253,8 +253,8 @@ class TestMergeSortedRuns:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_fuzz(self, seed):
-        """Random run sets: 0-300 rows each, int / NaN-float / string keys,
-        either direction; slots scatter the keys into sorted order."""
+        """Random run sets: 0-300 rows each, int / NaN-float / NULL-string
+        keys, either direction; slots scatter the keys into sorted order."""
         rng = np.random.default_rng(100 + seed)
         kind = ["int", "float", "str"][seed % 3]
         ascending = bool(rng.integers(0, 2))
@@ -268,6 +268,7 @@ class TestMergeSortedRuns:
                 k[rng.random(n) < 0.1] = np.nan
             else:
                 k = np.array(rng.choice(["fig", "kiwi", "pear", "plum"], n), dtype=object)
+                k[rng.random(n) < 0.1] = None
             runs.append(k[serial_sort_permutation([k], [ascending])])
         concat = np.concatenate(runs)
         want = serial_sort_permutation([concat], [ascending])
