@@ -13,18 +13,21 @@ design.
 NUC, measured (three runs each side, 200 five-row INSERTs): the
 per-statement materialized-view refresh fell 8x, 1.34–1.44 s to
 0.18–0.27 s, when its recompute moved from ``np.unique``'s hash table
-to the group kernel's sort + neighbour compare (``engine/groups.py``),
-while PI_bitmap stayed at 0.32–0.44 s.  Recomputing the distinct values
-of 60 k rows is 0.9 ms now; a five-row insert spends 1.6 ms on NUC
-maintenance (a collision join over the whole column — 20 % of the
-inserted values collide with random rows, so range propagation prunes
-nothing — and the positional-delta merge, ROADMAP item 4).  So
-"PatchIndex beats per-statement refresh" no longer holds for NUC at
-this scale: PI_bitmap / materialization is 1.2–1.8 at granularity 5 and
-3–5 at 50 (it was 0.25 and 0.4).  This is the baseline becoming
-competent, not maintenance getting dearer; both sides are linear in the
-table per statement.  It still holds for NSC, whose refresh re-sorts
-whole tuples.
+to the group kernel's sort + neighbour compare (``engine/groups.py``).
+Recomputing the distinct values of 60 k rows is under a millisecond, so
+"PatchIndex beats per-statement refresh" no longer holds for NUC at this
+scale; both sides are linear in the table per statement.  PI_bitmap /
+materialization at granularity 5 was 1.8–2.1 (PI_bitmap 0.40–0.47 s):
+each five-row insert probed the whole column (20 % of the inserted
+values collide with random rows, so range propagation prunes nothing)
+with the plain join kernel, and rebuilt the column's minmax summary in
+a per-block Python loop.  A hashed prefilter in front of the kernel and
+a ``reduceat`` summary took it to 1.1–1.2 (PI_bitmap 0.21–0.26 s, three
+runs each side); the rest is still a whole-column probe and merge per
+statement, ROADMAP item 4.  PI_identifier fell from 1.3–1.5 s to
+0.31–0.35 s when ``add_patches`` became a sorted merge instead of
+``np.union1d``'s hash-based unique over the whole patch set.  The
+claim still holds for NSC, whose refresh re-sorts whole tuples.
 """
 
 import numpy as np

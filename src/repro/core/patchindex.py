@@ -216,8 +216,11 @@ class PatchIndex:
         if self._bitmap is not None:
             self._bitmap.set_many(rowids)
         else:
-            merged = np.union1d(self._ids, rowids)
-            self._ids = merged.astype(np.int64)
+            # a sorted merge: one copy of the patch set plus the new ids,
+            # where ``np.union1d`` would sort the whole set again
+            rowids = sorted_unique(rowids)
+            new = rowids[~self.is_patch_many(rowids)]
+            self._ids = np.insert(self._ids, np.searchsorted(self._ids, new), new)
 
     def remove_rows(self, rowids: np.ndarray) -> None:
         """Drop tracking information for deleted tuples (§5.3).

@@ -8,9 +8,15 @@ full index recomputation and a full table scan:
   touched values (from the statement's positional deltas) are the build
   side of the engine's equi-join kernel and the indexed column is its
   probe side; dynamic range propagation restricts the probe to the
-  blocks whose minmax summary overlaps the touched values.  The rowIDs
-  of *both* join sides of every collision are merged into the patches,
-  so duplicated values never appear in the non-patch flow.
+  blocks whose minmax summary overlaps the touched values, and on an
+  integer column a hashed membership table of the touched values
+  prefilters long probe slices.  The rowIDs of *both* join sides of
+  every collision are merged into the patches, so duplicated values
+  never appear in the non-patch flow.  Measured and not kept: pruning
+  per block against each touched value instead of their global
+  [min, max] (ROADMAP item 4(a)).  On 50-row inserts of scattered
+  values into 200 k rows it kept 95 % of the blocks, as the global
+  range does.
 * **NSC insert** — extend the materialized sorted run with a longest
   sorted subsequence over the inserted values beyond the run's boundary
   value; the rest of the inserted tuples become patches.
@@ -35,12 +41,26 @@ import numpy as np
 from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
 from repro.core.discovery import discover_nuc_patches
 from repro.core.patchindex import PatchIndex
+from repro.engine.expressions import not_null_mask
 from repro.engine.groups import sorted_unique
-from repro.engine.operators import _expand_matches
+from repro.engine.operators import _expand_matches, _non_null_rows
 from repro.storage.minmax import MinMaxIndex
 from repro.storage.pdt import UpdateEvent
 
 __all__ = ["apply_update", "nuc_collision_patches"]
+
+#: Probe slices of an integer column with at least this many rows first
+#: pass a hashed membership table of the build keys.  Measured against
+#: the plain kernel (2-CPU x86 box): one build key, 4 096 rows 51 µs vs
+#: 46 µs and 8 192 rows 65 vs 79 µs; the 50-row inserts of the spine's
+#: ``pi_update`` (200 k rows, DRP keeps ~95 % of them) 0.95 vs 2.0 ms per
+#: join.  A single-row insert into a clustered column probes one
+#: 4 096-row block and stays on the plain kernel.
+_PREFILTER_MIN_ROWS = 8192
+#: Membership table of 2**16 booleans (64 KiB), indexed by the top bits
+#: of a Fibonacci (golden-ratio multiplicative) hash.
+_HASH_BITS = 16
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
 
 
 def apply_update(index: PatchIndex, table, event: UpdateEvent,
@@ -93,20 +113,50 @@ def _collision_join(column: np.ndarray, touched_values: np.ndarray,
     The build side is the (small) sorted set of distinct touched values;
     under dynamic range propagation ``minmax`` is the column's summary
     and the values' [min, max] range prunes the probe to the row ranges
-    whose blocks overlap it, each probed as a zero-copy slice.
+    whose blocks overlap it, each probed as a zero-copy slice.  On an
+    integer column a long slice first passes a hashed membership table
+    of the build keys, so only its few candidates reach the kernel,
+    which stays the exact check.
     """
     build = sorted_unique(touched_values)
+    present = _non_null_rows(build)
+    if present is not None:
+        # the kernel joins NULL to nothing, but DISTINCT folds NULLs into
+        # one group: a touched NULL shares its value with every NULL row
+        nulls = np.flatnonzero(~not_null_mask(column))
+        return np.sort(np.concatenate([nulls, _collision_join(column, build[present], minmax)]))
+    if len(build) == 0:
+        return np.zeros(0, dtype=np.int64)
     if minmax is None:
         ranges = [(0, len(column))]
     else:
         ranges = minmax.row_ranges_in_range(build[0], build[-1])
+    hashable = column.dtype.kind in "iu" and build.dtype.kind == column.dtype.kind
+    table = None
+    matched = []
+    for start, stop in ranges:
+        probe = column[start:stop]
+        if hashable and stop - start >= _PREFILTER_MIN_ROWS:
+            if table is None:
+                table = np.zeros(1 << _HASH_BITS, dtype=bool)
+                table[_fibonacci_hash(build)] = True
+            # rows whose hash misses every build key cannot match; the
+            # survivors go through the exact kernel
+            candidates = np.flatnonzero(table[_fibonacci_hash(probe)])
+            hits = _expand_matches(build, probe[candidates], build_sorted=True)[1]
+            matched.append(start + candidates[hits])
+        else:
+            matched.append(start + _expand_matches(build, probe, build_sorted=True)[1])
     # distinct build keys: each probe row matches at most once, so the
     # probe positions come out ascending and duplicate-free
-    matched = [
-        start + _expand_matches(build, column[start:stop], build_sorted=True)[1]
-        for start, stop in ranges
-    ]
     return np.concatenate(matched) if matched else np.zeros(0, dtype=np.int64)
+
+
+def _fibonacci_hash(keys: np.ndarray) -> np.ndarray:
+    """``_HASH_BITS``-bit multiplicative hashes of integer keys."""
+    wide = keys.astype(np.uint64 if keys.dtype.kind == "u" else np.int64, copy=False)
+    hashes = wide.view(np.uint64) * _FIBONACCI
+    return np.right_shift(hashes, np.uint64(64 - _HASH_BITS), out=hashes)
 
 
 def nuc_collision_patches(

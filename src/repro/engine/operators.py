@@ -438,10 +438,14 @@ class HashJoin(Operator):
             build_rel = build_op.execute()
             if self.dynamic_range_propagation and build_rel.num_rows:
                 keys = build_rel.column(build_key)
-                lo, hi = keys.min(), keys.max()
-                for scan in find_scans(probe_op):
-                    if probe_key in scan.columns:
-                        scan.push_range(probe_key, lo, hi)
+                present = _non_null_rows(keys)
+                if present is not None:
+                    keys = keys[present]  # a NULL key joins nothing
+                if len(keys):
+                    lo, hi = keys.min(), keys.max()
+                    for scan in find_scans(probe_op):
+                        if probe_key in scan.columns:
+                            scan.push_range(probe_key, lo, hi)
             probe_rel = probe_op.execute()
         build_idx, probe_idx = _expand_matches(
             build_rel.column(build_key), probe_rel.column(probe_key), build_sorted=False

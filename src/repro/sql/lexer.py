@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import List
+import re
+from typing import List, NamedTuple
 
 __all__ = ["TokenKind", "Token", "tokenize", "SQLSyntaxError"]
 
@@ -37,8 +37,7 @@ OPERATORS = ["<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "%"]
 PUNCT = ["(", ")", ",", ".", ";"]
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme: its kind, source text, and character offset."""
 
     kind: TokenKind
@@ -52,57 +51,68 @@ class Token:
         return value is None or self.value == value
 
 
+# One alternative per lexeme class after optional whitespace, tried in this
+# order at each position; the scanner matches where the previous lexeme
+# ended, so a position nothing matches is an error, never skipped.
+# ``\s``, ``\d`` and ``\w`` are Unicode classes: ``\s`` is ``str.isspace``,
+# ``\w`` is ``str.isalnum`` plus ``_``, and ``\d`` is the decimal digits
+# (``str.isdecimal``).  An identifier must start with a letter or ``_``
+# (``str.isalpha``), which no class expresses; a non-ASCII start is
+# checked in :func:`tokenize`.  So a numeral that is not a decimal digit
+# (``'²'``, ``'½'``) is an error outside literals and identifiers, as
+# ``int()`` would reject it anyway.
+_LEXEME = re.compile(
+    r"\s*(?:"
+    r"'(?P<string>[^']*)'"
+    r"|(?P<number>\d+\.?\d*|\.\d+)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<uword>[^\W\d]\w*)"
+    rf"|(?P<operator>{'|'.join(map(re.escape, OPERATORS))})"  # longest first
+    rf"|(?P<punct>[{re.escape(''.join(PUNCT))}])"
+    r"|\Z)"
+)
+_SPACE = re.compile(r"\s*")
+_STRING = _LEXEME.groupindex["string"]
+_WORD = _LEXEME.groupindex["word"]
+_UWORD = _LEXEME.groupindex["uword"]
+#: token kind of each group, by group number (the groups are named after
+#: the kinds; the two word groups have none)
+_KINDS = [None] * (_LEXEME.groups + 1)
+for _name, _group in _LEXEME.groupindex.items():
+    _KINDS[_group] = TokenKind.__members__.get(_name.upper())
+
+
 def tokenize(text: str) -> List[Token]:
     """Split SQL text into tokens (keywords upper-cased)."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise SQLSyntaxError(f"unterminated string literal at {i}")
-            tokens.append(Token(TokenKind.STRING, text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            tokens.append(Token(TokenKind.NUMBER, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the NamedTuple constructor
+    scan = _LEXEME.scanner(text).match
+    end = 0
+    while True:
+        m = scan()
+        if m is None:
+            pos = _SPACE.match(text, end).end()
+            if text[pos] == "'":
+                raise SQLSyntaxError(f"unterminated string literal at {pos}")
+            raise SQLSyntaxError(f"unexpected character {text[pos]!r} at position {pos}")
+        group = m.lastindex
+        if group is None:  # only whitespace was left
+            break
+        pos = m.start(group)
+        end = m.end()
+        if group == _WORD or group == _UWORD:
+            word = m.group(group)
+            if group == _UWORD and not word[0].isalpha():
+                raise SQLSyntaxError(f"unexpected character {word[0]!r} at position {pos}")
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, upper, i))
+                append(new(Token, (TokenKind.KEYWORD, upper, pos)))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, i))
-            i = j
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenKind.EOF, "", n))
+                append(new(Token, (TokenKind.IDENT, word, pos)))
+        elif group == _STRING:  # the literal starts at its opening quote
+            append(new(Token, (TokenKind.STRING, m.group(group), pos - 1)))
+        else:
+            append(new(Token, (_KINDS[group], m.group(group), pos)))
+    append(new(Token, (TokenKind.EOF, "", len(text))))
     return tokens
