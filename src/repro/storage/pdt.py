@@ -18,12 +18,16 @@ same interface to the index-maintenance layer: cheap update buffering,
 positional rowID semantics (deletes shift subsequent rowIDs) and
 statement-level delta scans.
 
-The first read after a write merges *every* column (:meth:`merged`);
-with deletes and inserts both pending, each column is one allocation
-(:func:`_copy_runs`).  Measured and not kept: merging per column,
-lazily on its first read (ROADMAP item 4(d)).  It moved ~0.5 ms per
-column onto that read, and the update workload's sort and aggregate
-statements rose 10–25 %.
+The first read after a write merges *every* column (:meth:`merged`),
+each into one allocation (:func:`_copy_runs`).  Measured and not kept:
+
+* a loop-free merge, ``np.compress`` of a keep mask into that
+  allocation: 0.7–2 ms against 0.14–0.17 ms for a 200 k-row column with
+  one deleted range and 50 buffered rows, and slower ``pi_update``
+  INSERTs;
+* merging per column, lazily on its first read (ROADMAP item 4(d)).
+  It moved ~0.5 ms per column onto that read, and the update
+  workload's sort and aggregate statements rose 10–25 %.
 """
 
 from __future__ import annotations
@@ -34,14 +38,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 __all__ = ["PositionalDelta", "UpdateEvent"]
-
-#: The one-allocation merge (:func:`_copy_runs`) copies one slice per run
-#: of kept base rows, ~0.6 µs each; from this many ranges of deleted rows
-#: on, ``np.delete`` + ``np.concatenate`` is cheaper.  Measured on a
-#: 200 k-row int64 column with 50 buffered rows: 50 scattered deletes
-#: 0.25 ms against 1.6 ms, 1 000 0.61 against 1.8 ms, 2 000 a tie at
-#: 1.4 ms.  A range delete is one run whatever its length.
-_MAX_COPY_RUNS = 1024
 
 
 @dataclasses.dataclass
@@ -119,16 +115,9 @@ class PositionalDelta:
                 arr[idx] = np.asarray(vals, dtype=arr.dtype)
         deleted = self._deleted_base
         buffers = self._insert_buffers.get(name, [])
-        if len(deleted) and buffers:
-            # where a new range of deleted positions starts
-            gaps = np.flatnonzero(np.diff(deleted) != 1) + 1
-            if len(gaps) < _MAX_COPY_RUNS:
-                return _copy_runs(arr, deleted, gaps, buffers, self.num_rows)
-        if len(deleted):
-            arr = np.delete(arr, deleted)
-        if buffers:
-            arr = np.concatenate([arr, *buffers])
-        return arr
+        if not len(deleted) and not buffers:
+            return arr
+        return _copy_runs(arr, deleted, buffers, self.num_rows)
 
     # ------------------------------------------------------------------
     # writes (positions refer to the *current* image at call time)
@@ -203,19 +192,23 @@ class PositionalDelta:
         self._cache = dict(self._base)
 
 
-def _copy_runs(base: np.ndarray, deleted: np.ndarray, gaps: np.ndarray,
+def _copy_runs(base: np.ndarray, deleted: np.ndarray,
                buffers: List[np.ndarray], num_rows: int) -> np.ndarray:
     """``concatenate([delete(base, deleted), *buffers])`` in one allocation.
 
-    ``deleted`` holds sorted, distinct base positions; ``gaps`` indexes
-    the ones that start a new range of consecutive positions.  The base
-    runs between the ranges, then the insert buffers, are copied into
-    one fresh array, so the merge never allocates the table-sized
-    temporary that ``np.delete`` hands to ``np.concatenate``.
+    ``deleted`` holds sorted, distinct base positions (maybe none).  The
+    runs of kept base rows between the ranges of consecutive deleted
+    positions, then the insert buffers, are copied into one fresh array,
+    so the merge never allocates the table-sized temporary that
+    ``np.delete`` hands to ``np.concatenate``.  The copy loop takes
+    ~0.6 µs per run: a range delete is one run whatever its length,
+    while ``k`` scattered deletes cost ``k`` runs on the next read.
     """
     out = np.empty(num_rows, dtype=base.dtype)
-    run_starts = np.concatenate([[0], deleted[gaps - 1] + 1, [deleted[-1] + 1]])
-    run_stops = np.concatenate([[deleted[0]], deleted[gaps], [len(base)]])
+    # where a new range of deleted positions starts
+    gaps = np.flatnonzero(np.diff(deleted) != 1) + 1
+    run_starts = np.concatenate([[0], deleted[gaps - 1] + 1, deleted[-1:] + 1])
+    run_stops = np.concatenate([deleted[:1], deleted[gaps], [len(base)]])
     at = 0
     for start, stop in zip(run_starts.tolist(), run_stops.tolist()):
         out[at : at + stop - start] = base[start:stop]

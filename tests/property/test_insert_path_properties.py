@@ -24,7 +24,6 @@ from repro.core import updates
 from repro.core.patchindex import BITMAP_DESIGN, IDENTIFIER_DESIGN, PatchIndex
 from repro.engine.operators import _expand_matches
 from repro.storage import PositionalDelta, Table
-from repro.storage import pdt as pdt_module
 from repro.storage.minmax import MinMaxIndex
 
 INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -186,8 +185,8 @@ def delta_scripts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(delta_scripts(), st.sampled_from([0, 2, pdt_module._MAX_COPY_RUNS]))
-def test_merge_matches_delete_then_concatenate(script, max_runs):
+@given(delta_scripts())
+def test_merge_matches_delete_then_concatenate(script):
     base, overrides, deleted, buffers = script
     store = PositionalDelta({"c": base})
     if len(deleted):
@@ -196,8 +195,7 @@ def test_merge_matches_delete_then_concatenate(script, max_runs):
         store.modify(np.array(list(overrides)), {"c": _as_array(list(overrides.values()), object)})
     for buf in buffers:
         store.insert({"c": buf})
-    with mock.patch.object(pdt_module, "_MAX_COPY_RUNS", max_runs):
-        got = store.column("c")
+    got = store.column("c")
     want = _merge_oracle(base, overrides, deleted, buffers)
     assert got.dtype == base.dtype and len(got) == store.num_rows
     np.testing.assert_array_equal(got, want)
