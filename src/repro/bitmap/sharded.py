@@ -18,16 +18,13 @@ Memory overhead of sharding is one 64-bit start value per shard, i.e.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.bitmap import kernels
 from repro.bitmap.kernels import WORD_BITS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bitmap.parallel import ShardTaskPool
+from repro.engine.groups import run_starts, sorted_unique
 
 __all__ = ["ShardedBitmap", "DEFAULT_SHARD_BITS"]
 
@@ -52,10 +49,6 @@ class ShardedBitmap:
         automatic :meth:`condense` once the fraction of lost bits
         strictly exceeds this threshold (lost bits *at* the threshold do
         not condense).
-    condense_executor:
-        Optional :class:`~repro.bitmap.parallel.ShardTaskPool` used by
-        :meth:`condense` (including auto-condense) to repack shards in
-        parallel; ``None`` keeps condense serial.
     """
 
     def __init__(
@@ -63,7 +56,6 @@ class ShardedBitmap:
         length: int = 0,
         shard_bits: int = DEFAULT_SHARD_BITS,
         condense_threshold: Optional[float] = None,
-        condense_executor: Optional["ShardTaskPool"] = None,
     ) -> None:
         if length < 0:
             raise ValueError("bitmap length must be non-negative")
@@ -75,7 +67,6 @@ class ShardedBitmap:
         self._words_per_shard = shard_bits // WORD_BITS
         self._length = length
         self._condense_threshold = condense_threshold
-        self.condense_executor = condense_executor
         nshards = max(1, (length + shard_bits - 1) // shard_bits)
         self._words = np.zeros(nshards * self._words_per_shard, dtype=np.uint64)
         self._starts = (np.arange(nshards, dtype=np.int64) * shard_bits)
@@ -93,15 +84,9 @@ class ShardedBitmap:
         length: int,
         shard_bits: int = DEFAULT_SHARD_BITS,
         condense_threshold: Optional[float] = None,
-        condense_executor: Optional["ShardTaskPool"] = None,
     ) -> "ShardedBitmap":
         """Build a bitmap of ``length`` bits with the given positions set."""
-        bm = cls(
-            length,
-            shard_bits=shard_bits,
-            condense_threshold=condense_threshold,
-            condense_executor=condense_executor,
-        )
+        bm = cls(length, shard_bits=shard_bits, condense_threshold=condense_threshold)
         bm.set_many(positions)
         return bm
 
@@ -111,16 +96,10 @@ class ShardedBitmap:
         bits: np.ndarray,
         shard_bits: int = DEFAULT_SHARD_BITS,
         condense_threshold: Optional[float] = None,
-        condense_executor: Optional["ShardTaskPool"] = None,
     ) -> "ShardedBitmap":
         """Build a bitmap from a boolean mask."""
         bits = np.asarray(bits, dtype=bool)
-        bm = cls(
-            len(bits),
-            shard_bits=shard_bits,
-            condense_threshold=condense_threshold,
-            condense_executor=condense_executor,
-        )
+        bm = cls(len(bits), shard_bits=shard_bits, condense_threshold=condense_threshold)
         bm.set_many(np.flatnonzero(bits))
         return bm
 
@@ -285,18 +264,20 @@ class ShardedBitmap:
         self,
         positions: Iterable[int],
         kernel: ShiftKernel = kernels.shift_down_vectorized,
-        executor: Optional["ParallelBulkDeleter"] = None,
     ) -> None:
         """Delete many bits given by their *pre-delete* logical positions.
 
         Positions are grouped by shard; within a shard they are processed
         in descending order so earlier shifts do not move later targets
-        (the order sensitivity of §4.2.3).  Shard-local shifts are
-        independent and may run in parallel via ``executor``.  Start
-        values are fixed afterwards in a single traversal holding a
-        running sum of deletions in preceding shards.
+        (the order sensitivity of §4.2.3).  Start values are fixed
+        afterwards in a single traversal holding a running sum of
+        deletions in preceding shards.
         """
-        pos = np.unique(np.asarray(list(positions), dtype=np.int64))
+        pos = np.asarray(
+            positions if isinstance(positions, np.ndarray) else list(positions),
+            dtype=np.int64,
+        )
+        pos = sorted_unique(pos)
         if len(pos) == 0:
             return
         if pos[0] < 0 or pos[-1] >= self._length:
@@ -304,40 +285,24 @@ class ShardedBitmap:
         self._count = None
         shards = np.searchsorted(self._starts, pos, side="right") - 1
         offsets = pos - self._starts[shards]
-        deleted_per_shard = np.zeros(len(self._starts), dtype=np.int64)
-
-        uniq_shards, first_idx = np.unique(shards, return_index=True)
-        tasks = []
-        for i, shard in enumerate(uniq_shards):
-            lo = first_idx[i]
-            hi = first_idx[i + 1] if i + 1 < len(uniq_shards) else len(pos)
-            offs_desc = offsets[lo:hi][::-1]
-            deleted_per_shard[shard] = hi - lo
-            tasks.append((int(shard), offs_desc))
-
-        if executor is not None:
-            executor.run(self, tasks, kernel)
-        else:
-            for shard, offs_desc in tasks:
-                self._delete_within_shard(shard, offs_desc, kernel)
+        # ``shards`` is sorted, so each touched shard is one run of it
+        bounds = np.append(np.flatnonzero(run_starts(shards)), len(pos))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            shard = int(shards[lo])
+            words = self._shard_words(shard)
+            nbits = self._shard_bit_count(shard)
+            for off in offsets[lo:hi][::-1].tolist():
+                kernel(words, off, nbits)
+                nbits -= 1
 
         # Single traversal adjusting start values with a running sum
         # (step (c) amortized over the whole bulk, Figure 4).
+        deleted_per_shard = np.bincount(shards, minlength=len(self._starts))
         preceding = np.cumsum(deleted_per_shard)
         self._starts[1:] -= preceding[:-1]
         self._lost[:-1] += deleted_per_shard[:-1]
         self._length -= len(pos)
         self._maybe_condense()
-
-    def _delete_within_shard(
-        self, shard: int, offsets_desc: np.ndarray, kernel: ShiftKernel
-    ) -> None:
-        """Apply descending-order deletes locally to one shard."""
-        words = self._shard_words(shard)
-        nbits = self._shard_bit_count(shard)
-        for off in offsets_desc:
-            kernel(words, int(off), nbits)
-            nbits -= 1
 
     # ------------------------------------------------------------------
     # condense (§4.2.4)
@@ -351,82 +316,23 @@ class ShardedBitmap:
         capacity = len(self._starts) * self._shard_bits
         return self._length / capacity if capacity else 1.0
 
-    def condense(self, executor: Optional["ShardTaskPool"] = None) -> None:
+    def condense(self) -> None:
         """Repack the bitmap so every shard is full again.
 
         Shifts data across shard boundaries into the bits lost by previous
-        delete operations and resets the start values.  Each post-condense
-        shard is filled from a disjoint logical bit range of the old
-        layout, so the repack is shard-local and independent: with an
-        ``executor`` (or an attached :attr:`condense_executor`) the
-        per-shard repacks run on its worker pool, falling back to the
-        serial single-pass unpack/repack for small bitmaps.  Both paths
-        produce bit-identical words, start values and lost counters.
+        delete operations and resets the start values: post-condense
+        shards are full and contiguous, and shard size is a word
+        multiple, so one pack of the logical bits is the new word array.
         """
-        if executor is None:
-            executor = self.condense_executor
         self._count = None
         shard_bits = self._shard_bits
         nshards = max(1, (self._length + shard_bits - 1) // shard_bits)
         words = np.zeros(nshards * self._words_per_shard, dtype=np.uint64)
-        if executor is None or nshards < executor.min_shards_for_parallelism:
-            self._repack_shard_range(words, 0, nshards)
-        else:
-            # contiguous shard runs per task: enough tasks to balance,
-            # few enough that dispatch overhead stays negligible
-            ntasks = min(nshards, executor.max_workers * 4)
-            bounds = [nshards * t // ntasks for t in range(ntasks + 1)]
-            executor.run_tasks(
-                [
-                    partial(self._repack_shard_range, words, first, last)
-                    for first, last in zip(bounds, bounds[1:])
-                    if last > first
-                ]
-            )
+        packed = kernels.bool_to_words(self.to_bool_array())
+        words[: len(packed)] = packed
         self._words = words
         self._starts = np.arange(nshards, dtype=np.int64) * shard_bits
         self._lost = np.zeros(nshards, dtype=np.int64)
-
-    def _repack_shard_range(
-        self, new_words: np.ndarray, first_shard: int, last_shard: int
-    ) -> None:
-        """Fill post-condense shards ``[first, last)`` from the old layout.
-
-        Post-condense shards are full and contiguous, and shard size is a
-        word multiple, so one pack of the run's logical bit range lands
-        word-aligned at the run's base.  Reads only pre-condense state
-        and writes only the run's own word slice, so concurrent repacks
-        never conflict.
-        """
-        lo = first_shard * self._shard_bits
-        hi = min(last_shard * self._shard_bits, self._length)
-        if hi <= lo:
-            return
-        packed = kernels.bool_to_words(self._logical_bool_range(lo, hi))
-        base = first_shard * self._words_per_shard
-        new_words[base : base + len(packed)] = packed
-
-    def _logical_bool_range(self, lo: int, hi: int) -> np.ndarray:
-        """The logical bits ``[lo, hi)`` as a boolean array."""
-        out = np.zeros(max(0, hi - lo), dtype=bool)
-        if hi <= lo:
-            return out
-        shard = self._locate(lo)
-        cursor = lo
-        while cursor < hi:
-            nbits = self._shard_bit_count(shard)
-            local = cursor - int(self._starts[shard])
-            take = min(hi - cursor, nbits - local)
-            if take <= 0:
-                shard += 1
-                continue
-            words = self._shard_words(shard)
-            out[cursor - lo : cursor - lo + take] = kernels.words_to_bool(
-                words, local + take
-            )[local:]
-            cursor += take
-            shard += 1
-        return out
 
     def _maybe_condense(self) -> None:
         if self._condense_threshold is None:
@@ -440,7 +346,11 @@ class ShardedBitmap:
     # ------------------------------------------------------------------
     def to_bool_array(self) -> np.ndarray:
         """Return the logical bitmap as a boolean numpy array."""
-        return self._logical_bool_range(0, self._length)
+        out = np.empty(self._length, dtype=bool)
+        for shard, start in enumerate(self._starts.tolist()):
+            nbits = self._shard_bit_count(shard)
+            out[start : start + nbits] = kernels.words_to_bool(self._shard_words(shard), nbits)
+        return out
 
     def positions(self) -> np.ndarray:
         """Return the sorted logical positions of all set bits."""

@@ -1,9 +1,7 @@
 """PatchIndex lifecycle management and partition transparency (§3.2).
 
 The manager creates indexes, hooks them into their tables' update
-streams, optionally monitors the exception rate to trigger a global
-recomputation (the mitigation §5.1/§5.3 suggest for lost optimality),
-and hides partitioning: on a :class:`~repro.storage.partition.
+streams and hides partitioning: on a :class:`~repro.storage.partition.
 PartitionedTable` a separate index is created per partition and a
 :class:`PartitionedPatchIndex` presents them as one.
 """
@@ -14,10 +12,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bitmap import ParallelBulkDeleter
 from repro.bitmap.sharded import DEFAULT_SHARD_BITS
 from repro.core.constraints import Constraint
-from repro.engine.parallel import validate_parallelism
 from repro.core.patchindex import BITMAP_DESIGN, PatchIndex
 from repro.core.updates import apply_update
 from repro.storage.catalog import Catalog
@@ -37,13 +33,10 @@ class MaintainedIndex:
         index: PatchIndex,
         table: Table,
         dynamic_range_propagation: bool = True,
-        recompute_threshold: Optional[float] = None,
     ) -> None:
         self.index = index
         self.table = table
         self.dynamic_range_propagation = dynamic_range_propagation
-        self.recompute_threshold = recompute_threshold
-        self.recompute_count = 0
         table.add_update_hook(self._on_update)
 
     def _on_update(self, table: Table, event) -> None:
@@ -51,12 +44,6 @@ class MaintainedIndex:
             self.index, table, event,
             dynamic_range_propagation=self.dynamic_range_propagation,
         )
-        if (
-            self.recompute_threshold is not None
-            and self.index.exception_rate > self.recompute_threshold
-        ):
-            self.index.rebuild()
-            self.recompute_count += 1
 
     def detach(self) -> None:
         """Stop maintaining the index."""
@@ -70,16 +57,9 @@ class PartitionedPatchIndex:
     scan of the partitioned table restricts itself to.
     """
 
-    def __init__(
-        self,
-        table: PartitionedTable,
-        parts: List[MaintainedIndex],
-        pool: Optional[ParallelBulkDeleter] = None,
-    ) -> None:
+    def __init__(self, table: PartitionedTable, parts: List[MaintainedIndex]) -> None:
         self.table = table
         self.parts = parts
-        #: delete+condense pool shared by every partition-local index
-        self._pool = pool
 
     @property
     def column(self) -> str:
@@ -122,9 +102,6 @@ class PartitionedPatchIndex:
     def detach(self) -> None:
         for p in self.parts:
             p.detach()
-            p.index.close()  # releases partition-owned pools (no-op for shared)
-        if self._pool is not None:
-            self._pool.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -147,11 +124,8 @@ class PatchIndexManager:
         constraint: Constraint,
         design: str = BITMAP_DESIGN,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        parallel_deletes: bool = False,
-        parallelism: int = 1,
         condense_threshold: Optional[float] = None,
         dynamic_range_propagation: bool = True,
-        recompute_threshold: Optional[float] = None,
     ):
         """Build and attach a PatchIndex; returns the queryable index.
 
@@ -159,51 +133,36 @@ class PatchIndexManager:
         (partition-local discovery, §3.2) and returns the combined
         :class:`PartitionedPatchIndex`; otherwise the bare
         :class:`~repro.core.patchindex.PatchIndex` is returned.
-        ``parallelism`` and ``condense_threshold`` configure the
-        maintenance pool and auto-condense of every created index (the
-        same knob semantics as :class:`~repro.core.patchindex.PatchIndex`).
+        ``condense_threshold`` configures the auto-condense of every
+        created index (the same semantics as
+        :class:`~repro.core.patchindex.PatchIndex`).
         """
         key = (table.name, column)
         if key in self._indexes:
             raise ValueError(f"PatchIndex on {table.name}.{column} already exists")
-        validate_parallelism(parallelism)
         if isinstance(table, PartitionedTable):
-            # one delete+condense pool shared by all partition-local
-            # indexes — parallelism bounds the table's worker threads,
-            # not each partition's
-            pool = (
-                ParallelBulkDeleter(max_workers=parallelism)
-                if parallelism > 1
-                else None
-            )
             parts = [
                 MaintainedIndex(
                     PatchIndex(
                         part, column, _clone_constraint(constraint),
                         design=design, shard_bits=shard_bits,
-                        parallel_deletes=parallel_deletes,
                         condense_threshold=condense_threshold,
-                        maintenance_pool=pool,
                     ),
                     part,
                     dynamic_range_propagation=dynamic_range_propagation,
-                    recompute_threshold=recompute_threshold,
                 )
                 for part in table.partitions
             ]
-            handle: object = PartitionedPatchIndex(table, parts, pool=pool)
+            handle: object = PartitionedPatchIndex(table, parts)
         else:
             maintained = MaintainedIndex(
                 PatchIndex(
                     table, column, constraint,
                     design=design, shard_bits=shard_bits,
-                    parallel_deletes=parallel_deletes,
-                    parallelism=parallelism,
                     condense_threshold=condense_threshold,
                 ),
                 table,
                 dynamic_range_propagation=dynamic_range_propagation,
-                recompute_threshold=recompute_threshold,
             )
             handle = _SingleIndexHandle(maintained)
         self._indexes[key] = handle
@@ -272,7 +231,6 @@ class _SingleIndexHandle:
 
     def detach(self) -> None:
         self._maintained.detach()
-        self._maintained.index.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return repr(self._maintained.index)

@@ -21,12 +21,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.bitmap import ParallelBulkDeleter, ShardedBitmap
+from repro.bitmap import ShardedBitmap
 from repro.bitmap.sharded import DEFAULT_SHARD_BITS
 from repro.core.constraints import Constraint, NearlySortedColumn
 from repro.core.lis import order_codes
 from repro.engine.groups import sorted_unique
-from repro.engine.parallel import validate_parallelism
 
 __all__ = ["PatchIndex", "BITMAP_DESIGN", "IDENTIFIER_DESIGN"]
 
@@ -49,24 +48,9 @@ class PatchIndex:
         ``"bitmap"`` or ``"identifier"``.
     shard_bits:
         Shard size of the backing sharded bitmap (bitmap design only).
-    parallel_deletes:
-        Use the thread-pool bulk-delete executor for the sharded bitmap
-        (worker count = CPU count; legacy boolean knob).
-    parallelism:
-        Worker count for the index's shard-local maintenance: bulk
-        deletes *and* condense run on one shared
-        :class:`~repro.bitmap.parallel.ShardTaskPool` of this size.
-        ``1`` (the default) keeps maintenance serial; must be a positive
-        integer.  The pool is owned by the index; :meth:`close` releases
-        it.
     condense_threshold:
         Forwarded to the backing sharded bitmap: auto-condense once the
         lost-bit fraction strictly exceeds this value (§4.2.4).
-    maintenance_pool:
-        An externally owned delete+condense pool to use instead of
-        creating one (the manager injects a single pool shared by all
-        partition-local indexes of one table); overrides ``parallelism``
-        and is never closed by this index.
     """
 
     def __init__(
@@ -76,15 +60,11 @@ class PatchIndex:
         constraint: Constraint,
         design: str = BITMAP_DESIGN,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        parallel_deletes: bool = False,
-        parallelism: int = 1,
         condense_threshold: Optional[float] = None,
-        maintenance_pool: Optional[ParallelBulkDeleter] = None,
         build: bool = True,
     ) -> None:
         if design not in (BITMAP_DESIGN, IDENTIFIER_DESIGN):
             raise ValueError(f"unknown design {design!r}")
-        parallelism = validate_parallelism(parallelism)
         self.table = table
         self.column = column
         self.constraint = constraint
@@ -95,15 +75,6 @@ class PatchIndex:
         self._bitmap: Optional[ShardedBitmap] = None
         self._ids: Optional[np.ndarray] = None
         self._rowids: Optional[np.ndarray] = None  # cached patch_rowids()
-        self._owns_deleter = maintenance_pool is None
-        if maintenance_pool is not None:
-            self._deleter: Optional[ParallelBulkDeleter] = maintenance_pool
-        elif parallelism > 1:
-            self._deleter = ParallelBulkDeleter(max_workers=parallelism)
-        elif parallel_deletes:
-            self._deleter = ParallelBulkDeleter()
-        else:
-            self._deleter = None
         #: boundary value of the kept sorted run (NSC state, §5.1)
         self.last_sorted_value: Optional[object] = None
         if build:
@@ -121,7 +92,6 @@ class PatchIndex:
                 self._num_rows,
                 shard_bits=self._shard_bits,
                 condense_threshold=self._condense_threshold,
-                condense_executor=self._deleter,
             )
             self._bitmap.set_many(patches)
             self._ids = None
@@ -230,40 +200,28 @@ class PatchIndex:
         delete; the identifier design removes deleted entries and
         decrements identifiers by the number of deleted smaller rowIDs.
         """
-        rowids = np.unique(np.asarray(rowids, dtype=np.int64))
+        rowids = np.asarray(rowids, dtype=np.int64)
         if len(rowids) == 0:
             return
-        if rowids[0] < 0 or rowids[-1] >= self._num_rows:
-            raise IndexError("rowid out of range")
         self._rowids = None
         if self._bitmap is not None:
-            self._bitmap.bulk_delete(rowids, executor=self._deleter)
-        else:
-            keep = self._ids[~np.isin(self._ids, rowids)]
-            shift = np.searchsorted(rowids, keep, side="left")
-            self._ids = (keep - shift).astype(np.int64)
+            # the bitmap dedups and range-checks the positions
+            self._bitmap.bulk_delete(rowids)
+            self._num_rows = len(self._bitmap)
+            return
+        rowids = sorted_unique(rowids)
+        if rowids[0] < 0 or rowids[-1] >= self._num_rows:
+            raise IndexError("rowid out of range")
+        keep = self._ids[~np.isin(self._ids, rowids)]
+        shift = np.searchsorted(rowids, keep, side="left")
+        self._ids = (keep - shift).astype(np.int64)
         self._num_rows -= len(rowids)
 
     def condense(self) -> None:
-        """Repack the backing bitmap, reclaiming lost bits (§4.2.4).
-
-        Runs shard-local repacks on the index's maintenance pool when a
-        ``parallelism`` > 1 was configured (the bitmap carries the pool
-        as its condense executor); a no-op for the identifier design,
-        which has no lost capacity.
-        """
+        """Repack the backing bitmap, reclaiming lost bits (§4.2.4); a
+        no-op for the identifier design, which has no lost capacity."""
         if self._bitmap is not None:
             self._bitmap.condense()
-
-    def close(self) -> None:
-        """Release the maintenance worker pool, if this index owns one.
-
-        Safe to call anytime: the pool recreates its threads lazily if
-        maintenance continues afterwards.  Injected (shared) pools are
-        left untouched — their owner closes them.
-        """
-        if self._deleter is not None and self._owns_deleter:
-            self._deleter.close()
 
     # ------------------------------------------------------------------
     # introspection

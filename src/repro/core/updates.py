@@ -23,10 +23,9 @@ full index recomputation and a full table scan:
 * **NSC modify** — all modified tuples become patches (they may break
   the sorted run).
 * **delete** (both) — drop the tracking information; the sharded
-  bitmap's bulk delete (or identifier decrementing) realigns rowIDs.
-  With a PatchIndex ``parallelism`` > 1 the shard-local shifts run on
-  the index's maintenance pool, and a configured ``condense_threshold``
-  may trigger an (equally shard-parallel) condense afterwards (§4.2.4).
+  bitmap's bulk delete (or identifier decrementing) realigns rowIDs,
+  serially, and a configured ``condense_threshold`` may trigger a
+  condense afterwards (§4.2.4).
 
 Constraints may thereby *become* approximate over time even when they
 were perfect at definition time, instead of aborting the update.

@@ -23,7 +23,7 @@ from repro.engine.interrupt import (
     cancellation_scope,
     checkpoint,
     current_token,
-    validate_timeout_ms,
+    validate_positive_int,
 )
 from repro.engine.expressions import (
     BinaryExpr,
@@ -38,7 +38,6 @@ from repro.engine.expressions import (
     lit,
     where,
 )
-from repro.engine.parallel import validate_parallelism
 from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
 from repro.engine.operators import (
     Distinct,
@@ -61,7 +60,6 @@ from repro.engine.operators import (
 
 __all__ = [
     "Relation",
-    "validate_parallelism",
     "CancellationToken",
     "QueryInterruptedError",
     "QueryCancelledError",
@@ -69,7 +67,7 @@ __all__ = [
     "cancellation_scope",
     "checkpoint",
     "current_token",
-    "validate_timeout_ms",
+    "validate_positive_int",
     "merge_sorted_runs",
     "serial_sort_permutation",
     "Expression",

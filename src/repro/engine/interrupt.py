@@ -35,7 +35,7 @@ __all__ = [
     "cancellation_scope",
     "current_token",
     "checkpoint",
-    "validate_timeout_ms",
+    "validate_positive_int",
     "CHECKPOINT_ROWS",
 ]
 
@@ -65,13 +65,14 @@ class QueryTimeoutError(QueryInterruptedError):
     """The statement ran past its ``statement_timeout_ms`` deadline."""
 
 
-def validate_timeout_ms(value, name: str = "statement_timeout_ms") -> int:
-    """Validate a millisecond timeout knob: a positive integer.
+def validate_positive_int(value, name: str) -> int:
+    """Validate a knob that must be a positive integer: a timeout in
+    milliseconds, a statement-lane width or a queue or connection cap.
 
-    Like :func:`~repro.engine.parallel.validate_parallelism`, rejects
-    ``bool`` (a common footgun since ``True == 1``), non-integers, and
-    values below 1.  ``None`` (= disabled) is handled by callers before
-    validation, never here.
+    Rejects ``bool`` (a common footgun since ``True == 1``) and other
+    non-integers with :class:`TypeError`, values below 1 with
+    :class:`ValueError`.  ``None`` (= disabled, where a knob allows it)
+    is handled by callers before validation, never here.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got bool")
@@ -103,7 +104,7 @@ class CancellationToken:
             self._timeout_ms = None
             self._deadline = None
         else:
-            self._timeout_ms = validate_timeout_ms(timeout_ms)
+            self._timeout_ms = validate_positive_int(timeout_ms, "timeout_ms")
             self._deadline = time.monotonic() + self._timeout_ms / 1000.0
 
     def cancel(self) -> None:

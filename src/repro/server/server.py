@@ -67,9 +67,8 @@ from repro.engine.batch import Relation
 from repro.engine.interrupt import (
     QueryCancelledError,
     QueryTimeoutError,
-    validate_timeout_ms,
+    validate_positive_int,
 )
-from repro.engine.parallel import validate_parallelism
 from repro.sql.async_session import (
     AsyncSQLSession,
     QueryStats,
@@ -114,8 +113,8 @@ def validate_port(value: object, name: str = "port") -> int:
 
     Accepts integers in ``[0, 65535]`` (``0`` binds an ephemeral port);
     rejects bools, non-integers and out-of-range values up front, the
-    same discipline :func:`~repro.engine.parallel.validate_parallelism`
-    applies to worker-count knobs.
+    same discipline :func:`~repro.engine.interrupt.validate_positive_int`
+    applies to count knobs.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -246,10 +245,8 @@ class SQLServer:
         self._host = host
         self._port = validate_port(port)
         self._auth_token = auth_token
-        self._max_connections = validate_parallelism(
-            max_connections, name="max_connections"
-        )
-        self._max_inflight = validate_parallelism(max_inflight, name="max_inflight")
+        self._max_connections = validate_positive_int(max_connections, "max_connections")
+        self._max_inflight = validate_positive_int(max_inflight, "max_inflight")
         if max_frame_bytes < protocol.HEADER.size:
             raise ValueError(f"max_frame_bytes too small: {max_frame_bytes}")
         self._max_frame_bytes = int(max_frame_bytes)
@@ -552,7 +549,7 @@ class SQLServer:
                 # type-checked by validate_message; the value range is a
                 # statement-level error, not a protocol violation
                 try:
-                    timeout_ms = validate_timeout_ms(timeout_ms)
+                    timeout_ms = validate_positive_int(timeout_ms, "timeout_ms")
                 except (TypeError, ValueError) as exc:
                     raise _StatementError(ERR_SQL, f"invalid timeout_ms: {exc}") from exc
             async with conn.slots:

@@ -77,9 +77,8 @@ from repro.engine.interrupt import (
     CancellationToken,
     QueryTimeoutError,
     cancellation_scope,
-    validate_timeout_ms,
+    validate_positive_int,
 )
-from repro.engine.parallel import validate_parallelism
 from repro.sql.parser import parse_statement
 from repro.sql.session import (
     KIND_READ,
@@ -240,11 +239,11 @@ class AsyncSQLSession:
         checkpoint_interval: Optional[int] = None,
         checkpoint_retain: int = 2,
     ) -> None:
-        self._max_inflight = validate_parallelism(max_inflight, name="max_inflight")
+        self._max_inflight = validate_positive_int(max_inflight, "max_inflight")
         self._max_queued = (
             None
             if max_queued is None
-            else validate_parallelism(max_queued, name="max_queued")
+            else validate_positive_int(max_queued, "max_queued")
         )
         self._session = SQLSession(
             catalog,
@@ -509,7 +508,7 @@ class AsyncSQLSession:
         if self._closed:
             raise ServerClosedError("AsyncSQLSession is closed")
         if timeout_ms is not None:
-            timeout_ms = validate_timeout_ms(timeout_ms)
+            timeout_ms = validate_positive_int(timeout_ms, "timeout_ms")
         kind = classify_statement(stmt)
         if (
             self._max_queued is not None

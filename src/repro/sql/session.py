@@ -34,7 +34,7 @@ from repro.engine.interrupt import (
     cancellation_scope,
     checkpoint,
     current_token,
-    validate_timeout_ms,
+    validate_positive_int,
 )
 from repro.plan import nodes
 from repro.plan.cost import CostModel
@@ -405,10 +405,10 @@ class SQLSession:
         """Reconfigure the default statement deadline (None disables).
 
         Validated like every knob: positive integers only (see
-        :func:`~repro.engine.interrupt.validate_timeout_ms`).
+        :func:`~repro.engine.interrupt.validate_positive_int`).
         """
         if timeout_ms is not None:
-            timeout_ms = validate_timeout_ms(timeout_ms)
+            timeout_ms = validate_positive_int(timeout_ms, "statement_timeout_ms")
         self._statement_timeout_ms = timeout_ms
         return timeout_ms
 

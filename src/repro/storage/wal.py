@@ -130,7 +130,7 @@ def validate_checkpoint_interval(value: object, name: str = "checkpoint_interval
 
     The value must be a positive integer; ``None`` (= disabled) is
     handled by callers before validation, mirroring
-    :func:`~repro.engine.interrupt.validate_timeout_ms`.  Bools, floats
+    :func:`~repro.engine.interrupt.validate_positive_int`.  Bools, floats
     and strings raise :class:`TypeError`; zero and negatives raise
     :class:`ValueError`.
     """

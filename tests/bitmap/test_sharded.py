@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bitmap import ParallelBulkDeleter, ShardedBitmap
+from repro.bitmap import ShardedBitmap
 from repro.bitmap import kernels
 
 SMALL_SHARD = 128  # tiny shards force cross-shard behaviour in tests
@@ -148,12 +148,12 @@ class TestDelete:
 
 
 class TestBulkDelete:
-    def run_reference(self, n, density, ndel, seed, shard_bits=SMALL_SHARD, executor=None):
+    def run_reference(self, n, density, ndel, seed, shard_bits=SMALL_SHARD):
         rng = np.random.default_rng(seed)
         bits = (rng.random(n) < density).tolist()
         bm = ShardedBitmap.from_bool_array(np.array(bits), shard_bits=shard_bits)
         targets = sorted(rng.choice(n, size=ndel, replace=False).tolist())
-        bm.bulk_delete(targets, executor=executor)
+        bm.bulk_delete(targets)
         for pos in reversed(targets):
             del bits[pos]
         np.testing.assert_array_equal(bm.to_bool_array(), np.array(bits))
@@ -168,9 +168,8 @@ class TestBulkDelete:
     def test_bulk_delete_single_shard(self):
         self.run_reference(100, 0.5, 30, seed=6)
 
-    def test_bulk_delete_parallel_executor(self):
-        with ParallelBulkDeleter(max_workers=4) as ex:
-            self.run_reference(4000, 0.3, 700, seed=7, executor=ex)
+    def test_bulk_delete_many_shards_non_pow2(self):
+        self.run_reference(4000, 0.3, 700, seed=7, shard_bits=192)
 
     def test_bulk_delete_empty(self):
         bm = ShardedBitmap(100, shard_bits=SMALL_SHARD)
@@ -304,14 +303,14 @@ class TestIntrospection:
 SHARD_SIZES = [SMALL_SHARD, 192]
 
 
-def deleted_bitmap(shard_bits, seed, executor=None):
+def deleted_bitmap(shard_bits, seed):
     """A bitmap after two bulk deletes, and the bools it must hold."""
     rng = np.random.default_rng(seed)
     bits = rng.random(11 * shard_bits + 37) < 0.3
     bm = ShardedBitmap.from_bool_array(bits, shard_bits=shard_bits)
     for _ in range(2):
         victims = rng.choice(len(bits), len(bits) // 5, replace=False)
-        bm.bulk_delete(victims, executor=executor)
+        bm.bulk_delete(victims)
         bits = np.delete(bits, victims)
     return bm, bits, rng
 
@@ -365,15 +364,134 @@ class TestCachedCount:
             mutate()
             assert bm.count() == int(bm.to_bool_array().sum())
 
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_parallel_bulk_delete_and_condense_invalidate(self, shard_bits, workers):
-        with ParallelBulkDeleter(max_workers=workers) as pool:
-            bm, bits, rng = deleted_bitmap(shard_bits, seed=24, executor=pool)
-            assert bm.count() == int(bits.sum())
-            victims = np.flatnonzero(bits)[::3]  # set bits only: the count must drop
-            bm.bulk_delete(victims, executor=pool)
-            assert bm.count() == int(bits.sum()) - len(victims)
-            bm.set(0)
-            before = bm.count()
-            bm.condense(executor=pool)
-            assert bm.count() == before == int(bm.to_bool_array().sum())
+    @pytest.mark.parametrize(
+        "kernel", [kernels.shift_down_scalar, kernels.shift_down_vectorized]
+    )
+    def test_bulk_delete_and_condense_invalidate(self, shard_bits, kernel):
+        bm, bits, rng = deleted_bitmap(shard_bits, seed=24)
+        assert bm.count() == int(bits.sum())
+        victims = np.flatnonzero(bits)[::3]  # set bits only: the count must drop
+        bm.bulk_delete(victims, kernel=kernel)
+        assert bm.count() == int(bits.sum()) - len(victims)
+        bm.set(0)
+        before = bm.count()
+        bm.condense()
+        assert bm.count() == before == int(bm.to_bool_array().sum())
+
+
+def assert_condensed(bm: ShardedBitmap, expect: np.ndarray) -> None:
+    """``bm`` holds ``expect`` in the layout condense promises: full,
+    contiguous shards and no lost bits."""
+    shard_bits = bm._shard_bits
+    nshards = max(1, -(-len(expect) // shard_bits))
+    np.testing.assert_array_equal(bm.to_bool_array(), expect)
+    assert len(bm) == len(expect)
+    assert bm.num_shards == nshards
+    np.testing.assert_array_equal(bm._starts, np.arange(nshards) * shard_bits)
+    assert bm.lost_bits() == 0
+    assert bm.count() == int(expect.sum())
+
+
+class TestCondenseAgainstDelete:
+    """Condense after deletes against ``np.delete`` of the same bools."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    @pytest.mark.parametrize("shard_bits", SHARD_SIZES)
+    def test_randomized_workloads(self, seed, shard_bits):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            n = int(rng.integers(1, 40 * shard_bits))
+            bits = rng.random(n) < rng.random()
+            bm = ShardedBitmap.from_bool_array(bits, shard_bits=shard_bits)
+            for _ in range(int(rng.integers(1, 4))):
+                if len(bits) < 2:
+                    break
+                k = int(rng.integers(1, max(2, len(bits) // 4)))
+                dels = rng.choice(len(bits), size=k, replace=False)
+                bm.bulk_delete(dels)
+                bits = np.delete(bits, dels)
+            bm.condense()
+            assert_condensed(bm, bits)
+
+    def test_single_bit_deletes_then_condense(self):
+        bits = np.ones(5 * SMALL_SHARD, dtype=bool)
+        bm = ShardedBitmap.from_bool_array(bits, shard_bits=SMALL_SHARD)
+        for pos in [0, SMALL_SHARD - 1, SMALL_SHARD, 3 * SMALL_SHARD + 7]:
+            bm.delete(pos)
+            bits = np.delete(bits, pos)
+        bm.condense()
+        assert_condensed(bm, bits)
+
+    def test_empty_bitmap(self):
+        bm = ShardedBitmap(0, shard_bits=SMALL_SHARD)
+        bm.condense()
+        assert_condensed(bm, np.zeros(0, dtype=bool))
+
+    def test_condense_after_boundary_spanning_bulk_delete(self):
+        bits = np.zeros(6 * SMALL_SHARD, dtype=bool)
+        bits[:: SMALL_SHARD // 4] = True
+        # a contiguous run of deletes crossing two shard boundaries
+        dels = np.arange(SMALL_SHARD - 10, 3 * SMALL_SHARD + 10, dtype=np.int64)
+        bm = ShardedBitmap.from_bool_array(bits, shard_bits=SMALL_SHARD)
+        bm.bulk_delete(dels)
+        bm.condense()
+        assert_condensed(bm, np.delete(bits, dels))
+        assert bm.utilization() >= len(bm) / (bm.num_shards * SMALL_SHARD)
+
+    def test_auto_condense_exactly_at_threshold_boundary(self):
+        # capacity = 4 shards * 128 bits; threshold = 2/512: two lost
+        # bits sit exactly AT the threshold (no condense), the third
+        # strictly exceeds it and fires.
+        capacity = 4 * SMALL_SHARD
+        bm = ShardedBitmap(
+            capacity, shard_bits=SMALL_SHARD, condense_threshold=2 / capacity
+        )
+        bm.delete(0)
+        bm.delete(0)
+        assert bm.lost_bits() == 2  # at the boundary: untouched
+        bm.delete(0)
+        assert bm.lost_bits() == 0  # strictly above: condensed
+        assert len(bm) == capacity - 3
+
+    def test_condense_preserves_set_bits_after_heavy_deletes(self):
+        rng = np.random.default_rng(11)
+        bits = rng.random(8 * SMALL_SHARD) < 0.7
+        bm = ShardedBitmap.from_bool_array(bits, shard_bits=SMALL_SHARD)
+        for _ in range(6):
+            dels = rng.choice(len(bm), size=max(1, len(bm) // 3), replace=False)
+            bm.bulk_delete(dels)
+            bits = np.delete(bits, dels)
+        bm.condense()
+        assert_condensed(bm, bits)
+
+
+class TestFactoryThresholdForwarding:
+    """Regression: the factories silently dropped ``condense_threshold``."""
+
+    def test_from_bool_array_forwards_threshold(self):
+        bits = np.ones(4 * SMALL_SHARD, dtype=bool)
+        bm = ShardedBitmap.from_bool_array(
+            bits, shard_bits=SMALL_SHARD, condense_threshold=0.0
+        )
+        bm.delete(0)
+        # any lost bit strictly exceeds 0.0, so auto-condense fired
+        assert_condensed(bm, np.delete(bits, 0))
+
+    def test_from_positions_forwards_threshold(self):
+        bm = ShardedBitmap.from_positions(
+            [0, SMALL_SHARD, 2 * SMALL_SHARD],
+            3 * SMALL_SHARD,
+            shard_bits=SMALL_SHARD,
+            condense_threshold=0.0,
+        )
+        bm.bulk_delete([1, SMALL_SHARD + 1])
+        expect = np.zeros(3 * SMALL_SHARD, dtype=bool)
+        expect[[0, SMALL_SHARD, 2 * SMALL_SHARD]] = True
+        assert_condensed(bm, np.delete(expect, [1, SMALL_SHARD + 1]))
+
+    def test_factories_without_threshold_never_condense(self):
+        bm = ShardedBitmap.from_bool_array(
+            np.ones(4 * SMALL_SHARD, dtype=bool), shard_bits=SMALL_SHARD
+        )
+        bm.delete(0)
+        assert bm.lost_bits() == 1

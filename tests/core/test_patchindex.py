@@ -219,3 +219,64 @@ class TestVerifyNSC:
         assert not PatchIndex(t, "v", NearlySortedColumn(), build=False).verify()
         assert PatchIndex(t, "v", NearlySortedColumn(ascending=False), build=False).verify() is False
         assert PatchIndex(t, "v", NearlySortedColumn()).verify()
+
+
+class TestCondensePlumbing:
+    """``condense_threshold`` reaches the bitmap, and delete plus condense
+    keep the patch set that ``np.delete`` of the mask predicts."""
+
+    SHARD = 128
+
+    def _table(self, n=4096):
+        values = np.arange(n, dtype=np.int64)
+        values[:: n // 8] = -1  # a few NSC violations
+        return Table.from_arrays("t", {"k": np.arange(n), "v": values})
+
+    def test_threshold_forwarded_and_delete_matches_mask(self):
+        table = self._table()
+        index = PatchIndex(
+            table, "v", NearlySortedColumn(), shard_bits=self.SHARD, condense_threshold=0.01
+        )
+        before = index.patch_mask()
+        dels = np.arange(0, table.num_rows, 5, dtype=np.int64)
+        index.remove_rows(dels)
+        # 20 % of the rows went: far past 1 %, so auto-condense fired
+        assert index._bitmap.lost_bits() == 0
+        assert index.num_rows == table.num_rows - len(dels)
+        np.testing.assert_array_equal(index.patch_mask(), np.delete(before, dels))
+
+    def test_designs_agree_after_remove_rows_and_condense(self):
+        table = self._table()
+        bitmap = PatchIndex(table, "v", NearlySortedColumn(), shard_bits=self.SHARD)
+        ids = PatchIndex(table, "v", NearlySortedColumn(), design=IDENTIFIER_DESIGN)
+        dels = np.random.default_rng(3).choice(table.num_rows, size=700, replace=False)
+        for index in (bitmap, ids):
+            index.remove_rows(np.concatenate([dels, dels[:50]]))  # unsorted, repeats
+            index.condense()
+        assert bitmap._bitmap.lost_bits() == 0
+        assert bitmap.num_rows == ids.num_rows == table.num_rows - len(dels)
+        np.testing.assert_array_equal(bitmap.patch_rowids(), ids.patch_rowids())
+
+    def test_partitioned_table_delete_keeps_indexes_valid(self):
+        from repro.core import PatchIndexManager
+        from repro.storage import Catalog, PartitionedTable
+
+        parted = PartitionedTable.from_table(self._table(8192), "k", 4)
+        catalog = Catalog()
+        catalog.register(parted)
+        manager = PatchIndexManager(catalog)
+        handle = manager.create(
+            parted, "v", NearlySortedColumn(), shard_bits=self.SHARD, condense_threshold=0.05
+        )
+        parted.delete_global(np.arange(0, 4096, 3, dtype=np.int64))
+        assert handle.verify()
+        assert all(p.index._bitmap.lost_bits() == 0 for p in handle.parts)
+        manager.drop(parted.name, "v")
+        assert manager.get(parted.name, "v") is None
+
+    def test_identifier_design_condense_is_noop(self):
+        table = self._table(256)
+        index = PatchIndex(table, "v", NearlySortedColumn(), design=IDENTIFIER_DESIGN)
+        before = index.patch_rowids()
+        index.condense()
+        np.testing.assert_array_equal(index.patch_rowids(), before)

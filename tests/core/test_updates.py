@@ -216,17 +216,6 @@ class TestManager:
         t.insert({"k": np.array([100]), "v": np.array([42])})
         assert pi.num_rows == 100  # not maintained anymore
 
-    def test_recompute_threshold_triggers_rebuild(self):
-        t = sorted_table(50)
-        mgr = PatchIndexManager()
-        handle = mgr.create(
-            t, "v", NearlySortedColumn(), recompute_threshold=0.2
-        )
-        # patch 40% of rows via modifies -> rebuild discovers minimal set
-        t.modify(np.arange(20), {"v": t.column("v")[np.arange(20)]})
-        assert handle.exception_rate <= 0.2 or handle.num_patches == 0
-        assert handle.verify()
-
     def test_catalog_registration(self):
         from repro.storage import Catalog
 

@@ -27,7 +27,7 @@ from repro.engine.interrupt import (
     cancellation_scope,
     checkpoint,
     current_token,
-    validate_timeout_ms,
+    validate_positive_int,
 )
 from repro.engine.parallel_sort import merge_sorted_runs
 from repro.testing import FaultInjector, FaultRule, InjectedWorkerError, inject
@@ -43,20 +43,24 @@ def make_table(n=1000, name="t"):
     )
 
 
-class TestValidateTimeoutMs:
-    @pytest.mark.parametrize("value", [1, 250, 10_000, np.int64(7)])
+class TestValidatePositiveInt:
+    """The one check behind ``timeout_ms``, ``max_inflight``,
+    ``max_queued`` and ``max_connections``."""
+
+    @pytest.mark.parametrize("value", [1, 3, 250, 10_000, np.int64(2), np.int64(7)])
     def test_accepts_positive_integers(self, value):
-        assert validate_timeout_ms(value) == int(value)
+        got = validate_positive_int(value, "knob")
+        assert got == int(value) and type(got) is int
 
-    @pytest.mark.parametrize("value", [0, -1, -250])
+    @pytest.mark.parametrize("value", [0, -1, -8, -250])
     def test_rejects_non_positive(self, value):
-        with pytest.raises(ValueError):
-            validate_timeout_ms(value)
+        with pytest.raises(ValueError, match="knob"):
+            validate_positive_int(value, "knob")
 
-    @pytest.mark.parametrize("value", [1.5, "4", True, None, [100]])
+    @pytest.mark.parametrize("value", [1.5, 2.5, 1.0, "4", True, False, None, [100]])
     def test_rejects_non_integers(self, value):
-        with pytest.raises(TypeError):
-            validate_timeout_ms(value)
+        with pytest.raises(TypeError, match="knob"):
+            validate_positive_int(value, "knob")
 
 
 class TestCancellationToken:

@@ -1,6 +1,7 @@
 """Property-based tests: bitmaps against a list-of-bools model."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,56 +22,90 @@ class BitOp:
         return f"BitOp({self.kind}, {self.payload})"
 
 
+OPS = ["set", "unset", "set_many", "delete", "bulk", "append", "extend", "condense"]
+
+
 @st.composite
 def op_sequences(draw):
     length = draw(st.integers(min_value=1, max_value=400))
     n_ops = draw(st.integers(min_value=0, max_value=40))
     ops = []
     for _ in range(n_ops):
-        kind = draw(st.sampled_from(["set", "unset", "delete", "append", "bulk", "condense"]))
+        kind = draw(st.sampled_from(OPS))
         payload = draw(st.integers(min_value=0, max_value=10**6))
         extra = draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=8))
         ops.append(BitOp(kind, (payload, extra)))
     return length, ops
 
 
+def apply_op(bitmap, model, op):
+    """Apply ``op`` to the bitmap and the list of bools alike.
+
+    Multi-position ops take their positions unsorted and with repeats,
+    half the time as a list and half as an ndarray.
+    """
+    n = len(model)
+    value, extra = op.payload
+    if op.kind == "append":
+        bit = bool(value % 2)
+        bitmap.append(bit)
+        model.append(bit)
+    elif op.kind == "extend":
+        nbits = value % 300
+        bitmap.extend(nbits)
+        model.extend([False] * nbits)
+    elif n == 0:
+        return
+    elif op.kind == "set":
+        bitmap.set(value % n)
+        model[value % n] = True
+    elif op.kind == "unset":
+        bitmap.unset(value % n)
+        model[value % n] = False
+    elif op.kind == "delete":
+        bitmap.delete(value % n)
+        del model[value % n]
+    elif op.kind in ("set_many", "bulk"):
+        positions = [v % n for v in [value] + extra]
+        if value % 2:
+            positions = np.array(positions, dtype=np.int64)
+        if op.kind == "set_many" and isinstance(bitmap, ShardedBitmap):
+            bitmap.set_many(positions)
+            for p in positions:
+                model[p] = True
+        elif op.kind == "bulk":
+            bitmap.bulk_delete(positions)
+            for p in sorted(set(positions), reverse=True):
+                del model[p]
+    elif op.kind == "condense" and isinstance(bitmap, ShardedBitmap):
+        bitmap.condense()
+
+
 def apply_ops(bitmap, model, ops):
     for op in ops:
-        n = len(model)
-        value, extra = op.payload
-        if op.kind == "append":
-            bit = bool(value % 2)
-            bitmap.append(bit)
-            model.append(bit)
-        elif n == 0:
-            continue
-        elif op.kind == "set":
-            bitmap.set(value % n)
-            model[value % n] = True
-        elif op.kind == "unset":
-            bitmap.unset(value % n)
-            model[value % n] = False
-        elif op.kind == "delete":
-            bitmap.delete(value % n)
-            del model[value % n]
-        elif op.kind == "bulk":
-            positions = sorted({v % n for v in [value] + extra})
-            bitmap.bulk_delete(positions)
-            for p in reversed(positions):
-                del model[p]
-        elif op.kind == "condense" and isinstance(bitmap, ShardedBitmap):
-            bitmap.condense()
+        apply_op(bitmap, model, op)
 
 
+@pytest.mark.parametrize("shard_bits", [SHARD, 192])
+@pytest.mark.parametrize("condense_threshold", [None, 0.0, 0.05])
 @given(op_sequences())
 @settings(max_examples=60, deadline=None)
-def test_sharded_bitmap_matches_model(case):
+def test_sharded_bitmap_matches_model(shard_bits, condense_threshold, case):
+    """The sharded bitmap's oracle: every mutator, on pow2 and non-pow2
+    shards, with auto-condense off, after every lost bit and past 5 %,
+    checked bit by bit (and the cached count) after every op."""
     length, ops = case
-    bitmap = ShardedBitmap(length, shard_bits=SHARD)
+    bitmap = ShardedBitmap(length, shard_bits=shard_bits, condense_threshold=condense_threshold)
     model = [False] * length
-    apply_ops(bitmap, model, ops)
-    assert len(bitmap) == len(model)
+    for op in ops:
+        apply_op(bitmap, model, op)
+        expect = np.array(model, dtype=bool)
+        assert len(bitmap) == len(model)
+        assert bitmap.count() == int(expect.sum())
+        np.testing.assert_array_equal(bitmap.get_many(np.arange(len(model))), expect)
     np.testing.assert_array_equal(bitmap.to_bool_array(), np.array(model, dtype=bool))
+    if condense_threshold == 0.0:
+        assert bitmap.lost_bits() == 0
 
 
 @given(op_sequences())

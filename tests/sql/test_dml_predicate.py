@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.engine.interrupt import CHECKPOINT_ROWS, CancellationToken, cancellation_scope
-from repro.engine.parallel import validate_parallelism
 from repro.sql.parser import parse_statement
 from repro.sql.session import SQLSession
 from repro.storage import Catalog, Table
@@ -191,14 +190,3 @@ class TestReferencedColumnsOnly:
         spied_column.clear()
         session.execute("DELETE FROM events WHERE grp > 90")
         assert set(spied_column) == {"grp"}
-
-
-def test_validate_parallelism_contract():
-    assert validate_parallelism(3) == 3
-    assert validate_parallelism(np.int64(2)) == 2
-    for bad in (0, -1, -8):
-        with pytest.raises(ValueError):
-            validate_parallelism(bad)
-    for bad in (2.5, 1.0, "4", None, True, False):
-        with pytest.raises(TypeError):
-            validate_parallelism(bad)

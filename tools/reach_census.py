@@ -45,10 +45,6 @@ SRC = os.path.join(REPO, "src")
 PACKAGE = os.path.join(SRC, "repro")
 RECORDS_ENV = "REACH_CENSUS_RECORDS"
 
-_PARALLEL = (
-    "ROADMAP item 7: §4.2.3's shard-parallel maintenance, timed by Fig. 6 and the bulk-delete"
-    " ablation, waits for its trial"
-)
 _FRONT_END = "ROADMAP item 9: front ends and their knob plumbing fold into one statement pipeline"
 _SAFETY = "safety code: runs only when a write, a WAL frame or an injected fault goes wrong"
 _SPINE_TRACE = "read by the spine's --trace 1 probes, which the census runs untraced"
@@ -65,7 +61,6 @@ _BASELINES = "the paper's comparison baselines (§6, Figs. 8-11); their unit tes
 #: (``repro.*.__repr__``) covers every function it matches; a glob
 #: relative to ``src/repro`` ending in ``.py`` covers whole modules.
 ALLOWLIST: Dict[str, str] = {
-    "bitmap/parallel.py": _PARALLEL,
     "server/*.py": _FRONT_END,
     "sql/async_session.py": _FRONT_END,
     "repro.sql.parser._Parser._parse_set": _FRONT_END,
