@@ -98,9 +98,7 @@ def run_async_clients(statements) -> tuple:
     catalog = fresh_catalog()
 
     async def main():
-        async with AsyncSQLSession(
-            catalog, max_inflight=N_CLIENTS
-        ) as db:
+        async with AsyncSQLSession(SQLSession(catalog), max_inflight=N_CLIENTS) as db:
 
             async def client(slice_):
                 for sql in slice_:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.bench import format_table, write_report
 from repro.server import AsyncSQLClient, SQLServer
-from repro.sql import AsyncSQLSession
+from repro.sql import AsyncSQLSession, SQLSession
 from repro.storage import Catalog, Table
 
 QUICK = bool(int(os.environ.get("BENCH_QUICK", "0")))
@@ -89,9 +89,7 @@ def run_inprocess(statements):
     latencies = []
 
     async def main():
-        async with AsyncSQLSession(
-            catalog, max_inflight=N_CLIENTS
-        ) as db:
+        async with AsyncSQLSession(SQLSession(catalog), max_inflight=N_CLIENTS) as db:
 
             async def client(slice_):
                 for sql in slice_:

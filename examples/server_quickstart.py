@@ -1,12 +1,12 @@
-"""Start a SQL server, talk to it from two clients, shut it down.
+"""Start a SQL server, talk to it over TCP, shut it down.
 
 The smallest end-to-end tour of the network front door:
 
 1. build a catalog and start :class:`repro.server.SQLServer` on an
    ephemeral port,
-2. run concurrent clients — an asyncio client firing a query and an
-   UPDATE in parallel, and a blocking :class:`repro.server.SQLClient`
-   in a worker thread,
+2. connect one :class:`repro.server.AsyncSQLClient`: pipeline a query
+   and an UPDATE on the connection, then ``prepare`` a statement and
+   ``run_prepared`` it around a DELETE,
 3. drain gracefully with ``aclose`` (in-flight statements commit,
    queued ones get typed ``server-closed`` errors).
 
@@ -14,7 +14,7 @@ Run it::
 
     PYTHONPATH=src python examples/server_quickstart.py
 
-The wire protocol the clients speak is specified in
+The wire protocol the client speaks is specified in
 ``docs/protocol.md``; ``docs/architecture.md`` places the server in
 the layer map.
 """
@@ -23,7 +23,7 @@ import asyncio
 
 import numpy as np
 
-from repro.server import AsyncSQLClient, SQLClient, SQLServer
+from repro.server import AsyncSQLClient, SQLServer
 from repro.storage import Catalog, Table
 
 
@@ -44,37 +44,29 @@ def build_catalog() -> Catalog:
     return catalog
 
 
-async def async_client(port: int) -> None:
-    """Pipeline a read and a write on one connection."""
-    async with await AsyncSQLClient.connect("127.0.0.1", port) as cli:
-        # submit both without waiting: the server admits them through
-        # the shared session's FIFO (the write commits atomically)
-        read_id = await cli.submit("SELECT grp, COUNT(*) AS n FROM events GROUP BY grp ORDER BY grp")
-        write_id = await cli.submit("UPDATE events SET val = val * 2.0 WHERE grp = 3")
-        groups = await cli.wait(read_id)
-        update = await cli.wait(write_id)
-        print(f"[async] {len(groups.rows)} groups; "
-              f"update touched {update.row_count} rows "
-              f"(commit #{update.stats['write_seq']})")
-
-
-def blocking_client(port: int) -> None:
-    """The same API surface, synchronous — e.g. for scripts or a REPL."""
-    with SQLClient("127.0.0.1", port) as cli:
-        cli.prepare("total", "SELECT SUM(val) AS s FROM events")
-        before = cli.run_prepared("total").scalar()
-        cli.execute("DELETE FROM events WHERE eid % 1000 = 0")
-        after = cli.run_prepared("total").scalar()
-        print(f"[blocking] SUM(val): {before:.2f} -> {after:.2f} after DELETE")
-
-
 async def main() -> None:
     async with SQLServer(build_catalog()) as server:
         print(f"serving on {server.host}:{server.port}")
-        await asyncio.gather(
-            async_client(server.port),
-            asyncio.to_thread(blocking_client, server.port),
-        )
+        async with await AsyncSQLClient.connect(server.host, server.port) as cli:
+            # submit both without waiting: the server admits them through
+            # the shared session's FIFO (the write commits atomically)
+            read_id = await cli.submit(
+                "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp ORDER BY grp"
+            )
+            write_id = await cli.submit("UPDATE events SET val = val * 2.0 WHERE grp = 3")
+            groups = await cli.wait(read_id)
+            update = await cli.wait(write_id)
+            print(
+                f"{len(groups.rows)} groups; update touched {update.row_count} rows "
+                f"(commit #{update.stats['write_seq']})"
+            )
+
+            # parsed once on the server, run by name
+            await cli.prepare("total", "SELECT SUM(val) AS s FROM events")
+            before = (await cli.run_prepared("total")).scalar()
+            await cli.execute("DELETE FROM events WHERE eid % 1000 = 0")
+            after = (await cli.run_prepared("total")).scalar()
+            print(f"SUM(val): {before:.2f} -> {after:.2f} after DELETE")
         print(f"served {server.session.commit_count} commits; draining...")
     print("server closed")
 

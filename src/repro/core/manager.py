@@ -131,8 +131,10 @@ class PatchIndexManager:
 
         For a partitioned table this creates one index per partition
         (partition-local discovery, §3.2) and returns the combined
-        :class:`PartitionedPatchIndex`; otherwise the bare
-        :class:`~repro.core.patchindex.PatchIndex` is returned.
+        :class:`PartitionedPatchIndex`; otherwise a
+        :class:`_SingleIndexHandle` over the one maintained
+        :class:`~repro.core.patchindex.PatchIndex` (its ``index``
+        property) is returned.  Both handles answer the same queries.
         ``condense_threshold`` configures the auto-condense of every
         created index (the same semantics as
         :class:`~repro.core.patchindex.PatchIndex`).

@@ -67,7 +67,8 @@ class QueryTimeoutError(QueryInterruptedError):
 
 def validate_positive_int(value, name: str) -> int:
     """Validate a knob that must be a positive integer: a timeout in
-    milliseconds, a statement-lane width or a queue or connection cap.
+    milliseconds, a statement-lane width, a queue or connection cap or
+    a checkpoint interval.
 
     Rejects ``bool`` (a common footgun since ``True == 1``) and other
     non-integers with :class:`TypeError`, values below 1 with

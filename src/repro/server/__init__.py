@@ -8,8 +8,8 @@ The server layer (see ``docs/architecture.md`` for where it sits and
 * :mod:`repro.server.server` — :class:`SQLServer`, the asyncio acceptor
   multiplexing connections onto one
   :class:`~repro.sql.async_session.AsyncSQLSession`.
-* :mod:`repro.server.client` — :class:`SQLClient` (blocking) and
-  :class:`AsyncSQLClient` (pipelined asyncio) drivers.
+* :mod:`repro.server.client` — :class:`AsyncSQLClient`, the one client
+  driver (pipelined asyncio, with an optional :class:`RetryPolicy`).
 """
 
 from repro.server.client import (
@@ -17,7 +17,6 @@ from repro.server.client import (
     ClientResult,
     RetryPolicy,
     ServerError,
-    SQLClient,
 )
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -32,7 +31,6 @@ from repro.sql.async_session import ServerClosedError
 
 __all__ = [
     "SQLServer",
-    "SQLClient",
     "AsyncSQLClient",
     "ClientResult",
     "ServerError",

@@ -1,16 +1,14 @@
-"""Client drivers for the SQL server: blocking and asyncio variants.
+"""Client driver for the SQL server.
 
 The shape follows PostBOUND's minimal SQL-over-connection drivers
 (connect → execute → rows): a few lines to issue a statement and read
-rows back, no ORM.  Both clients speak the ``docs/protocol.md`` wire
-protocol through the same codec the server uses
-(:mod:`repro.server.protocol`).
-
-* :class:`SQLClient` — blocking, one statement at a time; for scripts
-  and the quickstart example.
-* :class:`AsyncSQLClient` — asyncio, pipelined: many in-flight
-  statements per connection, matched to replies by statement id, with
-  cooperative :meth:`AsyncSQLClient.cancel`.
+rows back, no ORM.  :class:`AsyncSQLClient` is the one client side of
+the ``docs/protocol.md`` wire protocol and speaks it through the same
+codec the server uses (:mod:`repro.server.protocol`).  It pipelines:
+many in-flight statements per connection, matched to replies by
+statement id, with cooperative :meth:`AsyncSQLClient.cancel` and an
+optional :class:`RetryPolicy`.  Scripts drive it under
+:func:`asyncio.run` (see ``examples/server_quickstart.py``).
 
 Statement results arrive as :class:`ClientResult`; server-reported
 failures raise :class:`ServerError` carrying the wire error code.
@@ -22,20 +20,14 @@ import asyncio
 import dataclasses
 import itertools
 import random
-import socket
-import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
-    HEADER,
     PROTOCOL_VERSION,
     ConnectionClosedError,
-    FrameTooLargeError,
     ProtocolError,
-    decode_frame,
-    encode_frame,
     read_frame,
     validate_message,
     write_frame,
@@ -45,7 +37,6 @@ __all__ = [
     "ClientResult",
     "RetryPolicy",
     "ServerError",
-    "SQLClient",
     "AsyncSQLClient",
 ]
 
@@ -167,215 +158,6 @@ def _hello(token: Optional[str]) -> Dict:
     if token is not None:
         message["token"] = token
     return message
-
-
-class SQLClient:
-    """Blocking driver: connect, execute, read rows — one at a time.
-
-    Usage::
-
-        with SQLClient("127.0.0.1", port, token="s3cret") as cli:
-            n = cli.execute("SELECT COUNT(*) AS n FROM t").scalar()
-
-    Parameters mirror the wire spec: ``token`` is the ``hello`` auth
-    token, ``timeout`` the socket timeout in seconds (``None`` blocks
-    indefinitely), ``max_frame_bytes`` the frame cap applied to both
-    directions.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        token: Optional[str] = None,
-        timeout: Optional[float] = 30.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._token = token
-        self._timeout = timeout
-        self._max_frame_bytes = max_frame_bytes
-        self._ids = itertools.count(1)
-        self._retry = retry
-        self._retry_rng = random.Random(retry.seed) if retry is not None else None
-        self._sock: Optional[socket.socket] = None
-        self._closed = False
-        self._connect()
-
-    def _connect(self) -> None:
-        """Open the socket and complete the ``hello`` handshake."""
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        try:
-            self._send(_hello(self._token))
-            frame = self._recv()
-            if frame.get("type") != "hello_ok":
-                self._raise_error(frame)
-            self.server_info = frame
-        except BaseException:
-            self._drop_connection()
-            raise
-
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    def _send(self, message: Dict) -> None:
-        if self._sock is None:
-            raise ConnectionClosedError("client is not connected")
-        self._sock.sendall(encode_frame(message, self._max_frame_bytes))
-
-    def _recv_exact(self, n: int) -> bytes:
-        if self._sock is None:
-            raise ConnectionClosedError("client is not connected")
-        chunks = []
-        while n:
-            chunk = self._sock.recv(n)
-            if not chunk:
-                raise ConnectionClosedError("server closed the connection")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
-
-    def _recv(self) -> Dict:
-        (length,) = HEADER.unpack(self._recv_exact(HEADER.size))
-        if length > self._max_frame_bytes:
-            raise FrameTooLargeError(f"server frame of {length} bytes exceeds cap")
-        frame = decode_frame(self._recv_exact(length))
-        validate_message(frame, protocol.SERVER_MESSAGES)
-        return frame
-
-    def _raise_error(self, frame: Dict) -> None:
-        if frame.get("type") == "error":
-            raise ServerError(
-                frame["code"], frame["error"], backoff_ms=frame.get("backoff_ms")
-            )
-        if frame.get("type") == "goodbye":
-            raise ConnectionClosedError("server said goodbye")
-        raise ProtocolError(f"unexpected frame {frame.get('type')!r}")
-
-    def _recv_reply(self, sid: int) -> ClientResult:
-        """Block for the reply of statement ``sid``."""
-        while True:
-            frame = self._recv()
-            if frame.get("id") == sid:
-                if frame["type"] == "result":
-                    return _result_from_frame(frame)
-                self._raise_error(frame)
-            elif frame.get("type") in ("error", "goodbye"):
-                # connection-level failure (no id): fatal
-                self._raise_error(frame)
-            # stale reply to an older (cancelled/errored) id: skip
-
-    def _roundtrip(self, message: Dict) -> ClientResult:
-        """Send one statement frame and block for its reply by id."""
-        if self._closed:
-            raise ConnectionClosedError("client is closed")
-        self._send(message)
-        return self._recv_reply(message["id"])
-
-    def _roundtrip_with_retry(
-        self, make_message: Callable[[], Dict], idempotent: bool
-    ) -> ClientResult:
-        """Retry loop around :meth:`_roundtrip` per the client's policy.
-
-        Retryable error frames (``query-timeout``, ``overloaded``,
-        ``capacity``) are safe to resend for *any* statement — the
-        server guarantees a shed or timed-out statement left no trace
-        (timed-out writes unwind before the atomic mutation).  A broken
-        connection is retried (with a transparent reconnect) only for
-        idempotent statements, or when the statement frame provably
-        never went out — a write that may have reached the server could
-        otherwise be applied twice.
-        """
-        policy = self._retry
-        assert policy is not None
-        attempt = 0
-        while True:
-            if self._closed:
-                raise ConnectionClosedError("client is closed")
-            submitted = False
-            hint: Optional[int] = None
-            try:
-                if self._sock is None:
-                    self._connect()
-                message = make_message()
-                self._send(message)
-                submitted = True
-                return self._recv_reply(message["id"])
-            except ServerError as exc:
-                if not exc.retryable or attempt + 1 >= policy.max_attempts:
-                    raise
-                hint = exc.backoff_ms
-                if exc.fatal:
-                    self._drop_connection()
-            except (ConnectionError, OSError, socket.timeout):
-                self._drop_connection()
-                if (submitted and not idempotent) or attempt + 1 >= policy.max_attempts:
-                    raise
-            time.sleep(policy.delay_ms(attempt, hint, self._retry_rng) / 1000.0)
-            attempt += 1
-
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, timeout_ms: Optional[int] = None) -> ClientResult:
-        """Run one statement; blocks until its typed reply arrives.
-
-        ``timeout_ms`` rides the wire as the per-statement deadline
-        override (spec §3.2); when a :class:`RetryPolicy` was given,
-        retryable failures are resent per :meth:`_roundtrip_with_retry`.
-        """
-
-        def make() -> Dict:
-            message: Dict = {"type": "query", "id": next(self._ids), "sql": sql}
-            if timeout_ms is not None:
-                message["timeout_ms"] = timeout_ms
-            return message
-
-        if self._retry is None:
-            return self._roundtrip(make())
-        return self._roundtrip_with_retry(make, _statement_is_idempotent(sql))
-
-    def prepare(self, name: str, sql: str) -> ClientResult:
-        """Parse + classify ``sql`` server-side under ``name``."""
-        return self._roundtrip(
-            {"type": "prepare", "id": next(self._ids), "name": name, "sql": sql}
-        )
-
-    def run_prepared(self, name: str) -> ClientResult:
-        """Execute the statement previously :meth:`prepare`-d as ``name``."""
-        return self._roundtrip(
-            {"type": "run_prepared", "id": next(self._ids), "name": name}
-        )
-
-    def close(self) -> None:
-        """Send ``close``, wait for ``goodbye``, drop the socket."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._send({"type": "close"})
-            while True:
-                frame = self._recv()
-                if frame.get("type") == "goodbye":
-                    break
-        except (ConnectionError, OSError, ProtocolError, socket.timeout):
-            pass
-        finally:
-            self._drop_connection()
-
-    def __enter__(self) -> "SQLClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class AsyncSQLClient:

@@ -76,7 +76,7 @@ from repro.sql.async_session import (
     SessionOverloadedError,
 )
 from repro.sql.parser import parse_statement
-from repro.sql.session import classify_statement
+from repro.sql.session import SQLSession, classify_statement
 from repro.server import protocol
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -183,20 +183,19 @@ class SQLServer:
 
     Parameters
     ----------
-    catalog / index_manager / zero_branch_pruning / use_cost_model /
-    session_max_inflight / session_max_queued / statement_timeout_ms /
-    stats_history:
-        Forwarded to the single shared :class:`AsyncSQLSession`
-        (``session_max_inflight`` is its global ``max_inflight``
-        admission bound, ``session_max_queued`` its overload-shedding
-        queue bound, and ``statement_timeout_ms`` the default
-        per-statement deadline clients may override per statement).
-    data_dir / wal_sync / checkpoint_interval / checkpoint_retain:
-        Durability knobs, forwarded to the shared session.  With
-        ``data_dir`` set, the server recovers the directory's committed
-        state before accepting connections, WAL-logs every commit, and
-        the graceful drain of :meth:`aclose` syncs and checkpoints (via
-        the session core's close), so a clean restart replays nothing.
+    catalog / index_manager / statement_timeout_ms / data_dir /
+    wal_sync / checkpoint_interval:
+        Build the :class:`SQLSession` core (``statement_timeout_ms`` is
+        the default per-statement deadline clients may override per
+        statement).  With ``data_dir`` set, the server recovers the
+        directory's committed state before accepting connections,
+        WAL-logs every commit, and the graceful drain of :meth:`aclose`
+        syncs and checkpoints (via the core's close), so a clean
+        restart replays nothing.
+    session_max_inflight / session_max_queued / stats_history:
+        The shared :class:`AsyncSQLSession`'s ``max_inflight``
+        (global admission bound), ``max_queued`` (overload-shedding
+        queue bound) and ``stats_history``.
     host / port:
         Bind address; ``port=0`` (the default) binds an ephemeral port,
         exposed as :attr:`port` after :meth:`start`.
@@ -217,7 +216,7 @@ class SQLServer:
     Usage::
 
         async with SQLServer(catalog, port=0) as server:
-            ...  # server.port is bound; connect SQLClient / AsyncSQLClient
+            ...  # server.port is bound; connect an AsyncSQLClient
     """
 
     def __init__(
@@ -230,8 +229,6 @@ class SQLServer:
         auth_token: Optional[str] = None,
         max_connections: int = 64,
         max_inflight: int = 16,
-        zero_branch_pruning: bool = False,
-        use_cost_model: bool = True,
         session_max_inflight: int = 8,
         session_max_queued: Optional[int] = None,
         statement_timeout_ms: Optional[int] = None,
@@ -240,7 +237,6 @@ class SQLServer:
         data_dir: Optional[str] = None,
         wal_sync: str = "fsync",
         checkpoint_interval: Optional[int] = None,
-        checkpoint_retain: int = 2,
     ) -> None:
         self._host = host
         self._port = validate_port(port)
@@ -251,18 +247,17 @@ class SQLServer:
             raise ValueError(f"max_frame_bytes too small: {max_frame_bytes}")
         self._max_frame_bytes = int(max_frame_bytes)
         self._db = AsyncSQLSession(
-            catalog,
-            index_manager,
-            zero_branch_pruning=zero_branch_pruning,
-            use_cost_model=use_cost_model,
+            SQLSession(
+                catalog,
+                index_manager,
+                statement_timeout_ms=statement_timeout_ms,
+                data_dir=data_dir,
+                wal_sync=wal_sync,
+                checkpoint_interval=checkpoint_interval,
+            ),
             max_inflight=session_max_inflight,
             max_queued=session_max_queued,
-            statement_timeout_ms=statement_timeout_ms,
             stats_history=stats_history,
-            data_dir=data_dir,
-            wal_sync=wal_sync,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_retain=checkpoint_retain,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()

@@ -11,8 +11,8 @@ Scheduling discipline
   (:meth:`SQLSession.prepare_parsed` is cheap and touches no table
   data): parse and classification happen at arrival, the optimizer
   runs only once the statement holds its execution slot — so rewrites
-  that snapshot live index state (zero-branch pruning reads patch
-  counts) see exactly the state execution will.  Execution is
+  that snapshot live index state (the cost gate reads each index's
+  ``num_patches``) see exactly the state execution will.  Execution is
   dispatched to the statement lane, a
   :class:`~concurrent.futures.ThreadPoolExecutor` of ``max_inflight``
   threads, where the numpy kernels release the GIL.
@@ -186,8 +186,19 @@ class AsyncSQLSession:
 
     Parameters
     ----------
-    catalog / index_manager / zero_branch_pruning / use_cost_model:
-        Forwarded to the underlying :class:`SQLSession`.
+    core:
+        The :class:`SQLSession` every statement runs on.  The async
+        session owns it from then on: :meth:`shutdown`, :meth:`aclose`
+        and :meth:`close` close it, which on a durable core syncs and
+        checkpoints the WAL.  The core's ``statement_timeout_ms`` is
+        the default per-statement deadline, measured here from
+        *arrival* (queue wait counts); each statement may override it
+        via ``execute(..., timeout_ms=...)``.  Expired statements raise
+        :class:`~repro.engine.interrupt.QueryTimeoutError`; a timed-out
+        write never mutated anything, so timeouts are always safe to
+        retry.  With a durable core every committed write is WAL-logged
+        at its commit point — the exclusive-writer admission discipline
+        means WAL order *is* commit order.
     max_inflight:
         Admission bound: at most this many statements execute on worker
         threads at once (also the statement lane's thread count); the
@@ -197,47 +208,22 @@ class AsyncSQLSession:
         this many are already waiting for admission is refused with
         :class:`SessionOverloadedError` (carrying a backoff hint)
         instead of queueing without bound.  ``None`` (the default)
-        keeps the pre-shedding unbounded-queue behavior.
-    statement_timeout_ms:
-        Default per-statement deadline, measured from *arrival* (queue
-        wait counts); ``None`` disables.  Each statement may override
-        it via ``execute(..., timeout_ms=...)``.  Expired statements
-        raise :class:`~repro.engine.interrupt.QueryTimeoutError`; a
-        timed-out write never mutated anything (the engine's
-        checkpoints fire only between chunks and before the atomic
-        mutation), so timeouts are always safe to retry.
+        keeps the queue unbounded.
     stats_history:
         How many per-query :class:`QueryStats` records to retain.
-    data_dir / wal_sync / checkpoint_interval / checkpoint_retain:
-        Durability knobs, forwarded to the underlying
-        :class:`SQLSession` (validated there even without a data
-        directory).  With ``data_dir`` set, recovery runs during
-        construction and every committed write is WAL-logged at its
-        commit point — the exclusive-writer admission discipline means
-        WAL order *is* commit order, so no extra locking is needed.
-        :meth:`shutdown`/:meth:`aclose` drain, sync and checkpoint via
-        the session core's ``close()``.
 
     Usage::
 
-        async with AsyncSQLSession(catalog, max_inflight=4) as db:
+        async with AsyncSQLSession(SQLSession(catalog), max_inflight=4) as db:
             rows = await db.execute("SELECT COUNT(*) AS n FROM t")
     """
 
     def __init__(
         self,
-        catalog: Catalog,
-        index_manager=None,
-        zero_branch_pruning: bool = False,
-        use_cost_model: bool = True,
+        core: SQLSession,
         max_inflight: int = 8,
         max_queued: Optional[int] = None,
-        statement_timeout_ms: Optional[int] = None,
         stats_history: int = 256,
-        data_dir: Optional[str] = None,
-        wal_sync: str = "fsync",
-        checkpoint_interval: Optional[int] = None,
-        checkpoint_retain: int = 2,
     ) -> None:
         self._max_inflight = validate_positive_int(max_inflight, "max_inflight")
         self._max_queued = (
@@ -245,17 +231,7 @@ class AsyncSQLSession:
             if max_queued is None
             else validate_positive_int(max_queued, "max_queued")
         )
-        self._session = SQLSession(
-            catalog,
-            index_manager,
-            zero_branch_pruning=zero_branch_pruning,
-            use_cost_model=use_cost_model,
-            statement_timeout_ms=statement_timeout_ms,
-            data_dir=data_dir,
-            wal_sync=wal_sync,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_retain=checkpoint_retain,
-        )
+        self._session = core
         # the statement lane: threads start on first use
         self._lane = ThreadPoolExecutor(
             max_workers=self._max_inflight, thread_name_prefix="repro-stmt"
@@ -291,21 +267,6 @@ class AsyncSQLSession:
     def statement_timeout_ms(self) -> Optional[int]:
         """Default statement deadline of the session core (None = off)."""
         return self._session.statement_timeout_ms
-
-    @property
-    def data_dir(self) -> Optional[str]:
-        """Durable data directory of the session core (None = in-memory)."""
-        return self._session.data_dir
-
-    @property
-    def wal_sync(self) -> str:
-        """WAL sync policy of the session core."""
-        return self._session.wal_sync
-
-    @property
-    def checkpoint_interval(self) -> Optional[int]:
-        """Automatic checkpoint cadence of the session core (None = off)."""
-        return self._session.checkpoint_interval
 
     @property
     def durability(self):
@@ -473,9 +434,9 @@ class AsyncSQLSession:
         the session's ``statement_timeout_ms`` for this statement only.
         """
         # parse/classify at arrival (pure); optimize only once the slot
-        # is granted, so the plan snapshots index state (patch counts,
-        # zero-branch pruning) consistent with what execution will see —
-        # a read queued behind a write must be planned *after* it
+        # is granted, so the plan snapshots index state (patch counts)
+        # consistent with what execution will see — a read queued
+        # behind a write must be planned *after* it
         return await self.execute_parsed(
             parse_statement(sql), sql, with_stats, timeout_ms=timeout_ms
         )

@@ -52,11 +52,7 @@ from repro.sql.parser import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
-from repro.storage.wal import (
-    DurabilityManager,
-    validate_checkpoint_interval,
-    validate_wal_sync,
-)
+from repro.storage.wal import DurabilityManager, validate_wal_sync
 
 __all__ = [
     "SQLSession",
@@ -144,7 +140,7 @@ class SQLSession:
         Optional :class:`~repro.core.manager.PatchIndexManager`; when
         given, SELECT plans run through the optimizer so the §3.3
         rewrites fire on plain SQL text.
-    zero_branch_pruning / use_cost_model:
+    use_cost_model:
         Forwarded to the optimizer.
     statement_timeout_ms:
         Default per-statement deadline in milliseconds; ``None`` (the
@@ -192,7 +188,6 @@ class SQLSession:
         self,
         catalog: Catalog,
         index_manager=None,
-        zero_branch_pruning: bool = False,
         use_cost_model: bool = True,
         statement_timeout_ms: Optional[int] = None,
         data_dir: Optional[str] = None,
@@ -211,16 +206,13 @@ class SQLSession:
         self._checkpoint_interval = (
             None
             if checkpoint_interval is None
-            else validate_checkpoint_interval(checkpoint_interval)
+            else validate_positive_int(checkpoint_interval, "checkpoint_interval")
         )
         self._durability: Optional[DurabilityManager] = None
         self.optimizer: Optional[Optimizer] = None
         if index_manager is not None:
             self.optimizer = Optimizer(
-                catalog,
-                index_manager,
-                zero_branch_pruning=zero_branch_pruning,
-                use_cost_model=use_cost_model,
+                catalog, index_manager, use_cost_model=use_cost_model
             )
         if data_dir is not None:
             self._durability = DurabilityManager(
@@ -282,8 +274,8 @@ class SQLSession:
         """:meth:`prepare` for an already-parsed statement.
 
         Lets a scheduler parse/classify at arrival but defer the
-        optimizer (whose rewrites snapshot live index state, e.g. patch
-        counts for zero-branch pruning) until the statement actually
+        optimizer (whose cost gate snapshots live index state, e.g. an
+        index's ``num_patches``) until the statement actually
         holds its execution slot — so a read queued behind a write is
         planned against the post-write state it will observe.
         """
@@ -452,10 +444,10 @@ class SQLSession:
         """Reconfigure the automatic checkpoint cadence (None disables).
 
         Validated like every knob: positive integers only (see
-        :func:`~repro.storage.wal.validate_checkpoint_interval`).
+        :func:`~repro.engine.interrupt.validate_positive_int`).
         """
         if interval is not None:
-            interval = validate_checkpoint_interval(interval)
+            interval = validate_positive_int(interval, "checkpoint_interval")
         self._checkpoint_interval = interval
         if self._durability is not None:
             self._durability.set_checkpoint_interval(interval)

@@ -18,7 +18,6 @@ from repro.storage.wal import (
     DurabilityManager,
     WALError,
     WriteAheadLog,
-    validate_checkpoint_interval,
     validate_data_dir,
     validate_wal_sync,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "DurabilityManager",
     "WALError",
     "WriteAheadLog",
-    "validate_checkpoint_interval",
     "validate_data_dir",
     "validate_wal_sync",
     "CheckpointCorruptionError",

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import os
 import struct
 import time
@@ -62,6 +61,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.interrupt import validate_positive_int
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnType
 from repro.storage.partition import PartitionedTable
@@ -79,7 +79,6 @@ __all__ = [
     "load_snapshot",
     "restore_catalog",
     "validate_wal_sync",
-    "validate_checkpoint_interval",
     "validate_data_dir",
     "checkpoint_name",
     "segment_name",
@@ -111,7 +110,7 @@ class WALError(RuntimeError):
 def validate_wal_sync(value: object, name: str = "wal_sync") -> str:
     """Validate a WAL sync-policy knob (``off`` / ``group`` / ``fsync``).
 
-    Shared by the ``SET wal_sync`` statement and the session/async/server
+    Shared by the ``SET wal_sync`` statement and the session and server
     constructors; anything but one of the enum strings raises.
     """
     if not isinstance(value, str):
@@ -123,26 +122,6 @@ def validate_wal_sync(value: object, name: str = "wal_sync") -> str:
             f"expected one of {', '.join(WAL_SYNC_POLICIES)}"
         )
     return policy
-
-
-def validate_checkpoint_interval(value: object, name: str = "checkpoint_interval") -> int:
-    """Validate a checkpoint-interval knob: commits between checkpoints.
-
-    The value must be a positive integer; ``None`` (= disabled) is
-    handled by callers before validation, mirroring
-    :func:`~repro.engine.interrupt.validate_positive_int`.  Bools, floats
-    and strings raise :class:`TypeError`; zero and negatives raise
-    :class:`ValueError`.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        interval = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if interval < 1:
-        raise ValueError(f"{name} must be a positive integer, got {interval}")
-    return int(interval)
 
 
 def validate_data_dir(value: object, name: str = "data_dir") -> str:
@@ -502,7 +481,7 @@ class DurabilityManager:
         self._checkpoint_interval = (
             None
             if checkpoint_interval is None
-            else validate_checkpoint_interval(checkpoint_interval)
+            else validate_positive_int(checkpoint_interval, "checkpoint_interval")
         )
         self.group_commit_s = float(group_commit_s)
         self.checkpoint_retain = max(1, int(checkpoint_retain))
@@ -540,7 +519,7 @@ class DurabilityManager:
     def set_checkpoint_interval(self, interval: Optional[int]) -> Optional[int]:
         """Reconfigure the automatic checkpoint cadence (None disables)."""
         if interval is not None:
-            interval = validate_checkpoint_interval(interval)
+            interval = validate_positive_int(interval, "checkpoint_interval")
         self._checkpoint_interval = interval
         return interval
 

@@ -45,19 +45,23 @@ def make_table(n=1000, name="t"):
 
 class TestValidatePositiveInt:
     """The one check behind ``timeout_ms``, ``max_inflight``,
-    ``max_queued`` and ``max_connections``."""
+    ``max_queued``, ``max_connections`` and ``checkpoint_interval``."""
 
-    @pytest.mark.parametrize("value", [1, 3, 250, 10_000, np.int64(2), np.int64(7)])
+    @pytest.mark.parametrize(
+        "value", [1, 3, 250, 10_000, np.int64(2), np.int64(7), np.int64(64)]
+    )
     def test_accepts_positive_integers(self, value):
         got = validate_positive_int(value, "knob")
         assert got == int(value) and type(got) is int
 
-    @pytest.mark.parametrize("value", [0, -1, -8, -250])
+    @pytest.mark.parametrize("value", [0, -1, -8, -100, -250])
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="knob"):
             validate_positive_int(value, "knob")
 
-    @pytest.mark.parametrize("value", [1.5, 2.5, 1.0, "4", True, False, None, [100]])
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.5, 1.0, "4", "10", True, False, None, [100]]
+    )
     def test_rejects_non_integers(self, value):
         with pytest.raises(TypeError, match="knob"):
             validate_positive_int(value, "knob")

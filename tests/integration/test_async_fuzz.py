@@ -164,7 +164,7 @@ def test_fuzz_final_state_matches_serial_replay(clients):
     async def main():
         catalog, sortkeys = make_catalog(seed)
         async with AsyncSQLSession(
-            catalog,
+            SQLSession(catalog),
             max_inflight=clients,
             stats_history=10_000,
         ) as db:
@@ -216,9 +216,7 @@ def test_fuzz_reads_never_see_torn_state(clients):
 
     async def main():
         catalog, sortkeys = make_catalog(seed)
-        async with AsyncSQLSession(
-            catalog, max_inflight=clients
-        ) as db:
+        async with AsyncSQLSession(SQLSession(catalog), max_inflight=clients) as db:
 
             async def mutator(i):
                 rng = np.random.default_rng(300 + i)

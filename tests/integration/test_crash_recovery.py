@@ -144,11 +144,13 @@ def run_crash_chaos(
 
     async def main():
         session = AsyncSQLSession(
-            make_catalog(seed),
-            data_dir=data_dir,
-            wal_sync=wal_sync,
-            checkpoint_interval=4,
-            checkpoint_retain=10_000,  # keep the full history for the oracle
+            SQLSession(
+                make_catalog(seed),
+                data_dir=data_dir,
+                wal_sync=wal_sync,
+                checkpoint_interval=4,
+                checkpoint_retain=10_000,  # keep the full history for the oracle
+            ),
         )
         with inject(injector):
             await asyncio.gather(

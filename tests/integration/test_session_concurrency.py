@@ -129,7 +129,10 @@ class TestSessionConcurrency:
         expected = self.expected(catalog)
 
         async def main():
-            async with AsyncSQLSession(catalog, max_inflight=N_THREADS) as db:
+            async with AsyncSQLSession(
+                SQLSession(catalog),
+                max_inflight=N_THREADS,
+            ) as db:
 
                 async def client(i):
                     for sql in self.QUERIES * 5:

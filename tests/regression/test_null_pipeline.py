@@ -228,7 +228,7 @@ class TestWalReplay:
 class TestAsyncSession:
     def test_null_through_async_session(self):
         async def scenario():
-            async with AsyncSQLSession(make_catalog()) as db:
+            async with AsyncSQLSession(SQLSession(make_catalog())) as db:
                 await db.execute(
                     "INSERT INTO people (pid, pname, score) VALUES (6, NULL, NULL)"
                 )
@@ -242,7 +242,7 @@ class TestAsyncSession:
 
     def test_null_storage_error_propagates_async(self):
         async def scenario():
-            async with AsyncSQLSession(make_catalog()) as db:
+            async with AsyncSQLSession(SQLSession(make_catalog())) as db:
                 with pytest.raises(NullStorageError):
                     await db.execute("UPDATE people SET pid = NULL WHERE pid = 0")
 

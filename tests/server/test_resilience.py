@@ -8,8 +8,6 @@ and corrupted-frame detection under the fault injection harness.
 """
 
 import asyncio
-import socket
-import threading
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.server import (
     ConnectionClosedError,
     RetryPolicy,
     ServerError,
-    SQLClient,
     SQLServer,
 )
 from repro.server.protocol import (
@@ -259,7 +256,7 @@ class TestOverloadShedding:
 
         run_async(main())
 
-    def test_sync_client_retries_through_overload(self):
+    def test_client_retries_through_overload(self):
         async def main():
             async with SQLServer(
                 make_catalog(9), session_max_inflight=1, session_max_queued=1
@@ -275,23 +272,18 @@ class TestOverloadShedding:
                             lambda: srv.session.inflight == 1
                             and srv.session.queued == 1
                         )
-
-                        def blocking(port):
-                            policy = RetryPolicy(
-                                max_attempts=8,
-                                base_backoff_ms=50.0,
-                                jitter=0.0,
-                                seed=1,
+                        policy = RetryPolicy(
+                            max_attempts=8, base_backoff_ms=50.0, jitter=0.0, seed=1
+                        )
+                        async with await AsyncSQLClient.connect(
+                            "127.0.0.1", srv.port, retry=policy
+                        ) as cli:
+                            fut = asyncio.create_task(
+                                cli.execute("SELECT COUNT(*) AS n FROM events")
                             )
-                            with SQLClient("127.0.0.1", port, retry=policy) as cli:
-                                return cli.execute(
-                                    "SELECT COUNT(*) AS n FROM events"
-                                ).scalar()
-
-                        fut = asyncio.create_task(asyncio.to_thread(blocking, srv.port))
-                        await asyncio.sleep(0.2)  # guarantee >=1 shed attempt
-                        gate.set()
-                        assert await fut == N_EVENTS
+                            await asyncio.sleep(0.2)  # guarantee >=1 shed attempt
+                            gate.set()
+                            assert (await fut).scalar() == N_EVENTS
                         await occupier.wait(s1)
                         await occupier.wait(s2)
                 finally:
@@ -315,16 +307,14 @@ class TestOverloadShedding:
                             lambda: srv.session.inflight == 1
                             and srv.session.queued == 1
                         )
-
-                        def blocking(port):
-                            policy = RetryPolicy(
-                                max_attempts=2, base_backoff_ms=10.0, jitter=0.0
-                            )
-                            with SQLClient("127.0.0.1", port, retry=policy) as cli:
-                                cli.execute("SELECT COUNT(*) AS n FROM events")
-
-                        with pytest.raises(ServerError) as err:
-                            await asyncio.to_thread(blocking, srv.port)
+                        policy = RetryPolicy(
+                            max_attempts=2, base_backoff_ms=10.0, jitter=0.0
+                        )
+                        async with await AsyncSQLClient.connect(
+                            "127.0.0.1", srv.port, retry=policy
+                        ) as cli:
+                            with pytest.raises(ServerError) as err:
+                                await cli.execute("SELECT COUNT(*) AS n FROM events")
                         assert err.value.code == "overloaded"
                         assert err.value.retryable
                         gate.set()
@@ -337,27 +327,6 @@ class TestOverloadShedding:
 
 
 class TestReconnect:
-    def test_sync_client_reconnects_after_a_dropped_connection(self):
-        async def main():
-            async with SQLServer(make_catalog(1)) as srv:
-
-                def blocking(port):
-                    policy = RetryPolicy(max_attempts=3, base_backoff_ms=10.0, seed=5)
-                    with SQLClient("127.0.0.1", port, retry=policy) as cli:
-                        first = cli.execute("SELECT COUNT(*) AS n FROM events").scalar()
-                        # sever the transport out from under the client
-                        cli._sock.shutdown(socket.SHUT_RDWR)
-                        cli._sock.close()
-                        second = cli.execute(
-                            "SELECT COUNT(*) AS n FROM events"
-                        ).scalar()
-                        return first, second
-
-                first, second = await asyncio.to_thread(blocking, srv.port)
-                assert first == second == N_EVENTS
-
-        run_async(main())
-
     def test_async_client_redials_after_a_dropped_connection(self):
         async def main():
             async with SQLServer(make_catalog(2)) as srv:
@@ -389,37 +358,33 @@ class TestReconnect:
         async def main():
             async with SQLServer(make_catalog(3)) as srv:
                 gate = gate_session(srv.session)
+                cli = await AsyncSQLClient.connect(
+                    "127.0.0.1",
+                    srv.port,
+                    retry=RetryPolicy(max_attempts=4, base_backoff_ms=10.0),
+                )
+                write = asyncio.create_task(
+                    cli.execute("DELETE FROM events WHERE eid < 10")
+                )
                 try:
-
-                    def blocking(port):
-                        policy = RetryPolicy(max_attempts=4, base_backoff_ms=10.0)
-                        cli = SQLClient("127.0.0.1", port, timeout=5.0, retry=policy)
-                        try:
-                            # the write is submitted, then the transport
-                            # dies while awaiting the reply
-                            sock = cli._sock
-                            killer = threading.Timer(
-                                0.2, lambda: sock.shutdown(socket.SHUT_RDWR)
-                            )
-                            killer.start()
-                            try:
-                                cli.execute("DELETE FROM events WHERE eid < 10")
-                            finally:
-                                killer.cancel()
-                        finally:
-                            cli._closed = True
-                            cli._drop_connection()
-
+                    # the write is submitted and holds its slot, then the
+                    # transport dies while the client awaits the reply
+                    await wait_until(lambda: srv.session.inflight == 1)
+                    cli._writer.close()
+                    done, _ = await asyncio.wait({write}, timeout=5.0)
+                    assert done, "the client resent the write instead of raising"
                     with pytest.raises((ConnectionError, OSError)):
-                        await asyncio.to_thread(blocking, srv.port)
-                    # the client sees the dead socket at once; hold the
-                    # gate until the server has seen it too and its
-                    # cancel has reached the statement's token (one
-                    # loop turn after the connection is dropped)
+                        write.result()
+                    # hold the gate until the server has seen the
+                    # disconnect too and its cancel has reached the
+                    # statement's token (one loop turn after the
+                    # connection is dropped)
                     await wait_until(lambda: srv.connections == 0)
                     await asyncio.sleep(0.05)
                 finally:
+                    write.cancel()
                     gate.set()
+                    await cli.aclose()
                 # disconnect cancelled the gated statement: it unwound
                 # before the atomic mutation, so nothing committed
                 await wait_until(lambda: srv.session.inflight == 0)
@@ -439,18 +404,13 @@ class TestCorruptedFrames:
 
         async def main():
             async with SQLServer(make_catalog(1)) as srv:
-
-                def blocking(port):
-                    cli = SQLClient("127.0.0.1", port, timeout=5.0)
-                    try:
-                        with inject(inj):
-                            with pytest.raises(ProtocolError):
-                                cli.execute("SELECT COUNT(*) AS n FROM events")
-                    finally:
-                        cli._closed = True
-                        cli._drop_connection()
-
-                await asyncio.to_thread(blocking, srv.port)
+                cli = await AsyncSQLClient.connect("127.0.0.1", srv.port)
+                try:
+                    with inject(inj):
+                        with pytest.raises(ProtocolError):
+                            await cli.execute("SELECT COUNT(*) AS n FROM events")
+                finally:
+                    await cli.aclose()
                 assert inj.fired.get("server.frame", 0) == 1
 
         run_async(main())

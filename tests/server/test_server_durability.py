@@ -23,7 +23,7 @@ def test_server_writes_survive_restart(tmp_path):
         async with SQLServer(
             make_catalog(seed), data_dir=data_dir
         ) as srv:
-            assert srv.session.data_dir == data_dir
+            assert srv.session.durability.data_dir == data_dir
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
                 for k in range(6):
                     r = await cli.execute(

@@ -11,12 +11,11 @@ from repro.server import (
     ConnectionClosedError,
     ServerClosedError,
     ServerError,
-    SQLClient,
     SQLServer,
     validate_port,
 )
 from repro.server.protocol import PROTOCOL_VERSION, encode_frame, read_frame, write_frame
-from repro.sql import AsyncSQLSession
+from repro.sql import AsyncSQLSession, SQLSession
 
 from _harness import make_catalog, run_async
 
@@ -46,6 +45,7 @@ def test_select_dml_and_stats_over_the_wire():
     async def main():
         async with SQLServer(make_catalog(1)) as srv:
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
+                assert cli.server_info["version"] == PROTOCOL_VERSION
                 r = await cli.execute("SELECT COUNT(*) AS n FROM events WHERE grp < 10")
                 assert r.columns == ["n"] and len(r.rows) == 1
                 assert r.stats["kind"] == "read" and r.stats["write_seq"] == 0
@@ -58,25 +58,6 @@ def test_select_dml_and_stats_over_the_wire():
                 r2 = await cli.execute("SELECT COUNT(*) AS n FROM metrics")
                 assert r2.stats["write_seq"] == 1  # observed the write prefix
                 assert srv.session.commit_count == 1
-
-    run_async(main())
-
-
-def test_sync_client_roundtrip_and_close():
-    async def main():
-        async with SQLServer(make_catalog(2)) as srv:
-
-            def blocking(port):
-                with SQLClient("127.0.0.1", port) as cli:
-                    assert cli.server_info["version"] == PROTOCOL_VERSION
-                    r = cli.execute("SELECT SUM(val) AS s FROM events")
-                    assert r.columns == ["s"]
-                    n = cli.execute("DELETE FROM events WHERE eid % 97 = 0").row_count
-                    assert n > 0
-                    return r.scalar()
-
-            s = await asyncio.to_thread(blocking, srv.port)
-            assert np.isfinite(s)
 
     run_async(main())
 
@@ -332,7 +313,7 @@ class TestDrain:
         ServerClosedError (a RuntimeError subclass) instead of hanging."""
 
         async def main():
-            db = AsyncSQLSession(make_catalog(9))
+            db = AsyncSQLSession(SQLSession(make_catalog(9)))
             await db.shutdown()
             with pytest.raises(ServerClosedError):
                 await db.execute("SELECT COUNT(*) AS n FROM events")
@@ -345,7 +326,7 @@ class TestDrain:
 
     def test_session_shutdown_aborts_queued_statements(self):
         async def main():
-            db = AsyncSQLSession(make_catalog(9), max_inflight=1)
+            db = AsyncSQLSession(SQLSession(make_catalog(9)), max_inflight=1)
             gate = gate_session(db)
             blocker = asyncio.create_task(db.execute(HEAVY))
             queued = [asyncio.create_task(db.execute(HEAVY)) for _ in range(3)]
@@ -434,7 +415,17 @@ class TestKnobValidation:
         with pytest.raises((TypeError, ValueError)):
             SQLServer(make_catalog(11), session_max_queued=value)
 
-    @pytest.mark.parametrize("name", ["parallelism", "morsel_rows", "stall_timeout_s"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "parallelism",
+            "morsel_rows",
+            "stall_timeout_s",
+            "zero_branch_pruning",
+            "use_cost_model",
+            "checkpoint_retain",
+        ],
+    )
     def test_removed_knobs_rejected(self, name):
         with pytest.raises(TypeError):
             SQLServer(make_catalog(11), **{name: 2})

@@ -178,7 +178,7 @@ class TestLinearizability:
 
         async def main():
             async with AsyncSQLSession(
-                tpch_catalog(seed=seed),
+                SQLSession(tpch_catalog(seed=seed)),
                 max_inflight=clients,
             ) as db:
                 jobs = []
@@ -220,7 +220,7 @@ class TestLinearizability:
 class TestBackpressure:
     def test_max_inflight_bounds_concurrency(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=2)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=2)
             gate = _Gate(db._session)
             slow = "SELECT COUNT(*) AS n FROM events WHERE 777 = 777"
             tasks = [asyncio.ensure_future(db.execute(slow)) for _ in range(5)]
@@ -240,7 +240,7 @@ class TestBackpressure:
 
     def test_admission_is_fifo(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=1)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=1)
             gate = _Gate(db._session)
             sqls = [
                 f"SELECT COUNT(*) AS n FROM events WHERE grp = {i}"
@@ -257,7 +257,7 @@ class TestBackpressure:
     def test_bind_errors_give_their_slot_back(self):
         async def main():
             # no ``async with``: closing a session with leaked slots hangs
-            db = AsyncSQLSession(events_catalog(), max_inflight=2)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=2)
             bad = "SELECT grp FROM events a JOIN events b ON eid = eid"
             for _ in range(2 * db.max_inflight):
                 with pytest.raises(AmbiguousColumnError):
@@ -272,15 +272,15 @@ class TestBackpressure:
 
     def test_invalid_max_inflight_rejected(self):
         with pytest.raises(ValueError):
-            AsyncSQLSession(events_catalog(), max_inflight=0)
+            AsyncSQLSession(SQLSession(events_catalog()), max_inflight=0)
         with pytest.raises(TypeError):
-            AsyncSQLSession(events_catalog(), max_inflight=2.5)
+            AsyncSQLSession(SQLSession(events_catalog()), max_inflight=2.5)
 
 
 class TestWriterLock:
     def test_reads_run_concurrently_writes_exclusively(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=4)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=4)
             gate = _Gate(db._session)
             read = "SELECT SUM(val) AS s FROM events WHERE 777 = 777"
             write = "UPDATE events SET val = val * 2 WHERE grp = 1"
@@ -307,7 +307,10 @@ class TestWriterLock:
 
     def test_writes_serialize_in_order(self):
         async def main():
-            async with AsyncSQLSession(events_catalog(), max_inflight=4) as db:
+            async with AsyncSQLSession(
+                SQLSession(events_catalog()),
+                max_inflight=4,
+            ) as db:
                 stats = await asyncio.gather(
                     *(
                         db.execute(
@@ -325,7 +328,10 @@ class TestWriterLock:
 
     def test_set_applies_to_later_statements(self):
         async def main():
-            async with AsyncSQLSession(events_catalog(), max_inflight=4) as db:
+            async with AsyncSQLSession(
+                SQLSession(events_catalog()),
+                max_inflight=4,
+            ) as db:
                 out = await db.execute("SET statement_timeout_ms = 30000")
                 assert out == 30_000
                 assert db.statement_timeout_ms == 30_000
@@ -341,7 +347,7 @@ class TestWriterLock:
 class TestCancellation:
     def test_cancelled_queued_write_never_runs(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=1)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=1)
             gate = _Gate(db._session)
             before = db._session.catalog.table("events").column("val").copy()
             blocker = asyncio.ensure_future(
@@ -382,7 +388,7 @@ class TestCancellation:
         from concurrent.futures import Future
 
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=1)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=1)
             prepared = db._session.prepare("UPDATE events SET val = 0 WHERE grp < 0")
             cancelled = Future()
             assert cancelled.cancel()
@@ -407,7 +413,7 @@ class TestCancellation:
         zero-branch pruning) and miss the write's rows."""
 
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=2)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=2)
             gate = _Gate(db._session)
             planned_at = []
             orig = db._session.prepare_parsed
@@ -435,7 +441,7 @@ class TestCancellation:
 
     def test_cancel_inflight_statement_unblocks_caller_and_keeps_slot(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=1)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=1)
             gate = _Gate(db._session)
             task = asyncio.ensure_future(
                 db.execute("SELECT SUM(val) AS s FROM events WHERE 777 = 777")
@@ -461,7 +467,10 @@ class TestCancellation:
 class TestIntrospection:
     def test_per_query_stats_recorded(self):
         async def main():
-            async with AsyncSQLSession(events_catalog(), max_inflight=2) as db:
+            async with AsyncSQLSession(
+                SQLSession(events_catalog()),
+                max_inflight=2,
+            ) as db:
                 await db.execute("SELECT COUNT(*) AS n FROM events")
                 await db.execute("UPDATE events SET val = val WHERE grp = 0")
                 stats = db.stats()
@@ -474,7 +483,10 @@ class TestIntrospection:
 
     def test_explain_surfaces_cost_hint_queue_state_and_timings(self):
         async def main():
-            async with AsyncSQLSession(events_catalog(), max_inflight=2) as db:
+            async with AsyncSQLSession(
+                SQLSession(events_catalog()),
+                max_inflight=2,
+            ) as db:
                 sql = "SELECT grp, SUM(val) AS s FROM events GROUP BY grp ORDER BY grp"
                 await db.execute(sql)
                 text = db.explain(sql)
@@ -489,7 +501,7 @@ class TestIntrospection:
 
     def test_execute_after_aclose_rejected(self):
         async def main():
-            db = AsyncSQLSession(events_catalog())
+            db = AsyncSQLSession(SQLSession(events_catalog()))
             await db.aclose()
             with pytest.raises(RuntimeError):
                 await db.execute("SELECT COUNT(*) AS n FROM events")
@@ -563,7 +575,7 @@ def _wait_until(predicate, timeout):
 class TestStatementLane:
     def test_statements_run_on_the_lane_not_the_loop(self):
         async def main():
-            db = AsyncSQLSession(events_catalog(), max_inflight=3)
+            db = AsyncSQLSession(SQLSession(events_catalog()), max_inflight=3)
             inner = db._session
             real = inner.run_prepared
             threads = []

@@ -2,9 +2,9 @@
 
 Satellite contract: ``wal_sync``, ``checkpoint_interval`` and
 ``data_dir`` are validated with the same ``validate_*`` discipline as
-``statement_timeout_ms`` — a bad value raises at ``SET``, at the
-:class:`~repro.sql.SQLSession` constructor, and at the
-:class:`~repro.sql.AsyncSQLSession` constructor alike.
+``statement_timeout_ms`` — a bad value raises at ``SET`` and at the
+:class:`~repro.sql.SQLSession` constructor, so also when building the
+core of an :class:`~repro.sql.AsyncSQLSession`.
 """
 
 import asyncio
@@ -59,7 +59,7 @@ def test_ctor_rejects_bad_data_dir(tmp_path):
 def test_async_ctor_rejects_bad_wal_sync(bad, exc):
     async def go():
         with pytest.raises(exc):
-            AsyncSQLSession(make_catalog(), wal_sync=bad)
+            AsyncSQLSession(SQLSession(make_catalog(), wal_sync=bad))
 
     asyncio.run(go())
 
@@ -68,7 +68,7 @@ def test_async_ctor_rejects_bad_wal_sync(bad, exc):
 def test_async_ctor_rejects_bad_checkpoint_interval(bad, exc):
     async def go():
         with pytest.raises(exc):
-            AsyncSQLSession(make_catalog(), checkpoint_interval=bad)
+            AsyncSQLSession(SQLSession(make_catalog(), checkpoint_interval=bad))
 
     asyncio.run(go())
 
@@ -184,11 +184,11 @@ def test_select_and_failed_write_leave_no_wal_record(tmp_path):
 def test_async_session_durability_round_trip(tmp_path):
     async def writer():
         session = AsyncSQLSession(
-            make_catalog(), data_dir=str(tmp_path), wal_sync="fsync"
+            SQLSession(make_catalog(), data_dir=str(tmp_path), wal_sync="fsync"),
         )
         try:
-            assert session.data_dir == str(tmp_path)
-            assert session.wal_sync == "fsync"
+            assert session.durability.data_dir == str(tmp_path)
+            assert session.durability.wal_sync == "fsync"
             for i in range(5):
                 await session.execute(f"UPDATE t SET b = b + 1 WHERE a = {i}")
         finally:

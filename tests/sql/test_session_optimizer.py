@@ -60,7 +60,7 @@ class TestNoJoinOrderKnob:
 
         async def scenario():
             async with AsyncSQLSession(
-                catalog, index_manager=PatchIndexManager(catalog)
+                SQLSession(catalog, index_manager=PatchIndexManager(catalog)),
             ) as s:
                 with pytest.raises(ValueError, match="unknown session setting"):
                     await s.execute("SET join_order_search = dp")

@@ -250,7 +250,7 @@ class TestNoParallelismKnob:
 
     def test_async_session_rejects_the_setting(self):
         async def scenario():
-            async with AsyncSQLSession(Catalog()) as db:
+            async with AsyncSQLSession(SQLSession(Catalog())) as db:
                 with pytest.raises(ValueError, match="unknown session setting"):
                     await db.execute("SET parallelism = 2")
                 assert not hasattr(db, "parallelism")
@@ -261,7 +261,7 @@ class TestNoParallelismKnob:
     @pytest.mark.parametrize("name", ["parallelism", "morsel_rows", "stall_timeout_s"])
     def test_async_constructor_knobs_rejected(self, name):
         with pytest.raises(TypeError):
-            AsyncSQLSession(Catalog(), **{name: 2})
+            AsyncSQLSession(SQLSession(Catalog()), **{name: 2})
 
 
 class TestDMLExecution:

@@ -176,17 +176,17 @@ class TestAsyncKnobs:
     @pytest.mark.parametrize("value", [0, -1, 1.5, "4", True])
     def test_statement_timeout_rejected(self, value):
         with pytest.raises((TypeError, ValueError)):
-            AsyncSQLSession(make_catalog(), statement_timeout_ms=value)
+            AsyncSQLSession(SQLSession(make_catalog(), statement_timeout_ms=value))
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, "4", True])
     def test_max_queued_rejected(self, value):
         with pytest.raises((TypeError, ValueError)):
-            AsyncSQLSession(make_catalog(), max_queued=value)
+            AsyncSQLSession(SQLSession(make_catalog()), max_queued=value)
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, "4", True])
     def test_execute_timeout_override_rejected(self, value):
         async def main():
-            async with AsyncSQLSession(make_catalog()) as db:
+            async with AsyncSQLSession(SQLSession(make_catalog())) as db:
                 with pytest.raises((TypeError, ValueError)):
                     await db.execute("SELECT COUNT(*) AS n FROM events", timeout_ms=value)
 
@@ -194,7 +194,8 @@ class TestAsyncKnobs:
 
     def test_knobs_surface(self):
         db = AsyncSQLSession(
-            make_catalog(), max_queued=4, statement_timeout_ms=500
+            SQLSession(make_catalog(), statement_timeout_ms=500),
+            max_queued=4,
         )
         assert db.max_queued == 4
         assert db.statement_timeout_ms == 500
@@ -202,7 +203,7 @@ class TestAsyncKnobs:
 
     def test_set_statement_changes_async_default(self):
         async def main():
-            async with AsyncSQLSession(make_catalog()) as db:
+            async with AsyncSQLSession(SQLSession(make_catalog())) as db:
                 assert db.statement_timeout_ms is None
                 assert await db.execute("SET statement_timeout_ms = 99") == 99
                 assert db.statement_timeout_ms == 99
@@ -220,7 +221,7 @@ class TestAsyncDeadlines:
         )
 
         async def main():
-            async with AsyncSQLSession(make_catalog()) as db:
+            async with AsyncSQLSession(SQLSession(make_catalog())) as db:
                 with inject(injector):
                     with pytest.raises(QueryTimeoutError):
                         await db.execute(
@@ -241,7 +242,7 @@ class TestAsyncDeadlines:
 
         async def main():
             async with AsyncSQLSession(
-                make_catalog(), statement_timeout_ms=50
+                SQLSession(make_catalog(), statement_timeout_ms=50),
             ) as db:
                 with inject(injector):
                     with pytest.raises(QueryTimeoutError):
@@ -256,7 +257,10 @@ class TestAsyncDeadlines:
         )
 
         async def main():
-            async with AsyncSQLSession(make_catalog(), max_inflight=1) as db:
+            async with AsyncSQLSession(
+                SQLSession(make_catalog()),
+                max_inflight=1,
+            ) as db:
                 with inject(injector) as inj:
                     blocker = asyncio.create_task(
                         db.execute("SELECT COUNT(*) AS n FROM events")
@@ -281,7 +285,7 @@ class TestAsyncDeadlines:
         async def main():
             catalog = make_catalog()
             before = np.array(catalog.table("events").column("val"), copy=True)
-            async with AsyncSQLSession(catalog) as db:
+            async with AsyncSQLSession(SQLSession(catalog)) as db:
                 with inject(injector):
                     with pytest.raises(QueryTimeoutError):
                         await db.execute(
@@ -308,7 +312,7 @@ class TestAsyncCancellation:
         async def main():
             catalog = make_catalog()
             before = np.array(catalog.table("events").column("val"), copy=True)
-            async with AsyncSQLSession(catalog) as db:
+            async with AsyncSQLSession(SQLSession(catalog)) as db:
                 with inject(injector) as inj:
                     task = asyncio.create_task(db.execute("UPDATE events SET val = 0"))
                     while db.inflight < 1:
@@ -339,7 +343,9 @@ class TestOverloadShedding:
 
         async def main():
             async with AsyncSQLSession(
-                make_catalog(), max_inflight=1, max_queued=1
+                SQLSession(make_catalog()),
+                max_inflight=1,
+                max_queued=1,
             ) as db:
                 with inject(injector) as inj:
                     blocker = asyncio.create_task(
@@ -372,7 +378,9 @@ class TestOverloadShedding:
 
         async def main():
             async with AsyncSQLSession(
-                make_catalog(), max_inflight=1, max_queued=1
+                SQLSession(make_catalog()),
+                max_inflight=1,
+                max_queued=1,
             ) as db:
                 with inject(injector) as inj:
                     blocker = asyncio.create_task(
@@ -406,7 +414,10 @@ class TestShutdownCancelRace:
         )
 
         async def main():
-            async with AsyncSQLSession(make_catalog(), max_inflight=1) as db:
+            async with AsyncSQLSession(
+                SQLSession(make_catalog()),
+                max_inflight=1,
+            ) as db:
                 with inject(injector) as inj:
                     blocker = asyncio.create_task(
                         db.execute("SELECT COUNT(*) AS n FROM events")

@@ -11,7 +11,6 @@ from repro.storage import (
     Table,
     WALError,
     WriteAheadLog,
-    validate_checkpoint_interval,
     validate_data_dir,
     validate_wal_sync,
 )
@@ -37,23 +36,6 @@ def test_validate_wal_sync_rejects_unknown(bad):
 def test_validate_wal_sync_rejects_non_string(bad):
     with pytest.raises(TypeError):
         validate_wal_sync(bad)
-
-
-def test_validate_checkpoint_interval_accepts_positive():
-    assert validate_checkpoint_interval(1) == 1
-    assert validate_checkpoint_interval(np.int64(64)) == 64
-
-
-@pytest.mark.parametrize("bad", [0, -1, -100])
-def test_validate_checkpoint_interval_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        validate_checkpoint_interval(bad)
-
-
-@pytest.mark.parametrize("bad", [True, False, 1.5, "10", None])
-def test_validate_checkpoint_interval_rejects_non_integers(bad):
-    with pytest.raises(TypeError):
-        validate_checkpoint_interval(bad)
 
 
 def test_validate_data_dir(tmp_path):
