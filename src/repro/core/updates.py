@@ -25,7 +25,9 @@ full index recomputation and a full table scan:
 * **delete** (both) — drop the tracking information; the sharded
   bitmap's bulk delete (or identifier decrementing) realigns rowIDs,
   serially, and a configured ``condense_threshold`` may trigger a
-  condense afterwards (§4.2.4).
+  condense afterwards (§4.2.4).  A delete that takes the NSC run's tail
+  lowers the boundary to the value of the last non-patch row left, so
+  re-inserting the deleted rows keeps them as discovery would.
 
 Constraints may thereby *become* approximate over time even when they
 were perfect at definition time, instead of aborting the update.
@@ -65,14 +67,13 @@ _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
 def apply_update(index: PatchIndex, table, event: UpdateEvent,
                  dynamic_range_propagation: bool = True) -> None:
     """Maintain ``index`` for one update statement on its table."""
-    if event.kind == "delete":
-        index.remove_rows(event.rowids)
-        return
     constraint = index.constraint
-    if isinstance(constraint, NearlyUniqueColumn):
-        _handle_nuc(index, table, event, dynamic_range_propagation)
-    elif isinstance(constraint, NearlySortedColumn):
+    if isinstance(constraint, NearlySortedColumn):
         _handle_nsc(index, table, event)
+    elif event.kind == "delete":
+        index.remove_rows(event.rowids)
+    elif isinstance(constraint, NearlyUniqueColumn):
+        _handle_nuc(index, table, event, dynamic_range_propagation)
     else:
         raise TypeError(
             f"no update handler for constraint {type(constraint).__name__}; "
@@ -194,7 +195,32 @@ def _handle_nsc(index: PatchIndex, table, event: UpdateEvent) -> None:
         index.add_patches(np.asarray(event.rowids)[~keep_mask])
         index.last_sorted_value = new_last
         return
+    if event.kind == "delete":
+        tail = _last_kept_row(index)
+        index.remove_rows(event.rowids)
+        if tail is not None and tail in event.rowids:
+            # the delete took the run's tail: the boundary falls to the
+            # last kept row left (None: a NULL there, or no run left)
+            tail = _last_kept_row(index)
+            index.last_sorted_value = None if tail is None else table.column(index.column)[tail]
+        return
     if event.kind == "modify":
         if index.column not in event.values:
             return  # indexed column untouched: sorted run unaffected
         index.add_patches(event.rowids)
+
+
+def _last_kept_row(index: PatchIndex) -> Optional[int]:
+    """The last non-patch rowID, or None when every row is a patch.
+
+    Probes windows back from the end, doubling, instead of extracting
+    every patch position: a delete pays for the run's patched tail only.
+    """
+    stop, width = index.num_rows, 64
+    while stop > 0:
+        start = max(0, stop - width)
+        kept = np.flatnonzero(~index.is_patch_many(np.arange(start, stop)))
+        if len(kept):
+            return start + int(kept[-1])
+        stop, width = start, 2 * width
+    return None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple
 
 __all__ = ["TokenKind", "Token", "tokenize", "SQLSyntaxError"]
 
@@ -84,8 +84,12 @@ for _name, _group in _LEXEME.groupindex.items():
 
 def tokenize(text: str) -> List[Token]:
     """Split SQL text into tokens (keywords upper-cased)."""
-    tokens: List[Token] = []
-    append = tokens.append
+    return list(_lex(text))
+
+
+def _lex(text: str) -> Iterator[Token]:
+    """Tokens of ``text`` one at a time, ending with EOF (an INSERT's head
+    is pulled from here, so its VALUES body is never tokenized)."""
     new = tuple.__new__  # Token(...) without the NamedTuple constructor
     scan = _LEXEME.scanner(text).match
     end = 0
@@ -107,12 +111,11 @@ def tokenize(text: str) -> List[Token]:
                 raise SQLSyntaxError(f"unexpected character {word[0]!r} at position {pos}")
             upper = word.upper()
             if upper in KEYWORDS:
-                append(new(Token, (TokenKind.KEYWORD, upper, pos)))
+                yield new(Token, (TokenKind.KEYWORD, upper, pos))
             else:
-                append(new(Token, (TokenKind.IDENT, word, pos)))
+                yield new(Token, (TokenKind.IDENT, word, pos))
         elif group == _STRING:  # the literal starts at its opening quote
-            append(new(Token, (TokenKind.STRING, m.group(group), pos - 1)))
+            yield new(Token, (TokenKind.STRING, m.group(group), pos - 1))
         else:
-            append(new(Token, (_KINDS[group], m.group(group), pos)))
-    append(new(Token, (TokenKind.EOF, "", len(text))))
-    return tokens
+            yield new(Token, (_KINDS[group], m.group(group), pos))
+    yield new(Token, (TokenKind.EOF, "", len(text)))

@@ -1,5 +1,10 @@
 """Recursive-descent SQL parser lowering onto logical plans.
 
+An INSERT is tokenized only through ``VALUES``: one pattern per row
+width checks its body and one ``findall`` reads the literals as columns
+(:func:`_scan_values`).  A malformed INSERT is re-walked token by token,
+so its error and position are those of the token parser.
+
 The engine resolves columns by bare name, so column names must be
 unique across joined tables (the TPC-H style this repo uses
 throughout).  Qualified references like ``l.l_orderkey`` keep their
@@ -12,11 +17,13 @@ references instead of silently resolving to whichever side wins.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple, Union
+import functools
+import re
+from typing import Dict, List, NoReturn, Optional, Tuple, Union
 
 from repro.engine.expressions import Expression, col, is_null, lit, where
 from repro.plan import nodes
-from repro.sql.lexer import SQLSyntaxError, Token, TokenKind, tokenize
+from repro.sql.lexer import SQLSyntaxError, Token, TokenKind, _lex, tokenize
 
 __all__ = [
     "parse_statement",
@@ -64,13 +71,32 @@ class SelectStatement:
     derived_names: List[str] = dataclasses.field(default_factory=list)
 
 
+#: kinds of a VALUES literal, one character each in ``InsertStatement.kinds``
+NULL, INT, FLOAT, STRING = "N", "I", "F", "S"
+#: a literal's Python value from its text, by kind (``_parse_literal``'s)
+_LITERAL_VALUE = {NULL: lambda text: None, INT: int, FLOAT: float, STRING: str}
+
+
 @dataclasses.dataclass
 class InsertStatement:
-    """A parsed ``INSERT INTO ... VALUES`` with literal rows."""
+    """A parsed ``INSERT INTO ... VALUES``, its literals read as columns.
+
+    ``texts[i]`` lists column ``columns[i]``'s literals in row order (a
+    number with its sign, a string without its quotes) and ``kinds[i]``
+    their kinds, one character (:data:`NULL`, :data:`INT`, ...) each.
+    """
 
     table: str
     columns: List[str]
-    rows: List[List[object]]
+    texts: List[List[str]]
+    kinds: List[str]
+
+    def values(self, i: int) -> List[object]:
+        """Column ``i``'s Python values, as ``_parse_literal`` gives them."""
+        texts, kinds = self.texts[i], self.kinds[i]
+        if kinds.count(kinds[0]) == len(kinds):
+            return list(map(_LITERAL_VALUE[kinds[0]], texts))
+        return [_LITERAL_VALUE[kind](text) for kind, text in zip(kinds, texts)]
 
 
 @dataclasses.dataclass
@@ -107,7 +133,50 @@ Statement = Union[
 
 def parse_statement(sql: str) -> Statement:
     """Parse one SQL statement."""
-    return _Parser(tokenize(sql)).parse()
+    lexemes = _lex(sql)
+    tokens = [next(lexemes)]
+    if not tokens[0].matches(TokenKind.KEYWORD, "INSERT"):
+        return _Parser(tokenize(sql)).parse()
+    for tok in lexemes:
+        tokens.append(tok)
+        if tok.matches(TokenKind.KEYWORD, "VALUES"):
+            try:
+                return _Parser(tokens).parse_insert(sql)
+            except SQLSyntaxError:
+                break  # a lexer error past the head may come first
+    _Parser(tokenize(sql)).raise_insert_error()
+
+
+# one VALUES literal (``_Parser._parse_literal``) in the lexer's classes;
+# each number has one parse, so a rejected body fails in linear time, and
+# the item has no groups (captures in the repeated body cost 18x)
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_ITEM = rf"(?:[Nn][Uu][Ll][Ll]|(?:-\s*)?{_NUMBER}|'[^']*')"
+#: each literal of a checked body as (string, sign, number, null)
+_LITERAL = re.compile(rf"'([^']*)'|(?:(-)\s*)?({_NUMBER})|([Nn][Uu][Ll][Ll])")
+
+
+@functools.lru_cache(maxsize=64)
+def _values_body(width: int) -> "re.Pattern[str]":
+    """Whole VALUES body of ``width``-item rows, through an optional ``;``."""
+    row = r"\(\s*" + r"\s*,\s*".join([_ITEM] * width) + r"\s*\)"
+    return re.compile(rf"\s*{row}(?:\s*,\s*{row})*\s*(?:;\s*)?")
+
+
+def _scan_values(sql: str, start: int, width: int) -> Tuple[List[List[str]], List[str]]:
+    """Literal texts and kinds per column of the VALUES body at ``start``."""
+    if _values_body(width).fullmatch(sql, start) is None:
+        raise SQLSyntaxError("malformed VALUES body")
+    texts: List[str] = []
+    kinds: List[str] = []
+    for string, sign, number, null in _LITERAL.findall(sql, start):
+        if number:
+            texts.append(sign + number)
+            kinds.append(FLOAT if "." in number else INT)
+        else:  # ``''`` fills no group: a STRING
+            texts.append(null or string)
+            kinds.append(NULL if null else STRING)
+    return [texts[i::width] for i in range(width)], ["".join(kinds[i::width]) for i in range(width)]
 
 
 class _Parser:
@@ -153,8 +222,6 @@ class _Parser:
         """Parse the token stream into exactly one statement."""
         if self._peek().matches(TokenKind.KEYWORD, "SELECT"):
             stmt = self._parse_select()
-        elif self._peek().matches(TokenKind.KEYWORD, "INSERT"):
-            stmt = self._parse_insert()
         elif self._peek().matches(TokenKind.KEYWORD, "UPDATE"):
             stmt = self._parse_update()
         elif self._peek().matches(TokenKind.KEYWORD, "DELETE"):
@@ -372,7 +439,26 @@ class _Parser:
         return name
 
     # -- INSERT ----------------------------------------------------------
-    def _parse_insert(self) -> InsertStatement:
+    def parse_insert(self, sql: str) -> InsertStatement:
+        """Parse an INSERT from its head's tokens, through ``VALUES``."""
+        table, columns, values = self._parse_insert_head()
+        body = values.position + len("VALUES")
+        return InsertStatement(table, columns, *_scan_values(sql, body, len(columns)))
+
+    def raise_insert_error(self) -> NoReturn:
+        """Walk a malformed INSERT's tokens row by row to raise its error."""
+        _, columns, _ = self._parse_insert_head()
+        while True:
+            row = self._parse_literal_list()
+            if len(row) != len(columns):
+                raise SQLSyntaxError(f"VALUES row has {len(row)} items, expected {len(columns)}")
+            if not self._accept(TokenKind.PUNCT, ","):
+                break
+        self._accept(TokenKind.PUNCT, ";")
+        self._expect(TokenKind.EOF)
+        raise RuntimeError("the VALUES scan rejected an INSERT the token parser accepts")
+
+    def _parse_insert_head(self) -> Tuple[str, List[str], Token]:
         self._expect(TokenKind.KEYWORD, "INSERT")
         self._expect(TokenKind.KEYWORD, "INTO")
         table = self._expect(TokenKind.IDENT).value
@@ -381,21 +467,16 @@ class _Parser:
         while self._accept(TokenKind.PUNCT, ","):
             columns.append(self._expect(TokenKind.IDENT).value)
         self._expect(TokenKind.PUNCT, ")")
-        self._expect(TokenKind.KEYWORD, "VALUES")
-        rows: List[List[object]] = []
-        while True:
-            self._expect(TokenKind.PUNCT, "(")
-            row = [self._parse_literal()]
-            while self._accept(TokenKind.PUNCT, ","):
-                row.append(self._parse_literal())
-            self._expect(TokenKind.PUNCT, ")")
-            if len(row) != len(columns):
-                raise SQLSyntaxError(
-                    f"VALUES row has {len(row)} items, expected {len(columns)}"
-                )
-            rows.append(row)
-            if not self._accept(TokenKind.PUNCT, ","):
-                return InsertStatement(table, columns, rows)
+        return table, columns, self._expect(TokenKind.KEYWORD, "VALUES")
+
+    def _parse_literal_list(self) -> List[object]:
+        """``(literal, ...)``: a VALUES row or an IN list."""
+        self._expect(TokenKind.PUNCT, "(")
+        values = [self._parse_literal()]
+        while self._accept(TokenKind.PUNCT, ","):
+            values.append(self._parse_literal())
+        self._expect(TokenKind.PUNCT, ")")
+        return values
 
     def _parse_literal(self) -> object:
         if self._accept(TokenKind.KEYWORD, "NULL"):
@@ -506,12 +587,7 @@ class _Parser:
             return is_null(expr, negate)
         if tok.matches(TokenKind.KEYWORD, "IN"):
             self._advance()
-            self._expect(TokenKind.PUNCT, "(")
-            values = [self._parse_literal()]
-            while self._accept(TokenKind.PUNCT, ","):
-                values.append(self._parse_literal())
-            self._expect(TokenKind.PUNCT, ")")
-            return expr.isin(values)
+            return expr.isin(self._parse_literal_list())
         if tok.matches(TokenKind.KEYWORD, "BETWEEN"):
             self._advance()
             lo = self._parse_additive()

@@ -525,8 +525,7 @@ class SQLSession:
         values = {}
         for i, column in enumerate(stmt.columns):
             field = table.schema.field(column)
-            raw = [row[i] for row in stmt.rows]
-            values[column] = _coerce_for_storage(column, field, raw)
+            values[column] = _coerce_for_storage(column, field, stmt.values(i))
         missing = set(table.schema.names) - set(stmt.columns)
         if missing:
             raise ValueError(f"INSERT must provide all columns; missing {sorted(missing)}")
@@ -537,7 +536,7 @@ class SQLSession:
         except BaseException:
             self._rollback_logged(seq)
             raise
-        return len(stmt.rows)
+        return len(stmt.kinds[0])
 
     def _predicate_rowids(self, table, predicate) -> np.ndarray:
         """RowIDs of the tuples matching a DML predicate.

@@ -80,7 +80,9 @@ class TestParser:
         stmt = parse_statement("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
         assert isinstance(stmt, InsertStatement)
         assert stmt.columns == ["a", "b"]
-        assert stmt.rows == [[1, "x"], [2, "y"]]
+        # the same values the row-shaped statement held as [[1, "x"], [2, "y"]]
+        assert [stmt.values(0), stmt.values(1)] == [[1, 2], ["x", "y"]]
+        assert stmt.texts == [["1", "2"], ["x", "y"]] and stmt.kinds == ["II", "SS"]
 
     def test_insert_arity_mismatch(self):
         with pytest.raises(SQLSyntaxError):

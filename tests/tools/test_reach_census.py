@@ -162,6 +162,31 @@ def test_allowlist_entry_with_nothing_unreached_is_called_stale(tmp_path, capsys
     assert "stale allowlist entry, nothing unreached under it: repro.plan.joinorder" in out
 
 
+def test_every_bucket_prints_its_size_within_its_ceiling(tmp_path, capsys):
+    status, out = _census(tmp_path, capsys)
+    assert status == 0
+    for reason, ceiling in reach_census.BUCKET_CEILINGS.items():
+        size = sum(1 for r in reach_census.ALLOWLIST.values() if r == reason)
+        assert size <= ceiling
+        assert f"bucket {size} entries, within its ceiling of {ceiling}: {reason}" in out
+
+
+def test_a_bucket_that_grows_fails(tmp_path, capsys, monkeypatch):
+    grown = dict(reach_census.ALLOWLIST)
+    grown["repro.plan.joinorder.dp_order"] = reach_census._EXPLAIN
+    monkeypatch.setattr(reach_census, "ALLOWLIST", grown)
+    status, out = _census(tmp_path, capsys)
+    assert status == 1
+    assert "GREW PAST its ceiling" in out and reach_census._EXPLAIN in out
+
+
+def test_debt_buckets_name_the_item_that_retires_them():
+    assert "item 10" in reach_census._FRONT_END
+    assert "item 7" in reach_census._BITMAP_MODEL
+    assert "items 3(f) and 11" in reach_census._SPINE_TRACE
+    assert "item 11" in reach_census._EXPLAIN
+
+
 def test_no_records_fails(tmp_path, capsys):
     assert reach_census.census(str(tmp_path)) == 1
     assert "no reach records" in capsys.readouterr().out
