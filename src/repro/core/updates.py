@@ -5,7 +5,7 @@ constraint"* under inserts, modifies and deletes while avoiding both a
 full index recomputation and a full table scan:
 
 * **NUC insert/modify** — run the insert-handling join of Figure 5: the
-  touched values (from the statement's positional deltas) are the build
+  touched values (from the statement's :class:`UpdateEvent`) are the build
   side of the engine's equi-join kernel and the indexed column is its
   probe side; dynamic range propagation restricts the probe to the
   blocks whose minmax summary overlaps the touched values, and on an
@@ -25,9 +25,9 @@ full index recomputation and a full table scan:
 * **delete** (both) — drop the tracking information; the sharded
   bitmap's bulk delete (or identifier decrementing) realigns rowIDs,
   serially, and a configured ``condense_threshold`` may trigger a
-  condense afterwards (§4.2.4).  A delete that takes the NSC run's tail
-  lowers the boundary to the value of the last non-patch row left, so
-  re-inserting the deleted rows keeps them as discovery would.
+  condense afterwards (§4.2.4).  A delete or NSC modify that takes the
+  last non-patch row lowers the NSC boundary to the last one left, so
+  re-inserting deleted rows keeps them as discovery would.
 
 Constraints may thereby *become* approximate over time even when they
 were perfect at definition time, instead of aborting the update.
@@ -46,7 +46,7 @@ from repro.engine.expressions import not_null_mask
 from repro.engine.groups import sorted_unique
 from repro.engine.operators import _expand_matches, _non_null_rows
 from repro.storage.minmax import MinMaxIndex
-from repro.storage.pdt import UpdateEvent
+from repro.storage.table import UpdateEvent
 
 __all__ = ["apply_update", "nuc_collision_patches"]
 
@@ -195,19 +195,18 @@ def _handle_nsc(index: PatchIndex, table, event: UpdateEvent) -> None:
         index.add_patches(np.asarray(event.rowids)[~keep_mask])
         index.last_sorted_value = new_last
         return
+    if event.kind == "modify" and index.column not in event.values:
+        return  # indexed column untouched: sorted run unaffected
+    tail = _last_kept_row(index)
     if event.kind == "delete":
-        tail = _last_kept_row(index)
         index.remove_rows(event.rowids)
-        if tail is not None and tail in event.rowids:
-            # the delete took the run's tail: the boundary falls to the
-            # last kept row left (None: a NULL there, or no run left)
-            tail = _last_kept_row(index)
-            index.last_sorted_value = None if tail is None else table.column(index.column)[tail]
-        return
-    if event.kind == "modify":
-        if index.column not in event.values:
-            return  # indexed column untouched: sorted run unaffected
+    else:
         index.add_patches(event.rowids)
+    if tail is not None and tail in event.rowids:
+        # the statement deleted or patched the run's tail: the boundary
+        # falls to the last kept row left (None: a NULL there, or no run)
+        tail = _last_kept_row(index)
+        index.last_sorted_value = None if tail is None else table.column(index.column)[tail]
 
 
 def _last_kept_row(index: PatchIndex) -> Optional[int]:

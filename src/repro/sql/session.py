@@ -541,13 +541,11 @@ class SQLSession:
     def _predicate_rowids(self, table, predicate) -> np.ndarray:
         """RowIDs of the tuples matching a DML predicate.
 
-        Only the columns the predicate references are evaluated.  Reading
-        them still merges the table's pending deltas into every column:
-        the positional delta store builds and caches its whole current
-        image on the first read after a write.  While a cancellation
-        token is armed the predicate runs in ``CHECKPOINT_ROWS`` chunks
-        with a checkpoint before each; predicates are elementwise, so
-        the concatenated per-chunk rowids equal one whole-table pass.
+        Only the columns the predicate references are read, each a view
+        of the table's column buffer.  While a cancellation token is
+        armed the predicate runs in ``CHECKPOINT_ROWS`` chunks with a
+        checkpoint before each; predicates are elementwise, so the
+        concatenated per-chunk rowids equal one whole-table pass.
         """
         if predicate is None:
             return table.rowids()

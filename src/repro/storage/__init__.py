@@ -2,15 +2,15 @@
 
 The paper integrates PatchIndexes into Actian Vector; this package is our
 stand-in substrate: in-memory, numpy-backed columns organized in tables
-with positional rowIDs, positional delta structures for updates (the
-paper's PDT [17]), minmax summaries (small materialized aggregates [22])
-for scan pruning and range propagation, and a catalog tying it together.
+with positional rowIDs, growing in place under updates (where the paper
+buffers them in PDTs [17]), minmax summaries (small materialized
+aggregates [22]) for scan pruning and range propagation, and a catalog
+tying it together.
 """
 
 from repro.storage.column import ColumnType
 from repro.storage.minmax import MinMaxIndex
-from repro.storage.pdt import PositionalDelta, UpdateEvent
-from repro.storage.table import Field, Schema, Table
+from repro.storage.table import Field, Schema, Table, UpdateEvent
 from repro.storage.partition import PartitionedTable
 from repro.storage.catalog import Catalog
 from repro.storage.wal import (
@@ -31,7 +31,6 @@ from repro.storage.recovery import (
 __all__ = [
     "ColumnType",
     "MinMaxIndex",
-    "PositionalDelta",
     "UpdateEvent",
     "Field",
     "Schema",

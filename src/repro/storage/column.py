@@ -1,7 +1,7 @@
 """Logical column types over numpy arrays.
 
-Tables hold one numpy array per column and own the mutation logic
-(through positional deltas).  Three logical types cover the paper's
+Tables hold one numpy buffer per column and own the mutation logic
+(growing the buffers in place).  Three logical types cover the paper's
 workloads: 64-bit integers, 64-bit floats and strings.
 """
 

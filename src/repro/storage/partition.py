@@ -7,10 +7,10 @@ query processing are performed partition-locally and in parallel."
 A :class:`PartitionedTable` splits rows into contiguous partitions on a
 key column (the microbenchmark datasets partition on their unique key,
 §6.2).  Each partition is an ordinary :class:`~repro.storage.table.Table`
-with its own positional delta structure, so PatchIndex managers attach
-per partition.  Inserts route by key range (new keys beyond the last
-boundary go to the final partition); deletes and modifies address tuples
-by ``(partition, local rowid)`` or by global rowid.
+with its own column buffers, so PatchIndex managers attach per
+partition.  Inserts route by key range (new keys beyond the last
+boundary go to the final partition); deletes and modifies address
+tuples by ``(partition, local rowid)`` or by global rowid.
 """
 
 from __future__ import annotations

@@ -1,16 +1,28 @@
 """Tables with positional rowIDs and update hooks.
 
-A table owns a :class:`~repro.storage.pdt.PositionalDelta` holding its
-current image.  RowIDs are positional: tuple ``i`` of the current image
-has rowID ``i``, and deleting tuples shifts the rowIDs of all subsequent
-tuples — the semantics both PatchIndex designs maintain under deletes
-(§4.2.3 / §5.3).
+RowIDs are positional: tuple ``i`` of the current image has rowID ``i``,
+and deleting tuples shifts the rowIDs of all subsequent tuples — the
+semantics both PatchIndex designs maintain under deletes (§4.2.3 /
+§5.3).
 
-Update hooks let index structures (PatchIndexes, JoinIndexes,
-materialized views) observe statements: each hook receives the
-:class:`~repro.storage.pdt.UpdateEvent` *after* the table image changed,
-mirroring the paper's design where maintenance queries run as part of the
-update statement and can scan the statement's PDT deltas.
+The paper's column store buffers updates in positional delta trees
+(PDTs, its [17]) so that a statement does not rewrite read-optimised
+columns.  Here each column is a numpy buffer with spare capacity, the
+table publishes one row count ``n`` and :meth:`Table.column` is the view
+``buf[:n]``.  INSERT converts every column, writes into the spare
+capacity (a full buffer doubles) and publishes ``n`` last.  It never
+writes below ``n``, so it costs the rows it inserts and no array a
+reader holds changes: what the PDT buys, without the PDT's merge on the
+next read.  DELETE packs each column's kept runs into a fresh buffer of
+the old capacity (tight arrays made each DELETE then INSERT copy the
+table twice); UPDATE copies the columns it assigns.  Constructor arrays
+count as full, so no write lands in an array the caller passed.  Each
+hook receives the statement's :class:`UpdateEvent` after the image
+changed, so maintenance runs as part of the statement (§5).
+
+Measured and not kept: packing through ``np.compress`` of a keep mask,
+loop-free — 0.7–2 ms against the run copy's 0.14–0.17 ms for a 200 k-row
+column with one deleted range.
 """
 
 from __future__ import annotations
@@ -22,9 +34,27 @@ import numpy as np
 
 from repro.storage.column import ColumnType
 from repro.storage.minmax import DEFAULT_BLOCK_SIZE, MinMaxIndex
-from repro.storage.pdt import PositionalDelta, UpdateEvent
 
-__all__ = ["Field", "Schema", "Table"]
+__all__ = ["Field", "Schema", "Table", "UpdateEvent"]
+
+
+@dataclasses.dataclass
+class UpdateEvent:
+    """Statement-level delta description passed to update hooks (§5).
+
+    ``kind`` is one of ``"insert"``, ``"delete"``, ``"modify"``.
+
+    For inserts, ``rowids`` are the positions the new tuples occupy in the
+    post-statement image and ``values`` holds their column values.  For
+    deletes, ``rowids`` are pre-statement positions (sorted and distinct).
+    For modifies, ``rowids`` are the touched positions and ``values`` the
+    new values of changed columns.
+    """
+
+    kind: str
+    rowids: np.ndarray
+    values: Dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
+
 
 UpdateHook = Callable[["Table", UpdateEvent], None]
 
@@ -100,9 +130,14 @@ class Table:
             else:
                 arr = np.asarray(arr, dtype=field.type.numpy_dtype)
             coerced[field.name] = arr
+        lengths = {len(arr) for arr in coerced.values()}
+        if len(lengths) > 1:
+            raise ValueError("columns must have equal length")
         self.name = name
         self.schema = schema
-        self._delta = PositionalDelta(coerced)
+        # the caller's arrays, full: the first INSERT grows out of them
+        self._buffers = coerced
+        self._n = lengths.pop() if lengths else 0
         self._minmax_block_size = minmax_block_size
         self._minmax: Dict[str, MinMaxIndex] = {}
         self._minmax_version = -1
@@ -136,7 +171,7 @@ class Table:
     @property
     def num_rows(self) -> int:
         """Rows in the current image."""
-        return self._delta.num_rows
+        return self._n
 
     @property
     def version(self) -> int:
@@ -144,9 +179,9 @@ class Table:
         return self._version
 
     def column(self, name: str) -> np.ndarray:
-        """Current-image array for one column (merged with deltas)."""
+        """Current-image array for one column: a view no write changes."""
         self.schema.field(name)
-        return self._delta.column(name)
+        return self._buffers[name][: self._n]
 
     def columns(self, names: Optional[Iterable[str]] = None) -> Dict[str, np.ndarray]:
         """Current-image arrays for several (default: all) columns."""
@@ -189,32 +224,86 @@ class Table:
 
     def insert(self, values: Dict[str, np.ndarray]) -> np.ndarray:
         """Insert tuples; returns their rowIDs in the post-statement image."""
-        rowids = self._delta.insert(values)
-        event = UpdateEvent(
-            kind="insert",
-            rowids=rowids,
-            values={k: np.asarray(v) for k, v in values.items()},
-        )
-        self._fire(event)
+        if set(values) != set(self._buffers):
+            raise KeyError("insert must provide every column exactly once")
+        counts = {len(v) for v in values.values()}
+        if len(counts) != 1:
+            raise ValueError("insert columns must have equal length")
+        start, stop = self._n, self._n + counts.pop()
+        rows = {name: _convert(vals, self._buffers[name].dtype) for name, vals in values.items()}
+        buffers = dict(self._buffers)
+        for name, new in rows.items():
+            buf = buffers[name]
+            if stop > len(buf):
+                grown = np.empty(max(stop, 2 * len(buf)), dtype=buf.dtype)
+                grown[:start] = buf[:start]
+                buffers[name] = buf = grown
+            buf[start:stop] = new
+        self._buffers = buffers
+        self._n = stop
+        rowids = np.arange(start, stop, dtype=np.int64)
+        self._fire(UpdateEvent("insert", rowids, {k: np.asarray(v) for k, v in values.items()}))
         return rowids
 
     def delete(self, rowids: np.ndarray) -> None:
         """Delete tuples at the given (pre-statement) rowIDs."""
         rowids = np.unique(np.asarray(rowids, dtype=np.int64))
-        self._delta.delete(rowids)
+        if len(rowids):
+            if rowids[0] < 0 or rowids[-1] >= self._n:
+                raise IndexError("rowid out of range")
+            # the runs of kept rows between ranges of deleted positions
+            gaps = np.flatnonzero(np.diff(rowids) != 1) + 1
+            starts = np.concatenate([[0], rowids[gaps - 1] + 1, rowids[-1:] + 1])
+            stops = np.concatenate([rowids[:1], rowids[gaps], [self._n]])
+            runs = list(zip(starts.tolist(), stops.tolist()))
+            self._buffers = {name: _copy_runs(buf, runs) for name, buf in self._buffers.items()}
+            self._n -= len(rowids)
         self._fire(UpdateEvent(kind="delete", rowids=rowids))
 
     def modify(self, rowids: np.ndarray, values: Dict[str, np.ndarray]) -> None:
         """Overwrite column values at the given rowIDs."""
         rowids = np.asarray(rowids, dtype=np.int64)
-        self._delta.modify(rowids, values)
-        self._fire(
-            UpdateEvent(
-                kind="modify",
-                rowids=rowids,
-                values={k: np.asarray(v) for k, v in values.items()},
-            )
-        )
+        if len(rowids) and (rowids.min() < 0 or rowids.max() >= self._n):
+            raise IndexError("rowid out of range")
+        for name, vals in values.items():
+            self.schema.field(name)
+            if len(vals) != len(rowids):
+                raise ValueError("modify values must align with rowids")
+        # through Python scalars, so a value casts as a literal would
+        new = {
+            name: _convert(np.asarray(vals).tolist(), self._buffers[name].dtype)
+            for name, vals in values.items()
+        }
+        buffers = dict(self._buffers)
+        for name, vals in new.items():
+            buffers[name] = buf = _copy_runs(buffers[name], [(0, self._n)])
+            buf[rowids] = vals
+        self._buffers = buffers
+        self._fire(UpdateEvent("modify", rowids, {k: np.asarray(v) for k, v in values.items()}))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={len(self.schema)})"
+
+
+def _convert(values, dtype) -> np.ndarray:
+    """``values`` as an array of a column's dtype (raises, writes nothing)."""
+    if dtype != object:
+        return np.asarray(values, dtype=dtype)
+    arr = np.empty(len(values), dtype=object)
+    arr[:] = list(values)
+    return arr
+
+
+def _copy_runs(buf: np.ndarray, runs: List[tuple]) -> np.ndarray:
+    """The ``(start, stop)`` runs of ``buf``, packed into a fresh buffer
+    of its capacity.
+
+    Each run is one slice copy (~0.6 µs): a range delete is one run
+    whatever its length, while ``k`` scattered deletes cost ``k`` runs.
+    """
+    out = np.empty(len(buf), dtype=buf.dtype)
+    at = 0
+    for start, stop in runs:
+        out[at : at + stop - start] = buf[start:stop]
+        at += stop - start
+    return out

@@ -1,6 +1,6 @@
 """Write-ahead logging and checkpointing: the durability subsystem.
 
-Everything above this module is in-memory: tables, positional deltas,
+Everything above this module is in-memory: tables and their
 PatchIndexes.  A :class:`DurabilityManager` attached to a SQL session
 makes the *committed statement log* survive a process crash:
 

@@ -4,8 +4,8 @@
   and the hashed prefilter) against ``_probe_oracle``: the equi-join
   kernel over the whole column, plus every NULL row when a NULL was
   touched (DISTINCT folds NULLs into one group).
-* the positional delta merge against ``_merge_oracle``:
-  ``np.delete`` + ``np.concatenate`` over the base with its overrides.
+* the DELETE compaction against ``_compaction_oracle``: ``np.delete``
+  + ``np.concatenate`` over the base, its INSERTs and its overrides.
 * ``MinMaxIndex`` against ``_minmax_oracle``: a per-block loop over the
   block's non-NULL values.
 * the identifier design's sorted-merge ``add_patches`` against the
@@ -23,7 +23,7 @@ from repro.core import NearlyUniqueColumn
 from repro.core import updates
 from repro.core.patchindex import BITMAP_DESIGN, IDENTIFIER_DESIGN, PatchIndex
 from repro.engine.operators import _expand_matches
-from repro.storage import PositionalDelta, Table
+from repro.storage import Table
 from repro.storage.minmax import MinMaxIndex
 
 INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -148,13 +148,13 @@ def test_prefilter_runs_on_long_int_slices_only():
 
 
 # ----------------------------------------------------------------------
-# the positional delta merge
+# the DELETE compaction
 # ----------------------------------------------------------------------
-def _merge_oracle(base, overrides, deleted, buffers):
-    arr = base.copy()
+def _compaction_oracle(base, head, overrides, deleted, tail):
+    arr = np.concatenate([base, *head])
     for pos, value in overrides.items():
         arr[pos] = value
-    return np.concatenate([np.delete(arr, deleted), *buffers])
+    return np.concatenate([np.delete(arr, deleted), *tail])
 
 
 COLUMN_KINDS = {
@@ -165,11 +165,19 @@ COLUMN_KINDS = {
 
 
 @st.composite
-def delta_scripts(draw):
-    """A base column plus one of the delta states the store can hold."""
+def compaction_scripts(draw):
+    """A base column, INSERTs that grow it, one DELETE or UPDATE, INSERTs."""
     dtype, values = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+
+    def inserts():
+        return [
+            _as_array(draw(st.lists(values, min_size=1, max_size=5)), dtype)
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+
     base = _as_array(draw(st.lists(values, max_size=40)), dtype)
-    n = len(base)
+    head = inserts()
+    n = len(base) + sum(len(buf) for buf in head)
     first = draw(st.sampled_from(["delete", "modify", "none"]))
     deleted, overrides = [], {}
     if first == "delete" and n:
@@ -177,42 +185,42 @@ def delta_scripts(draw):
     elif first == "modify" and n:
         positions = draw(st.lists(st.integers(0, n - 1), max_size=6))
         overrides = {p: draw(values) for p in positions}
-    buffers = [
-        _as_array(draw(st.lists(values, min_size=1, max_size=5)), dtype)
-        for _ in range(draw(st.integers(0, 3)))
-    ]
-    return base, overrides, np.array(deleted, dtype=np.int64), buffers
+    return base, head, overrides, np.array(deleted, dtype=np.int64), inserts()
 
 
 @settings(max_examples=300, deadline=None)
-@given(delta_scripts())
-def test_merge_matches_delete_then_concatenate(script):
-    base, overrides, deleted, buffers = script
-    store = PositionalDelta({"c": base})
+@given(compaction_scripts())
+def test_compaction_matches_delete_then_concatenate(script):
+    base, head, overrides, deleted, tail = script
+    table = Table.from_arrays("t", {"c": base})
+    for buf in head:
+        table.insert({"c": buf})
     if len(deleted):
-        store.delete(deleted)
+        table.delete(deleted)
     if overrides:
-        store.modify(np.array(list(overrides)), {"c": _as_array(list(overrides.values()), object)})
-    for buf in buffers:
-        store.insert({"c": buf})
-    got = store.column("c")
-    want = _merge_oracle(base, overrides, deleted, buffers)
-    assert got.dtype == base.dtype and len(got) == store.num_rows
+        table.modify(np.array(list(overrides)), {"c": _as_array(list(overrides.values()), object)})
+    for buf in tail:
+        table.insert({"c": buf})
+    got = table.column("c")
+    want = _compaction_oracle(base, head, overrides, deleted, tail)
+    assert got.dtype == base.dtype and len(got) == table.num_rows
     np.testing.assert_array_equal(got, want)
 
 
-def test_merge_of_an_empty_table():
-    store = PositionalDelta({"c": np.zeros(0, dtype=np.int64)})
-    assert store.column("c").dtype == np.int64 and len(store.column("c")) == 0
-    store.insert({"c": np.array([4, 5])})
-    np.testing.assert_array_equal(store.column("c"), [4, 5])
+def test_compaction_of_an_empty_table():
+    table = Table.from_arrays("t", {"c": np.zeros(0, dtype=np.int64)})
+    assert table.column("c").dtype == np.int64 and len(table.column("c")) == 0
+    table.delete(np.zeros(0, dtype=np.int64))
+    table.insert({"c": np.array([4, 5])})
+    np.testing.assert_array_equal(table.column("c"), [4, 5])
 
 
-def test_merge_after_deleting_every_row():
-    store = PositionalDelta({"c": np.arange(4, dtype=np.int64)})
-    store.delete(np.arange(4))
-    store.insert({"c": np.array([9])})
-    np.testing.assert_array_equal(store.column("c"), [9])
+def test_compaction_after_deleting_every_row():
+    table = Table.from_arrays("t", {"c": np.arange(4, dtype=np.int64)})
+    table.delete(np.arange(4))
+    assert table.num_rows == 0
+    table.insert({"c": np.array([9])})
+    np.testing.assert_array_equal(table.column("c"), [9])
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""An NSC delete that takes the kept run's tail must lower its boundary.
+"""An NSC delete or update that takes the kept run's tail lowers its boundary.
 
 The insert handler extends the sorted run from ``last_sorted_value``,
 the value of the run's last row.  Deletes never lowered it, so after
@@ -10,7 +10,8 @@ because extra patches never break the invariant.
 
 The boundary now falls to the value of the last non-patch row left (or
 to "empty run" when none is), and the same sequence ends with exactly
-the patches rediscovery finds.
+the patches rediscovery finds.  An UPDATE that patches the tail lowers
+it the same way.
 """
 
 import numpy as np
@@ -104,3 +105,46 @@ def test_tail_delete_through_sql():
     session.execute(f"INSERT INTO t (k, s) VALUES {values}")
     assert handle.verify()
     assert handle.num_patches == rediscovered(table)
+
+
+def sorted_table(n=100):
+    return Table.from_arrays("t", {"k": np.arange(n), "s": 4 * np.arange(n)})
+
+
+@pytest.mark.parametrize("design", [BITMAP_DESIGN, IDENTIFIER_DESIGN])
+def test_update_then_delete_of_the_tail_lowers_the_boundary(design):
+    """An UPDATE that patches the run's tail lowers the boundary too.
+
+    It made the row a patch and kept the boundary at its old value, so
+    the DELETE that followed no longer took the last non-patch row and
+    the next INSERT fell below a value no live row held: 1 patch where
+    rediscovery finds 0.
+    """
+    table = sorted_table()
+    _, handle = indexed(table, design)
+    table.insert({"k": np.array([100]), "s": np.array([100_000])})
+    table.modify(np.array([100]), {"s": np.array([5])})
+    table.delete(np.array([100]))
+    table.insert({"k": np.array([101]), "s": np.array([400])})
+    assert handle.verify()
+    assert handle.num_patches == rediscovered(table) == 0
+
+
+@pytest.mark.parametrize("design", [BITMAP_DESIGN, IDENTIFIER_DESIGN])
+def test_update_of_the_tail_lowers_the_boundary(design):
+    table = sorted_table()
+    _, handle = indexed(table, design)
+    table.modify(np.array([99]), {"s": np.array([5])})
+    assert handle.index.last_sorted_value == 4 * 98
+    table.insert({"k": np.array([100]), "s": np.array([394])})
+    assert handle.verify()
+    assert handle.num_patches == rediscovered(table) == 1
+
+
+def test_an_update_that_spares_the_tail_keeps_the_boundary():
+    table = sorted_table()
+    _, handle = indexed(table, BITMAP_DESIGN)
+    table.modify(np.array([3, 50]), {"s": np.array([1_000, -1])})
+    assert handle.index.last_sorted_value == 4 * 99
+    table.modify(np.array([99]), {"k": np.array([0])})  # not the indexed column
+    assert handle.index.last_sorted_value == 4 * 99

@@ -92,6 +92,127 @@ class TestTableUpdates:
         assert calls == []
 
 
+def make_kv(n=10):
+    return Table.from_arrays(
+        "kv", {"k": np.arange(n, dtype=np.int64), "v": np.arange(n, dtype=np.int64) * 10}
+    )
+
+
+class TestTableImage:
+    """Positional semantics of the column buffers, statement by statement."""
+
+    def test_fresh_table_reads_its_arrays(self):
+        t = make_kv(5)
+        np.testing.assert_array_equal(t.column("k"), np.arange(5))
+        assert t.num_rows == 5
+
+    def test_unequal_column_lengths_raise(self):
+        with pytest.raises(ValueError):
+            Table.from_arrays("t", {"a": np.arange(3), "b": np.arange(4)})
+
+    def test_insert_appends_rows(self):
+        t = make_kv(3)
+        assert t.insert({"k": np.array([100]), "v": np.array([1000])}).tolist() == [3]
+        assert t.num_rows == 4
+        np.testing.assert_array_equal(t.column("k"), [0, 1, 2, 100])
+
+    def test_insert_requires_all_columns(self):
+        with pytest.raises(KeyError):
+            make_kv().insert({"k": np.array([1])})
+
+    def test_insert_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            make_kv().insert({"k": np.array([1, 2]), "v": np.array([1])})
+
+    def test_delete_out_of_range(self):
+        t = make_kv(5)
+        with pytest.raises(IndexError):
+            t.delete(np.array([5]))
+        with pytest.raises(IndexError):
+            t.delete(np.array([-1]))
+
+    def test_delete_after_insert_uses_current_positions(self):
+        t = make_kv(3)
+        t.insert({"k": np.array([99]), "v": np.array([990])})
+        t.delete(np.array([3, 0, 3]))  # row 0 and the inserted row, once each
+        np.testing.assert_array_equal(t.column("k"), [1, 2])
+
+    def test_delete_empty_is_noop(self):
+        t = make_kv(3)
+        t.delete(np.array([], dtype=np.int64))
+        np.testing.assert_array_equal(t.column("k"), [0, 1, 2])
+
+    def test_modify_overwrites(self):
+        t = make_kv(4)
+        t.modify(np.array([1, 2]), {"v": np.array([111, 222])})
+        np.testing.assert_array_equal(t.column("v"), [0, 111, 222, 30])
+
+    def test_modify_unknown_column(self):
+        with pytest.raises(KeyError):
+            make_kv().modify(np.array([0]), {"zzz": np.array([1])})
+
+    def test_modify_out_of_range(self):
+        with pytest.raises(IndexError):
+            make_kv(3).modify(np.array([3]), {"v": np.array([1])})
+
+    def test_modify_misaligned_values(self):
+        t = make_kv(3)
+        with pytest.raises(ValueError):
+            t.modify(np.array([0, 1]), {"v": np.array([1])})
+        np.testing.assert_array_equal(t.column("v"), [0, 10, 20])
+
+    def test_modify_then_delete_interplay(self):
+        t = make_kv(5)
+        t.modify(np.array([2]), {"v": np.array([999])})
+        t.delete(np.array([0]))
+        np.testing.assert_array_equal(t.column("v"), [10, 999, 30, 40])
+
+    def test_insert_delete_modify_sequence(self):
+        t = make_kv(5)
+        t.insert({"k": np.array([50]), "v": np.array([500])})
+        t.delete(np.array([0]))
+        t.modify(np.array([0]), {"v": np.array([-1])})
+        np.testing.assert_array_equal(t.column("k"), [1, 2, 3, 4, 50])
+        np.testing.assert_array_equal(t.column("v"), [-1, 20, 30, 40, 500])
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            lambda t: t.insert({"k": np.array([7]), "v": np.array([70])}),
+            lambda t: t.modify(np.array([0]), {"k": np.array([-5]), "v": np.array([-5])}),
+            lambda t: t.delete(np.array([1])),
+        ],
+        ids=["insert", "modify", "delete"],
+    )
+    def test_writes_never_touch_the_callers_arrays(self, statement):
+        k = np.arange(4, dtype=np.int64)
+        backing = np.arange(8, dtype=np.int64)  # spare room past the view
+        t = Table.from_arrays("t", {"k": k, "v": backing[:4]})
+        statement(t)
+        np.testing.assert_array_equal(k, np.arange(4))
+        np.testing.assert_array_equal(backing, np.arange(8))
+
+    def test_a_held_column_never_changes(self):
+        t = make_kv(4)
+        held = t.column("v")  # the constructor's array
+        t.modify(np.array([0]), {"v": np.array([5])})
+        t.insert({"k": np.arange(10), "v": np.arange(10)})
+        grown = t.column("v")
+        t.insert({"k": np.array([1]), "v": np.array([1])})  # into spare room
+        t.delete(np.array([1]))
+        t.modify(np.array([0]), {"v": np.array([6])})
+        np.testing.assert_array_equal(held, [0, 10, 20, 30])
+        np.testing.assert_array_equal(grown, [5, 10, 20, 30, *range(10)])
+        np.testing.assert_array_equal(t.column("v"), [6, 20, 30, *range(10), 1])
+
+    def test_strings_and_nulls(self):
+        t = Table.from_arrays("t", {"s": np.array(["a", None], dtype=object)})
+        t.insert({"s": np.array(["b", None], dtype=object)})
+        t.modify(np.array([0]), {"s": np.array(["z"])})
+        assert t.column("s").tolist() == ["z", None, "b", None]
+        assert type(t.column("s")[0]) is str
+
+
 class TestMinMax:
     def test_blocks_and_pruning(self):
         idx = MinMaxIndex(np.arange(100), block_size=10)
