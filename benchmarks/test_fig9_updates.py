@@ -28,6 +28,17 @@ statement, ROADMAP item 4.  PI_identifier fell from 1.3–1.5 s to
 0.31–0.35 s when ``add_patches`` became a sorted merge instead of
 ``np.union1d``'s hash-based unique over the whole patch set.  The
 claim still holds for NSC, whose refresh re-sorts whole tuples.
+
+Delete, pi_bitmap / pi_identifier at granularity 500 and 1000: the
+bitmap's bulk delete shifted its shard once per deleted row, and the
+bitmap design lost to the identifier design, NUC 10.7 / 3.2 ms and
+9.9 / 2.0 ms, NSC 10.0 / 3.1 ms and 6.4 / 1.2 ms (3–5x).  Since a shard
+that loses at least ``REPACK_MIN`` rows is repacked once, the committed
+run reads NUC 1.7 / 2.7 and 1.4 / 2.1 ms (0.63x, 0.67x), NSC 2.6 / 3.0
+and 1.9 / 2.1 ms (0.87x, 0.90x): delete now points the paper's way, the
+bitmap design at or ahead of the identifier design, clearly for NUC and
+by about a tenth for NSC.  In one session the parent read NUC 2.8x and
+NSC 2.1–4.7x where this code read 0.46–0.64x and 0.88–0.97x.
 """
 
 import numpy as np

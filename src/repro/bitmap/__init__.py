@@ -8,9 +8,10 @@ Two designs are provided:
 * :class:`~repro.bitmap.sharded.ShardedBitmap` — the paper's contribution.
   The bitmap is virtually divided into shards, each with a start value
   (a fence pointer).  Deletes shift only within one shard, so they are
-  cheap; bulk deletes group their positions by shard and use a
-  vectorized cross-element shift kernel (the numpy stand-in for the
-  paper's AVX2 intrinsics, Listing 1).  Maintenance is serial: the
+  cheap; bulk deletes group their positions by shard, repack a shard
+  that loses many bits and shift the others with a vectorized
+  cross-element kernel (the numpy stand-in for the paper's AVX2
+  intrinsics, Listing 1).  Maintenance is serial: the
   paper's thread per shard (§4.2.3/§4.2.4) was measured on CPython
   threads and did not pay.
 """

@@ -3,9 +3,8 @@
 The paper accelerates the cross-element bit shift of the sharded bitmap's
 delete operation with AVX2 intrinsics (Listing 1).  numpy plays the role
 of SIMD here: :func:`shift_down_vectorized` expresses the same
-shift-with-carry over whole word slices, while
-:func:`shift_down_scalar` is the plain word-by-word loop used as the
-non-vectorized comparison point in Figure 6.
+shift-with-carry over whole word slices (Figure 6 keeps the plain
+word-by-word loop as its non-vectorized comparison point).
 
 All kernels operate on little-endian bit order: bit ``i`` of the logical
 bitmap lives in word ``i // 64`` at bit position ``i % 64``.
@@ -25,7 +24,6 @@ __all__ = [
     "set_bit",
     "clear_bit",
     "shift_down_vectorized",
-    "shift_down_scalar",
     "words_to_bool",
     "bool_to_words",
     "popcount_words",
@@ -82,30 +80,6 @@ def shift_down_vectorized(words: np.ndarray, bit: int, nbits: int) -> None:
     np.right_shift(body, _ONE, out=body)
     np.bitwise_or(body, carry, out=body)
     words[first] = np.uint64(new_first)
-
-
-def shift_down_scalar(words: np.ndarray, bit: int, nbits: int) -> None:
-    """Word-by-word loop version of :func:`shift_down_vectorized`.
-
-    Semantically identical; used as the non-vectorized baseline when
-    measuring the benefit of the vectorized kernel (Figure 6).
-    """
-    if nbits <= 0 or bit >= nbits:
-        return
-    first = bit >> 6
-    last = (nbits - 1) >> 6
-    mask64 = 0xFFFFFFFFFFFFFFFF
-    w = int(words[first])
-    low_mask = (1 << (bit & 63)) - 1
-    new_w = (w & low_mask) | ((w >> 1) & ~low_mask & mask64)
-    if first < last:
-        new_w |= (int(words[first + 1]) & 1) << 63
-    words[first] = np.uint64(new_w)
-    for i in range(first + 1, last + 1):
-        w = int(words[i]) >> 1
-        if i < last:
-            w |= (int(words[i + 1]) & 1) << 63
-        words[i] = np.uint64(w & mask64)
 
 
 def words_to_bool(words: np.ndarray, nbits: int) -> np.ndarray:

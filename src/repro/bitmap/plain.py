@@ -140,9 +140,11 @@ class PlainBitmap:
 
         Processed in descending order so earlier deletions do not shift the
         coordinates of later ones.  Plain bitmaps have no cheaper bulk path;
-        this is simply repeated single deletes.
+        this is simply repeated single deletes, after one range check.
         """
         pos = np.unique(np.asarray(list(positions), dtype=np.int64))
+        if len(pos) and (pos[0] < 0 or pos[-1] >= self._length):
+            raise IndexError("position out of range")
         for p in pos[::-1]:
             self.delete(int(p))
 

@@ -1,7 +1,6 @@
 """Unit tests for the word-level bit kernels."""
 
 import numpy as np
-import pytest
 
 from repro.bitmap import kernels
 
@@ -52,7 +51,6 @@ class TestPackUnpack:
         assert kernels.popcount_words(words) == 5
 
 
-@pytest.mark.parametrize("kernel", [kernels.shift_down_vectorized, kernels.shift_down_scalar])
 class TestShiftDown:
     def reference_shift(self, bits, pos):
         out = bits.copy()
@@ -60,55 +58,46 @@ class TestShiftDown:
         out[-1] = False
         return out
 
-    def check(self, kernel, bits, pos):
+    def check(self, bits, pos):
         words = kernels.bool_to_words(bits)
-        kernel(words, pos, len(bits))
+        kernels.shift_down_vectorized(words, pos, len(bits))
         got = kernels.words_to_bool(words, len(bits))
         np.testing.assert_array_equal(got, self.reference_shift(bits, pos))
 
-    def test_shift_within_single_word(self, kernel):
+    def test_shift_within_single_word(self):
         bits = np.array([1, 0, 1, 1, 0, 1, 0, 0] * 4, dtype=bool)
-        self.check(kernel, bits, 3)
+        self.check(bits, 3)
 
-    def test_shift_across_words(self, kernel):
+    def test_shift_across_words(self):
         rng = np.random.default_rng(3)
         bits = rng.random(64 * 5) < 0.5
-        self.check(kernel, bits, 10)
+        self.check(bits, 10)
 
-    def test_shift_from_zero(self, kernel):
+    def test_shift_from_zero(self):
         rng = np.random.default_rng(4)
         bits = rng.random(300) < 0.5
-        self.check(kernel, bits, 0)
+        self.check(bits, 0)
 
-    def test_shift_at_word_boundary(self, kernel):
+    def test_shift_at_word_boundary(self):
         rng = np.random.default_rng(5)
         bits = rng.random(256) < 0.5
         for pos in (63, 64, 127, 128):
-            self.check(kernel, bits.copy(), pos)
+            self.check(bits.copy(), pos)
 
-    def test_shift_last_bit(self, kernel):
+    def test_shift_last_bit(self):
         bits = np.ones(130, dtype=bool)
-        self.check(kernel, bits, 129)
+        self.check(bits, 129)
 
-    def test_shift_noop_when_bit_beyond_valid(self, kernel):
+    def test_shift_noop_when_bit_beyond_valid(self):
         words = kernels.bool_to_words(np.ones(64, dtype=bool))
         before = words.copy()
-        kernel(words, 64, 64)
+        kernels.shift_down_vectorized(words, 64, 64)
         np.testing.assert_array_equal(words, before)
 
-    def test_random_positions_match_reference(self, kernel):
+    def test_random_positions_match_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 512))
             bits = rng.random(n) < 0.4
             pos = int(rng.integers(0, n))
-            self.check(kernel, bits, pos)
-
-    def test_kernels_agree(self, kernel):
-        rng = np.random.default_rng(12)
-        bits = rng.random(640) < 0.5
-        w1 = kernels.bool_to_words(bits)
-        w2 = kernels.bool_to_words(bits)
-        kernels.shift_down_vectorized(w1, 77, len(bits))
-        kernels.shift_down_scalar(w2, 77, len(bits))
-        np.testing.assert_array_equal(w1, w2)
+            self.check(bits, pos)

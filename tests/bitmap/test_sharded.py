@@ -141,9 +141,16 @@ class TestDelete:
         assert bm.get(125)
         assert bm.positions().tolist() == [125]
 
-    def test_scalar_kernel_delete(self):
+    def test_delete_takes_a_shift_kernel(self):
+        calls = []
+
+        def kernel(words, bit, nbits):
+            calls.append((bit, nbits))
+            kernels.shift_down_vectorized(words, bit, nbits)
+
         bm = ShardedBitmap.from_positions([10, 70], 128, shard_bits=SMALL_SHARD)
-        bm.delete(5, kernel=kernels.shift_down_scalar)
+        bm.delete(5, kernel=kernel)
+        assert calls == [(5, 128)]
         assert bm.positions().tolist() == [9, 69]
 
 
@@ -364,14 +371,12 @@ class TestCachedCount:
             mutate()
             assert bm.count() == int(bm.to_bool_array().sum())
 
-    @pytest.mark.parametrize(
-        "kernel", [kernels.shift_down_scalar, kernels.shift_down_vectorized]
-    )
-    def test_bulk_delete_and_condense_invalidate(self, shard_bits, kernel):
+    @pytest.mark.parametrize("stride", [3, 97])  # dense: repacked; sparse: shifted
+    def test_bulk_delete_and_condense_invalidate(self, shard_bits, stride):
         bm, bits, rng = deleted_bitmap(shard_bits, seed=24)
         assert bm.count() == int(bits.sum())
-        victims = np.flatnonzero(bits)[::3]  # set bits only: the count must drop
-        bm.bulk_delete(victims, kernel=kernel)
+        victims = np.flatnonzero(bits)[::stride]  # set bits only: the count must drop
+        bm.bulk_delete(victims)
         assert bm.count() == int(bits.sum()) - len(victims)
         bm.set(0)
         before = bm.count()

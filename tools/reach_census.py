@@ -155,7 +155,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.bitmap.kernels.clear_bit": _BITMAP_MODEL,
     "repro.bitmap.sharded.ShardedBitmap.unset": _BITMAP_MODEL,
     "repro.bitmap.sharded.ShardedBitmap.append": _BITMAP_MODEL,
-    "repro.bitmap.sharded.ShardedBitmap.num_shards": _BITMAP_MODEL,
     "repro.bitmap.sharded.ShardedBitmap.from_bool_array": _BITMAP_MODEL,
     "repro.materialization.*.is_stale": _BASELINES,
     "repro.materialization.joinindex.JoinIndex.partners": _BASELINES,
@@ -180,7 +179,7 @@ BUCKET_CEILINGS: Dict[str, int] = {
     _DATA_MODEL: 4,
     _ABSTRACT: 4,
     _HANDLE: 7,
-    _BITMAP_MODEL: 5,
+    _BITMAP_MODEL: 4,
     _BASELINES: 3,
 }
 
