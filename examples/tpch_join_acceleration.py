@@ -2,8 +2,9 @@
 
 Generates a TPC-H subset, perturbs 5 % of the lineitem order, defines a
 PatchIndex on ``l_orderkey`` and compares Q3 with a plain hash join,
-with the PatchIndex rewrite (MergeJoin on the sorted 95 % + HashJoin on
-the patches), and with zero-branch pruning on clean data.
+with the PatchIndex rewrite (a join whose build needs no sort on the
+sorted 95 % + a join built on the patches), and with zero-branch
+pruning on clean data.
 
 Run:  python examples/tpch_join_acceleration.py
 """

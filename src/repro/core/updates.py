@@ -143,10 +143,10 @@ def _collision_join(column: np.ndarray, touched_values: np.ndarray,
             # rows whose hash misses every build key cannot match; the
             # survivors go through the exact kernel
             candidates = np.flatnonzero(table[_fibonacci_hash(probe)])
-            hits = _expand_matches(build, probe[candidates], build_sorted=True)[1]
+            hits = _expand_matches(build, probe[candidates])[1]
             matched.append(start + candidates[hits])
         else:
-            matched.append(start + _expand_matches(build, probe, build_sorted=True)[1])
+            matched.append(start + _expand_matches(build, probe)[1])
     # distinct build keys: each probe row matches at most once, so the
     # probe positions come out ascending and duplicate-free
     return np.concatenate(matched) if matched else np.zeros(0, dtype=np.int64)

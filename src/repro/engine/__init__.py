@@ -45,7 +45,6 @@ from repro.engine.operators import (
     GroupAggregate,
     HashJoin,
     Limit,
-    MergeJoin,
     MergeUnion,
     Operator,
     PatchSelect,
@@ -88,7 +87,6 @@ __all__ = [
     "Filter",
     "Project",
     "HashJoin",
-    "MergeJoin",
     "Sort",
     "Distinct",
     "GroupAggregate",

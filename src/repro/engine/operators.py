@@ -1,7 +1,7 @@
 """Physical query operators (column-at-a-time, numpy-vectorized).
 
 The operator set mirrors what the paper's optimizations manipulate
-(§3.3): scans, selections, projections, hash and merge joins, sort,
+(§3.3): scans, selections, projections, the equi-join, sort,
 distinct/grouping aggregation, union, order-preserving merge and the
 Reuse operators for intermediate result caching.  The PatchIndex scan is
 a :class:`Scan` topped by a :class:`PatchSelect` with mode
@@ -29,7 +29,6 @@ __all__ = [
     "Filter",
     "Project",
     "HashJoin",
-    "MergeJoin",
     "Sort",
     "TopN",
     "Distinct",
@@ -304,23 +303,23 @@ def _non_null_rows(keys: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _expand_matches(
-    build_keys: np.ndarray, probe_keys: np.ndarray, build_sorted: bool
+    build_keys: np.ndarray, probe_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Aligned ``(build_idx, probe_idx)`` of an inner equi-join.
 
-    The one matching kernel behind :class:`HashJoin`, :class:`MergeJoin`
-    and NUC maintenance (:mod:`repro.core.updates`): the build keys are
-    stably sorted, every probe key binary-searches the first build key
-    not below it, and each hit is expanded by the length of the run of
-    equal build keys starting there — all in numpy, no per-tuple Python.
-    Pairs come out probe-ascending and, per probe key, in build
-    insertion order, whatever the inputs' order.
+    The one matching kernel behind :class:`HashJoin` and NUC maintenance
+    (:mod:`repro.core.updates`): the build keys are stably sorted, every
+    probe key binary-searches the first build key not below it, and each
+    hit is expanded by the length of the run of equal build keys
+    starting there — all in numpy, no per-tuple Python.  Pairs come out
+    probe-ascending and, per probe key, in build insertion order,
+    whatever the inputs' order.
 
-    ``build_sorted`` promises non-decreasing build keys and skips the
-    sort — the whole advantage a merge join has over a hash join
-    (§3.3).  The promise is checked: a wrong one costs the sort, never
-    the answer.  NULL keys (``None`` in object columns, NaN in float
-    columns) match nothing on either side, as in SQL.
+    Build keys that already arrive non-decreasing skip the sort — the
+    whole advantage a merge join has over a hash join (§3.3), found by
+    one linear check instead of promised by the planner.  NULL keys
+    (``None`` in object columns, NaN in float columns) match nothing on
+    either side, as in SQL, and are dropped before the check.
     """
     build_rows = _non_null_rows(build_keys)
     if build_rows is not None:
@@ -331,7 +330,7 @@ def _expand_matches(
     if len(build_keys) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if build_sorted and bool(np.all(build_keys[:-1] <= build_keys[1:])):
+    if bool(np.all(build_keys[:-1] <= build_keys[1:])):
         order = None
         sorted_keys = build_keys
     else:
@@ -379,13 +378,13 @@ def _join_output(
 
 
 class HashJoin(Operator):
-    """Inner equi-join over unordered inputs; builds on one side and
-    probes the other.
+    """Inner equi-join; builds on one side and probes the other.
 
-    Matching is :func:`_expand_matches` with an unsorted build side: the
-    build keys are sorted once and every probe key binary-searches them,
-    so the operator's cost over a :class:`MergeJoin` is exactly that
-    build sort.  ``build_side='auto'`` picks the smaller input as the
+    Matching is :func:`_expand_matches`: the build keys are sorted once
+    (not at all when they arrive sorted, which makes this the merge join
+    of §3.3) and every probe key binary-searches them.  Output rows are
+    probe-major, so the probe side's order survives the join.
+    ``build_side='auto'`` picks the smaller input as the
     build side, which is the paper's optimization of building on the
     lower-cardinality side (typically the patches, §3.3).  With
     ``dynamic_range_propagation`` the key range observed during the build
@@ -448,48 +447,13 @@ class HashJoin(Operator):
                             scan.push_range(probe_key, lo, hi)
             probe_rel = probe_op.execute()
         build_idx, probe_idx = _expand_matches(
-            build_rel.column(build_key), probe_rel.column(probe_key), build_sorted=False
+            build_rel.column(build_key), probe_rel.column(probe_key)
         )
         return _join_output(build_rel, probe_rel, build_idx, probe_idx, build_key, probe_key)
 
     def label(self) -> str:
         drp = ", DRP" if self.dynamic_range_propagation else ""
         return f"HashJoin({self.left_key}={self.right_key}, build={self.build_side}{drp})"
-
-
-class MergeJoin(Operator):
-    """Inner equi-join whose build (left) input is sorted on its key (§3.3).
-
-    The same kernel as :class:`HashJoin` minus the build-side sort:
-    matching runs are located by binary search over the key column as it
-    arrives.  Should the build input arrive unsorted (a planner bug) the
-    kernel notices and sorts it after all, so the result is still right.
-    """
-
-    def __init__(self, left: Operator, right: Operator, left_key: str, right_key: str) -> None:
-        self.left = left
-        self.right = right
-        self.left_key = left_key
-        self.right_key = right_key
-
-    def children(self) -> List[Operator]:
-        return [self.left, self.right]
-
-    def execute(self) -> Relation:
-        left_rel = self.left.execute()
-        checkpoint()
-        right_rel = self.right.execute()
-        build_idx, probe_idx = _expand_matches(
-            left_rel.column(self.left_key),
-            right_rel.column(self.right_key),
-            build_sorted=True,
-        )
-        return _join_output(
-            left_rel, right_rel, build_idx, probe_idx, self.left_key, self.right_key
-        )
-
-    def label(self) -> str:
-        return f"MergeJoin({self.left_key}={self.right_key})"
 
 
 class Sort(Operator):

@@ -3,12 +3,11 @@
 Queries are expressed as logical plan trees (:mod:`repro.plan.nodes`).
 The :class:`~repro.plan.optimizer.Optimizer` runs in two stages: join
 orders are enumerated over the join graph first
-(:mod:`repro.plan.joinorder`), then a chain of
-:class:`~repro.plan.selection.PhysicalOperatorSelection` links — the
-PatchIndex rewrites of §3.3, join algorithm/build side and TopN
-pushdown — assigns physical operators, gated by the
-cost model of §3.5.  The :mod:`~repro.plan.executor` lowers the
-annotated plans onto the physical operators of :mod:`repro.engine`.
+(:mod:`repro.plan.joinorder`), then two passes of
+:mod:`repro.plan.selection` — the PatchIndex rewrites of §3.3 and TopN
+pushdown — assign physical operators, gated by the cost model of §3.5.
+The :mod:`~repro.plan.executor` lowers the annotated plans onto the
+physical operators of :mod:`repro.engine`.
 """
 
 from repro.plan.nodes import (
@@ -42,12 +41,9 @@ from repro.plan.joinorder import (
     reorder_joins,
 )
 from repro.plan.selection import (
-    JoinOperatorSelection,
     PatchIndexSelection,
     PhysicalOperatorAssignment,
-    PhysicalOperatorSelection,
     TopNSelection,
-    default_selection_chain,
 )
 from repro.plan.optimizer import OptimizationReport, Optimizer
 from repro.plan.executor import build_operator_tree, execute_plan
@@ -79,12 +75,9 @@ __all__ = [
     "build_join_tree",
     "dp_order",
     "reorder_joins",
-    "PhysicalOperatorSelection",
     "PhysicalOperatorAssignment",
     "PatchIndexSelection",
-    "JoinOperatorSelection",
     "TopNSelection",
-    "default_selection_chain",
     "Optimizer",
     "OptimizationReport",
     "build_operator_tree",

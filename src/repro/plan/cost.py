@@ -16,7 +16,7 @@ from typing import Dict, Union
 
 from repro.engine import parallel_sort
 from repro.plan import nodes
-from repro.plan.stats import estimate_rows
+from repro.plan.stats import estimate_rows, is_sorted_on
 from repro.storage.catalog import Catalog
 
 __all__ = ["CostModel", "OperatorCost"]
@@ -141,7 +141,8 @@ class CostModel:
         elif isinstance(node, nodes.JoinNode):
             left = estimate_rows(node.left, self.catalog)
             right = estimate_rows(node.right, self.catalog)
-            if node.algorithm == "merge":
+            if self._sorted_build(node):
+                # the kernel skips the build sort: the merge join of §3.3
                 driving = left + right
                 total = self.COST_MERGE_JOIN * (left + right)
             else:
@@ -190,6 +191,14 @@ class CostModel:
             "startup": startup,
             "total": total,
         }
+
+    def _sorted_build(self, node: nodes.JoinNode) -> bool:
+        """Whether the join's pinned build side arrives sorted on its key."""
+        if node.build_side == "left":
+            return is_sorted_on(node.left, node.left_key, self.catalog)
+        if node.build_side == "right":
+            return is_sorted_on(node.right, node.right_key, self.catalog)
+        return False
 
     def _local_cost(self, node: nodes.PlanNode) -> float:
         return float(self.operator_cost(node)["total"])

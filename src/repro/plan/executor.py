@@ -93,13 +93,9 @@ def _lower(plan: nodes.PlanNode, ctx: _LoweringContext) -> ops.Operator:
     if isinstance(plan, nodes.ProjectNode):
         return ops.Project(_lower(plan.child, ctx), plan.outputs)
     if isinstance(plan, nodes.JoinNode):
-        left = _lower(plan.left, ctx)
-        right = _lower(plan.right, ctx)
-        if plan.algorithm == "merge":
-            return ops.MergeJoin(left, right, plan.left_key, plan.right_key)
         return ops.HashJoin(
-            left,
-            right,
+            _lower(plan.left, ctx),
+            _lower(plan.right, ctx),
             plan.left_key,
             plan.right_key,
             build_side=plan.build_side,

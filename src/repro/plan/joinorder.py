@@ -9,8 +9,8 @@ connected subsets (no cross products).  Regions larger than
 
 A reordered tree is adopted only when its modeled cost is *strictly*
 lower than the parser plan's, and reordering never crosses anything but
-plain inner hash joins — explicitly configured joins (merge algorithm,
-pinned build sides, range propagation) are treated as opaque leaves.
+plain inner joins — explicitly configured joins (pinned build sides,
+range propagation) are treated as opaque leaves.
 Inner equi-joins are freely reorderable by commutativity/associativity,
 so every enumerated order returns the same rows; the equivalence suite
 additionally pins the bit-identical contract on TPC-H shapes.
@@ -121,13 +121,12 @@ class JoinOrderDecision:
 def _flattenable(node: nodes.PlanNode) -> bool:
     """Whether a join node may be dissolved into the join graph.
 
-    Only plain inner hash joins with runtime build-side selection and no
+    Only plain inner joins with runtime build-side selection and no
     range propagation are reorderable; anything explicitly configured is
     kept as an opaque leaf so hand-tuned plans survive stage 1.
     """
     return (
         isinstance(node, nodes.JoinNode)
-        and node.algorithm == "hash"
         and node.build_side == "auto"
         and not node.dynamic_range_propagation
     )

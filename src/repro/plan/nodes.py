@@ -136,9 +136,8 @@ class ProjectNode(PlanNode):
 class JoinNode(PlanNode):
     """Inner equi-join.
 
-    ``algorithm`` is decided by the optimizer: ``"hash"`` (default) or
-    ``"merge"``; ``build_side`` follows the paper's lowest-cardinality
-    heuristic when ``"auto"``.
+    ``build_side`` follows the paper's lowest-cardinality heuristic when
+    ``"auto"``; a pinned side is built first and the other probes it.
     """
 
     def __init__(
@@ -147,7 +146,6 @@ class JoinNode(PlanNode):
         right: PlanNode,
         left_key: str,
         right_key: str,
-        algorithm: str = "hash",
         build_side: str = "auto",
         dynamic_range_propagation: bool = False,
     ) -> None:
@@ -155,7 +153,6 @@ class JoinNode(PlanNode):
         self.right = right
         self.left_key = left_key
         self.right_key = right_key
-        self.algorithm = algorithm
         self.build_side = build_side
         self.dynamic_range_propagation = dynamic_range_propagation
 
@@ -165,7 +162,7 @@ class JoinNode(PlanNode):
 
     def label(self) -> str:
         """One-line node description."""
-        return f"Join[{self.algorithm}]({self.left_key}={self.right_key})"
+        return f"Join[build={self.build_side}]({self.left_key}={self.right_key})"
 
 
 class DistinctNode(PlanNode):
@@ -350,7 +347,7 @@ def rebuild_node(plan: PlanNode, kids) -> PlanNode:
     if isinstance(plan, JoinNode):
         return JoinNode(
             kids[0], kids[1], plan.left_key, plan.right_key,
-            algorithm=plan.algorithm, build_side=plan.build_side,
+            build_side=plan.build_side,
             dynamic_range_propagation=plan.dynamic_range_propagation,
         )
     if isinstance(plan, DistinctNode):

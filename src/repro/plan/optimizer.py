@@ -7,10 +7,9 @@ item 3 calls for):
    are flattened into a join graph and re-ordered by DP (≤6 relations),
    keeping the parser's order unless the DP order's modeled cost is
    strictly lower.
-2. **Physical operator selection** (:mod:`repro.plan.selection`) — a
-   chain of ``PhysicalOperatorSelection`` links assigns physical
-   operators per logical node: the PatchIndex rewrites of §3.3 (first
-   link), join algorithm/build side and TopN pushdown.
+2. **Physical operator selection** (:mod:`repro.plan.selection`) — two
+   passes assign physical operators per logical node: the PatchIndex
+   rewrites of §3.3, then TopN pushdown.
 
 :meth:`Optimizer.optimize` returns just the plan (the seed API);
 :meth:`Optimizer.optimize_staged` additionally returns the
@@ -29,8 +28,9 @@ from repro.plan import nodes
 from repro.plan.cost import CostModel
 from repro.plan.joinorder import JoinOrderDecision, reorder_joins
 from repro.plan.selection import (
+    PatchIndexSelection,
     PhysicalOperatorAssignment,
-    default_selection_chain,
+    TopNSelection,
 )
 from repro.storage.catalog import Catalog
 
@@ -73,7 +73,7 @@ class Optimizer:
     use_cost_model:
         Gate rewrites on estimated cost; when False, every matching
         PatchIndex rewrite is applied (the paper's forced plans) and the
-        join-order/operator stages are disabled.
+        join-order and TopN passes are disabled.
     """
 
     def __init__(
@@ -103,12 +103,15 @@ class Optimizer:
         if self.use_cost_model:
             plan, decisions = reorder_joins(plan, self.catalog, self.cost_model)
         assignment = PhysicalOperatorAssignment()
-        chain = default_selection_chain(
+        plan = PatchIndexSelection(
             self.catalog,
             self.index_manager,
             self.cost_model if self.use_cost_model else None,
             zero_branch_pruning=self.zero_branch_pruning,
             force=not self.use_cost_model,
-        )
-        plan = chain.select_physical_operators(plan, assignment)
+        ).select_physical_operators(plan, assignment)
+        if self.use_cost_model:
+            plan = TopNSelection(self.catalog, self.cost_model).select_physical_operators(
+                plan, assignment
+            )
         return plan, OptimizationReport(decisions, assignment)

@@ -11,10 +11,11 @@ recombines:
   Union combines (value sets are disjoint by the NUC invariant).
 * **sort** — the exclude flow is already sorted, so its sort operator
   is dropped; only patches are sorted; a Merge recombines in order.
-* **join** — the exclude flow of an NSC join column joins via the
-  cheaper MergeJoin against the sorted other side "X"; the patches join
-  via a HashJoin built on the (small) patch side; "X" is buffered with
-  Reuse operators instead of being computed twice.
+* **join** — the exclude flow of an NSC join column probes a join built
+  on the sorted other side "X", whose build needs no sort (the merge
+  join of the paper); the patches join via a join built on the (small)
+  patch side; "X" is buffered with Reuse operators instead of being
+  computed twice.
 
 Zero-branch pruning (§6.3) drops the patch subtree entirely when the
 known patch count is zero.  The cost model (§3.5) gates each rewrite
@@ -35,13 +36,13 @@ from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
 from repro.engine.expressions import BinaryExpr, Expression, expression_columns
 from repro.plan import nodes
 from repro.plan.cost import CostModel
+from repro.plan.stats import estimate_rows
 
 __all__ = [
     "rewrite_distinct",
     "rewrite_sort",
     "rewrite_join",
     "find_single_scan",
-    "is_sorted_on",
     "push_to_scans",
 ]
 
@@ -204,14 +205,14 @@ def rewrite_join(
     zero_branch_pruning: bool = False,
     force: bool = False,
 ) -> Optional[nodes.PlanNode]:
-    """Rewrite a hash JoinNode into MergeJoin + patch HashJoin, or None.
+    """Rewrite a JoinNode into a sorted-build join + patch join, or None.
 
     One join input ("Y") must be a scan subtree over a table with an NSC
     PatchIndex on its join key; the other input ("X") must be sorted on
     its join key (``sorted_side_check``).  Y's order is preserved by
     construction (scan order, Filter/Project only).
     """
-    if not isinstance(plan, nodes.JoinNode) or plan.algorithm != "hash":
+    if not isinstance(plan, nodes.JoinNode):
         return None
     for x_side, y_side, x_key, y_key in (
         (plan.left, plan.right, plan.left_key, plan.right_key),
@@ -250,25 +251,22 @@ def _build_join_rewrite(
     )
     if zero_branch_pruning and index.num_patches == 0:
         candidate: nodes.PlanNode = nodes.JoinNode(
-            x_side, y_exclude, x_key, y_key, algorithm="merge"
+            x_side, y_exclude, x_key, y_key, build_side="left"
         )
         return _accept(plan, candidate, cost_model, force)
     slot_id = f"x-side-{next(_slot_counter)}"
     x_cached = nodes.ReuseCacheNode(x_side, slot_id)
     if cost_model is not None:
-        from repro.plan.stats import estimate_rows
-
         hint = estimate_rows(x_side, cost_model.catalog)
     else:
         hint = 1000.0
     x_again = nodes.ReuseLoadNode(slot_id, hint_rows=hint)
-    merge_part = nodes.JoinNode(x_cached, y_exclude, x_key, y_key, algorithm="merge")
+    # built on the sorted X: the kernel finds its keys in order and skips the sort
+    sorted_part = nodes.JoinNode(x_cached, y_exclude, x_key, y_key, build_side="left")
     y_use = _patch_flow(y_side, scan, index, USE)
-    # hash table built on the patches: the lowest-cardinality side (§3.3)
-    hash_part = nodes.JoinNode(
-        y_use, x_again, y_key, x_key, algorithm="hash", build_side="left"
-    )
-    candidate = nodes.UnionNode([merge_part, hash_part])
+    # built on the patches: the lowest-cardinality side (§3.3)
+    patch_part = nodes.JoinNode(y_use, x_again, y_key, x_key, build_side="left")
+    candidate = nodes.UnionNode([sorted_part, patch_part])
     return _accept(plan, candidate, cost_model, force)
 
 
@@ -388,46 +386,3 @@ def _child_reads(node: nodes.PlanNode, needed: Optional[Set[str]]) -> Optional[S
     if isinstance(node, nodes.LimitNode):
         return needed
     return None
-
-
-# ----------------------------------------------------------------------
-# sortedness propagation
-# ----------------------------------------------------------------------
-def is_sorted_on(node: nodes.PlanNode, key: str, catalog) -> bool:
-    """Whether a plan node's output is sorted on ``key``.
-
-    True for scans of tables with a registered SortKey on the column,
-    for NSC exclude-patches flows, and propagated through
-    order-preserving operators (filters, projections keeping the key,
-    and the probe side of a hash join, §3.3).
-    """
-    if isinstance(node, nodes.ScanNode):
-        return catalog.structure("sortkey", node.table, key) is not None
-    if isinstance(node, nodes.PatchScanNode):
-        return (
-            node.mode == EXCLUDE
-            and isinstance(node.index.constraint, NearlySortedColumn)
-            and node.index.column == key
-        )
-    if isinstance(node, nodes.FilterNode):
-        return is_sorted_on(node.child, key, catalog)
-    if isinstance(node, nodes.ProjectNode):
-        passed = node.outputs.get(key)
-        if passed is None or (isinstance(passed, str) and passed != key):
-            return False
-        if not isinstance(passed, str):
-            return False
-        return is_sorted_on(node.child, key, catalog)
-    if isinstance(node, nodes.JoinNode) and node.algorithm == "hash":
-        # the probe side's order survives a hash join
-        if node.build_side == "left":
-            return is_sorted_on(node.right, key, catalog)
-        if node.build_side == "right":
-            return is_sorted_on(node.left, key, catalog)
-        return False
-    if isinstance(node, nodes.JoinNode) and node.algorithm == "merge":
-        # merge join output follows the probe (right) input's order
-        return is_sorted_on(node.right, key, catalog)
-    if isinstance(node, nodes.ReuseCacheNode):
-        return is_sorted_on(node.child, key, catalog)
-    return False

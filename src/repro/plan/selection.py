@@ -1,53 +1,41 @@
 """Stage 2 of the staged optimizer: physical operator selection.
 
-A chain of :class:`PhysicalOperatorSelection` policies (PostBOUND's
-abstraction: links composed with :meth:`~PhysicalOperatorSelection.chain_with`,
-each link may *assign* operators or *defer* to the next) maps the
-logical plan produced by stage 1 (:mod:`repro.plan.joinorder`) onto
-physical operators:
+Two passes map the logical plan produced by stage 1
+(:mod:`repro.plan.joinorder`) onto physical operators, in this order:
 
 * :class:`PatchIndexSelection` — the PatchIndex rewrites of §3.3
-  (:mod:`repro.plan.rules`), recast as the first link of the chain;
-* :class:`JoinOperatorSelection` — MergeJoin over SortKey-ordered inputs
-  vs HashJoin, and an explicit build side when both input cardinalities
-  are exact;
+  (:mod:`repro.plan.rules`);
 * :class:`TopNSelection` — Limit-over-Sort collapsed into the physical
   TopN operator when the pushdown undercuts the full sort.
+
+A join's algorithm needs no plan-time choice: the one join operator
+skips its build sort when the build keys arrive sorted, and
+``build_side='auto'`` builds on the smaller input at run time, on exact
+cardinalities.
 
 Decisions are recorded in a :class:`PhysicalOperatorAssignment` keyed by
 node identity, with the per-operator cost dicts of
 :meth:`repro.plan.cost.CostModel.operator_cost`, so EXPLAIN can surface
-what each link chose and why.  An assignment may only change *how* a
-node executes, never the rows (or row order) it returns — which is why
-the build-side pin only fires on exact cardinalities, where the
-plan-time decision provably matches the one the runtime would take.
+what each pass chose and why.  An assignment may only change *how* a
+node executes, never the rows (or row order) it returns.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.plan import nodes
 from repro.plan.cost import CostModel, OperatorCost
-from repro.plan.rules import (
-    is_sorted_on,
-    rewrite_distinct,
-    rewrite_join,
-    rewrite_sort,
-)
-from repro.plan.stats import estimate_rows
+from repro.plan.rules import rewrite_distinct, rewrite_join, rewrite_sort
+from repro.plan.stats import estimate_rows, is_sorted_on
 from repro.storage.catalog import Catalog
 
 __all__ = [
     "OperatorChoice",
     "PhysicalOperatorAssignment",
-    "PhysicalOperatorSelection",
     "PatchIndexSelection",
-    "JoinOperatorSelection",
     "TopNSelection",
-    "default_selection_chain",
 ]
 
 
@@ -75,10 +63,9 @@ class OperatorChoice:
 class PhysicalOperatorAssignment:
     """Log of stage-2 decisions, keyed by plan-node identity.
 
-    The plan nodes themselves carry the operative annotations
-    (``JoinNode.algorithm`` / ``build_side``, rewritten subtrees); this
-    log is the introspection side — which link
-    decided what, with the operator's cost entry — surfaced through
+    The plan nodes themselves carry the operative annotations (rewritten
+    subtrees); this log is the introspection side — which pass decided
+    what, with the operator's cost entry — surfaced through
     ``EXPLAIN (costs)``.
     """
 
@@ -129,48 +116,8 @@ class PhysicalOperatorAssignment:
         return lines
 
 
-class PhysicalOperatorSelection(abc.ABC):
-    """One link of the chainable operator-selection policy.
-
-    Mirrors PostBOUND's ``PhysicalOperatorSelection``: links form a
-    singly-linked chain; each link applies its own selection and then
-    delegates the (possibly rewritten) plan to ``next_selection``.  A
-    link *assigns* by annotating nodes and recording the choice, or
-    *defers* by leaving a node untouched for later links (or the
-    executor's runtime heuristics).
-    """
-
-    def __init__(self) -> None:
-        self.next_selection: Optional[PhysicalOperatorSelection] = None
-
-    def chain_with(
-        self, next_selection: "PhysicalOperatorSelection"
-    ) -> "PhysicalOperatorSelection":
-        """Append a link at the end of this chain; returns the chain head."""
-        if self.next_selection is None:
-            self.next_selection = next_selection
-        else:
-            self.next_selection.chain_with(next_selection)
-        return self
-
-    def select_physical_operators(
-        self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
-    ) -> nodes.PlanNode:
-        """Run this link, then the rest of the chain."""
-        plan = self._apply_selection(plan, assignment)
-        if self.next_selection is not None:
-            plan = self.next_selection.select_physical_operators(plan, assignment)
-        return plan
-
-    @abc.abstractmethod
-    def _apply_selection(
-        self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
-    ) -> nodes.PlanNode:
-        """This link's own selection pass (without chain delegation)."""
-
-
-class PatchIndexSelection(PhysicalOperatorSelection):
-    """The PatchIndex rewrites of §3.3 as the first chain link.
+class PatchIndexSelection:
+    """The PatchIndex rewrites of §3.3, the first stage-2 pass.
 
     Wraps the bottom-up rules walk that used to *be* the optimizer:
     distinct/sort/join patterns over constraint-carrying scans are
@@ -186,19 +133,19 @@ class PatchIndexSelection(PhysicalOperatorSelection):
         zero_branch_pruning: bool = False,
         force: bool = False,
     ) -> None:
-        super().__init__()
         self.catalog = catalog
         self.index_manager = index_manager
         self.cost_model = cost_model
         self.zero_branch_pruning = zero_branch_pruning
         self.force = force
 
-    def _apply_selection(
+    def select_physical_operators(
         self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
     ) -> nodes.PlanNode:
+        """Rewrite ``plan`` bottom-up, logging each rewrite in ``assignment``."""
         kids = plan.children()
         if kids:
-            new_kids = [self._apply_selection(c, assignment) for c in kids]
+            new_kids = [self.select_physical_operators(c, assignment) for c in kids]
             if not all(a is b for a, b in zip(kids, new_kids)):
                 plan = nodes.rebuild_node(plan, new_kids)
         return self._apply_rules(plan, assignment)
@@ -235,83 +182,7 @@ class PatchIndexSelection(PhysicalOperatorSelection):
         return plan
 
 
-class JoinOperatorSelection(PhysicalOperatorSelection):
-    """Per-join algorithm and build-side selection.
-
-    For each plain hash join the link considers a MergeJoin when *both*
-    inputs are already ordered on their keys (SortKey structures or NSC
-    exclude flows, via :func:`repro.plan.rules.is_sorted_on`) and the
-    modeled merge cost undercuts the hash cost; otherwise it pins the
-    hash build side explicitly.  Both moves fire only when both input
-    cardinalities are exact (unfiltered scans), where the plan-time
-    decision provably equals the runtime ``auto`` decision — estimates
-    defer to the runtime heuristic instead of risking a row-order
-    divergence from the seed plan.
-    """
-
-    def __init__(self, catalog: Catalog, cost_model: CostModel) -> None:
-        super().__init__()
-        self.catalog = catalog
-        self.cost_model = cost_model
-
-    def _exact_rows(self, node: nodes.PlanNode) -> Optional[float]:
-        """Output cardinality when it is exact at plan time, else None."""
-        if isinstance(node, nodes.ScanNode) and node.predicate is None:
-            try:
-                return float(self.catalog.table(node.table).num_rows)
-            except KeyError:
-                return None
-        if isinstance(node, nodes.PatchScanNode) and node.predicate is None:
-            patches = float(node.index.num_patches)
-            total = float(node.index.num_rows)
-            return patches if node.mode == "use_patches" else total - patches
-        return None
-
-    def _apply_selection(
-        self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
-    ) -> nodes.PlanNode:
-        for child in plan.children():
-            self._apply_selection(child, assignment)
-        if (
-            not isinstance(plan, nodes.JoinNode)
-            or plan.algorithm != "hash"
-            or plan.build_side != "auto"
-            or plan.dynamic_range_propagation
-        ):
-            return plan
-        left_rows = self._exact_rows(plan.left)
-        right_rows = self._exact_rows(plan.right)
-        if left_rows is None or right_rows is None:
-            return plan  # defer to the runtime heuristic
-        if (
-            left_rows <= right_rows
-            and is_sorted_on(plan.left, plan.left_key, self.catalog)
-            and is_sorted_on(plan.right, plan.right_key, self.catalog)
-        ):
-            hash_cost = float(self.cost_model.operator_cost(plan)["total"])
-            trial = nodes.JoinNode(
-                plan.left, plan.right, plan.left_key, plan.right_key, algorithm="merge"
-            )
-            if float(self.cost_model.operator_cost(trial)["total"]) < hash_cost:
-                # sorted build side + sorted probe side: the merge output
-                # equals the hash output ordering (probe-major, build
-                # rows in key/original order), so the flip is free
-                plan.algorithm = "merge"
-                assignment.assign(
-                    plan, "MergeJoin[sortkey]", self.cost_model, type(self).__name__
-                )
-                return plan
-        plan.build_side = "left" if left_rows <= right_rows else "right"
-        assignment.assign(
-            plan,
-            f"HashJoin[build={plan.build_side}]",
-            self.cost_model,
-            type(self).__name__,
-        )
-        return plan
-
-
-class TopNSelection(PhysicalOperatorSelection):
+class TopNSelection:
     """Collapses ``Limit(Sort)`` into the physical TopN operator.
 
     Matches ``Limit(Sort(x))`` and ``Limit(Project(Sort(x)))`` (the
@@ -322,16 +193,16 @@ class TopNSelection(PhysicalOperatorSelection):
     """
 
     def __init__(self, catalog: Catalog, cost_model: CostModel) -> None:
-        super().__init__()
         self.catalog = catalog
         self.cost_model = cost_model
 
-    def _apply_selection(
+    def select_physical_operators(
         self, plan: nodes.PlanNode, assignment: PhysicalOperatorAssignment
     ) -> nodes.PlanNode:
+        """Collapse each cheaper Limit-over-Sort, logging it in ``assignment``."""
         kids = plan.children()
         if kids:
-            new_kids = [self._apply_selection(c, assignment) for c in kids]
+            new_kids = [self.select_physical_operators(c, assignment) for c in kids]
             if not all(a is b for a, b in zip(kids, new_kids)):
                 plan = nodes.rebuild_node(plan, new_kids)
         if not isinstance(plan, nodes.LimitNode):
@@ -359,27 +230,3 @@ class TopNSelection(PhysicalOperatorSelection):
         if project is not None:
             return nodes.ProjectNode(topn, project.outputs)
         return topn
-
-
-def default_selection_chain(
-    catalog: Catalog,
-    index_manager,
-    cost_model: Optional[CostModel],
-    zero_branch_pruning: bool = False,
-    force: bool = False,
-) -> PhysicalOperatorSelection:
-    """The standard stage-2 chain: PatchIndex → joins → TopN.
-
-    In ``force`` mode (the paper's forced-plan experiments) the chain is
-    the PatchIndex link alone, reproducing the pre-staged optimizer's
-    behavior exactly.
-    """
-    head: PhysicalOperatorSelection = PatchIndexSelection(
-        catalog, index_manager, cost_model, zero_branch_pruning, force
-    )
-    if force or cost_model is None:
-        return head
-    return (
-        head.chain_with(JoinOperatorSelection(catalog, cost_model))
-        .chain_with(TopNSelection(catalog, cost_model))
-    )

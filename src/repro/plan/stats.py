@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, List, Optional, Set
 
+from repro.core.constraints import NearlySortedColumn
 from repro.engine.groups import sorted_unique
 from repro.plan import nodes
 from repro.storage.catalog import Catalog
@@ -30,6 +31,7 @@ __all__ = [
     "distinct_count",
     "join_selectivity",
     "output_columns",
+    "is_sorted_on",
     "DEFAULT_FILTER_SELECTIVITY",
     "DISTINCT_STAT_KIND",
 ]
@@ -195,3 +197,39 @@ def _key_distinct(node: nodes.PlanNode, key: str, catalog: Catalog) -> Optional[
         if key in output_columns(child, catalog):
             return _key_distinct(child, key, catalog)
     return None
+
+
+def is_sorted_on(node: nodes.PlanNode, key: str, catalog: Catalog) -> bool:
+    """Whether a plan node's output is non-decreasing on ``key``.
+
+    True for scans of tables with an ascending SortKey on the column,
+    for ascending NSC exclude-patches flows, and propagated through
+    order-preserving operators (filters, projections keeping the key,
+    and the probe side of a join with a pinned build side, whose output
+    is probe-major, §3.3).  Descending orders answer False: the join
+    kernel's sort-free build needs non-decreasing keys.
+    """
+    if isinstance(node, nodes.ScanNode):
+        structure = catalog.structure("sortkey", node.table, key)
+        return structure is not None and bool(getattr(structure, "ascending", True))
+    if isinstance(node, nodes.PatchScanNode):
+        constraint = node.index.constraint
+        return (
+            node.mode == "exclude_patches"
+            and isinstance(constraint, NearlySortedColumn)
+            and constraint.ascending
+            and node.index.column == key
+        )
+    if isinstance(node, (nodes.FilterNode, nodes.ReuseCacheNode)):
+        return is_sorted_on(node.child, key, catalog)
+    if isinstance(node, nodes.ProjectNode):
+        passed = node.outputs.get(key)  # an Expression's == builds a predicate
+        return isinstance(passed, str) and passed == key and is_sorted_on(
+            node.child, key, catalog
+        )
+    if isinstance(node, nodes.JoinNode):
+        if node.build_side == "left":
+            return is_sorted_on(node.right, key, catalog)
+        if node.build_side == "right":
+            return is_sorted_on(node.left, key, catalog)
+    return False

@@ -8,7 +8,6 @@ from repro.engine import (
     Filter,
     GroupAggregate,
     HashJoin,
-    MergeJoin,
     MergeUnion,
     Relation,
     RelationSource,
@@ -38,8 +37,10 @@ class TestEmptyInputs:
         out = HashJoin(src(k=[1, 2]), src(k=np.array([], dtype=np.int64)), "k", "k").execute()
         assert out.num_rows == 0
 
-    def test_merge_join_empty(self):
-        out = MergeJoin(src(k=np.array([], dtype=np.int64)), src(k=[1]), "k", "k").execute()
+    def test_join_with_empty_build(self):
+        out = HashJoin(
+            src(k=np.array([], dtype=np.int64)), src(k=[1]), "k", "k", build_side="left"
+        ).execute()
         assert out.num_rows == 0
 
     def test_sort_empty(self):

@@ -9,7 +9,6 @@ from repro.engine import (
     GroupAggregate,
     HashJoin,
     Limit,
-    MergeJoin,
     MergeUnion,
     PatchSelect,
     Project,
@@ -154,21 +153,42 @@ class TestJoins:
         assert sorted(out.column("k").tolist()) == [42, 44]
         assert probe._ranges == [("k", 42, 44)]
 
-    def test_merge_join_sorted_inputs(self):
+    def test_sorted_build_join(self):
         left = src(k=[1, 2, 2, 5], lv=[1, 2, 3, 4])
         right = src(k=[2, 3, 5], rv=[20, 30, 50])
-        out = MergeJoin(left, right, "k", "k").execute()
+        out = HashJoin(left, right, "k", "k", build_side="left").execute()
         rows = sorted(zip(out.column("k").tolist(), out.column("rv").tolist()))
         assert rows == [(2, 20), (2, 20), (5, 50)]
 
-    def test_merge_and_hash_join_agree(self):
+    def test_auto_and_sorted_build_agree(self):
         rng = np.random.default_rng(0)
         lk = np.sort(rng.integers(0, 50, 200))
         rk = np.sort(rng.integers(0, 50, 100))
         h = HashJoin(src(k=lk), src(j=rk), "k", "j").execute()
-        m = MergeJoin(src(k=lk), src(j=rk), "k", "j").execute()
+        m = HashJoin(src(k=lk), src(j=rk), "k", "j", build_side="left").execute()
         assert h.num_rows == m.num_rows
         np.testing.assert_array_equal(np.sort(h.column("k")), np.sort(m.column("k")))
+
+    @pytest.mark.parametrize("smaller", ["left", "right"])
+    def test_auto_builds_on_the_smaller_input(self, smaller):
+        rng = np.random.default_rng(3)
+        small = {"k": rng.integers(0, 20, 30), "s": np.arange(30)}
+        large = {"j": rng.integers(0, 20, 300), "g": np.arange(300)}
+        sides = [(small, "k"), (large, "j")]
+        if smaller == "right":
+            sides.reverse()
+        larger = "right" if smaller == "left" else "left"
+
+        def join(build_side):
+            (lcols, lkey), (rcols, rkey) = sides
+            return HashJoin(src(**lcols), src(**rcols), lkey, rkey, build_side=build_side).execute()
+
+        auto, pinned, wrong = join("auto"), join(smaller), join(larger)
+        # output is probe-major, so the two build sides order rows apart
+        assert auto.column_names == pinned.column_names
+        for name in auto.column_names:
+            np.testing.assert_array_equal(auto.column(name), pinned.column(name))
+        assert not np.array_equal(auto.column("s"), wrong.column("s"))
 
 
 class TestSortDistinctAggregate:

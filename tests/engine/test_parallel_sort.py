@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.engine.batch import Relation
-from repro.engine.operators import MergeJoin, MergeUnion, RelationSource, Scan, Sort
+from repro.engine.operators import HashJoin, MergeUnion, RelationSource, Scan, Sort
 from repro.engine.parallel_sort import (
     merge_run_slots,
     merge_sorted_runs,
@@ -410,7 +410,7 @@ class TestOperators:
         want = MergeUnion([RelationSource(a), RelationSource(b)], "k", ascending=False).execute()
         assert want.column("k").tolist() == [5.0, 4.0, 3.0, 1.0, 1.0]
 
-    def test_merge_join_self_heals_unsorted_build(self):
+    def test_join_sorts_an_unsorted_build(self):
         rng = np.random.default_rng(10)
         build = Relation(
             {
@@ -419,7 +419,9 @@ class TestOperators:
             }
         )
         probe = Relation({"k2": np.sort(rng.integers(0, 500, 800)).astype(np.int64)})
-        out = MergeJoin(RelationSource(build), RelationSource(probe), "k", "k2").execute()
+        out = HashJoin(
+            RelationSource(build), RelationSource(probe), "k", "k2", build_side="left"
+        ).execute()
         # every probe key matches exactly once and arrives in probe order
         np.testing.assert_array_equal(out.column("k"), probe.column("k2"))
         lookup = build.column("w")[np.argsort(build.column("k"), kind="stable")]

@@ -109,10 +109,10 @@ class TestGraphExtraction:
         # customer joins orders AND nation
         assert graph.neighbors(0) == {1, 3}
 
-    def test_merge_join_root_is_opaque(self, tpch):
+    def test_pinned_join_root_is_opaque(self, tpch):
         plan = JoinNode(
             scan("customer"), scan("orders"), "c_custkey", "o_custkey",
-            algorithm="merge",
+            build_side="left",
         )
         assert extract_join_graph(plan, tpch) is None
 
@@ -389,7 +389,8 @@ class TestOptimizerIntegration:
         opt = Optimizer(tpch, PatchIndexManager(tpch))
         new_plan, report = opt.optimize_staged(plan)
         assert report.join_orders and report.join_orders[0].applied
-        assert len(report.assignment) > 0
+        # build sides are the runtime's call: stage 2 assigns no join
+        assert len(report.assignment) == 0
         assert_bit_identical(reference, execute_plan(new_plan, tpch))
 
     def test_forced_mode_disables_search(self, tpch):

@@ -20,7 +20,8 @@ from repro.plan import (
     execute_plan,
 )
 from repro.plan.nodes import MergeCombineNode, PatchScanNode, UnionNode
-from repro.plan.rules import find_single_scan, is_sorted_on
+from repro.plan.rules import find_single_scan
+from repro.plan.stats import is_sorted_on
 from repro.storage import Catalog, PartitionedTable, Table
 
 
@@ -152,14 +153,15 @@ class TestJoinRewrite:
         mgr.create(fact, "fk", NearlySortedColumn())
         return catalog, mgr
 
-    def test_plan_shape(self, join_env):
+    def test_plan_shape(self, join_env, join_rewrite):
         catalog, mgr = join_env
         plan = JoinNode(ScanNode("dim"), ScanNode("fact"), "dk", "fk")
+        assert join_rewrite(plan) is None
         opt = Optimizer(catalog, mgr, use_cost_model=False).optimize(plan)
-        text = opt.explain()
-        assert "Join[merge]" in text
-        assert "Join[hash]" in text
-        assert "ReuseCache" in text and "ReuseLoad" in text
+        sorted_part, _ = join_rewrite(opt)
+        # the sorted dim side is the build: the kernel skips its sort
+        assert sorted_part.left.child.table == "dim"
+        assert "Join[build=left](dk=fk)" in opt.explain()
 
     def test_result_matches_reference(self, join_env):
         catalog, mgr = join_env
@@ -177,8 +179,7 @@ class TestJoinRewrite:
         catalog.remove_structure("sortkey", "dim", "dk")
         plan = JoinNode(ScanNode("dim"), ScanNode("fact"), "dk", "fk")
         opt = Optimizer(catalog, mgr, use_cost_model=False).optimize(plan)
-        assert isinstance(opt, JoinNode)
-        assert opt.algorithm == "hash"
+        assert opt is plan
 
     def test_zbp_with_zero_patches_drops_hash_branch(self, join_env):
         catalog, mgr = join_env
@@ -192,7 +193,8 @@ class TestJoinRewrite:
         opt = Optimizer(
             catalog, mgr, zero_branch_pruning=True, use_cost_model=False
         ).optimize(plan)
-        assert isinstance(opt, JoinNode) and opt.algorithm == "merge"
+        assert isinstance(opt, JoinNode) and opt.build_side == "left"
+        assert isinstance(opt.right, PatchScanNode) and opt.right.mode == "exclude_patches"
         result = execute_plan(opt, catalog)
         reference = execute_plan(plan, catalog)
         assert result.num_rows == reference.num_rows
@@ -226,14 +228,17 @@ class TestCostModel:
         opt = Optimizer(catalog, mgr, use_cost_model=True).optimize(plan)
         assert isinstance(opt, UnionNode)  # cost model accepts
 
-    def test_merge_join_cheaper_than_hash(self, env):
+    def test_sorted_pinned_build_cheaper_than_hash(self, env):
         catalog, _ = env
         cm = CostModel(catalog)
         hash_plan = JoinNode(ScanNode("nuc_t"), ScanNode("nsc_t"), "k", "k")
-        merge_plan = JoinNode(
-            ScanNode("nuc_t"), ScanNode("nsc_t"), "k", "k", algorithm="merge"
-        )
-        assert cm.cost(merge_plan) < cm.cost(hash_plan)
+        pinned = JoinNode(ScanNode("nuc_t"), ScanNode("nsc_t"), "k", "k", build_side="left")
+        # a pinned build that may arrive unsorted keeps the hash price
+        assert cm.cost(pinned) == cm.cost(hash_plan)
+        catalog.add_structure("sortkey", "nuc_t", "k", object())
+        assert cm.cost(pinned) < cm.cost(hash_plan)
+        # the runtime picks an auto join's build side: no sort-free price
+        assert cm.operator_cost(hash_plan)["startup"] == cm.COST_HASH_BUILD * 2000
 
     def test_estimate_rows_covers_all_nodes(self, env):
         catalog, _ = env

@@ -1,4 +1,4 @@
-"""Stage-2 operator selection: the chain, its links, and cost dicts."""
+"""Stage-2 operator selection: its two passes, the log, and cost dicts."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,9 @@ from repro.plan import (
 from repro.plan.cost import CostModel
 from repro.plan.nodes import DistinctNode, FilterNode
 from repro.plan.selection import (
-    JoinOperatorSelection,
     PatchIndexSelection,
     PhysicalOperatorAssignment,
-    PhysicalOperatorSelection,
     TopNSelection,
-    default_selection_chain,
 )
 from repro.engine import col
 from repro.storage import Catalog, Table
@@ -46,61 +43,42 @@ def catalog():
     return cat
 
 
-class _Tagger(PhysicalOperatorSelection):
-    """Test link: tags the root, records invocation order."""
+def nuc_catalog():
+    rng = np.random.default_rng(42)
+    values = np.arange(2000, dtype=np.int64) + 10_000
+    dup_rows = rng.choice(2000, size=200, replace=False)
+    values[dup_rows] = rng.integers(0, 50, size=200)
+    cat = Catalog()
+    table = Table.from_arrays("nuc_t", {"k": np.arange(2000), "v": values})
+    cat.register(table)
+    mgr = PatchIndexManager(cat)
+    mgr.create(table, "v", NearlyUniqueColumn())
+    return cat, mgr
 
-    def __init__(self, name, trace):
-        super().__init__()
-        self.name = name
-        self.trace = trace
 
-    def _apply_selection(self, plan, assignment):
-        self.trace.append(self.name)
-        assignment.assign(plan, self.name, None, "Tagger")
-        return plan
+class TestPasses:
+    def test_rewrites_then_topn(self):
+        cat, mgr = nuc_catalog()
+        plan = LimitNode(SortNode(DistinctNode(ScanNode("nuc_t", ["v"]), ["v"]), ["v"]), 5)
+        opt, report = Optimizer(cat, mgr).optimize_staged(plan)
+        assert isinstance(opt, TopNNode)
+        assert report.assignment.get(opt).operator == "TopN[n=5]"
+        assert report.assignment.get(opt.child).operator == "PatchIndex[distinct]"
+        reference = execute_plan(plan, cat)
+        np.testing.assert_array_equal(execute_plan(opt, cat).column("v"), reference.column("v"))
 
+    def test_force_mode_is_the_rewrites_alone(self, catalog):
+        plan = LimitNode(SortNode(ScanNode("huge"), ["hk"], None), 10)
+        forced = Optimizer(catalog, PatchIndexManager(catalog), use_cost_model=False)
+        assert forced.optimize(plan) is plan
+        assert isinstance(Optimizer(catalog, PatchIndexManager(catalog)).optimize(plan), TopNNode)
 
-class TestChain:
-    def test_chain_with_appends_and_returns_head(self, catalog):
-        trace = []
-        a, b, c = (_Tagger(n, trace) for n in "abc")
-        head = a.chain_with(b).chain_with(c)
-        assert head is a
-        assert a.next_selection is b and b.next_selection is c
-        plan = ScanNode("small")
-        head.select_physical_operators(plan, PhysicalOperatorAssignment())
-        assert trace == ["a", "b", "c"]
-
-    def test_later_link_wins_on_same_node(self, catalog):
-        trace = []
-        head = _Tagger("first", trace).chain_with(_Tagger("second", trace))
-        assignment = PhysicalOperatorAssignment()
-        head.select_physical_operators(ScanNode("small"), assignment)
-        assert assignment.get(ScanNode("small")) is None  # identity-keyed
-        # the chain tagged one node twice; last writer is recorded
-        assert len(assignment) == 1
-
-    def test_default_chain_composition(self, catalog):
-        chain = default_selection_chain(
-            catalog, PatchIndexManager(catalog), CostModel(catalog)
-        )
-        kinds = []
-        link = chain
-        while link is not None:
-            kinds.append(type(link).__name__)
-            link = link.next_selection
-        assert kinds == [
-            "PatchIndexSelection",
-            "JoinOperatorSelection",
-            "TopNSelection",
-        ]
-
-    def test_force_mode_is_patchindex_alone(self, catalog):
-        chain = default_selection_chain(
-            catalog, PatchIndexManager(catalog), None, force=True
-        )
-        assert isinstance(chain, PatchIndexSelection)
-        assert chain.next_selection is None
+    def test_joins_get_no_plan_time_choice(self, catalog):
+        # exact cardinalities on both sides: the runtime auto rule decides
+        plan = JoinNode(ScanNode("small"), ScanNode("big"), "sk", "bk")
+        opt, report = Optimizer(catalog, PatchIndexManager(catalog)).optimize_staged(plan)
+        assert opt.build_side == "auto"
+        assert len(report.assignment) == 0
 
 
 class TestAssignmentLog:
@@ -122,6 +100,15 @@ class TestAssignmentLog:
         assignment.assign(node, "Scan", CostModel(catalog), "TestLink")
         assert assignment.get(node).cost == {}
         assert "Scan [TestLink]" in assignment.get(node).describe()
+
+    def test_identity_keyed_and_last_writer_wins(self, catalog):
+        node = ScanNode("small")
+        assignment = PhysicalOperatorAssignment()
+        assignment.assign(node, "first", None, "TestLink")
+        assignment.assign(node, "second", None, "TestLink")
+        assert assignment.get(ScanNode("small")) is None  # an equal node is not the node
+        assert len(assignment) == 1
+        assert assignment.get(node).operator == "second"
 
 
 class TestOperatorCost:
@@ -168,74 +155,6 @@ class TestOperatorCost:
         assert model.topn_cost(100, 100) >= model.sort_cost(100)
 
 
-class TestJoinOperatorSelection:
-    def run(self, catalog, plan):
-        assignment = PhysicalOperatorAssignment()
-        link = JoinOperatorSelection(catalog, CostModel(catalog))
-        out = link.select_physical_operators(plan, assignment)
-        return out, assignment
-
-    def test_build_side_pinned_to_smaller_exact_side(self, catalog):
-        plan = JoinNode(ScanNode("small"), ScanNode("big"), "sk", "bk")
-        reference = execute_plan(plan, catalog)
-        out, assignment = self.run(catalog, plan)
-        assert out is plan  # annotated in place
-        assert plan.build_side == "left"
-        assert assignment.get(plan).operator == "HashJoin[build=left]"
-        result = execute_plan(plan, catalog)
-        for name in reference.column_names:
-            np.testing.assert_array_equal(result.column(name), reference.column(name))
-
-    def test_build_side_right_when_right_smaller(self, catalog):
-        plan = JoinNode(ScanNode("big"), ScanNode("small"), "bk", "sk")
-        self.run(catalog, plan)
-        assert plan.build_side == "right"
-
-    def test_estimated_cardinality_defers(self, catalog):
-        filtered = FilterNode(ScanNode("small"), col("sv") < 4)
-        plan = JoinNode(filtered, ScanNode("big"), "sk", "bk")
-        _, assignment = self.run(catalog, plan)
-        assert plan.build_side == "auto"  # runtime heuristic keeps the call
-        assert len(assignment) == 0
-
-    def test_merge_flip_on_doubly_sorted_inputs(self):
-        # both inputs carry SortKey structures and really are sorted:
-        # the link may safely switch the algorithm to merge
-        cat = Catalog()
-        cat.register(Table.from_arrays("d1", {
-            "k1": np.arange(2000, dtype=np.int64),
-            "v1": np.arange(2000, dtype=np.int64) % 7,
-        }))
-        cat.register(Table.from_arrays("d2", {
-            "k2": np.arange(3000, dtype=np.int64),
-            "v2": np.arange(3000, dtype=np.int64) % 5,
-        }))
-        cat.add_structure("sortkey", "d1", "k1", object())
-        cat.add_structure("sortkey", "d2", "k2", object())
-        plan = JoinNode(ScanNode("d1"), ScanNode("d2"), "k1", "k2")
-        reference = execute_plan(
-            JoinNode(ScanNode("d1"), ScanNode("d2"), "k1", "k2"), cat
-        )
-        assignment = PhysicalOperatorAssignment()
-        JoinOperatorSelection(cat, CostModel(cat)).select_physical_operators(
-            plan, assignment
-        )
-        assert plan.algorithm == "merge"
-        assert assignment.get(plan).operator == "MergeJoin[sortkey]"
-        result = execute_plan(plan, cat)
-        assert result.num_rows == reference.num_rows
-        for name in reference.column_names:
-            np.testing.assert_array_equal(result.column(name), reference.column(name))
-
-    def test_explicit_algorithm_untouched(self, catalog):
-        plan = JoinNode(
-            ScanNode("small"), ScanNode("big"), "sk", "bk", build_side="right"
-        )
-        _, assignment = self.run(catalog, plan)
-        assert plan.build_side == "right"
-        assert len(assignment) == 0
-
-
 class TestTopNSelection:
     def run(self, catalog, plan):
         assignment = PhysicalOperatorAssignment()
@@ -270,17 +189,9 @@ class TestTopNSelection:
         assert out is plan
 
 
-class TestPatchIndexLink:
+class TestPatchIndexPass:
     def test_distinct_rewrite_assigned(self):
-        rng = np.random.default_rng(42)
-        values = np.arange(2000, dtype=np.int64) + 10_000
-        dup_rows = rng.choice(2000, size=200, replace=False)
-        values[dup_rows] = rng.integers(0, 50, size=200)
-        cat = Catalog()
-        table = Table.from_arrays("nuc_t", {"k": np.arange(2000), "v": values})
-        cat.register(table)
-        mgr = PatchIndexManager(cat)
-        mgr.create(table, "v", NearlyUniqueColumn())
+        cat, mgr = nuc_catalog()
         plan = DistinctNode(ScanNode("nuc_t", ["v"]), ["v"])
         assignment = PhysicalOperatorAssignment()
         link = PatchIndexSelection(cat, mgr, None, force=True)

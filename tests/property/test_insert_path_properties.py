@@ -61,7 +61,7 @@ def _probe_oracle(column, touched):
     every NULL row when a NULL was touched."""
     present = [v for v in touched.tolist() if not is_null(v)]
     build = np.sort(_as_array(present, touched.dtype)) if present else touched[:0]
-    rows = set(_expand_matches(build, column, build_sorted=False)[1].tolist())
+    rows = set(_expand_matches(build, column)[1].tolist())
     if len(present) < len(touched):
         rows |= {i for i, v in enumerate(column.tolist()) if is_null(v)}
     return np.array(sorted(rows), dtype=np.int64)
@@ -136,9 +136,9 @@ def test_prefilter_runs_on_long_int_slices_only():
     column = np.arange(2 * updates._PREFILTER_MIN_ROWS, dtype=np.int64)
     seen = []
 
-    def spy(build, probe, build_sorted):
+    def spy(build, probe):
         seen.append(len(probe))
-        return _expand_matches(build, probe, build_sorted)
+        return _expand_matches(build, probe)
 
     with mock.patch.object(updates, "_expand_matches", spy):
         got = updates._collision_join(column, np.array([5, 9000]), None)

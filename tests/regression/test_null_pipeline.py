@@ -6,9 +6,9 @@ column type with no NULL representation refuses it with a typed error
 instead of storing garbage.
 
 NULL join keys (PR 13): ``HashJoin`` used to match ``None = None``
-(dict probe) and ``MergeJoin`` ``NaN = NaN`` (``searchsorted``); SQL
-matches neither, and since both operators share one kernel neither do
-they.
+(dict probe) and a sorted build ``NaN = NaN`` (``searchsorted``); SQL
+matches neither, and since every build runs one kernel neither does
+the join, whichever side it builds on.
 
 NULL group keys (PR 17): ``GROUP BY`` / ``DISTINCT`` over a string
 column holding NULL used to raise ``TypeError: '<' not supported
@@ -27,7 +27,6 @@ from repro.engine.operators import (
     Distinct,
     GroupAggregate,
     HashJoin,
-    MergeJoin,
     RelationSource,
 )
 from repro.sql import AsyncSQLSession, NullStorageError, SQLSession
@@ -106,12 +105,14 @@ class TestNullJoinKeys:
     }
 
     @pytest.mark.parametrize("kind", sorted(KEYS))
-    @pytest.mark.parametrize("operator", [HashJoin, MergeJoin])
-    def test_null_keys_match_nothing(self, operator, kind):
+    @pytest.mark.parametrize("build_side", ["auto", "left", "right"])
+    def test_null_keys_match_nothing(self, build_side, kind):
         left_keys, right_keys, want = self.KEYS[kind]
         left = Relation({"k": left_keys, "l": np.arange(len(left_keys))})
         right = Relation({"j": right_keys, "r": np.arange(len(right_keys))})
-        out = operator(RelationSource(left), RelationSource(right), "k", "j").execute()
+        out = HashJoin(
+            RelationSource(left), RelationSource(right), "k", "j", build_side=build_side
+        ).execute()
         got = sorted(zip(out.column("l").tolist(), out.column("r").tolist()))
         assert got == want
 

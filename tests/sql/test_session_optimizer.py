@@ -74,9 +74,9 @@ class TestExplain:
     def test_costs_surface_order_and_assignments(self, session):
         text = session.explain(BACKWARDS_Q3, costs=True)
         assert "join order search:" in text
-        assert "operator assignments:" in text
         assert "admission cost hint:" in text
-        assert "[JoinOperatorSelection]" in text
+        # a join's build side is the runtime's call: nothing is assigned
+        assert "operator assignments:" not in text
         assert "ParallelVariantSelection" not in text
         assert "[serial]" not in text and "[parallel]" not in text
 

@@ -182,7 +182,7 @@ class TestExplain:
 
     def test_explain_join_plan(self, session):
         text = session.explain("SELECT uid, amount FROM users JOIN orders ON uid = uid_fk")
-        assert "Join[hash](uid=uid_fk)" in text
+        assert "Join[build=auto](uid=uid_fk)" in text
         assert "Scan(orders" in text
 
     def test_explain_without_optimizer_is_raw_plan(self, session):

@@ -138,7 +138,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.core.constraints.Constraint.initial_patches": _ABSTRACT,
     "repro.engine.expressions.Expression.evaluate": _ABSTRACT,
     "repro.engine.operators.Operator.execute": _ABSTRACT,
-    "repro.plan.selection.PhysicalOperatorSelection._apply_selection": _ABSTRACT,
     "repro.core.constraints.NearlySortedColumn.initial_patches": (
         "§5.5's Constraint interface; the index builds NSC through initial_patches_with_state"
     ),
@@ -177,7 +176,7 @@ BUCKET_CEILINGS: Dict[str, int] = {
     _SPINE_TRACE: 9,
     _EXPLAIN: 6,
     _DATA_MODEL: 4,
-    _ABSTRACT: 4,
+    _ABSTRACT: 3,
     _HANDLE: 7,
     _BITMAP_MODEL: 4,
     _BASELINES: 3,
