@@ -1,7 +1,5 @@
 """Shared benchmark configuration."""
 
-import pytest
-
 
 def pytest_configure(config):
     # Benchmarks print the regenerated tables/figures; keep output visible.

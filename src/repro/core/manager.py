@@ -1,9 +1,10 @@
 """PatchIndex lifecycle management and partition transparency (§3.2).
 
 The manager creates indexes, hooks them into their tables' update
-streams and hides partitioning: on a :class:`~repro.storage.partition.
-PartitionedTable` a separate index is created per partition and a
-:class:`PartitionedPatchIndex` presents them as one.
+streams and hides partitioning: every table is a list of partitions (a
+plain :class:`~repro.storage.table.Table` is a list of one), a separate
+index is created per partition and a :class:`PartitionedPatchIndex`
+presents them as one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from repro.bitmap.sharded import DEFAULT_SHARD_BITS
 from repro.core.constraints import Constraint
 from repro.core.patchindex import BITMAP_DESIGN, PatchIndex
 from repro.core.updates import apply_update
-from repro.storage.catalog import Catalog
-from repro.storage.partition import PartitionedTable
+from repro.storage.catalog import AnyTable, Catalog
 from repro.storage.table import Table
 
 __all__ = ["PatchIndexManager", "PartitionedPatchIndex", "MaintainedIndex"]
@@ -54,10 +54,11 @@ class PartitionedPatchIndex:
     """Partition-local PatchIndexes presented as one table-level index.
 
     RowIDs are global (partition offsets added), matching the rowIDs a
-    scan of the partitioned table restricts itself to.
+    scan of the table restricts itself to.  ``parts[i].index`` is the
+    index of the table's ``i``-th partition.
     """
 
-    def __init__(self, table: PartitionedTable, parts: List[MaintainedIndex]) -> None:
+    def __init__(self, table: AnyTable, parts: List[MaintainedIndex]) -> None:
         self.table = table
         self.parts = parts
 
@@ -83,6 +84,8 @@ class PartitionedPatchIndex:
         return self.num_patches / rows if rows else 0.0
 
     def patch_rowids(self) -> np.ndarray:
+        if len(self.parts) == 1:  # the index's own cached read-only array
+            return self.parts[0].index.patch_rowids()
         offsets = self.table.partition_offsets()
         return np.concatenate(
             [p.index.patch_rowids() + offsets[i] for i, p in enumerate(self.parts)]
@@ -115,58 +118,42 @@ class PatchIndexManager:
 
     def __init__(self, catalog: Optional[Catalog] = None) -> None:
         self.catalog = catalog
-        self._indexes: Dict[Tuple[str, str], object] = {}
+        self._indexes: Dict[Tuple[str, str], PartitionedPatchIndex] = {}
 
     def create(
         self,
-        table,
+        table: AnyTable,
         column: str,
         constraint: Constraint,
         design: str = BITMAP_DESIGN,
         shard_bits: int = DEFAULT_SHARD_BITS,
         condense_threshold: Optional[float] = None,
         dynamic_range_propagation: bool = True,
-    ):
-        """Build and attach a PatchIndex; returns the queryable index.
+    ) -> PartitionedPatchIndex:
+        """Build and attach one PatchIndex per partition; returns the handle.
 
-        For a partitioned table this creates one index per partition
-        (partition-local discovery, §3.2) and returns the combined
-        :class:`PartitionedPatchIndex`; otherwise a
-        :class:`_SingleIndexHandle` over the one maintained
-        :class:`~repro.core.patchindex.PatchIndex` (its ``index``
-        property) is returned.  Both handles answer the same queries.
-        ``condense_threshold`` configures the auto-condense of every
-        created index (the same semantics as
+        Discovery is partition-local (§3.2); a plain table is one
+        partition.  The returned :class:`PartitionedPatchIndex` answers
+        for the whole table.  ``condense_threshold`` configures the
+        auto-condense of every created index (the same semantics as
         :class:`~repro.core.patchindex.PatchIndex`).
         """
         key = (table.name, column)
         if key in self._indexes:
             raise ValueError(f"PatchIndex on {table.name}.{column} already exists")
-        if isinstance(table, PartitionedTable):
-            parts = [
-                MaintainedIndex(
-                    PatchIndex(
-                        part, column, _clone_constraint(constraint),
-                        design=design, shard_bits=shard_bits,
-                        condense_threshold=condense_threshold,
-                    ),
-                    part,
-                    dynamic_range_propagation=dynamic_range_propagation,
-                )
-                for part in table.partitions
-            ]
-            handle: object = PartitionedPatchIndex(table, parts)
-        else:
-            maintained = MaintainedIndex(
+        parts = [
+            MaintainedIndex(
                 PatchIndex(
-                    table, column, constraint,
+                    part, column, _clone_constraint(constraint),
                     design=design, shard_bits=shard_bits,
                     condense_threshold=condense_threshold,
                 ),
-                table,
+                part,
                 dynamic_range_propagation=dynamic_range_propagation,
             )
-            handle = _SingleIndexHandle(maintained)
+            for part in table.partitions
+        ]
+        handle = PartitionedPatchIndex(table, parts)
         self._indexes[key] = handle
         if self.catalog is not None:
             self.catalog.add_structure(STRUCTURE_KIND, table.name, column, handle)
@@ -184,62 +171,13 @@ class PatchIndexManager:
         if self.catalog is not None:
             self.catalog.remove_structure(STRUCTURE_KIND, table_name, column)
 
-    def indexes(self) -> List[object]:
+    def indexes(self) -> List[PartitionedPatchIndex]:
         """All maintained index handles."""
         return list(self._indexes.values())
 
 
-class _SingleIndexHandle:
-    """Uniform facade over a single maintained index."""
-
-    def __init__(self, maintained: MaintainedIndex) -> None:
-        self._maintained = maintained
-
-    @property
-    def index(self) -> PatchIndex:
-        return self._maintained.index
-
-    @property
-    def column(self) -> str:
-        return self._maintained.index.column
-
-    @property
-    def constraint(self) -> Constraint:
-        return self._maintained.index.constraint
-
-    @property
-    def num_rows(self) -> int:
-        return self._maintained.index.num_rows
-
-    @property
-    def num_patches(self) -> int:
-        return self._maintained.index.num_patches
-
-    @property
-    def exception_rate(self) -> float:
-        return self._maintained.index.exception_rate
-
-    def patch_rowids(self) -> np.ndarray:
-        return self._maintained.index.patch_rowids()
-
-    def memory_bytes(self) -> int:
-        return self._maintained.index.memory_bytes()
-
-    def condense(self) -> None:
-        self._maintained.index.condense()
-
-    def verify(self) -> bool:
-        return self._maintained.index.verify()
-
-    def detach(self) -> None:
-        self._maintained.detach()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return repr(self._maintained.index)
-
-
 def _clone_constraint(constraint: Constraint) -> Constraint:
-    """Fresh constraint instance per partition (NSC carries state)."""
+    """A fresh constraint instance for each partition's index."""
     if hasattr(constraint, "ascending"):
         return type(constraint)(ascending=constraint.ascending)  # type: ignore[call-arg]
     return type(constraint)()

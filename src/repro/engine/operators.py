@@ -178,19 +178,16 @@ class Scan(Operator):
 
     def execute(self) -> Relation:
         checkpoint()
-        table, armed = self.table, current_token() is not None
-        partitions = getattr(table, "partitions", None)
-        if not armed and partitions is None:  # the common case
-            return self._scan_range(table, 0, table.num_rows, 0, self._block_mask(table))
+        armed, parts = current_token() is not None, self.table.partitions
+        if not armed and len(parts) == 1:  # the common case
+            part = parts[0]
+            return self._scan_range(part, 0, part.num_rows, 0, self._block_mask(part))
         # Piecewise: one piece per partition, cut into CHECKPOINT_ROWS
         # pieces while a cancellation token is armed so the scan can stop
         # between them (range scans concatenated in row order equal the
         # whole scan).  The fault point sits before the piece's check, so
         # an injected stall is seen by that same check.
-        if partitions is None:
-            parts, offsets = [table], [0]
-        else:
-            parts, offsets = partitions, table.partition_offsets()
+        offsets = self.table.partition_offsets()
         pieces = []
         for part, offset in zip(parts, offsets):
             mask = self._block_mask(part)
@@ -203,7 +200,7 @@ class Scan(Operator):
                 pieces.append(self._scan_range(part, start, stop, int(offset) + start, mask))
         if len(pieces) == 1:
             return pieces[0]
-        return Relation.concat(pieces) if pieces else self._scan_range(table, 0, 0, 0)
+        return Relation.concat(pieces) if pieces else self._scan_range(parts[0], 0, 0, 0)
 
     def label(self) -> str:
         extra = ""

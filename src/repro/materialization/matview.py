@@ -10,7 +10,7 @@ need to be re-computed when updates occur").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,9 +41,12 @@ class MaterializedView:
         self.refresh_policy = refresh_policy
         self.refresh_count = 0
         self.view: Table = self._compute()
-        self._source_version = getattr(table, "version", 0)
-        if refresh_policy == REFRESH_IMMEDIATE and hasattr(table, "add_update_hook"):
-            table.add_update_hook(self._on_update)
+        self._source_version = table.version
+        self._hooked: List[Table] = []
+        if refresh_policy == REFRESH_IMMEDIATE:
+            for part in table.partitions:
+                part.add_update_hook(self._on_update)
+                self._hooked.append(part)
 
     def _compute(self) -> Table:
         values = sorted_unique(self.source.column(self.column))
@@ -56,13 +59,13 @@ class MaterializedView:
     def refresh(self) -> None:
         """Recompute the view from the base table."""
         self.view = self._compute()
-        self._source_version = getattr(self.source, "version", 0)
+        self._source_version = self.source.version
         self.refresh_count += 1
 
     @property
     def is_stale(self) -> bool:
         """Whether base-table updates postdate the last refresh."""
-        return getattr(self.source, "version", 0) != self._source_version
+        return self.source.version != self._source_version
 
     def scan_values(self) -> np.ndarray:
         """The materialized distinct values (the rewritten query)."""
@@ -77,8 +80,9 @@ class MaterializedView:
 
     def detach(self) -> None:
         """Stop auto-refreshing."""
-        if self.refresh_policy == REFRESH_IMMEDIATE and hasattr(self.source, "remove_update_hook"):
-            self.source.remove_update_hook(self._on_update)
+        for part in self._hooked:
+            part.remove_update_hook(self._on_update)
+        self._hooked = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MaterializedView({self.source.name}.{self.column}, rows={self.view.num_rows})"

@@ -19,7 +19,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
-from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
 __all__ = ["SortKey"]
@@ -48,10 +47,10 @@ class SortKey:
         self.refresh_count = 0
         self._scan_order: Optional[np.ndarray] = None
         self.sorted_parts: List[Table] = self._compute()
-        self._source_version = _version_of(table)
+        self._source_version = table.version
         self._hooked: List[Table] = []
         if refresh_policy == REFRESH_IMMEDIATE:
-            for part in _base_tables(table):
+            for part in table.partitions:
                 part.add_update_hook(self._on_update)
                 self._hooked.append(part)
         if catalog is not None:
@@ -64,7 +63,7 @@ class SortKey:
         return Table(f"{base.name}__sorted_{self.column}", base.schema, cols)
 
     def _compute(self) -> List[Table]:
-        return [self._sorted_copy(base) for base in _base_tables(self.source)]
+        return [self._sorted_copy(base) for base in self.source.partitions]
 
     def _on_update(self, table, event) -> None:
         self.refresh()
@@ -73,12 +72,12 @@ class SortKey:
         """Physically re-sort (the expensive maintenance path)."""
         self.sorted_parts = self._compute()
         self._scan_order = None
-        self._source_version = _version_of(self.source)
+        self._source_version = self.source.version
         self.refresh_count += 1
 
     @property
     def is_stale(self) -> bool:
-        return _version_of(self.source) != self._source_version
+        return self.source.version != self._source_version
 
     # ------------------------------------------------------------------
     def _merge_order(self) -> np.ndarray:
@@ -125,15 +124,3 @@ class SortKey:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SortKey({self.source.name}.{self.column}, parts={len(self.sorted_parts)})"
-
-
-def _base_tables(table) -> List[Table]:
-    if isinstance(table, PartitionedTable):
-        return table.partitions
-    return [table]
-
-
-def _version_of(table) -> int:
-    if isinstance(table, PartitionedTable):
-        return sum(p.version for p in table.partitions)
-    return table.version

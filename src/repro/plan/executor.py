@@ -8,7 +8,6 @@ from repro.engine.batch import Relation
 from repro.engine import operators as ops
 from repro.plan import nodes
 from repro.storage.catalog import Catalog
-from repro.storage.partition import PartitionedTable
 
 __all__ = ["build_operator_tree", "execute_plan", "explain_plan"]
 
@@ -130,12 +129,7 @@ def _lower_patch_scan(plan: nodes.PatchScanNode, ctx: _LoweringContext) -> ops.O
         scan = ops.Scan(part, columns=plan.columns, predicate=plan.predicate)
         return ops.PatchSelect(scan, part_index.patch_rowids, plan.mode)
 
-    if (
-        plan.sorted_output
-        and plan.mode == "exclude_patches"
-        and isinstance(table, PartitionedTable)
-        and table.num_partitions > 1
-    ):
+    if plan.sorted_output and plan.mode == "exclude_patches" and len(table.partitions) > 1:
         # NSC exclude flows are sorted *per partition*; merge them into a
         # global order (the partition merge step of §6.2).
         parts = [flow(part, index.parts[i].index) for i, part in enumerate(table.partitions)]

@@ -49,7 +49,7 @@ class ColumnStats:
     version it was collected at (stale stats are ignored)."""
 
     distinct: int
-    version: Optional[int]
+    version: int
 
 
 def analyze_table(
@@ -64,7 +64,7 @@ def analyze_table(
     """
     table = catalog.table(table_name)
     names = list(columns) if columns is not None else list(table.schema.names)
-    version = getattr(table, "version", None)
+    version = table.version
     for name in names:
         values = table.column(name)
         count = len(sorted_unique(values))
@@ -84,10 +84,10 @@ def distinct_count(catalog: Catalog, table_name: str, column: str) -> Optional[i
     if not isinstance(stat, ColumnStats):
         return None
     try:
-        current = getattr(catalog.table(table_name), "version", None)
+        current = catalog.table(table_name).version
     except KeyError:
         return None
-    if stat.version is not None and current is not None and stat.version != current:
+    if stat.version != current:
         return None
     return stat.distinct
 

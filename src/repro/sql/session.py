@@ -51,7 +51,6 @@ from repro.sql.parser import (
     parse_statement,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.partition import PartitionedTable
 from repro.storage.wal import DurabilityManager, validate_wal_sync
 
 __all__ = [
@@ -177,8 +176,8 @@ class SQLSession:
         once no retained checkpoint needs them).
 
     Execution is serial.  DML addresses plain and partitioned tables
-    alike: matched global rowids route through
-    ``PartitionedTable.modify_global``/``delete_global``.  The blocking
+    alike: ``modify``/``delete`` take the matched table-global rowids
+    (a partitioned table splits them onto its partitions).  The blocking
     session executes one statement at a time; concurrent
     :meth:`execute` calls from other threads raise
     :class:`ConcurrentSessionError` (see the module docstring).
@@ -606,13 +605,7 @@ class SQLSession:
         # logged-but-unapplied record can only mean a process crash
         seq = self._log_write(sql)
         try:
-            if isinstance(table, PartitionedTable):
-                # matched rowids are global: split them onto the partitions'
-                # local rowid spaces (partition offsets are computed before
-                # any partition mutates, so the statement is atomic per §3.2)
-                table.modify_global(rowids, new_values)
-            else:
-                table.modify(rowids, new_values)
+            table.modify(rowids, new_values)
         except BaseException:
             self._rollback_logged(seq)
             raise
@@ -629,10 +622,7 @@ class SQLSession:
         checkpoint()
         seq = self._log_write(sql)
         try:
-            if isinstance(table, PartitionedTable):
-                table.delete_global(rowids)
-            else:
-                table.delete(rowids)
+            table.delete(rowids)
         except BaseException:
             self._rollback_logged(seq)
             raise

@@ -9,8 +9,14 @@ key column (the microbenchmark datasets partition on their unique key,
 §6.2).  Each partition is an ordinary :class:`~repro.storage.table.Table`
 with its own column buffers, so PatchIndex managers attach per
 partition.  Inserts route by key range (new keys beyond the last
-boundary go to the final partition); deletes and modifies address
-tuples by ``(partition, local rowid)`` or by global rowid.
+boundary go to the final partition); deletes and modifies take
+table-global rowids, as :class:`~repro.storage.table.Table`'s do.
+
+Every table is read as a list of partitions: a plain ``Table`` is its
+own one-partition list (``partitions == [self]``, offsets ``[0]``), so
+scans, DML, index handles and checkpoints take one path for both
+shapes.  A plain table is not wrapped here: :meth:`PartitionedTable.
+column` concatenates, which would copy every column of every scan.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class PartitionedTable:
         self.schema: Schema = schema
         self.partition_key = partition_key
         self._partitions = list(partitions)
-        self._upper_bounds = list(upper_bounds)
+        self.upper_bounds = list(upper_bounds)
 
     # ------------------------------------------------------------------
     # construction
@@ -102,6 +108,11 @@ class PartitionedTable:
     def num_rows(self) -> int:
         return sum(p.num_rows for p in self._partitions)
 
+    @property
+    def version(self) -> int:
+        """Monotone statement counter: the partitions' summed."""
+        return sum(p.version for p in self._partitions)
+
     def partition_offsets(self) -> np.ndarray:
         """Global rowid offset of each partition's first row."""
         sizes = [p.num_rows for p in self._partitions]
@@ -127,9 +138,9 @@ class PartitionedTable:
     # ------------------------------------------------------------------
     def _route(self, keys: np.ndarray) -> np.ndarray:
         """Partition id for each key (range routing)."""
-        if not self._upper_bounds:
+        if not self.upper_bounds:
             return np.zeros(len(keys), dtype=np.int64)
-        bounds = np.asarray(self._upper_bounds)
+        bounds = np.asarray(self.upper_bounds)
         return np.searchsorted(bounds, keys, side="left").astype(np.int64)
 
     def insert(self, values: Dict[str, np.ndarray]) -> None:
@@ -142,35 +153,26 @@ class PartitionedTable:
                 {c: np.asarray(v)[mask] for c, v in values.items()}
             )
 
-    def _split_global(self, rowids: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-        rowids = np.unique(np.asarray(rowids, dtype=np.int64))
+    def _split(self, rowids: np.ndarray) -> List[Tuple[Table, np.ndarray, np.ndarray]]:
+        """``(partition, local rowids, mask into rowids)`` for sorted
+        global rowids; every offset is taken before any partition mutates."""
         offsets = self.partition_offsets()
         parts = np.searchsorted(offsets, rowids, side="right") - 1
-        out = []
-        for p in np.unique(parts):
-            mask = parts == p
-            out.append((int(p), rowids[mask] - offsets[int(p)]))
-        return out
+        masks = [(int(p), parts == p) for p in np.unique(parts)]
+        return [(self._partitions[p], rowids[m] - offsets[p], m) for p, m in masks]
 
-    def delete_global(self, rowids: np.ndarray) -> None:
-        """Delete by global rowids (offsets computed before the statement)."""
-        for p, local in self._split_global(rowids):
-            self._partitions[p].delete(local)
+    def delete(self, rowids: np.ndarray) -> None:
+        """Delete by global (pre-statement) rowids."""
+        for part, local, _ in self._split(np.unique(np.asarray(rowids, dtype=np.int64))):
+            part.delete(local)
 
-    def modify_global(self, rowids: np.ndarray, values: Dict[str, np.ndarray]) -> None:
-        """Modify by global rowids; ``values`` aligned with sorted rowids."""
+    def modify(self, rowids: np.ndarray, values: Dict[str, np.ndarray]) -> None:
+        """Modify by global rowids; ``values`` aligned with ``rowids``."""
         rowids = np.asarray(rowids, dtype=np.int64)
         order = np.argsort(rowids, kind="stable")
-        sorted_ids = rowids[order]
         aligned = {c: np.asarray(v)[order] for c, v in values.items()}
-        offsets = self.partition_offsets()
-        parts = np.searchsorted(offsets, sorted_ids, side="right") - 1
-        for p in np.unique(parts):
-            mask = parts == p
-            self._partitions[int(p)].modify(
-                sorted_ids[mask] - offsets[int(p)],
-                {c: v[mask] for c, v in aligned.items()},
-            )
+        for part, local, mask in self._split(rowids[order]):
+            part.modify(local, {c: v[mask] for c, v in aligned.items()})
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

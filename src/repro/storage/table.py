@@ -107,7 +107,14 @@ class Schema:
 
 
 class Table:
-    """An in-memory columnar table with positional update semantics."""
+    """An in-memory columnar table with positional update semantics.
+
+    A plain table is its own one-partition list (§3.2): no partition
+    key, no bounds, ``partitions == [self]`` at offset 0.
+    """
+
+    partition_key: Optional[str] = None
+    upper_bounds: Sequence = ()
 
     def __init__(
         self,
@@ -191,6 +198,13 @@ class Table:
     def rowids(self) -> np.ndarray:
         """All current rowIDs (0..num_rows)."""
         return np.arange(self.num_rows, dtype=np.int64)
+
+    @property
+    def partitions(self) -> List["Table"]:
+        return [self]
+
+    def partition_offsets(self) -> List[int]:
+        return [0]
 
     # ------------------------------------------------------------------
     # minmax summaries

@@ -9,11 +9,12 @@ makes the *committed statement log* survive a process crash:
   commit-sequence order *before* its table mutation is applied.  The
   session's writer discipline already serializes commits, so the WAL
   append slots in at the commit point without new locking.
-* A **checkpoint** snapshots every table's current image (plain and
-  partitioned, all column arrays plus schema and partition layout) into
-  a single CRC-framed file, after which the log is rotated and old
-  segments pruned.  Checkpoints fire every ``checkpoint_interval``
-  commits, on graceful close, and on demand.
+* A **checkpoint** snapshots every table's current image as its
+  partition list (a plain table is a list of one: all column arrays
+  plus schema and partition layout) into a single CRC-framed file,
+  after which the log is rotated and old segments pruned.  Checkpoints
+  fire every ``checkpoint_interval`` commits, on graceful close, and on
+  demand.
 * **Recovery** (:mod:`repro.storage.recovery`) loads the newest valid
   checkpoint, replays the WAL tail through the session's own
   ``prepare``/``run_prepared`` path — so replay is bit-identical to the
@@ -96,6 +97,8 @@ FRAME_HEADER = struct.Struct("<2sII")  # magic, payload length, payload crc32
 #: Checkpoint container magic + header (payload length u64, crc32 u32).
 CHECKPOINT_MAGIC = b"CKPT\x01"
 CHECKPOINT_HEADER = struct.Struct("<QI")
+#: Manifest format: 2 writes every table as its partition list.
+CHECKPOINT_FORMAT = 2
 
 #: Default seconds between piggybacked fsyncs under ``wal_sync=group``.
 DEFAULT_GROUP_COMMIT_S = 0.05
@@ -303,38 +306,30 @@ def snapshot_catalog(catalog: Catalog, seq: int) -> bytes:
     """Serialize every table image into one CRC-framed checkpoint blob.
 
     The payload is an ``.npz`` archive: a JSON manifest (uint8 array)
-    naming each table's kind, schema and partition layout, plus one
-    entry per column array (per partition for partitioned tables).
+    naming each table's schema and partition layout, plus one entry per
+    partition's column array.  Every table is written as its partition
+    list; a plain table is a list of one with ``partition_key`` null.
     Arrays round-trip bit-exactly, string columns included, so a
     restored image is bit-identical to the snapshotted one.
     """
-    manifest: Dict[str, object] = {"format": 1, "seq": int(seq), "tables": []}
+    manifest: Dict[str, object] = {"format": CHECKPOINT_FORMAT, "seq": int(seq), "tables": []}
     arrays: Dict[str, np.ndarray] = {}
     for table in catalog:
-        schema = [[f.name, f.type.value] for f in table.schema.fields]
-        if isinstance(table, PartitionedTable):
-            manifest["tables"].append(
-                {
-                    "name": table.name,
-                    "kind": "partitioned",
-                    "schema": schema,
-                    "partition_key": table.partition_key,
-                    "upper_bounds": [
-                        b.item() if hasattr(b, "item") else b
-                        for b in table._upper_bounds
-                    ],
-                    "num_partitions": table.num_partitions,
-                }
-            )
-            for i, part in enumerate(table.partitions):
-                for col in table.schema.names:
-                    arrays[f"p::{table.name}::{i}::{col}"] = part.column(col)
-        else:
-            manifest["tables"].append(
-                {"name": table.name, "kind": "table", "schema": schema}
-            )
+        parts = table.partitions
+        manifest["tables"].append(
+            {
+                "name": table.name,
+                "schema": [[f.name, f.type.value] for f in table.schema.fields],
+                "partition_key": table.partition_key,
+                "upper_bounds": [
+                    b.item() if hasattr(b, "item") else b for b in table.upper_bounds
+                ],
+                "num_partitions": len(parts),
+            }
+        )
+        for i, part in enumerate(parts):
             for col in table.schema.names:
-                arrays[f"t::{table.name}::{col}"] = table.column(col)
+                arrays[f"p::{table.name}::{i}::{col}"] = part.column(col)
     buf = io.BytesIO()
     manifest_bytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     np.savez(
@@ -350,9 +345,10 @@ def snapshot_catalog(catalog: Catalog, seq: int) -> bytes:
 def load_snapshot(data: bytes) -> Tuple[int, Dict, Dict[str, np.ndarray]]:
     """Parse checkpoint bytes into ``(seq, manifest, arrays)``.
 
-    Raises :class:`ValueError` on any framing/CRC mismatch; callers
-    (recovery) map that onto the typed checkpoint-corruption error and
-    fall back to the previous checkpoint.
+    Raises :class:`ValueError` on any framing/CRC mismatch or a manifest
+    format other than :data:`CHECKPOINT_FORMAT`; callers (recovery) map
+    that onto the typed checkpoint-corruption error and fall back to the
+    previous checkpoint.
     """
     head_len = len(CHECKPOINT_MAGIC) + CHECKPOINT_HEADER.size
     if len(data) < head_len or data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -366,6 +362,8 @@ def load_snapshot(data: bytes) -> Tuple[int, Dict, Dict[str, np.ndarray]]:
     with np.load(io.BytesIO(payload), allow_pickle=True) as npz:
         arrays = {k: npz[k] for k in npz.files}
     manifest = json.loads(bytes(arrays.pop("manifest")).decode("utf-8"))
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
     return int(manifest["seq"]), manifest, arrays
 
 
@@ -390,50 +388,35 @@ def _restore_image(table: Table, columns: Dict[str, np.ndarray]) -> None:
 def restore_catalog(catalog: Catalog, manifest: Dict, arrays: Dict[str, np.ndarray]) -> None:
     """Load a checkpoint image into a catalog.
 
-    A registered table with the matching schema is restored *in place*
-    (update hooks fire, so attached index structures stay consistent);
-    a missing table — or one whose schema/layout diverged — is rebuilt
-    from the snapshot and re-registered, dropping stale structures.
+    A registered table with the matching schema and partition layout is
+    restored *in place*, one partition image at a time (update hooks
+    fire, so attached index structures stay consistent); a missing
+    table — or one whose schema/layout diverged — is rebuilt from the
+    snapshot and re-registered, dropping stale structures.
     """
     for entry in manifest["tables"]:
-        name = entry["name"]
+        name, key = entry["name"], entry["partition_key"]
         schema = _schema_from_manifest(entry)
+        part_cols = [
+            {col: arrays[f"p::{name}::{i}::{col}"] for col in schema.names}
+            for i in range(entry["num_partitions"])
+        ]
         existing = catalog.table(name) if name in catalog else None
-        if entry["kind"] == "partitioned":
-            part_cols = [
-                {
-                    col: arrays[f"p::{name}::{i}::{col}"]
-                    for col in schema.names
-                }
-                for i in range(entry["num_partitions"])
-            ]
-            ok = (
-                isinstance(existing, PartitionedTable)
-                and existing.schema == schema
-                and existing.num_partitions == entry["num_partitions"]
-                and existing.partition_key == entry["partition_key"]
-            )
-            if ok:
-                for part, cols in zip(existing.partitions, part_cols):
-                    _restore_image(part, cols)
-            else:
-                parts = [
-                    Table(f"{name}#{i}", schema, cols)
-                    for i, cols in enumerate(part_cols)
-                ]
-                catalog.drop(name)
-                catalog.register(
-                    PartitionedTable(
-                        name, parts, entry["partition_key"], entry["upper_bounds"]
-                    )
-                )
+        if (
+            existing is not None
+            and existing.schema == schema
+            and existing.partition_key == key
+            and len(existing.partitions) == len(part_cols)
+        ):
+            for part, cols in zip(existing.partitions, part_cols):
+                _restore_image(part, cols)
+            continue
+        catalog.drop(name)
+        if key is None:
+            catalog.register(Table(name, schema, part_cols[0]))
         else:
-            cols = {col: arrays[f"t::{name}::{col}"] for col in schema.names}
-            if isinstance(existing, Table) and existing.schema == schema:
-                _restore_image(existing, cols)
-            else:
-                catalog.drop(name)
-                catalog.register(Table(name, schema, cols))
+            parts = [Table(f"{name}#{i}", schema, cols) for i, cols in enumerate(part_cols)]
+            catalog.register(PartitionedTable(name, parts, key, entry["upper_bounds"]))
 
 
 class DurabilityManager:

@@ -91,7 +91,6 @@ class Pair:
 
     def __init__(self, rng, design, drp, partitioned):
         cols = start_columns(rng)
-        self.partitioned = partitioned
         self.table = make_table(cols, partitioned)
         self.handle = PatchIndexManager().create(
             self.table, "v", NearlyUniqueColumn(), design=design, shard_bits=64,
@@ -99,19 +98,14 @@ class Pair:
         )
         self.twin = make_table(cols, partitioned)
         self.twin_indexes = []
-        for part in self.twin.partitions if partitioned else [self.twin]:
+        for part in self.twin.partitions:
             index = PatchIndex(part, "v", NearlyUniqueColumn(), design=design, shard_bits=64)
             part.add_update_hook(lambda t, e, index=index: oracle_apply(index, t, e, drp))
             self.twin_indexes.append(index)
 
     def run(self, kind, *args):
         for table in (self.table, self.twin):
-            if kind == "insert":
-                table.insert(*args)
-            elif self.partitioned:
-                getattr(table, f"{kind}_global")(*args)
-            else:
-                getattr(table, kind)(*args)
+            getattr(table, kind)(*args)
 
     def check(self, step):
         assert self.handle.verify(), step

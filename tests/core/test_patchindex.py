@@ -268,7 +268,7 @@ class TestCondensePlumbing:
         handle = manager.create(
             parted, "v", NearlySortedColumn(), shard_bits=self.SHARD, condense_threshold=0.05
         )
-        parted.delete_global(np.arange(0, 4096, 3, dtype=np.int64))
+        parted.delete(np.arange(0, 4096, 3, dtype=np.int64))
         assert handle.verify()
         assert all(p.index._bitmap.lost_bits() == 0 for p in handle.parts)
         manager.drop(parted.name, "v")

@@ -260,7 +260,7 @@ class TestPartitioned:
         pt = PartitionedTable.from_table(t, "k", 4)
         mgr = PatchIndexManager()
         handle = mgr.create(pt, "v", NearlyUniqueColumn())
-        pt.delete_global(np.array([0, 25, 79]))
+        pt.delete(np.array([0, 25, 79]))
         assert handle.num_rows == 77
         assert handle.verify()
 

@@ -96,7 +96,8 @@ def test_randomized_dml_stream_equivalence():
             np.testing.assert_array_equal(bitmap.patch_rowids(), ids.patch_rowids(), err_msg=sql)
         # maintained indexes stayed consistent through the whole stream
         assert bitmap.verify() and ids.verify()
-        assert bitmap.index._bitmap.lost_bits() <= 0.05 * bitmap.index._bitmap.num_shards * 1024
+        bits = bitmap.parts[0].index._bitmap
+        assert bits.lost_bits() <= 0.05 * bits.num_shards * 1024
     finally:
         for session in sessions:
             session.close()

@@ -7,7 +7,6 @@ from repro.core import (
     NearlyUniqueColumn,
     PatchIndexManager,
 )
-from repro.engine import col
 from repro.materialization import JoinIndex, MaterializedView, SortKey
 from repro.plan import (
     DistinctNode,
@@ -51,7 +50,7 @@ class TestLifecycleNUC:
 
         # drift recovery: a rebuild shrinks the conservative patch set
         before = handle.num_patches
-        handle.index.rebuild()
+        handle.parts[0].index.rebuild()
         assert handle.num_patches <= before
         assert run_distinct().num_rows == len(reference)
 
@@ -71,7 +70,7 @@ class TestLifecycleNSCPartitioned:
 
         np.testing.assert_array_equal(run_sort(), np.sort(ds.table.column("v")))
         ds.table.insert({"k": np.array([90_000]), "v": np.array([-3])})
-        ds.table.delete_global(np.array([10, 4_000]))
+        ds.table.delete(np.array([10, 4_000]))
         assert handle.verify()
         np.testing.assert_array_equal(run_sort(), np.sort(ds.table.column("v")))
 

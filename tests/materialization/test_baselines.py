@@ -38,6 +38,15 @@ class TestMaterializedView:
         mv.refresh()
         assert 777 in mv.scan_values()
 
+    def test_partitioned_source_refreshes_and_detaches(self):
+        pt = PartitionedTable.from_table(make_table(100), "k", 4)
+        mv = MaterializedView(pt, "v")
+        pt.insert({"k": np.array([5, 99]), "v": np.array([4321, 8765])})
+        assert {4321, 8765} <= set(mv.scan_values().tolist()) and not mv.is_stale
+        mv.detach()
+        pt.delete(np.array([0]))
+        assert mv.is_stale
+
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             MaterializedView(make_table(), "v", refresh_policy="never")

@@ -42,15 +42,13 @@ def make_table(partitions: int):
 
 def make_index(table, design, patch_mask):
     """An index (per partition: one) holding exactly ``patch_mask``'s rows."""
-    parts = table.partitions if isinstance(table, PartitionedTable) else [table]
+    parts = table.partitions
     indexes, offset = [], 0
     for part in parts:
         index = PatchIndex(part, "v", NearlyUniqueColumn(), design=design, build=False)
         index.add_patches(np.flatnonzero(patch_mask[offset : offset + part.num_rows]))
         indexes.append(index)
         offset += part.num_rows
-    if not isinstance(table, PartitionedTable):
-        return indexes[0]
     return PartitionedPatchIndex(table, [MaintainedIndex(i, p) for i, p in zip(indexes, parts)])
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro.testing import (
     XFAIL_MANIFEST,
     DifferentialPair,
-    Query,
     ResultMismatch,
     build_reference_catalog,
     default_corpus,

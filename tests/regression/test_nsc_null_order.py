@@ -74,7 +74,7 @@ class TestNullOrderedLikeOrderBy:
         forced, plain, handle = sessions(ascending)
         forced.execute("INSERT INTO t (k, s) VALUES (5, NULL), (6, 'f')")
         forced.execute("INSERT INTO t (k, s) VALUES (7, NULL), (8, 'a')")
-        assert handle.index.num_rows == 9
+        assert handle.parts[0].index.num_rows == 9
         assert handle.verify()
         q = self.query(ascending)
         assert_same_order(forced.execute(q), plain.execute(q))
@@ -95,10 +95,10 @@ def test_null_boundary_keeps_later_values_out_of_the_run():
     )
     manager = PatchIndexManager(cat)
     handle = manager.create(cat.table("t"), "s", NearlySortedColumn())
-    assert handle.index.num_patches == 0
+    assert handle.parts[0].index.num_patches == 0
     forced = SQLSession(cat, index_manager=manager, use_cost_model=False)
     forced.execute("INSERT INTO t (k, s) VALUES (3, 'e'), (4, NULL)")
-    assert handle.index.patch_rowids().tolist() == [3]
+    assert handle.parts[0].index.patch_rowids().tolist() == [3]
     assert handle.verify()
     q = "SELECT k, s FROM t ORDER BY s"
     assert_same_order(forced.execute(q), SQLSession(cat).execute(q))

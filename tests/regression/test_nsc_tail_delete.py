@@ -66,7 +66,7 @@ def test_delete_all_then_reinsert_is_rediscovery(design):
     _, handle = indexed(table, design)
     image = {c: table.column(c).copy() for c in ("k", "s")}
     table.delete(np.arange(table.num_rows))
-    assert handle.num_patches == 0 and handle.index.last_sorted_value is None
+    assert handle.num_patches == 0 and handle.parts[0].index.last_sorted_value is None
     table.insert(image)
     assert handle.verify()
     assert handle.num_patches == rediscovered(table)
@@ -75,9 +75,9 @@ def test_delete_all_then_reinsert_is_rediscovery(design):
 def test_a_delete_that_spares_the_tail_keeps_the_boundary():
     table = nearly_sorted_table(n=5_000)
     _, handle = indexed(table, BITMAP_DESIGN)
-    boundary = handle.index.last_sorted_value
+    boundary = handle.parts[0].index.last_sorted_value
     table.delete(np.arange(0, 100))
-    assert handle.index.last_sorted_value == boundary
+    assert handle.parts[0].index.last_sorted_value == boundary
 
 
 def test_the_boundary_falls_to_a_null_tail():
@@ -88,7 +88,7 @@ def test_the_boundary_falls_to_a_null_tail():
     _, handle = indexed(table, BITMAP_DESIGN)
     assert handle.num_patches == 0
     table.delete(np.array([3]))
-    index = handle.index
+    index = handle.parts[0].index
     assert index.last_sorted_value is None and index.num_patches < index.num_rows
     table.insert({"k": np.array([4]), "s": np.array(["b"], dtype=object)})
     assert handle.verify()
@@ -135,7 +135,7 @@ def test_update_of_the_tail_lowers_the_boundary(design):
     table = sorted_table()
     _, handle = indexed(table, design)
     table.modify(np.array([99]), {"s": np.array([5])})
-    assert handle.index.last_sorted_value == 4 * 98
+    assert handle.parts[0].index.last_sorted_value == 4 * 98
     table.insert({"k": np.array([100]), "s": np.array([394])})
     assert handle.verify()
     assert handle.num_patches == rediscovered(table) == 1
@@ -145,6 +145,6 @@ def test_an_update_that_spares_the_tail_keeps_the_boundary():
     table = sorted_table()
     _, handle = indexed(table, BITMAP_DESIGN)
     table.modify(np.array([3, 50]), {"s": np.array([1_000, -1])})
-    assert handle.index.last_sorted_value == 4 * 99
+    assert handle.parts[0].index.last_sorted_value == 4 * 99
     table.modify(np.array([99]), {"k": np.array([0])})  # not the indexed column
-    assert handle.index.last_sorted_value == 4 * 99
+    assert handle.parts[0].index.last_sorted_value == 4 * 99

@@ -63,7 +63,7 @@ def test_inserts_next_to_null_keep_the_index_exact(column, duplicate, drp):
     assert "PatchScan" in forced.explain(f"SELECT DISTINCT {column} FROM t")
     for value in (duplicate, "NULL"):
         forced.execute(f"INSERT INTO t (k, {column}) VALUES (9, {value})")
-        assert handle.index.verify()
+        assert handle.parts[0].index.verify()
         assert distinct(forced, column) == distinct(plain, column)
     assert len(distinct(plain, column)) == 6  # five values and one NULL
 

@@ -53,13 +53,8 @@ def make_catalog(seed: int) -> Catalog:
 
 def assert_table_equal(a, b, name: str) -> None:
     """Bit-identical table comparison (partition-aware)."""
-    if isinstance(a, PartitionedTable):
-        assert isinstance(b, PartitionedTable)
-        assert a.num_partitions == b.num_partitions, name
-        pairs = list(zip(a.partitions, b.partitions))
-    else:
-        pairs = [(a, b)]
-    for i, (pa, pb) in enumerate(pairs):
+    assert type(a) is type(b) and len(a.partitions) == len(b.partitions), name
+    for i, (pa, pb) in enumerate(zip(a.partitions, b.partitions)):
         assert pa.num_rows == pb.num_rows, (name, i)
         for col in pa.schema.names:
             x, y = pa.column(col), pb.column(col)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.server import (
     AsyncSQLClient,
-    ConnectionClosedError,
     RetryPolicy,
     ServerError,
     SQLServer,
@@ -21,7 +20,6 @@ from repro.server import (
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    encode_frame,
     read_frame,
     write_frame,
 )

@@ -2,8 +2,8 @@
 
 ``SQLSession`` UPDATE/DELETE used to address plain tables only — on a
 :class:`PartitionedTable` the write step raised.  Matched global rowids
-now route through ``PartitionedTable.modify_global`` /
-``delete_global``, and the result must be equivalent to (a) the same
+now route through ``PartitionedTable.modify`` / ``delete``, which take
+table-global rowids as ``Table``'s do, and the result must be equivalent to (a) the same
 statements on an unpartitioned copy of the data and (b) per-partition
 DML applied by hand — for one partition, a pair and eight.
 """

@@ -9,10 +9,15 @@ must answer through the index session (positional PatchScan plans)
 exactly as through a plain session over the same tables that never sees
 the indexes.
 
+The model runs on three table shapes: a plain table, the same table as
+a one-partition ``PartitionedTable`` and a three-partition one.  A
+plain table is its own one-partition list, so the one-partition leg
+must also answer, patch and verify exactly as the plain leg does.
+
 Found while writing this test and pinned at the bottom: on a table with
 more than one partition the NUC indexes are partition-local, so the
 distinct rewrite returns a value once per partition it is unique in.
-The partitioned runs therefore leave the DISTINCT reads out.
+The three-partition runs therefore leave the DISTINCT reads out.
 """
 
 import numpy as np
@@ -50,12 +55,13 @@ class Model:
     """The table, its two sessions and the random statement source."""
 
     def __init__(self, seed: int, design: str, partitions: int) -> None:
+        """``partitions`` 0 keeps the plain table."""
         self.rng = np.random.default_rng(seed)
         table = Table.from_arrays("facts", start_columns(self.rng))
-        if partitions > 1:
+        if partitions:
             table = PartitionedTable.from_table(table, "k", partitions)
         self.table = table
-        self.reads = [q for q in READS if partitions == 1 or "DISTINCT" not in q]
+        self.reads = [q for q in READS if partitions <= 1 or "DISTINCT" not in q]
         catalog = Catalog()
         catalog.register(table)
         manager = PatchIndexManager(catalog)
@@ -103,7 +109,7 @@ class Model:
                 np.testing.assert_array_equal(got.column(name), want.column(name), f"{step}: {sql}")
 
 
-@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("partitions", [0, 1, 3], ids=["plain", "1-partition", "3-partition"])
 @pytest.mark.parametrize("design", ["bitmap", "identifier"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reads_agree_and_indexes_verify_after_every_statement(seed, design, partitions):
@@ -119,6 +125,35 @@ def test_reads_agree_and_indexes_verify_after_every_statement(seed, design, part
             assert index.verify(), f"{step}: index on {index.column} fails verify()"
         model.check_reads(step)
     assert model.table.num_rows > 0
+
+
+@pytest.mark.parametrize("design", ["bitmap", "identifier"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_partition_list_answers_as_the_plain_table(seed, design):
+    plain, one = Model(seed, design, 0), Model(seed, design, 1)
+    assert len(one.table.partitions) == 1 and one.table is not plain.table
+    for number in range(STATEMENTS):
+        sql = plain.random_statement()
+        assert one.random_statement() == sql
+        step = f"seed {seed} statement {number}: {sql[:70]}"
+        assert one.indexed.execute(sql) == plain.indexed.execute(sql), step
+        for got, want in zip(one.indexes, plain.indexes):
+            assert got.verify() and want.verify(), step
+            np.testing.assert_array_equal(got.patch_rowids(), want.patch_rowids(), step)
+        for read in plain.reads:
+            got, want = one.indexed.execute(read), plain.indexed.execute(read)
+            for name in want.column_names:
+                np.testing.assert_array_equal(got.column(name), want.column(name), step)
+
+
+def test_one_partition_handle_hands_out_the_index_array():
+    table = Table.from_arrays("facts", start_columns(np.random.default_rng(5)))
+    for shape in (table, PartitionedTable.from_table(table, "k", 1)):
+        handle = PatchIndexManager().create(shape, "u", NearlyUniqueColumn())
+        rowids = handle.patch_rowids()
+        assert len(rowids) and rowids is handle.parts[0].index.patch_rowids()
+        assert not rowids.flags.writeable
+        handle.detach()
 
 
 @pytest.mark.xfail(strict=True, reason="NUC discovery is partition-local, the rewrite is not")

@@ -11,7 +11,6 @@ Interrupted writes must be provably un-applied.
 
 import asyncio
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -393,9 +392,17 @@ class TestOverloadShedding:
                     )
                     while db.queued < 1:
                         await asyncio.sleep(0.001)
-                    # a session knob must not be shed by a full queue
-                    assert await db.execute("SET statement_timeout_ms = 123") == 123
+                    # a session knob must not be shed by a full queue: it
+                    # joins the queue behind the read and waits its turn
+                    setting = asyncio.create_task(
+                        db.execute("SET statement_timeout_ms = 123")
+                    )
+                    while db.queued < 2 and not setting.done():
+                        await asyncio.sleep(0)
+                    assert not setting.done(), setting.exception()
+                    assert db.queued == 2
                     inj.release("session.dispatch")
+                    assert await setting == 123
                     await blocker
                     await queued
 

@@ -265,12 +265,12 @@ class TestPartitionedTable:
 
     def test_delete_global(self):
         pt = PartitionedTable.from_table(make_table(40), "k", 4)
-        pt.delete_global(np.array([0, 10, 39]))
+        pt.delete(np.array([0, 10, 39]))
         assert pt.num_rows == 37
 
     def test_modify_global(self):
         pt = PartitionedTable.from_table(make_table(40), "k", 4)
-        pt.modify_global(np.array([0, 39]), {"v": np.array([111, 222])})
+        pt.modify(np.array([0, 39]), {"v": np.array([111, 222])})
         col = pt.column("v")
         assert col[0] == 111 and col[38 + 1 - 0] if False else True
         assert 111 in col and 222 in col

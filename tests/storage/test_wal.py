@@ -1,6 +1,9 @@
 """Unit tests for the write-ahead log and checkpoint primitives."""
 
+import io
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -205,12 +208,7 @@ def test_snapshot_round_trip_bit_identical():
     walmod.restore_catalog(fresh, manifest, arrays)
     for name in ("events", "metrics"):
         orig, rest = cat.table(name), fresh.table(name)
-        pairs = (
-            list(zip(orig.partitions, rest.partitions))
-            if isinstance(orig, PartitionedTable)
-            else [(orig, rest)]
-        )
-        for po, pr in pairs:
+        for po, pr in zip(orig.partitions, rest.partitions):
             assert po.num_rows == pr.num_rows
             for col in po.schema.names:
                 a, b = po.column(col), pr.column(col)
@@ -226,6 +224,7 @@ def test_restore_registers_missing_table():
     walmod.restore_catalog(empty, manifest, arrays)
     assert "events" in empty and "metrics" in empty
     assert empty.table("events").num_rows == 20
+    assert type(empty.table("events")) is Table  # partition_key null: a plain table
     assert isinstance(empty.table("metrics"), PartitionedTable)
     assert empty.table("metrics").num_partitions == 3
 
@@ -242,6 +241,29 @@ def test_restore_fires_update_hooks():
     fresh.table("events").add_update_hook(lambda t, ev: seen.append(ev.kind))
     walmod.restore_catalog(fresh, manifest, arrays)
     assert "delete" in seen and "insert" in seen
+
+
+def _reframed(manifest, arrays) -> bytes:
+    buf = io.BytesIO()
+    text = json.dumps(manifest).encode("utf-8")
+    np.savez(buf, manifest=np.frombuffer(text, dtype=np.uint8), **arrays)
+    payload = buf.getvalue()
+    header = walmod.CHECKPOINT_HEADER.pack(len(payload), zlib.crc32(payload))
+    return walmod.CHECKPOINT_MAGIC + header + payload
+
+
+def test_older_checkpoint_format_is_refused_as_corrupt(tmp_path):
+    _, manifest, arrays = walmod.load_snapshot(walmod.snapshot_catalog(_catalog(), seq=3))
+    assert manifest["format"] == 2
+    walmod.load_snapshot(_reframed(manifest, arrays))  # the reframing itself is sound
+    manifest["format"] = 1
+    blob = _reframed(manifest, arrays)
+    with pytest.raises(ValueError, match="format"):
+        walmod.load_snapshot(blob)
+    path = tmp_path / "checkpoint-0000000000000003.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(recovery.CheckpointCorruptionError):
+        recovery.load_checkpoint(str(path))
 
 
 def test_load_snapshot_rejects_corruption():

@@ -77,10 +77,10 @@ def test_allowlist_entry_names_existing_code(key):
 
 
 def test_decorated_function_is_keyed_by_its_first_decorator():
-    prop = BY_NAME["repro.core.manager._SingleIndexHandle.index"]
+    prop = BY_NAME["repro.storage.partition.PartitionedTable.partitions"]
     lines = (PACKAGE / prop.rel).read_text(encoding="utf-8").splitlines()
     assert lines[prop.line - 1].strip() == "@property"
-    assert lines[prop.line].strip().startswith("def index(")
+    assert lines[prop.line].strip().startswith("def partitions(")
 
 
 def test_nested_function_records_its_parent():
