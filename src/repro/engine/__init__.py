@@ -38,7 +38,7 @@ from repro.engine.expressions import (
     lit,
     where,
 )
-from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
+from repro.engine.sort import merge_sorted_runs, serial_sort_permutation
 from repro.engine.operators import (
     Distinct,
     Filter,

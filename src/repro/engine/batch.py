@@ -111,10 +111,10 @@ class Relation:
         """Multi-key sort in the engine's canonical stable order.
 
         The permutation is
-        :func:`repro.engine.parallel_sort.serial_sort_permutation` — the
+        :func:`repro.engine.sort.serial_sort_permutation` — the
         repeated stable-argsort composition every sort consumer shares.
         """
-        from repro.engine.parallel_sort import serial_sort_permutation
+        from repro.engine.sort import serial_sort_permutation
 
         order = serial_sort_permutation([self._columns[k] for k in keys], ascending)
         return self.take(order)

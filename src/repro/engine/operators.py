@@ -18,7 +18,7 @@ from repro.engine.batch import Relation
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
 from repro.engine.groups import first_rows, group_codes, run_starts, sorted_unique
 from repro.engine.interrupt import CHECKPOINT_ROWS, checkpoint, current_token
-from repro.engine.parallel_sort import merge_run_slots, scatter_runs, serial_sort_permutation
+from repro.engine.sort import merge_run_slots, scatter_runs, serial_sort_permutation
 from repro.testing import faults
 
 __all__ = [
@@ -457,7 +457,7 @@ class Sort(Operator):
     """Multi-key stable sort.
 
     The permutation is ``np.argsort(kind="stable")`` composed over the
-    keys (:func:`repro.engine.parallel_sort.serial_sort_permutation`):
+    keys (:func:`repro.engine.sort.serial_sort_permutation`):
     SQL ``ORDER BY`` with ties in input order, which is what lets
     ``MergeUnion`` reproduce a sort by merging sorted runs.
     Methodology note vs the paper's QuickSort (§6.2.1): the stable
@@ -676,7 +676,7 @@ class MergeUnion(Operator):
     Combines the already-sorted non-patch flow with the sorted patch
     flow without re-sorting the union: the inputs are treated as sorted
     runs and combined by the deterministic k-way merge of
-    :mod:`repro.engine.parallel_sort`, which searches only the shorter
+    :mod:`repro.engine.sort`, which searches only the shorter
     run of a pair into the longer one and yields, per input, the output
     slots its rows take; every output column is written once by
     scattering the inputs' columns to those slots.  Equal keys keep

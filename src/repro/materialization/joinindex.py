@@ -6,7 +6,10 @@ column.  A join query then degenerates to a scan of the fact table plus
 a positional gather from the dimension table — no hash table and no
 merge.  Creation performs the full join (the paper measures ~6× the
 PatchIndex creation time); fact inserts compute partners for the new
-tuples only, fact deletes drop entries positionally.
+tuples only, fact deletes drop entries positionally.  Every partition
+of the fact table is hooked; an event's partition-local rowids are
+shifted by that partition's offset at event time, so the one partner
+array stays aligned with the table-global rowids.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ class JoinIndex:
         self.dim_key = dim_key
         self._partners = self._compute_partners(fact.column(fact_key))
         self._maintaining = False
-        if auto_maintain and hasattr(fact, "add_update_hook"):
-            fact.add_update_hook(self._on_fact_update)
+        if auto_maintain:
+            for part in fact.partitions:
+                part.add_update_hook(self._on_fact_update)
             self._maintaining = True
         if catalog is not None:
             catalog.add_structure("joinindex", fact.name, fact_key, self)
@@ -65,18 +69,19 @@ class JoinIndex:
             count=len(fact_keys),
         )
 
-    def _on_fact_update(self, table, event) -> None:
+    def _on_fact_update(self, part, event) -> None:
+        offset = int(self.fact.partition_offsets()[self.fact.partitions.index(part)])
+        rowids = event.rowids + offset
         if event.kind == "insert":
             new_keys = np.asarray(event.values[self.fact_key])
-            self._partners = np.concatenate(
-                [self._partners, self._compute_partners(new_keys)]
-            )
+            at = offset + part.num_rows - len(rowids)  # the partition's old end
+            self._partners = np.insert(self._partners, at, self._compute_partners(new_keys))
         elif event.kind == "delete":
-            self._partners = np.delete(self._partners, event.rowids)
+            self._partners = np.delete(self._partners, rowids)
         elif event.kind == "modify":
             if self.fact_key in event.values:
                 new_keys = np.asarray(event.values[self.fact_key])
-                self._partners[event.rowids] = self._compute_partners(new_keys)
+                self._partners[rowids] = self._compute_partners(new_keys)
 
     # ------------------------------------------------------------------
     @property
@@ -120,7 +125,8 @@ class JoinIndex:
     def detach(self) -> None:
         """Stop maintaining."""
         if self._maintaining:
-            self.fact.remove_update_hook(self._on_fact_update)
+            for part in self.fact.partitions:
+                part.remove_update_hook(self._on_fact_update)
             self._maintaining = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

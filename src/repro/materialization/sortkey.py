@@ -9,7 +9,7 @@ PatchIndexes which leave the physical order untouched (§6.2.3).
 We materialize the ordered data as a separate sorted copy (our tables
 do not support in-place reordering), which is equivalent for both query
 and maintenance cost accounting.  Updates re-sort (recompute) the copy,
-one stable sort per partition (:mod:`repro.engine.parallel_sort`).
+one stable sort per partition (:mod:`repro.engine.sort`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.parallel_sort import merge_sorted_runs, serial_sort_permutation
+from repro.engine.sort import merge_sorted_runs, serial_sort_permutation
 from repro.storage.table import Table
 
 __all__ = ["SortKey"]

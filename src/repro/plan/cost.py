@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Union
 
-from repro.engine import parallel_sort
+from repro.engine import sort
 from repro.plan import nodes
 from repro.plan.stats import estimate_rows, is_sorted_on
 from repro.storage.catalog import Catalog
@@ -45,7 +45,7 @@ class CostModel:
     COST_MERGE_JOIN = 1.0
     #: Sort and merge units alias the sort module's constants, whose
     #: ``serial_sort_cost`` prices every sort.
-    COST_SORT = parallel_sort.SORT_UNIT
+    COST_SORT = sort.SORT_UNIT
     #: Distinct and GroupAggregate are one group kernel: 11.6 ns/row on
     #: the Fig. 7 NUC column where the hash distinct priced at 3.0 took
     #: 230.  Fitted to where the measured plans cross (NUC rewrite 2.6 vs
@@ -54,7 +54,7 @@ class CostModel:
     COST_DISTINCT = 0.75
     COST_AGGREGATE = 0.75
     COST_UNION = 0.05
-    COST_MERGE_COMBINE = parallel_sort.MERGE_UNIT
+    COST_MERGE_COMBINE = sort.MERGE_UNIT
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
@@ -93,7 +93,7 @@ class CostModel:
 
     def sort_cost(self, num_rows: float) -> float:
         """Cost of an n-log-n sort of ``num_rows``."""
-        return parallel_sort.serial_sort_cost(num_rows, self.COST_SORT)
+        return sort.serial_sort_cost(num_rows, self.COST_SORT)
 
     def topn_cost(self, num_rows: float, n: float) -> float:
         """Cost of selecting the first ``n`` rows under a sort order.
@@ -107,7 +107,7 @@ class CostModel:
         this formula is optimistic; it stays as is so that no plan moves.
         """
         candidates = min(float(n), float(num_rows))
-        return self.COST_SORT * float(num_rows) + parallel_sort.serial_sort_cost(
+        return self.COST_SORT * float(num_rows) + sort.serial_sort_cost(
             candidates, self.COST_SORT
         )
 

@@ -2,10 +2,10 @@
 
 The paper integrates PatchIndexes into Actian Vector; this package is our
 stand-in substrate: in-memory, numpy-backed columns organized in tables
-with positional rowIDs, growing in place under updates (where the paper
-buffers them in PDTs [17]), minmax summaries (small materialized
-aggregates [22]) for scan pruning and range propagation, and a catalog
-tying it together.
+with positional rowIDs, written in place under updates unless a reader
+holds the buffer (where the paper buffers them in PDTs [17]), minmax
+summaries (small materialized aggregates [22]) for range propagation,
+and a catalog tying it together.
 """
 
 from repro.storage.column import ColumnType

@@ -1,10 +1,13 @@
 """MinMax summary tables (small materialized aggregates, paper §5 / [22]).
 
 For buckets of ``block_size`` consecutive tuples, the minimum and maximum
-column value is materialized.  Scans evaluate selection predicates (or
-join ranges propagated at runtime, §5.1) against the bucket summaries and
-skip buckets that cannot contain qualifying tuples — the "avoid the full
-table scan" mechanism of the insert-handling query in Figure 5.
+column value is materialized.  Two readers consult the summaries: a scan
+given a join range propagated at runtime (§5.1, ``Scan.push_range``)
+skips buckets that cannot hold a key in it, and the NUC insert handler's
+dynamic range propagation probes only the row ranges that can hold a
+written value — the "avoid the full table scan" mechanism of the
+insert-handling query in Figure 5.  A scan's own selection predicates
+do not consult them.
 """
 
 from __future__ import annotations

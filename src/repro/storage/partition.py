@@ -101,10 +101,6 @@ class PartitionedTable:
         return list(self._partitions)
 
     @property
-    def num_partitions(self) -> int:
-        return len(self._partitions)
-
-    @property
     def num_rows(self) -> int:
         return sum(p.num_rows for p in self._partitions)
 
@@ -176,6 +172,6 @@ class PartitionedTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"PartitionedTable({self.name!r}, parts={self.num_partitions}, "
+            f"PartitionedTable({self.name!r}, parts={len(self._partitions)}, "
             f"rows={self.num_rows})"
         )

@@ -217,7 +217,8 @@ class TestVerifyNSC:
         # order (NULL sorts last), which the old order accepted
         t = Table.from_arrays("t", {"v": np.array([None, "a", "b"], dtype=object)})
         assert not PatchIndex(t, "v", NearlySortedColumn(), build=False).verify()
-        assert PatchIndex(t, "v", NearlySortedColumn(ascending=False), build=False).verify() is False
+        descending = NearlySortedColumn(ascending=False)
+        assert PatchIndex(t, "v", descending, build=False).verify() is False
         assert PatchIndex(t, "v", NearlySortedColumn()).verify()
 
 

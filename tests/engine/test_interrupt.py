@@ -29,7 +29,7 @@ from repro.engine.interrupt import (
     current_token,
     validate_positive_int,
 )
-from repro.engine.parallel_sort import merge_sorted_runs
+from repro.engine.sort import merge_sorted_runs
 from repro.testing import FaultInjector, FaultRule, InjectedWorkerError, inject
 from repro.storage import PartitionedTable, Table
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine.batch import Relation
 from repro.engine.operators import HashJoin, MergeUnion, RelationSource, Scan, Sort
-from repro.engine.parallel_sort import (
+from repro.engine.sort import (
     merge_run_slots,
     merge_sorted_runs,
     scatter_runs,
@@ -107,8 +107,9 @@ class TestSingleKey:
         for ascending in (True, False):
             # descending reverses the order of distinct-key groups only,
             # so an all-equal input keeps original row order (SQL tie rule)
-            np.testing.assert_array_equal(serial_sort_permutation([keys], [ascending]), np.arange(700))
-            np.testing.assert_array_equal(merge_of_sorted_chunks(keys, ascending, runs), np.arange(700))
+            identity = np.arange(700)
+            np.testing.assert_array_equal(serial_sort_permutation([keys], [ascending]), identity)
+            np.testing.assert_array_equal(merge_of_sorted_chunks(keys, ascending, runs), identity)
 
     def test_empty_and_single_row(self):
         for n in (0, 1):

@@ -230,7 +230,8 @@ def test_group_aggregate_matches_the_oracle(inputs):
 def test_distinct_matches_the_oracle(keys, data):
     names = [f"k{i}" for i in range(len(keys))]
     rel = Relation(dict(zip(names, keys)))
-    chosen = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(names), min_size=1, unique=True)))
+    subsets = st.lists(st.sampled_from(names), min_size=1, unique=True)
+    chosen = data.draw(st.one_of(st.none(), subsets))
     cols = names if chosen is None else chosen
     _, first = reference_groups([rel.column(c) for c in cols])
     serial = Distinct(RelationSource(rel), chosen).execute()

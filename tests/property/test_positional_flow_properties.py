@@ -23,7 +23,7 @@ from repro.core.manager import MaintainedIndex
 from repro.engine.batch import Relation
 from repro.engine.expressions import col
 from repro.engine.operators import MergeUnion, PatchSelect, RelationSource, Scan
-from repro.engine.parallel_sort import merge_sorted_runs
+from repro.engine.sort import merge_sorted_runs
 from repro.storage import PartitionedTable, Table
 from repro.storage.minmax import DEFAULT_BLOCK_SIZE
 

@@ -66,7 +66,9 @@ def test_prepare_run_prepared_and_unknown_name():
     async def main():
         async with SQLServer(make_catalog(3)) as srv:
             async with await AsyncSQLClient.connect("127.0.0.1", srv.port) as cli:
-                ack = await cli.prepare("agg", "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp ORDER BY grp")
+                ack = await cli.prepare(
+                    "agg", "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp ORDER BY grp"
+                )
                 assert ack.row_count == 0
                 first = await cli.run_prepared("agg")
                 again = await cli.run_prepared("agg")

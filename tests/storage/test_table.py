@@ -1,5 +1,8 @@
 """Unit tests for tables, partitions, minmax and the catalog."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,12 +208,102 @@ class TestTableImage:
         np.testing.assert_array_equal(grown, [5, 10, 20, 30, *range(10)])
         np.testing.assert_array_equal(t.column("v"), [6, 20, 30, *range(10), 1])
 
+    def test_rejected_update_changes_nothing(self):
+        t = make_kv(4)
+        with pytest.raises(ValueError):
+            t.modify(np.array([1]), {"k": np.array([-1]), "v": np.array(["x"], dtype=object)})
+        np.testing.assert_array_equal(t.column("k"), np.arange(4))
+        np.testing.assert_array_equal(t.column("v"), [0, 10, 20, 30])
+
     def test_strings_and_nulls(self):
         t = Table.from_arrays("t", {"s": np.array(["a", None], dtype=object)})
         t.insert({"s": np.array(["b", None], dtype=object)})
         t.modify(np.array([0]), {"s": np.array(["z"])})
         assert t.column("s").tolist() == ["z", None, "b", None]
         assert type(t.column("s")[0]) is str
+
+
+WRITES = [
+    lambda t: t.delete(np.array([1, 2, 5])),
+    lambda t: t.modify(np.array([0, 6]), {"k": np.array([-1, -2]), "s": np.array(["z", None])}),
+]
+WRITE_IDS = ["delete", "modify"]
+
+
+class TestInPlaceWrites:
+    """DELETE packs and UPDATE scatters in the column's own buffer when
+    nothing but the table refers to it, and into a fresh one otherwise."""
+
+    def owned(self):
+        strings = np.array([f"s{i}" for i in range(8)], dtype=object)
+        return Table.from_arrays("t", {"k": np.arange(8, dtype=np.int64), "s": strings})
+
+    def buffer(self, t, name="k"):
+        return weakref.ref(t.column(name).base)
+
+    @pytest.mark.parametrize("statement", WRITES, ids=WRITE_IDS)
+    def test_an_unheld_buffer_is_written_in_place(self, statement):
+        t = self.owned()
+        before = {name: self.buffer(t, name) for name in ("k", "s")}
+        statement(t)
+        for name, ref in before.items():
+            assert t.column(name).base is ref()
+
+    @pytest.mark.parametrize("statement", WRITES, ids=WRITE_IDS)
+    @pytest.mark.parametrize(
+        "hold",
+        [
+            lambda t: t.column("k"),
+            lambda t: t.column("k")[3:5],
+            lambda t: t.column("k")[8:],
+            lambda t: memoryview(t.column("k")),
+        ],
+        ids=["view", "slice", "empty-slice", "memoryview"],
+    )
+    def test_a_held_buffer_is_copied(self, statement, hold):
+        t = self.owned()
+        held = hold(t)
+        copy = np.array(held)
+        before, unheld = self.buffer(t), self.buffer(t, "s")
+        statement(t)
+        assert t.column("k").base is not before()
+        assert t.column("s").base is unheld()
+        np.testing.assert_array_equal(np.array(held), copy)
+
+    @pytest.mark.parametrize("statement", WRITES, ids=WRITE_IDS)
+    def test_the_callers_constructor_array_is_copied(self, statement):
+        k = np.arange(8, dtype=np.int64)
+        t = Table.from_arrays("t", {"k": k, "s": self.owned().column("s").copy()})
+        statement(t)
+        np.testing.assert_array_equal(k, np.arange(8))
+        assert t.column("k").base is not k
+
+    def test_in_place_writes_match_the_copying_ones(self):
+        t, model = self.owned(), self.owned()
+        held = model.columns()  # every model buffer is held: copy path
+        again = [
+            lambda t: t.delete(np.array([0, 4])),
+            lambda t: t.modify(
+                np.array([1, 2]), {"k": np.array([7, 8]), "s": np.array([None, "y"])}
+            ),
+        ]
+        for statement in WRITES[::-1] + again:
+            statement(t)
+            statement(model)
+            for name in ("k", "s"):
+                assert t.column(name).tolist() == model.column(name).tolist()
+        assert held["k"].tolist() == list(range(8))
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_deleted_string_is_released(self, at):
+        gone = "".join(["del", "eted"])  # a fresh object: every other count is ours
+        refs = sys.getrefcount(gone)
+        strings = np.array(["a", "b"], dtype=object)
+        t = Table.from_arrays("t", {"s": np.insert(strings, at, gone)})
+        assert sys.getrefcount(gone) == refs + 1
+        t.delete(np.array([at]))
+        assert t.column("s").tolist() == ["a", "b"]
+        assert sys.getrefcount(gone) == refs
 
 
 class TestMinMax:
@@ -243,7 +336,7 @@ class TestPartitionedTable:
     def test_from_table_splits_evenly(self):
         t = make_table(100)
         pt = PartitionedTable.from_table(t, "k", 4)
-        assert pt.num_partitions == 4
+        assert len(pt.partitions) == 4
         assert pt.num_rows == 100
         sizes = [p.num_rows for p in pt.partitions]
         assert max(sizes) - min(sizes) <= 1
@@ -277,7 +370,7 @@ class TestPartitionedTable:
 
     def test_single_partition(self):
         pt = PartitionedTable.from_table(make_table(10), "k", 1)
-        assert pt.num_partitions == 1
+        assert len(pt.partitions) == 1
 
     def test_mismatched_schemas_rejected(self):
         a = make_table(5, "a")

@@ -226,7 +226,7 @@ def test_restore_registers_missing_table():
     assert empty.table("events").num_rows == 20
     assert type(empty.table("events")) is Table  # partition_key null: a plain table
     assert isinstance(empty.table("metrics"), PartitionedTable)
-    assert empty.table("metrics").num_partitions == 3
+    assert len(empty.table("metrics").partitions) == 3
 
 
 def test_restore_fires_update_hooks():

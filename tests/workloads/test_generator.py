@@ -65,7 +65,7 @@ class TestNSCGenerator:
 
     def test_partitioned_output(self):
         ds = generate_dataset(8_000, 0.1, "nsc", num_partitions=8)
-        assert ds.table.num_partitions == 8
+        assert len(ds.table.partitions) == 8
         assert ds.table.num_rows == 8_000
 
 
