@@ -494,12 +494,13 @@ class Sort(Operator):
 class TopN(Operator):
     """First ``n`` rows under a sort order.
 
-    Physical form of ``ORDER BY … LIMIT n`` chosen by the optimizer's
-    TopN selection link: the rows of the canonical stable order (keys,
-    then original position) up to ``n``, bit-identical to the full sort
-    followed by a limit.  The sort keys of the whole input are sorted
-    once, but only the first ``n`` rows are gathered (``Sort`` gathers
-    every row before ``Limit`` drops them).
+    Physical form of ``ORDER BY … LIMIT n``, into which the optimizer
+    collapses ``Limit(Sort)`` when that is cheaper: the rows of the
+    canonical stable order (keys, then original position) up to ``n``,
+    bit-identical to the full sort followed by a limit.  The sort keys
+    of the whole input are sorted once, but only the first ``n`` rows
+    are gathered (``Sort`` gathers every row before ``Limit`` drops
+    them).
     """
 
     def __init__(

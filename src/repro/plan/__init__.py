@@ -3,9 +3,9 @@
 Queries are expressed as logical plan trees (:mod:`repro.plan.nodes`).
 The :class:`~repro.plan.optimizer.Optimizer` runs in two stages: join
 orders are enumerated over the join graph first
-(:mod:`repro.plan.joinorder`), then two passes of
-:mod:`repro.plan.selection` — the PatchIndex rewrites of §3.3 and TopN
-pushdown — assign physical operators, gated by the cost model of §3.5.
+(:mod:`repro.plan.joinorder`), then one bottom-up walk applies the
+PatchIndex rewrites of §3.3 (:mod:`repro.plan.rules`) and the TopN
+collapse, gated by the cost model of §3.5.
 The :mod:`~repro.plan.executor` lowers the annotated plans onto the
 physical operators of :mod:`repro.engine`.
 """
@@ -27,11 +27,6 @@ from repro.plan.nodes import (
 )
 from repro.plan.stats import analyze_table, distinct_count, estimate_rows
 from repro.plan.cost import CostModel
-from repro.plan.rules import (
-    rewrite_distinct,
-    rewrite_join,
-    rewrite_sort,
-)
 from repro.plan.joinorder import (
     JoinGraph,
     build_join_tree,
@@ -39,11 +34,6 @@ from repro.plan.joinorder import (
     enumerate_orders,
     extract_join_graph,
     reorder_joins,
-)
-from repro.plan.selection import (
-    PatchIndexSelection,
-    PhysicalOperatorAssignment,
-    TopNSelection,
 )
 from repro.plan.optimizer import OptimizationReport, Optimizer
 from repro.plan.executor import build_operator_tree, execute_plan
@@ -66,18 +56,12 @@ __all__ = [
     "analyze_table",
     "distinct_count",
     "CostModel",
-    "rewrite_distinct",
-    "rewrite_sort",
-    "rewrite_join",
     "JoinGraph",
     "extract_join_graph",
     "enumerate_orders",
     "build_join_tree",
     "dp_order",
     "reorder_joins",
-    "PhysicalOperatorAssignment",
-    "PatchIndexSelection",
-    "TopNSelection",
     "Optimizer",
     "OptimizationReport",
     "build_operator_tree",

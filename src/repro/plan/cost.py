@@ -100,8 +100,8 @@ class CostModel:
 
         One linear selection pass over the input plus a sort of the
         ``n`` candidates.  Undercuts :meth:`sort_cost` whenever ``n`` is
-        small relative to the input, which is what lets the TopN
-        selection link replace Limit-over-Sort.  The operator itself
+        small relative to the input, which is what lets the optimizer
+        collapse Limit-over-Sort into a TopN.  The operator itself
         sorts the keys of the whole input and saves only the gather of
         the rows past ``n`` (:class:`repro.engine.operators.TopN`), so
         this formula is optimistic; it stays as is so that no plan moves.
@@ -119,8 +119,8 @@ class CostModel:
         (marginal units per driving input row), ``startup`` (fixed units
         spent before the first output row — hash-build work, blocking
         sorts) and ``total``.  ``total`` is the authoritative figure the
-        optimizer compares; the other keys decompose it for EXPLAIN and
-        the stage-2 selection links.
+        optimizer compares; the other keys decompose it for EXPLAIN's
+        ``operator assignments:`` lines.
         """
         rows = estimate_rows(node, self.catalog)
         startup = 0.0

@@ -228,10 +228,10 @@ class SortNode(PlanNode):
 class TopNNode(PlanNode):
     """First ``n`` rows under a sort order (ORDER BY … LIMIT n).
 
-    A *physical* pushdown of Limit-over-Sort chosen by the stage-2
-    operator selection: per-chunk selection of the n best rows plus a
-    merge of the candidates, bit-identical to the full sort followed by
-    the limit.
+    A *physical* pushdown of Limit-over-Sort, into which the optimizer
+    collapses the pair when that undercuts the sort: per-chunk selection
+    of the n best rows plus a merge of the candidates, bit-identical to
+    the full sort followed by the limit.
     """
 
     def __init__(
@@ -329,7 +329,7 @@ class ReuseLoadNode(PlanNode):
     cost model can reason about plans that read the cached result.
     """
 
-    def __init__(self, slot_id: str, hint_rows: float = 1000.0) -> None:
+    def __init__(self, slot_id: str, hint_rows: float) -> None:
         self.slot_id = slot_id
         self.hint_rows = hint_rows
 

@@ -18,8 +18,8 @@ recombines:
   computed twice.
 
 Zero-branch pruning (§6.3) drops the patch subtree entirely when the
-known patch count is zero.  The cost model (§3.5) gates each rewrite
-unless ``force=True`` (used to reproduce the paper's forced plans).
+known patch count is zero.  The cost model (§3.5) gates each rewrite;
+passing no cost model forces it (the paper's forced plans).
 
 :func:`push_to_scans` runs before all of these, when a statement is
 bound: it puts each single-table WHERE conjunct and the referenced
@@ -36,7 +36,8 @@ from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
 from repro.engine.expressions import BinaryExpr, Expression, expression_columns
 from repro.plan import nodes
 from repro.plan.cost import CostModel
-from repro.plan.stats import estimate_rows
+from repro.plan.stats import estimate_rows, is_sorted_on
+from repro.storage.catalog import Catalog
 
 __all__ = [
     "rewrite_distinct",
@@ -114,9 +115,8 @@ def _accept(
     original: nodes.PlanNode,
     candidate: nodes.PlanNode,
     cost_model: Optional[CostModel],
-    force: bool,
 ) -> Optional[nodes.PlanNode]:
-    if force or cost_model is None:
+    if cost_model is None:
         return candidate
     if cost_model.cost(candidate) < cost_model.cost(original):
         return candidate
@@ -131,7 +131,6 @@ def rewrite_distinct(
     index_lookup: Callable[[str, str], Optional[object]],
     cost_model: Optional[CostModel] = None,
     zero_branch_pruning: bool = False,
-    force: bool = False,
 ) -> Optional[nodes.PlanNode]:
     """Rewrite a DistinctNode using a NUC PatchIndex, or return None."""
     if not isinstance(plan, nodes.DistinctNode):
@@ -149,12 +148,12 @@ def rewrite_distinct(
         _patch_flow(plan.child, scan, index, EXCLUDE), {column: column}
     )
     if zero_branch_pruning and index.num_patches == 0:
-        return _accept(plan, exclude_flow, cost_model, force)
+        return _accept(plan, exclude_flow, cost_model)
     use_flow = nodes.DistinctNode(
         _patch_flow(plan.child, scan, index, USE), [column]
     )
     candidate = nodes.UnionNode([exclude_flow, use_flow])
-    return _accept(plan, candidate, cost_model, force)
+    return _accept(plan, candidate, cost_model)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +164,6 @@ def rewrite_sort(
     index_lookup: Callable[[str, str], Optional[object]],
     cost_model: Optional[CostModel] = None,
     zero_branch_pruning: bool = False,
-    force: bool = False,
 ) -> Optional[nodes.PlanNode]:
     """Rewrite a SortNode using an NSC PatchIndex, or return None."""
     if not isinstance(plan, nodes.SortNode):
@@ -186,12 +184,12 @@ def rewrite_sort(
         plan.child, scan, index, EXCLUDE, sorted_output=True, sort_ascending=ascending
     )
     if zero_branch_pruning and index.num_patches == 0:
-        return _accept(plan, exclude_flow, cost_model, force)
+        return _accept(plan, exclude_flow, cost_model)
     use_flow = nodes.SortNode(
         _patch_flow(plan.child, scan, index, USE), [column], [ascending]
     )
     candidate = nodes.MergeCombineNode([exclude_flow, use_flow], column, ascending)
-    return _accept(plan, candidate, cost_model, force)
+    return _accept(plan, candidate, cost_model)
 
 
 # ----------------------------------------------------------------------
@@ -200,17 +198,16 @@ def rewrite_sort(
 def rewrite_join(
     plan: nodes.PlanNode,
     index_lookup: Callable[[str, str], Optional[object]],
-    sorted_side_check: Callable[[nodes.PlanNode, str], bool],
+    catalog: Catalog,
     cost_model: Optional[CostModel] = None,
     zero_branch_pruning: bool = False,
-    force: bool = False,
 ) -> Optional[nodes.PlanNode]:
     """Rewrite a JoinNode into a sorted-build join + patch join, or None.
 
     One join input ("Y") must be a scan subtree over a table with an NSC
     PatchIndex on its join key; the other input ("X") must be sorted on
-    its join key (``sorted_side_check``).  Y's order is preserved by
-    construction (scan order, Filter/Project only).
+    its join key (:func:`~repro.plan.stats.is_sorted_on`).  Y's order is
+    preserved by construction (scan order, Filter/Project only).
     """
     if not isinstance(plan, nodes.JoinNode):
         return None
@@ -224,11 +221,11 @@ def rewrite_join(
         index = index_lookup(scan.table, y_key)
         if index is None or not isinstance(index.constraint, NearlySortedColumn):
             continue
-        if not sorted_side_check(x_side, x_key):
+        if not is_sorted_on(x_side, x_key, catalog):
             continue
         return _build_join_rewrite(
             plan, x_side, y_side, x_key, y_key, scan, index,
-            cost_model, zero_branch_pruning, force,
+            catalog, cost_model, zero_branch_pruning,
         )
     return None
 
@@ -241,9 +238,9 @@ def _build_join_rewrite(
     y_key: str,
     scan: nodes.ScanNode,
     index,
+    catalog: Catalog,
     cost_model: Optional[CostModel],
     zero_branch_pruning: bool,
-    force: bool,
 ) -> Optional[nodes.PlanNode]:
     ascending = index.constraint.ascending
     y_exclude = _patch_flow(
@@ -253,21 +250,17 @@ def _build_join_rewrite(
         candidate: nodes.PlanNode = nodes.JoinNode(
             x_side, y_exclude, x_key, y_key, build_side="left"
         )
-        return _accept(plan, candidate, cost_model, force)
+        return _accept(plan, candidate, cost_model)
     slot_id = f"x-side-{next(_slot_counter)}"
     x_cached = nodes.ReuseCacheNode(x_side, slot_id)
-    if cost_model is not None:
-        hint = estimate_rows(x_side, cost_model.catalog)
-    else:
-        hint = 1000.0
-    x_again = nodes.ReuseLoadNode(slot_id, hint_rows=hint)
+    x_again = nodes.ReuseLoadNode(slot_id, estimate_rows(x_side, catalog))
     # built on the sorted X: the kernel finds its keys in order and skips the sort
     sorted_part = nodes.JoinNode(x_cached, y_exclude, x_key, y_key, build_side="left")
     y_use = _patch_flow(y_side, scan, index, USE)
     # built on the patches: the lowest-cardinality side (§3.3)
     patch_part = nodes.JoinNode(y_use, x_again, y_key, x_key, build_side="left")
     candidate = nodes.UnionNode([sorted_part, patch_part])
-    return _accept(plan, candidate, cost_model, force)
+    return _accept(plan, candidate, cost_model)
 
 
 # ----------------------------------------------------------------------

@@ -389,8 +389,8 @@ class TestOptimizerIntegration:
         opt = Optimizer(tpch, PatchIndexManager(tpch))
         new_plan, report = opt.optimize_staged(plan)
         assert report.join_orders and report.join_orders[0].applied
-        # build sides are the runtime's call: stage 2 assigns no join
-        assert len(report.assignment) == 0
+        # build sides are the runtime's call: stage 2 rewrites no join
+        assert report.rewrites == {}
         assert_bit_identical(reference, execute_plan(new_plan, tpch))
 
     def test_forced_mode_disables_search(self, tpch):

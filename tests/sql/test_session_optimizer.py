@@ -158,7 +158,7 @@ class TestTopNThroughSQL:
             costs=True,
         )
         assert "TopN(" in text
-        assert "[TopNSelection]" in text
+        assert "TopN[n=5]" in text
 
     def test_topn_rows_match_full_sort(self, session):
         full = session.execute(

@@ -129,8 +129,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.plan.*.describe": _EXPLAIN,
     "repro.engine.operators.Operator.explain": _EXPLAIN,
     "repro.plan.executor.explain_plan": _EXPLAIN,
-    "repro.plan.selection.PhysicalOperatorAssignment.get": _EXPLAIN,
-    "repro.plan.selection.PhysicalOperatorAssignment.__len__": _EXPLAIN,
     "repro.*.__repr__": _DATA_MODEL,
     "repro.*.__len__": _DATA_MODEL,
     "repro.*.__iter__": _DATA_MODEL,
@@ -171,7 +169,7 @@ BUCKET_CEILINGS: Dict[str, int] = {
     _FRONT_END: 35,
     _SAFETY: 5,
     _SPINE_TRACE: 9,
-    _EXPLAIN: 6,
+    _EXPLAIN: 4,
     _DATA_MODEL: 4,
     _ABSTRACT: 3,
     _HANDLE: 4,
