@@ -26,7 +26,8 @@ PatchIndex rewrites run, each applied wherever it matches.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.plan import nodes
 from repro.plan.cost import CostModel, OperatorCost
@@ -141,13 +142,16 @@ class Optimizer:
         report = OptimizationReport()
         if self.use_cost_model:
             plan, report.join_orders = reorder_joins(plan, self.catalog, self.cost_model)
-        return self._rewrite(plan, report), report
+        return self._rewrite(plan, report, itertools.count()), report
 
-    def _rewrite(self, plan: nodes.PlanNode, report: OptimizationReport) -> nodes.PlanNode:
-        """``plan`` rewritten bottom-up, each rewrite recorded in ``report``."""
+    def _rewrite(
+        self, plan: nodes.PlanNode, report: OptimizationReport, slots: Iterator[int]
+    ) -> nodes.PlanNode:
+        """``plan`` rewritten bottom-up, each rewrite recorded in ``report``
+        and each reuse slot numbered from ``slots``."""
         kids = plan.children()
         if kids:
-            new_kids = [self._rewrite(c, report) for c in kids]
+            new_kids = [self._rewrite(c, report, slots) for c in kids]
             if not all(a is b for a, b in zip(kids, new_kids)):
                 plan = nodes.rebuild_node(plan, new_kids)
         gate = self.cost_model if self.use_cost_model else None
@@ -158,7 +162,7 @@ class Optimizer:
         out = rewrite_sort(plan, lookup, gate, pruning)
         if out is not None:
             return report.record(out, "PatchIndex[sort]", gate)
-        out = rewrite_join(plan, lookup, self.catalog, gate, pruning)
+        out = rewrite_join(plan, lookup, self.catalog, slots, gate, pruning)
         if out is not None:
             return report.record(out, "PatchIndex[join]", gate)
         if gate is None:

@@ -29,8 +29,7 @@ column list on its scan, the placement the paper's plans assume
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.constraints import NearlySortedColumn, NearlyUniqueColumn
 from repro.engine.expressions import BinaryExpr, Expression, expression_columns
@@ -49,8 +48,6 @@ __all__ = [
 
 EXCLUDE = "exclude_patches"
 USE = "use_patches"
-
-_slot_counter = itertools.count()
 
 
 def find_single_scan(node: nodes.PlanNode) -> Optional[nodes.ScanNode]:
@@ -199,6 +196,7 @@ def rewrite_join(
     plan: nodes.PlanNode,
     index_lookup: Callable[[str, str], Optional[object]],
     catalog: Catalog,
+    slots: Iterator[int],
     cost_model: Optional[CostModel] = None,
     zero_branch_pruning: bool = False,
 ) -> Optional[nodes.PlanNode]:
@@ -207,7 +205,9 @@ def rewrite_join(
     One join input ("Y") must be a scan subtree over a table with an NSC
     PatchIndex on its join key; the other input ("X") must be sorted on
     its join key (:func:`~repro.plan.stats.is_sorted_on`).  Y's order is
-    preserved by construction (scan order, Filter/Project only).
+    preserved by construction (scan order, Filter/Project only).  The
+    buffered X side is named ``x-side-N`` after the next of ``slots``,
+    which one plan's rewrites share so that its slot names are distinct.
     """
     if not isinstance(plan, nodes.JoinNode):
         return None
@@ -225,7 +225,7 @@ def rewrite_join(
             continue
         return _build_join_rewrite(
             plan, x_side, y_side, x_key, y_key, scan, index,
-            catalog, cost_model, zero_branch_pruning,
+            catalog, slots, cost_model, zero_branch_pruning,
         )
     return None
 
@@ -239,6 +239,7 @@ def _build_join_rewrite(
     scan: nodes.ScanNode,
     index,
     catalog: Catalog,
+    slots: Iterator[int],
     cost_model: Optional[CostModel],
     zero_branch_pruning: bool,
 ) -> Optional[nodes.PlanNode]:
@@ -251,7 +252,7 @@ def _build_join_rewrite(
             x_side, y_exclude, x_key, y_key, build_side="left"
         )
         return _accept(plan, candidate, cost_model)
-    slot_id = f"x-side-{next(_slot_counter)}"
+    slot_id = f"x-side-{next(slots)}"
     x_cached = nodes.ReuseCacheNode(x_side, slot_id)
     x_again = nodes.ReuseLoadNode(slot_id, estimate_rows(x_side, catalog))
     # built on the sorted X: the kernel finds its keys in order and skips the sort

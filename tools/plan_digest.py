@@ -19,9 +19,9 @@ The sources:
   ``benchmarks/test_fig10_tpch.py``), forced, with zero-branch pruning
   on and with it off.
 
-Reuse slot ids come from a process-wide counter that rejected rewrite
-candidates advance too, so they are masked.  The tool imports the
-spine's workload module and the Fig. 10 benchmark and writes no file.
+The spine tables are built at the benchmark's scale, 1.  The tool
+imports the spine's workload module and the Fig. 10 benchmark and
+writes no file.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import sys
 from typing import Dict, List
 
@@ -53,14 +52,9 @@ SEEDS = (11, 12)
 ROUNDS = 3
 
 
-def masked(text: str) -> str:
-    """``text`` with its reuse slot ids masked."""
-    return re.sub(r"x-side-\d+", "x-side-#", text)
-
-
-def spine_plans(name: str, seed: int, scale: float) -> Dict[str, List[str]]:
+def spine_plans(name: str, seed: int) -> Dict[str, List[str]]:
     """The EXPLAIN texts of one workload's reads, gated and forced."""
-    workload = make_workload(name, seed, scale, None)
+    workload = make_workload(name, seed, 1.0, None)
     workload.setup()
     forced = SQLSession(
         workload.catalog, index_manager=workload.manager, use_cost_model=False
@@ -101,22 +95,19 @@ def fig10_plans() -> Dict[str, List[str]]:
 def main() -> int:
     """Print one digest (or the EXPLAIN texts) per source."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="spine table sizes; 1 is the benchmark"
-    )
     parser.add_argument("--text", action="store_true", help="print the EXPLAIN texts, not digests")
     args = parser.parse_args()
 
     sources: Dict[str, List[str]] = {}
     for name in WORKLOADS:
         for seed in SEEDS:
-            for mode, texts in spine_plans(name, seed, args.scale).items():
+            for mode, texts in spine_plans(name, seed).items():
                 sources[f"{name} seed={seed} {mode}"] = texts
     for pruning, texts in fig10_plans().items():
         sources[f"fig10 forced zbp={pruning}"] = texts
 
     for source, texts in sources.items():
-        body = "\n\n".join(masked(text) for text in texts)
+        body = "\n\n".join(texts)
         if args.text:
             print(f"==== {source}\n{body}\n")
         else:
