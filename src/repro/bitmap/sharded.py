@@ -55,18 +55,12 @@ class ShardedBitmap:
     shard_bits:
         Shard size in bits; must be a positive multiple of 64.  Powers of
         two allow the fast initial shard guess of §4.2.1.
-    condense_threshold:
-        If not ``None``, :meth:`bulk_delete` and :meth:`delete` trigger an
-        automatic :meth:`condense` once the fraction of lost bits
-        strictly exceeds this threshold (lost bits *at* the threshold do
-        not condense).
     """
 
     def __init__(
         self,
         length: int = 0,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        condense_threshold: Optional[float] = None,
     ) -> None:
         if length < 0:
             raise ValueError("bitmap length must be non-negative")
@@ -77,7 +71,6 @@ class ShardedBitmap:
         self._shard_shift = shard_bits.bit_length() - 1 if is_pow2 else None
         self._words_per_shard = shard_bits // WORD_BITS
         self._length = length
-        self._condense_threshold = condense_threshold
         nshards = max(1, (length + shard_bits - 1) // shard_bits)
         self._words = np.zeros(nshards * self._words_per_shard, dtype=np.uint64)
         self._starts = (np.arange(nshards, dtype=np.int64) * shard_bits)
@@ -94,10 +87,9 @@ class ShardedBitmap:
         positions: Iterable[int],
         length: int,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        condense_threshold: Optional[float] = None,
     ) -> "ShardedBitmap":
         """Build a bitmap of ``length`` bits with the given positions set."""
-        bm = cls(length, shard_bits=shard_bits, condense_threshold=condense_threshold)
+        bm = cls(length, shard_bits=shard_bits)
         bm.set_many(positions)
         return bm
 
@@ -106,11 +98,10 @@ class ShardedBitmap:
         cls,
         bits: np.ndarray,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        condense_threshold: Optional[float] = None,
     ) -> "ShardedBitmap":
         """Build a bitmap from a boolean mask."""
         bits = np.asarray(bits, dtype=bool)
-        bm = cls(len(bits), shard_bits=shard_bits, condense_threshold=condense_threshold)
+        bm = cls(len(bits), shard_bits=shard_bits)
         bm.set_many(np.flatnonzero(bits))
         return bm
 
@@ -269,7 +260,6 @@ class ShardedBitmap:
             self._starts[shard + 1 :] -= 1
             self._lost[shard] += 1
         self._length -= 1
-        self._maybe_condense()
 
     def bulk_delete(self, positions: Iterable[int]) -> None:
         """Delete many bits given by their *pre-delete* logical positions.
@@ -319,7 +309,6 @@ class ShardedBitmap:
         self._starts[1:] -= preceding[:-1]
         self._lost[:-1] += deleted_per_shard[:-1]
         self._length -= len(pos)
-        self._maybe_condense()
 
     # ------------------------------------------------------------------
     # condense (§4.2.4)
@@ -350,13 +339,6 @@ class ShardedBitmap:
         self._words = words
         self._starts = np.arange(nshards, dtype=np.int64) * shard_bits
         self._lost = np.zeros(nshards, dtype=np.int64)
-
-    def _maybe_condense(self) -> None:
-        if self._condense_threshold is None:
-            return
-        capacity = len(self._starts) * self._shard_bits
-        if capacity and self.lost_bits() / capacity > self._condense_threshold:
-            self.condense()
 
     # ------------------------------------------------------------------
     # whole-bitmap views

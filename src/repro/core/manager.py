@@ -127,16 +127,13 @@ class PatchIndexManager:
         constraint: Constraint,
         design: str = BITMAP_DESIGN,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        condense_threshold: Optional[float] = None,
         dynamic_range_propagation: bool = True,
     ) -> PartitionedPatchIndex:
         """Build and attach one PatchIndex per partition; returns the handle.
 
         Discovery is partition-local (§3.2); a plain table is one
         partition.  The returned :class:`PartitionedPatchIndex` answers
-        for the whole table.  ``condense_threshold`` configures the
-        auto-condense of every created index (the same semantics as
-        :class:`~repro.core.patchindex.PatchIndex`).
+        for the whole table.
         """
         key = (table.name, column)
         if key in self._indexes:
@@ -146,7 +143,6 @@ class PatchIndexManager:
                 PatchIndex(
                     part, column, _clone_constraint(constraint),
                     design=design, shard_bits=shard_bits,
-                    condense_threshold=condense_threshold,
                 ),
                 part,
                 dynamic_range_propagation=dynamic_range_propagation,

@@ -48,9 +48,6 @@ class PatchIndex:
         ``"bitmap"`` or ``"identifier"``.
     shard_bits:
         Shard size of the backing sharded bitmap (bitmap design only).
-    condense_threshold:
-        Forwarded to the backing sharded bitmap: auto-condense once the
-        lost-bit fraction strictly exceeds this value (§4.2.4).
     """
 
     def __init__(
@@ -60,7 +57,6 @@ class PatchIndex:
         constraint: Constraint,
         design: str = BITMAP_DESIGN,
         shard_bits: int = DEFAULT_SHARD_BITS,
-        condense_threshold: Optional[float] = None,
         build: bool = True,
     ) -> None:
         if design not in (BITMAP_DESIGN, IDENTIFIER_DESIGN):
@@ -71,7 +67,6 @@ class PatchIndex:
         self.design = design
         self._shard_bits = shard_bits
         self._num_rows = table.num_rows
-        self._condense_threshold = condense_threshold
         self._bitmap: Optional[ShardedBitmap] = None
         self._ids: Optional[np.ndarray] = None
         self._rowids: Optional[np.ndarray] = None  # cached patch_rowids()
@@ -88,11 +83,7 @@ class PatchIndex:
     def _init_storage(self, patches: np.ndarray) -> None:
         self._rowids = None
         if self.design == BITMAP_DESIGN:
-            self._bitmap = ShardedBitmap(
-                self._num_rows,
-                shard_bits=self._shard_bits,
-                condense_threshold=self._condense_threshold,
-            )
+            self._bitmap = ShardedBitmap(self._num_rows, shard_bits=self._shard_bits)
             self._bitmap.set_many(patches)
             self._ids = None
         else:

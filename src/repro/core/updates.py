@@ -24,10 +24,10 @@ full index recomputation and a full table scan:
   the sorted run).
 * **delete** (both) — drop the tracking information; the sharded
   bitmap's bulk delete (or identifier decrementing) realigns rowIDs,
-  serially, and a configured ``condense_threshold`` may trigger a
-  condense afterwards (§4.2.4).  A delete or NSC modify that takes the
-  last non-patch row lowers the NSC boundary to the last one left, so
-  re-inserting deleted rows keeps them as discovery would.
+  serially; condensing the bitmap (§4.2.4) is an explicit call.  A
+  delete or NSC modify that takes the last non-patch row lowers the
+  NSC boundary to the last one left, so re-inserting deleted rows
+  keeps them as discovery would.
 
 Constraints may thereby *become* approximate over time even when they
 were perfect at definition time, instead of aborting the update.

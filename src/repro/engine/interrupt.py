@@ -36,6 +36,7 @@ __all__ = [
     "current_token",
     "checkpoint",
     "validate_positive_int",
+    "validate_optional_positive_int",
     "CHECKPOINT_ROWS",
 ]
 
@@ -72,8 +73,8 @@ def validate_positive_int(value, name: str) -> int:
 
     Rejects ``bool`` (a common footgun since ``True == 1``) and other
     non-integers with :class:`TypeError`, values below 1 with
-    :class:`ValueError`.  ``None`` (= disabled, where a knob allows it)
-    is handled by callers before validation, never here.
+    :class:`ValueError`.  A knob that can be switched off validates
+    through :func:`validate_optional_positive_int` instead.
     """
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got bool")
@@ -86,6 +87,17 @@ def validate_positive_int(value, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def validate_optional_positive_int(value, name: str) -> Optional[int]:
+    """:func:`validate_positive_int` for a knob that can be switched off.
+
+    ``None`` and the strings ``off`` / ``none`` (any case, as a ``SET``
+    statement spells them) disable the knob and return None.
+    """
+    if value is None or (isinstance(value, str) and value.lower() in ("off", "none")):
+        return None
+    return validate_positive_int(value, name)
 
 
 class CancellationToken:

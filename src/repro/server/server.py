@@ -539,14 +539,6 @@ class SQLServer:
         execute through the shared session, reply with a typed frame."""
         sid = message["id"]
         try:
-            timeout_ms = message.get("timeout_ms")
-            if timeout_ms is not None:
-                # type-checked by validate_message; the value range is a
-                # statement-level error, not a protocol violation
-                try:
-                    timeout_ms = validate_positive_int(timeout_ms, "timeout_ms")
-                except (TypeError, ValueError) as exc:
-                    raise _StatementError(ERR_SQL, f"invalid timeout_ms: {exc}") from exc
             async with conn.slots:
                 if mtype == "run_prepared":
                     entry = conn.prepared.get(message["name"])
@@ -562,8 +554,10 @@ class SQLServer:
                         stmt = parse_statement(sql)
                     except Exception as exc:
                         raise _StatementError(ERR_SQL, str(exc)) from exc
+                # the session validates timeout_ms; a bad value answers
+                # as a statement-level sql error below
                 result, stats = await self._db.execute_parsed(
-                    stmt, sql, with_stats=True, timeout_ms=timeout_ms
+                    stmt, sql, with_stats=True, timeout_ms=message.get("timeout_ms")
                 )
             columns, rows, row_count = _result_payload(result)
             frame: Dict = {

@@ -266,7 +266,7 @@ class AsyncSQLSession:
     @property
     def statement_timeout_ms(self) -> Optional[int]:
         """Default statement deadline of the session core (None = off)."""
-        return self._session.statement_timeout_ms
+        return self._session.setting("statement_timeout_ms")
 
     @property
     def durability(self):

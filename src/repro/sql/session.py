@@ -21,8 +21,9 @@ instead.  Concurrent clients belong on ``AsyncSQLSession``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.engine.interrupt import (
     cancellation_scope,
     checkpoint,
     current_token,
-    validate_positive_int,
+    validate_optional_positive_int,
 )
 from repro.plan import nodes
 from repro.plan.cost import CostModel
@@ -55,6 +56,8 @@ from repro.storage.wal import DurabilityManager, validate_wal_sync
 
 __all__ = [
     "SQLSession",
+    "SETTINGS",
+    "Setting",
     "PreparedStatement",
     "ConcurrentSessionError",
     "NullStorageError",
@@ -112,6 +115,36 @@ def classify_statement(stmt: Statement) -> str:
 
 
 @dataclasses.dataclass(frozen=True)
+class Setting:
+    """One ``SET``-able session knob.
+
+    ``validate`` checks a value from a constructor or a ``SET``
+    statement and returns it normalized; where the knob can be switched
+    off it turns ``off`` / ``none`` into None.  A ``logged`` knob is
+    held by the session's :class:`~repro.storage.wal.DurabilityManager`
+    when it has one, and a ``SET`` of it is logged to the WAL so a
+    restart replays into the same setting.  A ``SET`` replies with the
+    new value when it is a number, and 0 otherwise.
+    """
+
+    validate: Callable[[object], object]
+    logged: bool = False
+
+
+def _optional_positive_int(name: str) -> Callable[[object], Optional[int]]:
+    return functools.partial(validate_optional_positive_int, name=name)
+
+
+#: The ``SET``-able session knobs by name; the constructors validate
+#: their arguments through the same entries.
+SETTINGS: Dict[str, Setting] = {
+    "statement_timeout_ms": Setting(_optional_positive_int("statement_timeout_ms")),
+    "wal_sync": Setting(validate_wal_sync, logged=True),
+    "checkpoint_interval": Setting(_optional_positive_int("checkpoint_interval"), logged=True),
+}
+
+
+@dataclasses.dataclass(frozen=True)
 class PreparedStatement:
     """A parsed, classified, optimized statement ready to run.
 
@@ -148,9 +181,7 @@ class SQLSession:
         deadline, and statements unwind with
         :class:`~repro.engine.interrupt.QueryTimeoutError` when it
         expires — reads leave tables untouched, DML either fully
-        applies or raises before mutating anything.  Also settable per
-        session via ``SET statement_timeout_ms = N`` (``= off``
-        disables).
+        applies or raises before mutating anything.
     data_dir:
         Directory for the write-ahead log and checkpoints (created on
         demand).  When given, the session recovers whatever committed
@@ -165,15 +196,18 @@ class SQLSession:
         WAL durability policy — ``fsync`` (default; fsync per commit),
         ``group`` (piggybacked fsync on an interval) or ``off`` (flush
         per commit only).  Validated even without ``data_dir`` so
-        misconfiguration fails fast; also settable via ``SET wal_sync``.
+        misconfiguration fails fast.
     checkpoint_interval:
         Commits between automatic checkpoints (``None`` disables; the
-        close-time checkpoint still runs).  Positive integers only;
-        also settable via ``SET checkpoint_interval = N`` (``= off``
-        disables).
+        close-time checkpoint still runs).
     checkpoint_retain:
         Checkpoint files kept on disk (WAL segments are pruned only
         once no retained checkpoint needs them).
+
+    ``statement_timeout_ms``, ``wal_sync`` and ``checkpoint_interval``
+    validate through their :data:`SETTINGS` entries, read back with
+    :meth:`setting` and change with ``SET <name> = <value>`` (``= off``
+    switches the two counts off).
 
     Execution is serial.  DML addresses plain and partitioned tables
     alike: ``modify``/``delete`` take the matched table-global rowids
@@ -194,19 +228,19 @@ class SQLSession:
         checkpoint_interval: Optional[int] = None,
         checkpoint_retain: int = 2,
     ) -> None:
+        # every SETTINGS entry is a constructor argument of the same
+        # name.  A DurabilityManager validates and holds the logged
+        # knobs; an in-memory session still validates them, so a
+        # misconfigured server fails at construction, not first use.
+        arguments = locals()
+        self._settings = {
+            name: setting.validate(arguments[name])
+            for name, setting in SETTINGS.items()
+            if data_dir is None or not setting.logged
+        }
         self.catalog = catalog
-        self._statement_timeout_ms: Optional[int] = None
-        self.set_statement_timeout_ms(statement_timeout_ms)
         self._cost_model = CostModel(catalog)
         self._exec_guard = threading.Lock()
-        # durability knobs validate up front even without a data_dir,
-        # so a misconfigured server fails at construction, not first use
-        self._wal_sync = validate_wal_sync(wal_sync)
-        self._checkpoint_interval = (
-            None
-            if checkpoint_interval is None
-            else validate_positive_int(checkpoint_interval, "checkpoint_interval")
-        )
         self._durability: Optional[DurabilityManager] = None
         self.optimizer: Optional[Optimizer] = None
         if index_manager is not None:
@@ -217,8 +251,8 @@ class SQLSession:
             self._durability = DurabilityManager(
                 catalog,
                 data_dir,
-                wal_sync=self._wal_sync,
-                checkpoint_interval=self._checkpoint_interval,
+                wal_sync=wal_sync,
+                checkpoint_interval=checkpoint_interval,
                 checkpoint_retain=checkpoint_retain,
             )
             # replays the WAL tail through this very session (replay
@@ -355,9 +389,10 @@ class SQLSession:
             )
         try:
             prepared = self.prepare(sql)
-            if self._statement_timeout_ms is None or current_token() is not None:
+            timeout_ms = self._settings["statement_timeout_ms"]
+            if timeout_ms is None or current_token() is not None:
                 return self.run_prepared(prepared)
-            token = CancellationToken(timeout_ms=self._statement_timeout_ms)
+            token = CancellationToken(timeout_ms=timeout_ms)
             with cancellation_scope(token):
                 return self.run_prepared(prepared)
         finally:
@@ -392,24 +427,14 @@ class SQLSession:
             return plan, None
         return self.optimizer.optimize_staged(plan)
 
-    def set_statement_timeout_ms(self, timeout_ms: Optional[int]) -> Optional[int]:
-        """Reconfigure the default statement deadline (None disables).
-
-        Validated like every knob: positive integers only (see
-        :func:`~repro.engine.interrupt.validate_positive_int`).
-        """
-        if timeout_ms is not None:
-            timeout_ms = validate_positive_int(timeout_ms, "statement_timeout_ms")
-        self._statement_timeout_ms = timeout_ms
-        return timeout_ms
-
-    @property
-    def statement_timeout_ms(self) -> Optional[int]:
-        """Current default statement deadline in ms (None = disabled)."""
-        return self._statement_timeout_ms
+    def setting(self, name: str):
+        """Current value of a :data:`SETTINGS` knob (None = switched off)."""
+        if SETTINGS[name].logged and self._durability is not None:
+            return getattr(self._durability, name)
+        return self._settings[name]
 
     # ------------------------------------------------------------------
-    # durability knobs
+    # durability
     # ------------------------------------------------------------------
     @property
     def data_dir(self) -> Optional[str]:
@@ -420,42 +445,6 @@ class SQLSession:
     def durability(self) -> Optional[DurabilityManager]:
         """The durability manager (None = in-memory session)."""
         return self._durability
-
-    def set_wal_sync(self, policy: str) -> str:
-        """Reconfigure the WAL sync policy (``off|group|fsync``).
-
-        Validated even without a data directory (the knob then records
-        the preference for a durable restart), mirroring ``SET
-        wal_sync = fsync``; on a durable session the new policy applies
-        from the next commit.
-        """
-        self._wal_sync = validate_wal_sync(policy)
-        if self._durability is not None:
-            self._durability.set_wal_sync(self._wal_sync)
-        return self._wal_sync
-
-    @property
-    def wal_sync(self) -> str:
-        """Current WAL sync policy (meaningful once ``data_dir`` is set)."""
-        return self._wal_sync
-
-    def set_checkpoint_interval(self, interval: Optional[int]) -> Optional[int]:
-        """Reconfigure the automatic checkpoint cadence (None disables).
-
-        Validated like every knob: positive integers only (see
-        :func:`~repro.engine.interrupt.validate_positive_int`).
-        """
-        if interval is not None:
-            interval = validate_positive_int(interval, "checkpoint_interval")
-        self._checkpoint_interval = interval
-        if self._durability is not None:
-            self._durability.set_checkpoint_interval(interval)
-        return interval
-
-    @property
-    def checkpoint_interval(self) -> Optional[int]:
-        """Commits between automatic checkpoints (None = disabled)."""
-        return self._checkpoint_interval
 
     def checkpoint(self) -> Optional[str]:
         """Force a checkpoint now; returns its path (None if in-memory).
@@ -487,34 +476,22 @@ class SQLSession:
 
     def _run_set(self, stmt: SetStatement) -> int:
         name = stmt.name.lower()
-        if name == "statement_timeout_ms":
-            value = stmt.value
-            if isinstance(value, str) and value.lower() in ("off", "none"):
-                self.set_statement_timeout_ms(None)
-                return 0
-            self.set_statement_timeout_ms(value)
-            return self._statement_timeout_ms
-        if name == "wal_sync":
-            self.set_wal_sync(stmt.value)
-            if self._durability is not None:
-                # logged so a restart replays into the same policy
-                self._durability.log_set(f"SET wal_sync = {self._wal_sync}")
-            return 0
-        if name == "checkpoint_interval":
-            value = stmt.value
-            if isinstance(value, str) and value.lower() in ("off", "none"):
-                value = None
-            self.set_checkpoint_interval(value)
-            if self._durability is not None:
-                logged = "off" if value is None else value
-                self._durability.log_set(f"SET checkpoint_interval = {logged}")
-            return 0
         if name == "data_dir":
             raise ValueError(
                 "data_dir is constructor-only: recovery and WAL replay are "
                 "bound to session startup, so SET data_dir is rejected"
             )
-        raise ValueError(f"unknown session setting {stmt.name!r}")
+        if name not in SETTINGS:
+            raise ValueError(f"unknown session setting {stmt.name!r}")
+        setting = SETTINGS[name]
+        value = setting.validate(stmt.value)
+        if setting.logged and self._durability is not None:
+            setattr(self._durability, name, value)
+            # logged so a restart replays into the same setting
+            self._durability.log_set(f"SET {name} = {'off' if value is None else value}")
+        else:
+            self._settings[name] = value
+        return value if isinstance(value, int) else 0
 
     def _run_insert(self, stmt: InsertStatement, sql: str = "") -> int:
         table = self.catalog.table(stmt.table)

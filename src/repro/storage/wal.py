@@ -62,7 +62,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.interrupt import validate_positive_int
+from repro.engine.interrupt import validate_optional_positive_int, validate_positive_int
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnType
 from repro.storage.partition import PartitionedTable
@@ -113,8 +113,10 @@ class WALError(RuntimeError):
 def validate_wal_sync(value: object, name: str = "wal_sync") -> str:
     """Validate a WAL sync-policy knob (``off`` / ``group`` / ``fsync``).
 
-    Shared by the ``SET wal_sync`` statement and the session and server
-    constructors; anything but one of the enum strings raises.
+    The validator of the ``wal_sync`` entry of
+    :data:`repro.sql.session.SETTINGS` and of the
+    :class:`DurabilityManager` constructor; anything but one of the enum
+    strings raises.
     """
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a string, got {value!r}")
@@ -436,17 +438,17 @@ class DurabilityManager:
     wal_sync:
         Sync policy, see :data:`WAL_SYNC_POLICIES`.
     checkpoint_interval:
-        Commits between automatic checkpoints (``None`` disables; the
-        close-time checkpoint still runs).  The automatic checkpoint
-        fires at the *start* of the commit that crosses the interval,
-        before that commit is logged, so a failed checkpoint can never
-        leave a committed-but-uncheckpointed statement half-recorded.
-    group_commit_s:
-        Piggybacked fsync interval under ``wal_sync=group``.
+        Commits between automatic checkpoints (``None``, ``off`` or
+        ``none`` disables; the close-time checkpoint still runs).  The
+        automatic checkpoint fires at the *start* of the commit that
+        crosses the interval, before that commit is logged, so a failed
+        checkpoint can never leave a committed-but-uncheckpointed
+        statement half-recorded.
     checkpoint_retain:
-        Checkpoints kept on disk (>= 1).  WAL segments are pruned only
-        once no retained checkpoint needs them, so recovery can always
-        fall back to an older checkpoint plus a longer replay.
+        Checkpoints kept on disk (a positive integer).  WAL segments
+        are pruned only once no retained checkpoint needs them, so
+        recovery can always fall back to an older checkpoint plus a
+        longer replay.
     """
 
     def __init__(
@@ -455,19 +457,16 @@ class DurabilityManager:
         data_dir: str,
         wal_sync: str = "fsync",
         checkpoint_interval: Optional[int] = None,
-        group_commit_s: float = DEFAULT_GROUP_COMMIT_S,
         checkpoint_retain: int = 2,
     ) -> None:
         self.catalog = catalog
         self.data_dir = validate_data_dir(data_dir)
         self._wal_sync = validate_wal_sync(wal_sync)
-        self._checkpoint_interval = (
-            None
-            if checkpoint_interval is None
-            else validate_positive_int(checkpoint_interval, "checkpoint_interval")
+        #: Commits between automatic checkpoints (None = disabled).
+        self.checkpoint_interval = validate_optional_positive_int(
+            checkpoint_interval, "checkpoint_interval"
         )
-        self.group_commit_s = float(group_commit_s)
-        self.checkpoint_retain = max(1, int(checkpoint_retain))
+        self.checkpoint_retain = validate_positive_int(checkpoint_retain, "checkpoint_retain")
         os.makedirs(self.data_dir, exist_ok=True)
         self.wal: Optional[WriteAheadLog] = None
         self._last_seq = 0
@@ -483,28 +482,17 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     @property
     def wal_sync(self) -> str:
-        """Current sync policy."""
+        """Current sync policy; a new one applies from the next append.
+
+        The setter takes a policy :func:`validate_wal_sync` returned.
+        """
         return self._wal_sync
 
-    def set_wal_sync(self, policy: str) -> str:
-        """Reconfigure the sync policy (validated; applies to future
-        appends immediately)."""
-        self._wal_sync = validate_wal_sync(policy)
+    @wal_sync.setter
+    def wal_sync(self, policy: str) -> None:
+        self._wal_sync = policy
         if self.wal is not None:
-            self.wal.policy = self._wal_sync
-        return self._wal_sync
-
-    @property
-    def checkpoint_interval(self) -> Optional[int]:
-        """Commits between automatic checkpoints (None = disabled)."""
-        return self._checkpoint_interval
-
-    def set_checkpoint_interval(self, interval: Optional[int]) -> Optional[int]:
-        """Reconfigure the automatic checkpoint cadence (None disables)."""
-        if interval is not None:
-            interval = validate_positive_int(interval, "checkpoint_interval")
-        self._checkpoint_interval = interval
-        return interval
+            self.wal.policy = policy
 
     @property
     def checkpoints_written(self) -> int:
@@ -546,9 +534,7 @@ class DurabilityManager:
             path = segments[-1][1]
         else:
             path = os.path.join(self.data_dir, segment_name(self._last_seq + 1))
-        self.wal = WriteAheadLog(
-            path, policy=self._wal_sync, group_commit_s=self.group_commit_s
-        )
+        self.wal = WriteAheadLog(path, policy=self._wal_sync)
 
     def close(self, checkpoint: bool = True) -> None:
         """Flush, optionally checkpoint, and release the directory.
@@ -600,8 +586,8 @@ class DurabilityManager:
             )
         if (
             kind == "write"
-            and self._checkpoint_interval is not None
-            and self._writes_since_checkpoint >= self._checkpoint_interval
+            and self.checkpoint_interval is not None
+            and self._writes_since_checkpoint >= self.checkpoint_interval
         ):
             # checkpoint *before* logging the crossing commit: a failed
             # checkpoint aborts the statement before it is logged or
@@ -670,9 +656,7 @@ class DurabilityManager:
         if self.wal is not None:
             self.wal.close()
         path = os.path.join(self.data_dir, segment_name(self._last_seq + 1))
-        self.wal = WriteAheadLog(
-            path, policy=self._wal_sync, group_commit_s=self.group_commit_s
-        )
+        self.wal = WriteAheadLog(path, policy=self._wal_sync)
         self._sync_dir()
 
     def _prune(self) -> None:

@@ -260,17 +260,12 @@ class TestCondense:
         assert bm.num_shards == 5
         assert bm.utilization() == 1.0
 
-    def test_auto_condense_triggered_by_threshold(self):
-        bm = ShardedBitmap(
-            4 * SMALL_SHARD, shard_bits=SMALL_SHARD, condense_threshold=0.05
+    def test_deletes_strand_capacity_until_condense(self):
+        bm = ShardedBitmap.from_bool_array(
+            np.ones(4 * SMALL_SHARD, dtype=bool), shard_bits=SMALL_SHARD
         )
-        bm.set(4 * SMALL_SHARD - 1)
-        for _ in range(60):
-            bm.delete(0)
-        # condense triggered along the way: lost bits were reset at least once,
-        # so far fewer than the 60 deletes remain un-reclaimed
-        assert bm.lost_bits() < 60 * 0.5
-        assert bm.get(len(bm) - 1)
+        bm.delete(0)
+        assert bm.lost_bits() == 1
 
     def test_operations_after_condense(self):
         bm = ShardedBitmap.from_positions([100, 200], 300, shard_bits=SMALL_SHARD)
@@ -443,21 +438,6 @@ class TestCondenseAgainstDelete:
         assert_condensed(bm, np.delete(bits, dels))
         assert bm.utilization() >= len(bm) / (bm.num_shards * SMALL_SHARD)
 
-    def test_auto_condense_exactly_at_threshold_boundary(self):
-        # capacity = 4 shards * 128 bits; threshold = 2/512: two lost
-        # bits sit exactly AT the threshold (no condense), the third
-        # strictly exceeds it and fires.
-        capacity = 4 * SMALL_SHARD
-        bm = ShardedBitmap(
-            capacity, shard_bits=SMALL_SHARD, condense_threshold=2 / capacity
-        )
-        bm.delete(0)
-        bm.delete(0)
-        assert bm.lost_bits() == 2  # at the boundary: untouched
-        bm.delete(0)
-        assert bm.lost_bits() == 0  # strictly above: condensed
-        assert len(bm) == capacity - 3
-
     def test_condense_preserves_set_bits_after_heavy_deletes(self):
         rng = np.random.default_rng(11)
         bits = rng.random(8 * SMALL_SHARD) < 0.7
@@ -469,34 +449,3 @@ class TestCondenseAgainstDelete:
         bm.condense()
         assert_condensed(bm, bits)
 
-
-class TestFactoryThresholdForwarding:
-    """Regression: the factories silently dropped ``condense_threshold``."""
-
-    def test_from_bool_array_forwards_threshold(self):
-        bits = np.ones(4 * SMALL_SHARD, dtype=bool)
-        bm = ShardedBitmap.from_bool_array(
-            bits, shard_bits=SMALL_SHARD, condense_threshold=0.0
-        )
-        bm.delete(0)
-        # any lost bit strictly exceeds 0.0, so auto-condense fired
-        assert_condensed(bm, np.delete(bits, 0))
-
-    def test_from_positions_forwards_threshold(self):
-        bm = ShardedBitmap.from_positions(
-            [0, SMALL_SHARD, 2 * SMALL_SHARD],
-            3 * SMALL_SHARD,
-            shard_bits=SMALL_SHARD,
-            condense_threshold=0.0,
-        )
-        bm.bulk_delete([1, SMALL_SHARD + 1])
-        expect = np.zeros(3 * SMALL_SHARD, dtype=bool)
-        expect[[0, SMALL_SHARD, 2 * SMALL_SHARD]] = True
-        assert_condensed(bm, np.delete(expect, [1, SMALL_SHARD + 1]))
-
-    def test_factories_without_threshold_never_condense(self):
-        bm = ShardedBitmap.from_bool_array(
-            np.ones(4 * SMALL_SHARD, dtype=bool), shard_bits=SMALL_SHARD
-        )
-        bm.delete(0)
-        assert bm.lost_bits() == 1

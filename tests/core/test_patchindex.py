@@ -223,8 +223,8 @@ class TestVerifyNSC:
 
 
 class TestCondensePlumbing:
-    """``condense_threshold`` reaches the bitmap, and delete plus condense
-    keep the patch set that ``np.delete`` of the mask predicts."""
+    """Delete plus condense keep the patch set that ``np.delete`` of the
+    mask predicts."""
 
     SHARD = 128
 
@@ -233,15 +233,15 @@ class TestCondensePlumbing:
         values[:: n // 8] = -1  # a few NSC violations
         return Table.from_arrays("t", {"k": np.arange(n), "v": values})
 
-    def test_threshold_forwarded_and_delete_matches_mask(self):
+    def test_delete_then_condense_matches_mask(self):
         table = self._table()
-        index = PatchIndex(
-            table, "v", NearlySortedColumn(), shard_bits=self.SHARD, condense_threshold=0.01
-        )
+        index = PatchIndex(table, "v", NearlySortedColumn(), shard_bits=self.SHARD)
         before = index.patch_mask()
         dels = np.arange(0, table.num_rows, 5, dtype=np.int64)
         index.remove_rows(dels)
-        # 20 % of the rows went: far past 1 %, so auto-condense fired
+        np.testing.assert_array_equal(index.patch_mask(), np.delete(before, dels))
+        assert index._bitmap.lost_bits() > 0
+        index.condense()
         assert index._bitmap.lost_bits() == 0
         assert index.num_rows == table.num_rows - len(dels)
         np.testing.assert_array_equal(index.patch_mask(), np.delete(before, dels))
@@ -266,10 +266,10 @@ class TestCondensePlumbing:
         catalog = Catalog()
         catalog.register(parted)
         manager = PatchIndexManager(catalog)
-        handle = manager.create(
-            parted, "v", NearlySortedColumn(), shard_bits=self.SHARD, condense_threshold=0.05
-        )
+        handle = manager.create(parted, "v", NearlySortedColumn(), shard_bits=self.SHARD)
         parted.delete(np.arange(0, 4096, 3, dtype=np.int64))
+        assert handle.verify()
+        handle.condense()
         assert handle.verify()
         assert all(p.index._bitmap.lost_bits() == 0 for p in handle.parts)
         manager.drop(parted.name, "v")

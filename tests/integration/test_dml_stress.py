@@ -5,10 +5,11 @@ UPDATE/DELETE/INSERT/SELECT statements against separate but identical
 catalogs: one without an index, one with a maintained NSC PatchIndex in
 the bitmap design, one in the identifier design.  After every statement
 the table images and SELECT answers must match exactly, and the two
-indexes must hold the same patch rowIDs.  The bitmap index carries an
-auto-condense threshold, so the stream drives bulk delete and condense
-through the update hooks — the full §4.2 maintenance path — and checks
-it against the identifier design's independent sorted-array delete.
+indexes must hold the same patch rowIDs.  Every fifth statement is
+followed by a condense of both indexes, so the stream interleaves bulk
+delete (through the update hooks) and condense — the full §4.2
+maintenance path — and checks it against the identifier design's
+independent sorted-array delete.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.storage import Catalog, Table
 MAINTENANCE = [None, "bitmap", "identifier"]
 NUM_ROWS = 30_000
 NUM_STATEMENTS = 60
+#: A pseudo-statement of the stream: condense every index's bitmap.
+CONDENSE = "CONDENSE"
 
 
 def build_catalog(maintenance):
@@ -46,7 +49,6 @@ def build_catalog(maintenance):
         "v",
         NearlySortedColumn(),
         design=maintenance,
-        condense_threshold=0.05,
         shard_bits=1024,
     )
     return catalog, manager
@@ -69,20 +71,29 @@ def statement_stream(rng):
             )
         else:
             yield "SELECT COUNT(*) AS n FROM stream WHERE x > 0.5"
+        if i % 5 == 4:
+            yield CONDENSE
 
 
 def test_randomized_dml_stream_equivalence():
     setups = [build_catalog(m) for m in MAINTENANCE]
     sessions = [SQLSession(catalog) for catalog, _ in setups]
+    handles = [manager.get("stream", "v") for _, manager in setups[1:]]
+    reclaimed = 0
     try:
         rng = np.random.default_rng(7)
         for sql in statement_stream(rng):
-            results = [session.execute(sql) for session in sessions]
-            if sql.startswith("SELECT"):
+            if sql == CONDENSE:
+                reclaimed += handles[0].parts[0].index._bitmap.lost_bits()
+                for handle in handles:
+                    handle.condense()
+            elif sql.startswith("SELECT"):
+                results = [session.execute(sql) for session in sessions]
                 first = results[0].column("n")
                 for other in results[1:]:
                     np.testing.assert_array_equal(other.column("n"), first)
             else:
+                results = [session.execute(sql) for session in sessions]
                 assert len(set(results)) == 1, sql
             baseline = setups[0][0].table("stream")
             for catalog, _ in setups[1:]:
@@ -92,12 +103,13 @@ def test_randomized_dml_stream_equivalence():
                     np.testing.assert_array_equal(
                         other.column(name), baseline.column(name), err_msg=sql
                     )
-            bitmap, ids = [manager.get("stream", "v") for _, manager in setups[1:]]
+            bitmap, ids = handles
             np.testing.assert_array_equal(bitmap.patch_rowids(), ids.patch_rowids(), err_msg=sql)
-        # maintained indexes stayed consistent through the whole stream
+        # maintained indexes stayed consistent through the whole stream,
+        # and the condenses had deleted capacity to reclaim
         assert bitmap.verify() and ids.verify()
-        bits = bitmap.parts[0].index._bitmap
-        assert bits.lost_bits() <= 0.05 * bits.num_shards * 1024
+        assert reclaimed > 0
+        assert bitmap.parts[0].index._bitmap.lost_bits() == 0
     finally:
         for session in sessions:
             session.close()

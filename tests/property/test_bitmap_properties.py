@@ -37,7 +37,6 @@ class PerBitShardedBitmap(ShardedBitmap):
         self._starts[1:] -= np.cumsum(deleted_per_shard)[:-1]
         self._lost[:-1] += deleted_per_shard[:-1]
         self._length -= len(pos)
-        self._maybe_condense()
 
 
 class BitOp:
@@ -164,31 +163,34 @@ def expected_shifts(oracle, positions):
 
 
 @pytest.mark.parametrize("shard_bits", [SHARD, 192])
-@pytest.mark.parametrize("condense_threshold", [None, 0.0, 0.05])
+@pytest.mark.parametrize("condense_every", [None, 1, 3])
 @given(op_sequences())
 @settings(max_examples=60, deadline=None)
-def test_sharded_bitmap_matches_model(shard_bits, condense_threshold, case):
+def test_sharded_bitmap_matches_model(shard_bits, condense_every, case):
     """The sharded bitmap's oracle: every mutator, on pow2 and non-pow2
-    shards, with auto-condense off, after every lost bit and past 5 %,
-    checked bit by bit (and the cached count) after every op.
+    shards, with a condense only where the sequence draws one, or also
+    after every op or every third, checked bit by bit (and the cached
+    count) after every op.
 
     A twin whose bulk delete shifts once per bit takes the same ops; its
     words, start values, lost bits and count must equal the bitmap's, and
     the bitmap must shift only the shards with fewer than REPACK_MIN
     deletes."""
     length, ops = case
-    geometry = dict(shard_bits=shard_bits, condense_threshold=condense_threshold)
-    bitmap = ShardedBitmap(length, **geometry)
-    oracle = PerBitShardedBitmap(length, **geometry)
+    bitmap = ShardedBitmap(length, shard_bits=shard_bits)
+    oracle = PerBitShardedBitmap(length, shard_bits=shard_bits)
     model = [False] * length
     shift = kernels.shift_down_vectorized
-    for op in ops:
+    for i, op in enumerate(ops, 1):
         before = list(model)
         with mock.patch.object(kernels, "shift_down_vectorized", wraps=shift) as spy:
             positions = apply_op(bitmap, model, op)
         if positions is not None:
             assert spy.call_count == expected_shifts(oracle, positions)
         apply_op(oracle, before, op)
+        if condense_every and i % condense_every == 0:
+            bitmap.condense()
+            oracle.condense()
         expect = np.array(model, dtype=bool)
         assert len(bitmap) == len(oracle) == len(model)
         np.testing.assert_array_equal(bitmap._words, oracle._words)
@@ -197,7 +199,7 @@ def test_sharded_bitmap_matches_model(shard_bits, condense_threshold, case):
         assert bitmap.count() == oracle.count() == int(expect.sum())
         np.testing.assert_array_equal(bitmap.get_many(np.arange(len(model))), expect)
     np.testing.assert_array_equal(bitmap.to_bool_array(), np.array(model, dtype=bool))
-    if condense_threshold == 0.0:
+    if condense_every == 1:
         assert bitmap.lost_bits() == 0
 
 

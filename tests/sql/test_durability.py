@@ -1,10 +1,8 @@
-"""Durability knobs and durable-session semantics at the SQL layer.
+"""Durable-session semantics at the SQL layer.
 
-Satellite contract: ``wal_sync``, ``checkpoint_interval`` and
-``data_dir`` are validated with the same ``validate_*`` discipline as
-``statement_timeout_ms`` — a bad value raises at ``SET`` and at the
-:class:`~repro.sql.SQLSession` constructor, so also when building the
-core of an :class:`~repro.sql.AsyncSQLSession`.
+How ``wal_sync`` and ``checkpoint_interval`` validate at every door is
+in ``tests/sql/test_settings.py``; ``data_dir`` is a constructor-only
+knob and validates here.
 """
 
 import asyncio
@@ -27,25 +25,6 @@ def make_catalog():
     return cat
 
 
-# ----------------------------------------------------------------------
-# knob validation: SET, sync ctor, async ctor
-# ----------------------------------------------------------------------
-BAD_WAL_SYNC = [("always", ValueError), ("", ValueError), (3, TypeError), (True, TypeError)]
-BAD_INTERVAL = [(0, ValueError), (-4, ValueError), (1.5, TypeError), (True, TypeError)]
-
-
-@pytest.mark.parametrize("bad,exc", BAD_WAL_SYNC)
-def test_ctor_rejects_bad_wal_sync(bad, exc):
-    with pytest.raises(exc):
-        SQLSession(make_catalog(), wal_sync=bad)
-
-
-@pytest.mark.parametrize("bad,exc", BAD_INTERVAL)
-def test_ctor_rejects_bad_checkpoint_interval(bad, exc):
-    with pytest.raises(exc):
-        SQLSession(make_catalog(), checkpoint_interval=bad)
-
-
 def test_ctor_rejects_bad_data_dir(tmp_path):
     with pytest.raises(TypeError):
         SQLSession(make_catalog(), data_dir=7)
@@ -53,48 +32,6 @@ def test_ctor_rejects_bad_data_dir(tmp_path):
     file_path.write_text("x")
     with pytest.raises(ValueError):
         SQLSession(make_catalog(), data_dir=str(file_path))
-
-
-@pytest.mark.parametrize("bad,exc", BAD_WAL_SYNC)
-def test_async_ctor_rejects_bad_wal_sync(bad, exc):
-    async def go():
-        with pytest.raises(exc):
-            AsyncSQLSession(SQLSession(make_catalog(), wal_sync=bad))
-
-    asyncio.run(go())
-
-
-@pytest.mark.parametrize("bad,exc", BAD_INTERVAL)
-def test_async_ctor_rejects_bad_checkpoint_interval(bad, exc):
-    async def go():
-        with pytest.raises(exc):
-            AsyncSQLSession(SQLSession(make_catalog(), checkpoint_interval=bad))
-
-    asyncio.run(go())
-
-
-def test_set_rejects_bad_values():
-    s = SQLSession(make_catalog())
-    with pytest.raises(ValueError):
-        s.execute("SET wal_sync = always")
-    with pytest.raises(ValueError):
-        s.execute("SET checkpoint_interval = 0")
-    with pytest.raises(TypeError):
-        s.execute("SET checkpoint_interval = 1.5")
-    with pytest.raises(ValueError):
-        s.execute("SET data_dir = somewhere")  # constructor-only knob
-
-
-def test_set_accepts_good_values():
-    s = SQLSession(make_catalog())
-    s.execute("SET wal_sync = group")
-    assert s.wal_sync == "group"
-    s.execute("SET wal_sync = 'off'")
-    assert s.wal_sync == "off"
-    s.execute("SET checkpoint_interval = 16")
-    assert s.checkpoint_interval == 16
-    s.execute("SET checkpoint_interval = off")
-    assert s.checkpoint_interval is None
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +55,8 @@ def test_set_statements_are_replayed(tmp_path):
     s.execute("UPDATE t SET b = 1.0 WHERE a < 3")
     del s  # crash: no close, no checkpoint — reopen replays the WAL
     s2 = SQLSession(make_catalog(), data_dir=str(tmp_path), wal_sync="off")
-    assert s2.wal_sync == "fsync"
-    assert s2.checkpoint_interval == 5
+    assert s2.setting("wal_sync") == "fsync"
+    assert s2.setting("checkpoint_interval") == 5
     assert float(s2.catalog.table("t").column("b")[:3].sum()) == 3.0
     s2.close()
 

@@ -263,6 +263,17 @@ def test_checkpoint_rotates_and_prunes(tmp_path):
     s.close()
 
 
+@pytest.mark.parametrize(
+    "bad,exc",
+    [(0, ValueError), (-1, ValueError), (True, TypeError), (2.7, TypeError), ("3", TypeError)],
+)
+def test_checkpoint_retain_is_validated(tmp_path, bad, exc):
+    with pytest.raises(exc, match="checkpoint_retain"):
+        durable_session(tmp_path, checkpoint_retain=bad)
+    with pytest.raises(exc, match="checkpoint_retain"):
+        walmod.DurabilityManager(make_catalog(), str(tmp_path), checkpoint_retain=bad)
+
+
 def test_large_retain_keeps_full_history(tmp_path):
     """The chaos oracle scans the full commit log from seq 1; a large
     checkpoint_retain must preserve every segment."""

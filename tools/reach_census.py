@@ -95,11 +95,8 @@ ALLOWLIST: Dict[str, str] = {
     "repro.sql.binder.UnknownColumnError.__str__": _FRONT_END,
     "repro.sql.session.SQLSession._run_set": _FRONT_END,
     "repro.sql.session.SQLSession.data_dir": _FRONT_END,
-    "repro.sql.session.SQLSession.*wal_sync": _FRONT_END,
-    "repro.sql.session.SQLSession.*checkpoint_interval": _FRONT_END,
     "repro.sql.session.SQLSession.checkpoint": _FRONT_END,
     "repro.storage.wal.DurabilityManager.*wal_sync": _FRONT_END,
-    "repro.storage.wal.DurabilityManager.*checkpoint_interval": _FRONT_END,
     "repro.storage.wal.DurabilityManager.log_set": _FRONT_END,
     "repro.storage.recovery._find_frame_after": _SAFETY,
     "repro.storage.wal.DurabilityManager.rollback_record": _SAFETY,
@@ -166,7 +163,7 @@ ALLOWLIST: Dict[str, str] = {
 #: Most entries each shared reason may hold.  The census fails when a
 #: bucket outgrows its ceiling; lower the ceiling when a bucket shrinks.
 BUCKET_CEILINGS: Dict[str, int] = {
-    _FRONT_END: 35,
+    _FRONT_END: 32,
     _SAFETY: 5,
     _SPINE_TRACE: 9,
     _EXPLAIN: 4,
