@@ -51,12 +51,13 @@ from repro.storage.table import UpdateEvent
 __all__ = ["apply_update", "nuc_collision_patches"]
 
 #: Probe slices of an integer column with at least this many rows first
-#: pass a hashed membership table of the build keys.  Measured against
-#: the plain kernel (2-CPU x86 box): one build key, 4 096 rows 51 µs vs
-#: 46 µs and 8 192 rows 65 vs 79 µs; the 50-row inserts of the spine's
-#: ``pi_update`` (200 k rows, DRP keeps ~95 % of them) 0.95 vs 2.0 ms per
-#: join.  A single-row insert into a clustered column probes one
-#: 4 096-row block and stays on the plain kernel.
+#: pass a hashed membership table of the build keys.  Plain kernel vs
+#: prefiltered (numpy 2.4, 2-CPU x86): 50 scattered (binary-searched) build
+#: keys 64 vs 30 µs at 2 048 rows, 272 vs 46 at 8 192; one or 50 contiguous
+#: (presence-table) keys 28 vs 43 µs at 8 192, 70 vs 124 at 32 768, 780 vs
+#: 410 at 131 072.  ``pi_update`` probes ~200 k-row slices for scattered
+#: INSERT keys, 4–8 k for contiguous UPDATE ones, and a single-row insert
+#: into a clustered column one 4 096-row block, on the plain kernel.
 _PREFILTER_MIN_ROWS = 8192
 #: Membership table of 2**16 booleans (64 KiB), indexed by the top bits
 #: of a Fibonacci (golden-ratio multiplicative) hash.

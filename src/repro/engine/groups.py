@@ -7,14 +7,15 @@ column is reduced to dense int64 codes by a presence table (integers of
 small span), a dictionary (object keys) or a sort (everything else),
 picked from its dtype and value span alone; groups come out in key
 order, NULL (``None``) first and NaN last, each one group.  See "The
-group kernel" in ``docs/architecture.md``.
+group kernel" in ``docs/architecture.md``; the join kernel shares its
+span test and shift, at ``DENSE_JOIN_SPAN_FACTOR``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import count
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +28,31 @@ __all__ = ["group_codes", "first_rows", "run_starts", "sorted_unique", "DENSE_SP
 # at f = 8, 19.6 at f = 16 (the table outgrows the cache), sort 5.9–6.9
 # ms at every f; 100 distinct keys: 0.5 against 4.4 ms.
 DENSE_SPAN_FACTOR = 2
+# The join kernel's, whose sort path also binary-searches each probe key.
+# n distinct int64 build keys from a span of f * n, n probe keys (numpy
+# 2.4, 2-CPU x86, locate step, best of 5): presence table 0.13/0.45/0.82/
+# 1.51/2.05 ms at f = 4/8/16/32/64 against sort 1.4-1.8 at n = 10 k;
+# 1.6/2.1/3.0/6.0/15.2 against 12.5-13.8 at n = 100 k, build sorted.
+# Half the crossover: 2-5x faster, at most 256 B of table a build key.
+DENSE_JOIN_SPAN_FACTOR = 16
 
 _INT64_MAX = 2**63 - 1
+
+
+def dense_span(arr: np.ndarray, factor: int) -> Optional[Tuple[int, int]]:
+    """``(lo, span)`` of a non-empty integer column spanning at most
+    ``factor`` values a row, else None."""
+    lo, hi = int(arr.min()), int(arr.max())
+    span = hi - lo + 1  # Python ints: int64 extremes cannot wrap
+    return (lo, span) if span <= factor * len(arr) else None
+
+
+def offsets_from(arr: np.ndarray, lo: int) -> np.ndarray:
+    """``arr - lo`` in uint64 arithmetic: exact from ``lo`` up, and past
+    any span from ``lo`` below it, unless the column's negatives meet
+    uint64 values above int64."""
+    wide = arr.view(np.uint64) if arr.dtype.itemsize == 8 else arr.astype(np.uint64)
+    return wide - np.uint64(lo % 2**64)
 
 
 def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -60,13 +84,10 @@ def _column_codes(arr: np.ndarray) -> Tuple[np.ndarray, int]:
     if kind in "iub":
         if kind == "b":
             arr = arr.view(np.uint8)
-        lo, hi = int(arr.min()), int(arr.max())
-        span = hi - lo + 1  # Python ints: int64 extremes cannot wrap
-        if span <= DENSE_SPAN_FACTOR * n:
-            if arr.dtype == np.uint64:
-                shifted = (arr - np.uint64(lo)).astype(np.int64)
-            else:
-                shifted = arr.astype(np.int64, copy=False) - lo
+        dense = dense_span(arr, DENSE_SPAN_FACTOR)
+        if dense is not None:
+            lo, span = dense
+            shifted = offsets_from(arr, lo).view(np.int64)
             present = np.bincount(shifted, minlength=span) > 0
             if present.all():
                 return shifted, span

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.engine.batch import Relation
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
-from repro.engine.groups import first_rows, group_codes, run_starts, sorted_unique
+from repro.engine.groups import (DENSE_JOIN_SPAN_FACTOR, dense_span, first_rows, group_codes,
+                                 offsets_from, run_starts, sorted_unique)
 from repro.engine.interrupt import CHECKPOINT_ROWS, checkpoint, current_token
 from repro.engine.sort import merge_run_slots, scatter_runs, serial_sort_permutation
 from repro.testing import faults
@@ -305,18 +306,23 @@ def _expand_matches(
     """Aligned ``(build_idx, probe_idx)`` of an inner equi-join.
 
     The one matching kernel behind :class:`HashJoin` and NUC maintenance
-    (:mod:`repro.core.updates`): the build keys are stably sorted, every
-    probe key binary-searches the first build key not below it, and each
-    hit is expanded by the length of the run of equal build keys
-    starting there — all in numpy, no per-tuple Python.  Pairs come out
-    probe-ascending and, per probe key, in build insertion order,
-    whatever the inputs' order.
+    (:mod:`repro.core.updates`), all in numpy.  *Locate* finds each probe
+    key's run in the stably ordered build keys, its start and length:
+    integer builds spanning at most ``DENSE_JOIN_SPAN_FACTOR`` slots a
+    key gather both from a presence table, one slot per value of
+    ``[lo, hi]`` and a sentinel slot of length 0 for probe keys outside
+    it; other builds are binary-searched.  *Expand* emits each hit's run,
+    probe-ascending and per probe key in build insertion order, whatever
+    the inputs' order; when every build run has length 1, as in a key
+    join, the hits are the pairs.
 
-    Build keys that already arrive non-decreasing skip the sort — the
+    A binary-searched build arriving non-decreasing skips its sort — the
     whole advantage a merge join has over a hash join (§3.3), found by
-    one linear check instead of promised by the planner.  NULL keys
-    (``None`` in object columns, NaN in float columns) match nothing on
-    either side, as in SQL, and are dropped before the check.
+    one linear check instead of promised by the planner; a presence
+    table of distinct keys needs no order.  NULL keys (``None`` in
+    object columns, NaN in float columns) match nothing on either side,
+    as in SQL, and are dropped first, as are probe keys a uint64 build
+    cannot hold (negatives) or a signed build cannot (above int64).
     """
     build_rows = _non_null_rows(build_keys)
     if build_rows is not None:
@@ -327,24 +333,23 @@ def _expand_matches(
     if len(build_keys) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if bool(np.all(build_keys[:-1] <= build_keys[1:])):
-        order = None
-        sorted_keys = build_keys
-    else:
-        order = np.argsort(build_keys, kind="stable")
-        sorted_keys = build_keys[order]
-    lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-    hits = np.flatnonzero(sorted_keys.take(lo, mode="clip") == probe_keys)
-    lo = lo[hits]
-    # a hit points at the first key of a run of equal build keys
-    starts = np.flatnonzero(run_starts(sorted_keys))
-    run_lengths = np.zeros(len(sorted_keys), dtype=np.int64)
-    run_lengths[starts] = np.diff(starts, append=len(sorted_keys))
-    counts = run_lengths[lo]
-    probe_idx = np.repeat(hits, counts)
-    # run start of each pair, minus the pairs emitted before its probe
-    first = lo - (np.cumsum(counts) - counts)
-    build_idx = np.arange(len(probe_idx), dtype=np.int64) + np.repeat(first, counts)
+    located = None
+    if build_keys.dtype.kind in "iu" and probe_keys.dtype.kind in "iu":
+        if np.result_type(build_keys, probe_keys).kind == "f":
+            # one side uint64, the other signed: no integer type holds both
+            unsigned = probe_keys.dtype.kind == "u"
+            probe_rows = np.flatnonzero(probe_keys <= 2**63 - 1 if unsigned else probe_keys >= 0)
+            probe_keys = probe_keys[probe_rows].astype(np.int64 if unsigned else np.uint64)
+        located = _locate_dense(build_keys, probe_keys)
+    if located is None:
+        located = _locate_sorted(build_keys, probe_keys)
+    order, hits, build_idx, counts = located
+    probe_idx = hits
+    if counts is not None:
+        probe_idx = np.repeat(hits, counts)
+        # run start of each pair, minus the pairs emitted before its probe
+        first = build_idx - (np.cumsum(counts) - counts)
+        build_idx = np.arange(len(probe_idx), dtype=np.int64) + np.repeat(first, counts)
     if order is not None:
         build_idx = order[build_idx]
     if build_rows is not None:
@@ -352,6 +357,52 @@ def _expand_matches(
     if probe_rows is not None:
         probe_idx = probe_rows[probe_idx]
     return build_idx, probe_idx
+
+
+def _locate_sorted(build_keys: np.ndarray, probe_keys: np.ndarray) -> tuple:
+    """``(order, hits, first, counts)``: the build's sort permutation
+    (None: as it came), the probe positions that hit, their runs' starts
+    in sorted build order and their lengths (None: every run is 1 key)."""
+    order = None
+    if not np.all(build_keys[:-1] <= build_keys[1:]):
+        order = np.argsort(build_keys, kind="stable")
+    sorted_keys = build_keys if order is None else build_keys[order]
+    first = np.searchsorted(sorted_keys, probe_keys, side="left")
+    hits = np.flatnonzero(sorted_keys.take(first, mode="clip") == probe_keys)
+    first = first[hits]
+    # a hit points at the first key of a run of equal build keys
+    starts = np.flatnonzero(run_starts(sorted_keys))
+    if len(starts) == len(sorted_keys):
+        return order, hits, first, None
+    run_lengths = np.zeros(len(sorted_keys), dtype=np.int64)
+    run_lengths[starts] = np.diff(starts, append=len(sorted_keys))
+    return order, hits, first, run_lengths[first]
+
+
+def _locate_dense(build_keys: np.ndarray, probe_keys: np.ndarray) -> Optional[tuple]:
+    """:func:`_locate_sorted`'s answer from a presence table: each value of
+    the build's ``[lo, hi]``, then a sentinel slot, holds its run's start
+    (-1: none) and length.  None when the build spans more than
+    ``DENSE_JOIN_SPAN_FACTOR`` values a key."""
+    dense = dense_span(build_keys, DENSE_JOIN_SPAN_FACTOR)
+    if dense is None:
+        return None
+    lo, span = dense
+    slots = offsets_from(build_keys, lo).view(np.int64)
+    lengths = np.bincount(slots, minlength=span + 1)
+    if len(build_keys) == np.count_nonzero(lengths):
+        # distinct keys start their runs at their own build positions
+        order, starts = None, np.full(span + 1, -1, dtype=np.int64)
+        starts[slots] = np.arange(len(build_keys), dtype=np.int64)
+    else:
+        order = np.argsort(build_keys, kind="stable")
+        starts = np.where(lengths > 0, np.cumsum(lengths) - lengths, -1)
+    probe_slots = offsets_from(probe_keys, lo)
+    # below lo wraps past the span, above hi lies past it: the sentinel
+    probe_slots = np.minimum(probe_slots, np.uint64(span), out=probe_slots).view(np.int64)
+    first = starts[probe_slots]
+    hits = np.flatnonzero(first >= 0)
+    return order, hits, first[hits], None if order is None else lengths[probe_slots[hits]]
 
 
 def _join_output(
@@ -377,9 +428,12 @@ def _join_output(
 class HashJoin(Operator):
     """Inner equi-join; builds on one side and probes the other.
 
-    Matching is :func:`_expand_matches`: the build keys are sorted once
-    (not at all when they arrive sorted, which makes this the merge join
-    of §3.3) and every probe key binary-searches them.  Output rows are
+    Matching is :func:`_expand_matches`: every probe key gathers its
+    run of build keys from a presence table when the integer build keys
+    span few values, and otherwise binary-searches the build keys,
+    sorted once (not at all when they arrive sorted, which makes this
+    the merge join of §3.3).  A build of distinct keys emits its hits
+    as the pairs, with no expansion of runs.  Output rows are
     probe-major, so the probe side's order survives the join.
     ``build_side='auto'`` picks the smaller input as the
     build side, which is the paper's optimization of building on the

@@ -486,9 +486,9 @@ class SQLSession:
         setting = SETTINGS[name]
         value = setting.validate(stmt.value)
         if setting.logged and self._durability is not None:
-            setattr(self._durability, name, value)
-            # logged so a restart replays into the same setting
+            # logged first so a restart replays it and a refused log changes nothing
             self._durability.log_set(f"SET {name} = {'off' if value is None else value}")
+            setattr(self._durability, name, value)
         else:
             self._settings[name] = value
         return value if isinstance(value, int) else 0

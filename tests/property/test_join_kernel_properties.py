@@ -6,22 +6,36 @@ into a ``dict`` of insertion-ordered buckets, one lookup per probe tuple
 same ``(build_idx, probe_idx)`` arrays, in the same order, for every key
 type, with duplicates and NULLs on either side, and empty sides.
 
+The kernel locates probe keys one of two ways: integer builds of small
+span by a presence table, every other build by binary search.  Integer
+keys are drawn both from small domains (presence table) and from the
+whole int64 / uint64 range (binary search), with the two sides of
+independently drawn int8 / int32 / uint8 / uint64 / int64 dtypes; a
+module fixture fails unless both ways ran, each with and without the
+shortcut for builds of distinct keys.
+
 The kernel skips its build sort when the non-NULL build keys arrive
-non-decreasing (the merge join of §3.3).  ``argsort_oracle`` always
-sorts; a spy on the kernel's ``argsort`` shows the skip happens exactly
-on such builds, whichever side the join builds on.
+non-decreasing (the merge join of §3.3), and a presence table over
+distinct keys needs no sort at all.  ``argsort_oracle`` always sorts; a
+spy on the kernel's ``argsort`` shows the kernel sorts exactly when
+neither holds, whichever side the join builds on.
 """
 
 from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import operators
 from repro.engine.batch import Relation
+from repro.engine.groups import DENSE_JOIN_SPAN_FACTOR
 from repro.engine.operators import HashJoin, RelationSource, _expand_matches
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+UINT64_MAX = 2**64 - 1
 
 
 def is_null(key) -> bool:
@@ -59,6 +73,33 @@ def argsort_oracle(build_keys, probe_keys):
     return np.asarray(build_idx, dtype=np.int64), np.asarray(probe_idx, dtype=np.int64)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def both_locate_paths_run():
+    """Fails the module unless the presence table and the binary search
+    each located keys, with and without the distinct-keys shortcut."""
+    seen = set()
+
+    def spying(name):
+        locate = getattr(operators, name)
+
+        def spy(*args):
+            located = locate(*args)
+            if located is not None:
+                seen.add((name, located[3] is None))
+            return located
+
+        return spy
+
+    names = ("_locate_dense", "_locate_sorted")
+    with (
+        mock.patch.object(operators, names[0], spying(names[0])),
+        mock.patch.object(operators, names[1], spying(names[1])),
+    ):
+        yield
+    want = {(name, distinct) for name in names for distinct in (True, False)}
+    assert seen == want, f"locate paths never run: {sorted(want - seen)}"
+
+
 def key_arrays(elements, dtype):
     side = st.lists(elements, max_size=40)
     return st.tuples(side, side).map(
@@ -72,9 +113,35 @@ def _as_array(values, dtype):
     return arr
 
 
-# small domains, so both sides repeat keys and hit each other
+INT_DTYPES = [np.int8, np.int32, np.uint8, np.uint64, np.int64]
+#: keys at the edges of the dtypes, so a build holding one spans widely
+EXTREMES = [INT64_MIN, INT64_MIN + 1, -129, -1, 0, 255, INT64_MAX, 2**63, UINT64_MAX]
+
+
+@st.composite
+def int_key_pairs(draw):
+    """``(build, probe)`` of two independently drawn integer dtypes: keys
+    near one low (negative, zero, near the int64 or uint64 top) and now
+    and then an extreme, each side keeping the keys its dtype holds."""
+    low = draw(st.sampled_from([-140, -5, 0, 2**63 - 30, UINT64_MAX - 30]))
+    near = st.integers(low, low + 30)
+    keys = st.one_of(near, near, near, st.sampled_from(EXTREMES))
+
+    def side():
+        dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+        info = np.iinfo(dtype)
+        values = [v for v in draw(st.lists(keys, max_size=40)) if info.min <= v <= info.max]
+        return _as_array(values, dtype)
+
+    return side(), side()
+
+
+# small domains, so both sides repeat keys and hit each other; integers
+# also from the whole int64 range, and mixed across dtypes
 KEY_PAIRS = st.one_of(
     key_arrays(st.integers(-4, 8), np.int64),
+    key_arrays(st.integers(INT64_MIN, INT64_MAX), np.int64),
+    int_key_pairs(),
     key_arrays(st.sampled_from([-1.5, -0.0, 0.0, 2.0, 3.25, float("nan")]), np.float64),
     key_arrays(st.sampled_from(["a", "b", "ab", "", "zz", None]), object),
 )
@@ -83,6 +150,7 @@ KEY_PAIRS = st.one_of(
 #: element strategy, dtype and NULLs (none for int64) of each key type
 KEY_TYPES = {
     "int": (st.integers(-4, 8), np.int64, []),
+    "wide int": (st.integers(INT64_MIN, INT64_MAX), np.int64, []),
     "float": (st.sampled_from([-1.5, -0.0, 0.0, 2.0, 3.25]), np.float64, [float("nan")]),
     "object": (st.sampled_from(["a", "b", "ab", "", "zz"]), object, [None]),
 }
@@ -167,7 +235,15 @@ def test_join_skips_the_build_sort_exactly_on_sorted_keys(inputs, build_side):
     np.testing.assert_array_equal(out.column("p"), probe_idx)
     present = [key for key in build.tolist() if not is_null(key)]
     ascending = all(a <= b for a, b in zip(present, present[1:]))
-    assert spy.argsorts == (0 if ascending else 1)
+    # a presence table needs no order over distinct keys, and always
+    # sorts duplicate ones; binary search sorts what is not ascending
+    dense = (
+        build.dtype.kind == probe.dtype.kind == "i"
+        and len(present) > 0
+        and max(present) - min(present) + 1 <= DENSE_JOIN_SPAN_FACTOR * len(present)
+    )
+    distinct = len(set(present)) == len(present)
+    assert spy.argsorts == (int(not distinct) if dense else int(not ascending))
 
 
 @given(KEY_PAIRS)
@@ -187,3 +263,59 @@ def test_join_operators_match_the_reference(keys):
         for name, source, idx in (("k", build_keys, build_idx), ("j", probe, probe_idx)):
             assert out.column(name).dtype == source.dtype
             np.testing.assert_array_equal(out.column(name), source[idx])
+
+
+def run_pairs(build, probe, dtypes):
+    return _expand_matches(_as_array(build, dtypes[0]), _as_array(probe, dtypes[1]))
+
+
+@pytest.mark.parametrize(
+    "build,probe,dtypes,want",
+    [
+        # presence table (span 3): 2**64 - 1 is not -1, 2**63 not INT64_MIN
+        ([-1, 0, 1], [UINT64_MAX, 0, 1, 2**63], (np.int64, np.uint64), ([1, 2], [1, 2])),
+        ([INT64_MIN, INT64_MIN + 1], [2**63, 2**63 + 1], (np.int64, np.uint64), ([], [])),
+        ([UINT64_MAX, UINT64_MAX - 1], [-1, -2, 0], (np.uint64, np.int64), ([], [])),
+        ([2**63, 2**63 + 1], [INT64_MIN, INT64_MAX], (np.uint64, np.int64), ([], [])),
+        # a probe key at the far end of int64 wraps past the span
+        ([INT64_MIN, INT64_MIN + 1], [INT64_MAX, INT64_MIN, -1], (np.int64, np.int64), ([0], [1])),
+        ([INT64_MAX - 1, INT64_MAX], [INT64_MIN, INT64_MAX, 0], (np.int64, np.int64), ([1], [1])),
+        ([-128, 127, -128], [-128, 127, 0], (np.int8, np.int8), ([0, 2, 1], [0, 0, 1])),
+        ([0, 255], [255, -1, 256], (np.uint8, np.int32), ([1], [0])),
+        # binary search: int64 against uint64 must not meet in float64
+        ([2**53, 2**53 + 1, INT64_MIN], [2**53 + 1], (np.int64, np.uint64), ([1], [0])),
+        ([INT64_MAX - 1, INT64_MAX, 0], [INT64_MAX, 2**63], (np.int64, np.uint64), ([1], [0])),
+        ([2**63 + 1, 1, 2**63 + 1], [1, -1, -2], (np.uint64, np.int64), ([1], [0])),
+    ],
+)
+def test_integer_extremes_and_mixed_dtypes(build, probe, dtypes, want):
+    got = run_pairs(build, probe, dtypes)
+    assert_pairs_equal(got, tuple(np.asarray(w, dtype=np.int64) for w in want))
+    b, p = _as_array(build, dtypes[0]), _as_array(probe, dtypes[1])
+    assert_pairs_equal(got, reference_join(b, p))
+
+
+@pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (np.uint8, np.int64), (object, object)])
+def test_empty_sides(dtypes):
+    for build, probe in (([], [1, 2]), ([1, 2], []), ([], [])):
+        got = run_pairs(build, probe, dtypes)
+        assert_pairs_equal(got, (np.zeros(0, dtype=np.int64),) * 2)
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_presence_table_exactly_up_to_the_span_bound(duplicates):
+    """``DENSE_JOIN_SPAN_FACTOR`` slots a build key locate by presence
+    table, one slot more by binary search; both join every key of the
+    span, and the keys just outside it join nothing."""
+    n = 10
+    for span, searched in ((DENSE_JOIN_SPAN_FACTOR * n, 0), (DENSE_JOIN_SPAN_FACTOR * n + 1, 1)):
+        build = np.linspace(-7, -7 + span - 1, n).astype(np.int64)[::-1].copy()
+        if duplicates:
+            build[2:5] = build[3]  # one run of three, the ends kept
+        probe = np.arange(-9, -7 + span + 2, dtype=np.int64)
+        with mock.patch.object(
+            operators, "_locate_sorted", side_effect=operators._locate_sorted
+        ) as locate:
+            got = _expand_matches(build, probe)
+        assert locate.call_count == searched
+        assert_pairs_equal(got, reference_join(build, probe))
