@@ -28,6 +28,8 @@ dated from before the positional patch flows — the parent commit
 measures 1.0–1.1 too.
 """
 
+import time
+
 import pytest
 
 from repro.bench import format_table, time_fn, write_report
@@ -72,13 +74,32 @@ def make_env(tpch, fraction: float):
     return catalog, mgr, lineitem
 
 
-def query_time(plan_fn, catalog, mgr=None, zbp=False) -> float:
+def query_run(plan_fn, catalog, mgr=None, zbp=False):
+    """A callable executing the (optimized) plan once."""
     plan = plan_fn()
     if mgr is not None:
         plan = Optimizer(
             catalog, mgr, zero_branch_pruning=zbp, use_cost_model=False
         ).optimize(plan)
-    return time_fn(lambda: execute_plan(plan, catalog), repeats=REPEATS)
+    return lambda: execute_plan(plan, catalog)
+
+
+def query_time(plan_fn, catalog, mgr=None, zbp=False) -> float:
+    return time_fn(query_run(plan_fn, catalog, mgr, zbp), repeats=REPEATS)
+
+
+def paired_times(*runs) -> list:
+    """Median seconds of each run, timed interleaved: one of each per
+    repeat after one warm-up each, so drift hits them alike."""
+    samples = [[] for _ in runs]
+    for run in runs:
+        run()
+    for _ in range(REPEATS):
+        for run, times in zip(runs, samples):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+    return [sorted(times)[REPEATS // 2] for times in samples]
 
 
 def test_fig10_tpch_queries(benchmark, tpch):
@@ -94,8 +115,11 @@ def test_fig10_tpch_queries(benchmark, tpch):
         ref = query_time(plan_fn, reference_catalog)
         pi10 = query_time(plan_fn, envs[0.10][0], envs[0.10][1])
         pi5 = query_time(plan_fn, envs[0.05][0], envs[0.05][1])
-        pi0 = query_time(plan_fn, envs[0.0][0], envs[0.0][1])
-        pi0_zbp = query_time(plan_fn, envs[0.0][0], envs[0.0][1], zbp=True)
+        # the ZBP bound compares these two: time them as pairs
+        pi0, pi0_zbp = paired_times(
+            query_run(plan_fn, envs[0.0][0], envs[0.0][1]),
+            query_run(plan_fn, envs[0.0][0], envs[0.0][1], zbp=True),
+        )
         t_ji = time_fn(lambda: ji_fn(ji, reference_catalog), repeats=REPEATS)
         rows.append([name, ref, pi10, pi5, pi0, pi0_zbp, t_ji])
         shape[name] = dict(ref=ref, pi10=pi10, pi5=pi5, pi0=pi0, zbp=pi0_zbp, ji=t_ji)

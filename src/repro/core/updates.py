@@ -154,10 +154,13 @@ def _collision_join(column: np.ndarray, touched_values: np.ndarray,
 
 
 def _fibonacci_hash(keys: np.ndarray) -> np.ndarray:
-    """``_HASH_BITS``-bit multiplicative hashes of integer keys."""
+    """``_HASH_BITS``-bit multiplicative hashes of integer keys, as int64
+    positions: numpy gathers through uint64 ones by a slow cast (the
+    membership table's gather of 200 k rows: 463 against 127 µs, numpy
+    2.4 on a 2-CPU x86 box)."""
     wide = keys.astype(np.uint64 if keys.dtype.kind == "u" else np.int64, copy=False)
     hashes = wide.view(np.uint64) * _FIBONACCI
-    return np.right_shift(hashes, np.uint64(64 - _HASH_BITS), out=hashes)
+    return np.right_shift(hashes, np.uint64(64 - _HASH_BITS), out=hashes).view(np.int64)
 
 
 def nuc_collision_patches(

@@ -2,23 +2,78 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Relation", "ROWID"]
+from repro.storage.column import Coded, StringDictionary
+
+__all__ = ["Relation", "CodedColumn", "ROWID", "stored"]
 
 #: Reserved column carrying tuple rowIDs through a dataflow: UPDATE and
 #: DELETE collect the rowIDs their predicate matches under this name.
 ROWID = "__rowid__"
 
 
+class CodedColumn:
+    """A string column held as int32 codes into its table's dictionary.
+
+    Row selections gather the codes; :meth:`values` decodes once and
+    keeps the result, as the codes never change.
+    """
+
+    __slots__ = ("codes", "dictionary", "_values")
+
+    def __init__(self, codes: np.ndarray, dictionary: StringDictionary) -> None:
+        self.codes = codes
+        self.dictionary = dictionary
+        self._values: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> "CodedColumn":
+        return CodedColumn(self.codes[rows], self.dictionary)
+
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self.dictionary.decode(self.codes)
+        return self._values
+
+
+Held = Union[np.ndarray, CodedColumn]
+
+
+def stored(table, name: str, rows=slice(None)) -> Held:
+    """Column ``name`` of a table at ``rows``, coded when stored coded."""
+    coded = table.codes(name)
+    if coded is None:
+        return table.column(name)[rows]
+    return CodedColumn(coded[0][rows], coded[1])
+
+
+def _stack(parts: Sequence[Held], combine: Callable) -> Held:
+    """``combine`` over the parts' codes when one dictionary codes them
+    all, else over their values."""
+    first = parts[0]
+    if isinstance(first, CodedColumn) and all(
+        isinstance(p, CodedColumn) and p.dictionary is first.dictionary for p in parts
+    ):
+        return CodedColumn(combine([p.codes for p in parts]), first.dictionary)
+    return combine([p.values() if isinstance(p, CodedColumn) else p for p in parts])
+
+
 class Relation:
-    """An immutable set of equal-length named columns."""
+    """An immutable set of equal-length named columns.
+
+    A string column may be held as a :class:`CodedColumn`: row selections
+    and projections keep it coded, :meth:`column` decodes it and
+    :meth:`key` hands the kernels its codes.
+    """
 
     __slots__ = ("_columns", "_num_rows")
 
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+    def __init__(self, columns: Dict[str, Held]) -> None:
         lengths = {len(arr) for arr in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: {sorted(lengths)}")
@@ -45,13 +100,24 @@ class Relation:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def column(self, name: str) -> np.ndarray:
+    def held(self, name: str) -> Held:
+        """The column as held: a :class:`CodedColumn` or an array."""
         if name not in self._columns:
             raise KeyError(f"unknown column {name!r}; have {self.column_names}")
         return self._columns[name]
 
-    def columns(self) -> Dict[str, np.ndarray]:
-        return dict(self._columns)
+    def column(self, name: str) -> np.ndarray:
+        arr = self.held(name)
+        return arr.values() if isinstance(arr, CodedColumn) else arr
+
+    def codes(self, name: str) -> Optional[Coded]:
+        """``(codes, dictionary)`` of a coded column, else None."""
+        arr = self.held(name)
+        return (arr.codes, arr.dictionary) if isinstance(arr, CodedColumn) else None
+
+    def key(self, name: str):
+        """A column as the kernels take it: its codes when coded."""
+        return self.codes(name) or self.column(name)
 
     # ------------------------------------------------------------------
     # transformations
@@ -66,9 +132,9 @@ class Relation:
 
     def select(self, names: Sequence[str]) -> "Relation":
         """Column projection."""
-        return Relation({n: self.column(n) for n in names})
+        return Relation({n: self.held(n) for n in names})
 
-    def with_column(self, name: str, values: np.ndarray) -> "Relation":
+    def with_column(self, name: str, values: Held) -> "Relation":
         """Add or replace one column."""
         if len(values) != self._num_rows and self._columns:
             raise ValueError("column length mismatch")
@@ -82,8 +148,14 @@ class Relation:
         return Relation({n: a for n, a in self._columns.items() if n not in names})
 
     @staticmethod
-    def concat(relations: Sequence["Relation"]) -> "Relation":
-        """Stack relations with identical column sets vertically."""
+    def concat(
+        relations: Sequence["Relation"], combine: Callable = np.concatenate
+    ) -> "Relation":
+        """Stack relations with identical column sets vertically.
+
+        ``combine`` joins one column's arrays (default: end to end); a
+        string column stays coded when one dictionary codes every part.
+        """
         relations = [r for r in relations]
         if not relations:
             return Relation({})
@@ -91,9 +163,7 @@ class Relation:
         for r in relations[1:]:
             if set(r.column_names) != set(names):
                 raise ValueError("concat requires identical column sets")
-        return Relation(
-            {n: np.concatenate([r.column(n) for r in relations]) for n in names}
-        )
+        return Relation({n: _stack([r.held(n) for r in relations], combine) for n in names})
 
     # ------------------------------------------------------------------
     # convenience
@@ -101,7 +171,7 @@ class Relation:
     def to_rows(self) -> List[tuple]:
         """Materialize as python tuples (test/debug helper)."""
         names = self.column_names
-        return list(zip(*(self._columns[n].tolist() for n in names)))
+        return list(zip(*(self.column(n).tolist() for n in names)))
 
     def sort_by(
         self,
@@ -116,7 +186,7 @@ class Relation:
         """
         from repro.engine.sort import serial_sort_permutation
 
-        order = serial_sort_permutation([self._columns[k] for k in keys], ascending)
+        order = serial_sort_permutation([self.key(k) for k in keys], ascending)
         return self.take(order)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

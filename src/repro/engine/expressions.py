@@ -8,6 +8,7 @@ from typing import Callable, Union
 import numpy as np
 
 from repro.engine.batch import Relation
+from repro.storage.column import string_codes
 
 __all__ = [
     "Expression",
@@ -148,12 +149,35 @@ def not_null_mask(arr: np.ndarray) -> np.ndarray:
     return np.ones(arr.shape, dtype=bool)
 
 
-def _operand(expr: Expression, rel: Relation) -> np.ndarray:
-    """An operand's values; a literal stays 0-d and broadcasts in numpy."""
+def _rows(expr: Expression, rel: Relation):
+    """An expression's values, or a coded column's ``(codes, dictionary)``."""
+    coded = rel.codes(expr.name) if isinstance(expr, ColumnRef) else None
+    return coded or np.asarray(expr.evaluate(rel))
+
+
+def _operand(expr: Expression, rel: Relation):
+    """:func:`_rows`, but a literal stays 0-d and broadcasts in numpy."""
     if isinstance(expr, Literal):
         as_object = expr.value is None or isinstance(expr.value, str)
         return np.asarray(expr.value, dtype=object if as_object else None)
-    return np.asarray(expr.evaluate(rel))
+    return _rows(expr, rel)
+
+
+def _is_strings(operand) -> bool:
+    """A coded column or an object array of rows (not a 0-d literal)."""
+    return isinstance(operand, tuple) or (operand.ndim == 1 and operand.dtype == object)
+
+
+def _per_entry(operand, test: Callable) -> np.ndarray:
+    """``test`` of a string operand's values, run once per dictionary
+    entry (an object array is encoded on entry) and gathered through the
+    codes; a NULL row is False."""
+    (codes,), dictionary = string_codes(operand)
+    return dictionary.gather(np.asarray(test(dictionary.values), dtype=bool), codes, False)
+
+
+def _values(operand) -> np.ndarray:
+    return operand[1].decode(operand[0]) if isinstance(operand, tuple) else operand
 
 
 class ComparisonExpr(BinaryExpr):
@@ -173,6 +197,15 @@ class ComparisonExpr(BinaryExpr):
     def evaluate(self, rel: Relation) -> np.ndarray:
         left = _operand(self.left, rel)
         right = _operand(self.right, rel)
+        for strings, constant, test in (
+            (left, right, lambda values: self.fn(values, right)),
+            (right, left, lambda values: self.fn(left, values)),
+        ):
+            if _is_strings(strings) and not _is_strings(constant) and constant.ndim == 0:
+                if not not_null_mask(constant):  # nothing matches NULL
+                    return np.zeros(rel.num_rows, dtype=bool)
+                return _per_entry(strings, test)
+        left, right = _values(left), _values(right)
         if left.ndim == 0 and right.ndim == 0:  # constant predicate
             left = np.broadcast_to(left, rel.num_rows)
         if left.dtype != object and right.dtype != object:
@@ -222,7 +255,8 @@ class IsNullExpr(Expression):
         self.negate = negate
 
     def evaluate(self, rel: Relation) -> np.ndarray:
-        present = not_null_mask(np.asarray(self.child.evaluate(rel)))
+        child = _rows(self.child, rel)
+        present = child[0] >= 0 if isinstance(child, tuple) else not_null_mask(child)
         return present if self.negate else ~present
 
     def __repr__(self) -> str:
@@ -238,12 +272,14 @@ class IsInExpr(Expression):
         self.values = list(values)
 
     def evaluate(self, rel: Relation) -> np.ndarray:
-        vals = np.asarray(self.child.evaluate(rel))
+        vals = _rows(self.child, rel)
         # SQL: NULL IN (...) is NULL (row excluded), and a NULL member
         # of the value list can never produce a match
         members = [v for v in self.values if v is not None]
+        if _is_strings(vals):
+            return _per_entry(vals, lambda values: np.isin(values, members))
         out = np.asarray(np.isin(vals, members), dtype=bool)
-        if vals.dtype == object or np.issubdtype(vals.dtype, np.floating):
+        if np.issubdtype(vals.dtype, np.floating):
             out &= not_null_mask(vals)
         return out
 

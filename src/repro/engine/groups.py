@@ -4,20 +4,22 @@ One factorisation behind :class:`~repro.engine.operators.Distinct`,
 :class:`~repro.engine.operators.GroupAggregate`, ``factorize_rows`` and
 the value-group steps of NUC/NSC discovery and maintenance.  Each key
 column is reduced to dense int64 codes by a presence table (integers of
-small span), a dictionary (object keys) or a sort (everything else),
-picked from its dtype and value span alone; groups come out in key
-order, NULL (``None``) first and NaN last, each one group.  See "The
+small span) or a sort (everything else), picked from its dtype and value
+span alone; a string column enters as the ranks of its dictionary codes
+(:mod:`repro.storage.column`), an object array encoded once on entry.
+Groups come out in key order, NULL (``None``) first and NaN last, each
+one group.  See "The
 group kernel" in ``docs/architecture.md``; the join kernel shares its
 span test and shift, at ``DENSE_JOIN_SPAN_FACTOR``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import count
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.storage.column import string_codes
 
 __all__ = ["group_codes", "first_rows", "run_starts", "sorted_unique", "DENSE_SPAN_FACTOR"]
 
@@ -66,21 +68,20 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _key_array(key) -> np.ndarray:
+    """A key column as an array to order: a string key's ranks, NULL
+    (code -1) before every value."""
+    strings = string_codes(key)
+    if strings is None:
+        return np.asarray(key)
+    (codes,), dictionary = strings
+    return dictionary.gather(dictionary.rank + 1, codes, 0)
+
+
 def _column_codes(arr: np.ndarray) -> Tuple[np.ndarray, int]:
     """``(codes, cardinality)`` of one non-empty key column, in key order."""
     n = len(arr)
     kind = arr.dtype.kind
-    if kind == "O":
-        # one hashing pass numbers the keys by arrival, then the (few)
-        # distinct keys are ranked; NULL (None) sorts before every value
-        seen: dict = defaultdict(count().__next__)
-        arrival = np.fromiter(map(seen.__getitem__, arr.tolist()), np.int64, n)
-        ordered = sorted(key for key in seen if key is not None)
-        if None in seen:
-            ordered.insert(0, None)
-        rank = np.empty(len(ordered), dtype=np.int64)
-        rank[[seen[key] for key in ordered]] = np.arange(len(ordered))
-        return rank[arrival], len(ordered)
     if kind in "iub":
         if kind == "b":
             arr = arr.view(np.uint8)
@@ -100,8 +101,9 @@ def _column_codes(arr: np.ndarray) -> Tuple[np.ndarray, int]:
     return codes, int(run_of_sorted[-1]) + 1
 
 
-def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
-    """Dense group ids of the rows of one or more aligned key columns.
+def group_codes(arrays: Sequence) -> Tuple[np.ndarray, int]:
+    """Dense group ids of the rows of one or more aligned key columns
+    (arrays, or a string column's ``(codes, dictionary)``).
 
     Returns ``(codes, ngroups)``: ``codes[i]`` in ``[0, ngroups)`` is the
     rank of row ``i``'s key among the distinct keys, compared column by
@@ -109,7 +111,7 @@ def group_codes(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
     (``None``) equal to NULL and NaN to NaN — the grouping equality of
     SQL, not the comparison one.
     """
-    arrays = [np.asarray(a) for a in arrays]
+    arrays = [_key_array(a) for a in arrays]
     if len(arrays[0]) == 0:
         return np.zeros(0, dtype=np.int64), 0
     codes, card = _column_codes(arrays[0])
@@ -136,10 +138,9 @@ def first_rows(codes: np.ndarray, ngroups: int) -> np.ndarray:
 def sorted_unique(arr: np.ndarray) -> np.ndarray:
     """The distinct values of a column in key order (what ``np.unique``
     returns, without its hash table): ``np.sort`` plus a neighbour
-    compare; object columns go through the dictionary strategy."""
+    compare; an object column goes through its codes."""
     arr = np.asarray(arr)
     if arr.dtype.kind == "O":
-        codes, ngroups = group_codes([arr])
-        return arr[first_rows(codes, ngroups)]
+        return arr[first_rows(*group_codes([arr]))]
     sorted_keys = np.sort(arr)
     return sorted_keys[run_starts(sorted_keys)]

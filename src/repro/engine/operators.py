@@ -14,12 +14,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union as TUn
 
 import numpy as np
 
-from repro.engine.batch import Relation
+from repro.engine.batch import Relation, stored
 from repro.engine.expressions import Expression, expression_columns, not_null_mask
 from repro.engine.groups import (DENSE_JOIN_SPAN_FACTOR, dense_span, first_rows, group_codes,
                                  offsets_from, run_starts, sorted_unique)
 from repro.engine.interrupt import CHECKPOINT_ROWS, checkpoint, current_token
 from repro.engine.sort import merge_run_slots, scatter_runs, serial_sort_permutation
+from repro.storage.column import string_codes
 from repro.testing import faults
 
 __all__ = [
@@ -166,7 +167,7 @@ class Scan(Operator):
                 rows, keep = np.flatnonzero(keep) + start, None
             names = [c for c in expression_columns(self.predicate) if c in table.schema]
             # a column-free predicate (``1 = 1``) still needs the row count
-            probe = Relation({c: table.column(c)[rows] for c in names or table.schema.names[:1]})
+            probe = Relation({c: stored(table, c, rows) for c in names or table.schema.names[:1]})
             passed = np.zeros(0, dtype=bool)
             if probe.num_rows:
                 passed = np.asarray(self.predicate.evaluate(probe), dtype=bool)
@@ -174,7 +175,7 @@ class Scan(Operator):
                 keep = passed
             else:
                 rows = rows[passed]
-        rel = Relation({c: table.column(c)[rows] for c in self.columns})
+        rel = Relation({c: stored(table, c, rows) for c in self.columns})
         return rel if keep is None else rel.filter(keep)
 
     def execute(self) -> Relation:
@@ -280,10 +281,10 @@ class Project(Operator):
 
     def execute(self) -> Relation:
         rel = self.child.execute()
-        cols: Dict[str, np.ndarray] = {}
+        cols = {}
         for name, spec in self.outputs.items():
             if isinstance(spec, str):
-                cols[name] = rel.column(spec)
+                cols[name] = rel.held(spec)
             else:
                 cols[name] = np.asarray(spec.evaluate(rel))
         return Relation(cols)
@@ -292,17 +293,19 @@ class Project(Operator):
         return f"Project({list(self.outputs)})"
 
 
-def _non_null_rows(keys: np.ndarray) -> Optional[np.ndarray]:
-    """Positions of the non-NULL keys, or None when no key is NULL."""
-    if keys.dtype.kind not in "Of":
+def _non_null_rows(keys: np.ndarray, coded: bool = False) -> Optional[np.ndarray]:
+    """Positions of the non-NULL keys (string codes: ``coded``), or None
+    when no key is NULL."""
+    if coded:
+        valid = keys >= 0
+    elif keys.dtype.kind in "Of":
+        valid = not_null_mask(keys)
+    else:
         return None
-    valid = not_null_mask(keys)
     return None if valid.all() else np.flatnonzero(valid)
 
 
-def _expand_matches(
-    build_keys: np.ndarray, probe_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _expand_matches(build_keys, probe_keys) -> Tuple[np.ndarray, np.ndarray]:
     """Aligned ``(build_idx, probe_idx)`` of an inner equi-join.
 
     The one matching kernel behind :class:`HashJoin` and NUC maintenance
@@ -319,15 +322,19 @@ def _expand_matches(
     A binary-searched build arriving non-decreasing skips its sort — the
     whole advantage a merge join has over a hash join (§3.3), found by
     one linear check instead of promised by the planner; a presence
-    table of distinct keys needs no order.  NULL keys (``None`` in
-    object columns, NaN in float columns) match nothing on either side,
+    table of distinct keys needs no order.  String keys (object arrays or
+    ``(codes, dictionary)`` pairs) join on codes of one dictionary.  NULL
+    keys (NULL codes, NaN in float columns) match nothing on either side,
     as in SQL, and are dropped first, as are probe keys a uint64 build
     cannot hold (negatives) or a signed build cannot (above int64).
     """
-    build_rows = _non_null_rows(build_keys)
+    strings = string_codes(build_keys, probe_keys)
+    if strings is not None:
+        build_keys, probe_keys = strings[0]
+    build_rows = _non_null_rows(build_keys, strings is not None)
     if build_rows is not None:
         build_keys = build_keys[build_rows]
-    probe_rows = _non_null_rows(probe_keys)
+    probe_rows = _non_null_rows(probe_keys, strings is not None)
     if probe_rows is not None:
         probe_keys = probe_keys[probe_rows]
     if len(build_keys) == 0:
@@ -413,15 +420,13 @@ def _join_output(
     build_key: str,
     probe_key: str,
 ) -> Relation:
-    cols: Dict[str, np.ndarray] = {}
-    for name, arr in build_rel.columns().items():
-        cols[name] = arr[build_idx]
-    for name, arr in probe_rel.columns().items():
+    cols = {name: build_rel.held(name)[build_idx] for name in build_rel.column_names}
+    for name in probe_rel.column_names:
         if name == probe_key and probe_key == build_key:
             continue  # identical key values, keep one copy
         if name in cols:
             raise ValueError(f"join column collision on {name!r}; project first")
-        cols[name] = arr[probe_idx]
+        cols[name] = probe_rel.held(name)[probe_idx]
     return Relation(cols)
 
 
@@ -497,9 +502,7 @@ class HashJoin(Operator):
                         if probe_key in scan.columns:
                             scan.push_range(probe_key, lo, hi)
             probe_rel = probe_op.execute()
-        build_idx, probe_idx = _expand_matches(
-            build_rel.column(build_key), probe_rel.column(probe_key)
-        )
+        build_idx, probe_idx = _expand_matches(build_rel.key(build_key), probe_rel.key(probe_key))
         return _join_output(build_rel, probe_rel, build_idx, probe_idx, build_key, probe_key)
 
     def label(self) -> str:
@@ -538,7 +541,7 @@ class Sort(Operator):
     def execute(self) -> Relation:
         rel = self.child.execute()
         checkpoint()
-        order = serial_sort_permutation([rel.column(k) for k in self.keys], self.ascending)
+        order = serial_sort_permutation([rel.key(k) for k in self.keys], self.ascending)
         return rel.take(order)
 
     def label(self) -> str:
@@ -577,7 +580,7 @@ class TopN(Operator):
     def execute(self) -> Relation:
         rel = self.child.execute()
         checkpoint()
-        order = serial_sort_permutation([rel.column(k) for k in self.keys], self.ascending)
+        order = serial_sort_permutation([rel.key(k) for k in self.keys], self.ascending)
         return rel.take(order[: self.n])
 
     def label(self) -> str:
@@ -587,10 +590,10 @@ class TopN(Operator):
 class Distinct(Operator):
     """Duplicate elimination over the given (default: all) columns.
 
-    Runs on the group kernel (:mod:`repro.engine.groups`): one column is
-    ``sorted_unique``; several are factorised once and the first row of
-    every group is kept.  Output is in key order either way; NULL (NaN /
-    ``None``) is one value.
+    Runs on the group kernel (:mod:`repro.engine.groups`): one uncoded
+    column is ``sorted_unique``; several, or a coded one, are factorised
+    once and the first row of every group is kept, so codes stay codes.
+    Output is in key order either way; NULL (NaN / ``None``) is one value.
     """
 
     def __init__(self, child: Operator, columns: Optional[Sequence[str]] = None) -> None:
@@ -604,9 +607,9 @@ class Distinct(Operator):
         rel = self.child.execute()
         checkpoint()
         cols = self.columns if self.columns is not None else rel.column_names
-        if len(cols) == 1:
+        if len(cols) == 1 and rel.codes(cols[0]) is None:
             return Relation({cols[0]: sorted_unique(rel.column(cols[0]))})
-        _, first_idx = factorize_rows([rel.column(c) for c in cols])
+        _, first_idx = factorize_rows([rel.key(c) for c in cols])
         return rel.select(cols).take(first_idx)
 
     def label(self) -> str:
@@ -656,11 +659,9 @@ class GroupAggregate(Operator):
         return self._aggregate(rel)
 
     def _aggregate(self, rel: Relation) -> Relation:
-        codes, first_idx = factorize_rows([rel.column(k) for k in self.group_keys])
+        codes, first_idx = factorize_rows([rel.key(k) for k in self.group_keys])
         ngroups = len(first_idx)
-        out: Dict[str, np.ndarray] = {
-            k: rel.column(k)[first_idx] for k in self.group_keys
-        }
+        out = {k: rel.held(k)[first_idx] for k in self.group_keys}
         counts = np.bincount(codes, minlength=ngroups)  # shared by count and avg
         for name, (func, spec) in self.aggregates.items():
             if func == "count":
@@ -766,10 +767,8 @@ class MergeUnion(Operator):
         names = rels[0].column_names
         if any(set(r.column_names) != set(names) for r in rels[1:]):
             raise ValueError("merge union requires identical column sets")
-        slots = merge_run_slots([r.column(self.key) for r in rels], self.ascending)
-        return Relation(
-            {name: scatter_runs(slots, [r.column(name) for r in rels]) for name in names}
-        )
+        slots = merge_run_slots([r.key(self.key) for r in rels], self.ascending)
+        return Relation.concat(rels, lambda pieces: scatter_runs(slots, pieces))
 
     def label(self) -> str:
         return f"MergeUnion(key={self.key}, asc={self.ascending})"

@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.interrupt import checkpoint
+from repro.storage.column import string_codes
 
 __all__ = [
     "serial_sort_permutation",
@@ -60,24 +61,17 @@ def serial_sort_cost(
 # ----------------------------------------------------------------------
 # key normalization
 # ----------------------------------------------------------------------
-def _orderable_key(arr: np.ndarray) -> np.ndarray:
-    """A key array np.argsort can order, extending object columns.
+def _ranks(codes: np.ndarray, dictionary) -> np.ndarray:
+    """String codes as their dictionary ranks, NULL (-1) after every
+    value (the "missing is largest" placement numpy gives NaN)."""
+    return dictionary.gather(dictionary.rank, codes, len(dictionary))
 
-    Object (string) columns may carry ``None``; python comparisons
-    against ``None`` raise, so such columns are wrapped into
-    ``(is_none, value)`` tuples — ``None`` sorts after every value (the
-    same "missing is largest" placement numpy gives NaN) and all
-    ``None`` tie.  Every other dtype orders natively.
-    """
-    arr = np.asarray(arr)
-    if arr.dtype.kind != "O":
-        return arr
-    none_mask = np.array([v is None for v in arr], dtype=bool)
-    if not none_mask.any():
-        return arr
-    wrapped = np.empty(len(arr), dtype=object)
-    wrapped[:] = [(1, 0) if v is None else (0, v) for v in arr]
-    return wrapped
+
+def _orderable_key(key) -> np.ndarray:
+    """A key array np.argsort can order: a string key (object array or
+    ``(codes, dictionary)``) as ranks, every other dtype as it is."""
+    strings = string_codes(key)
+    return np.asarray(key) if strings is None else _ranks(strings[0][0], strings[1])
 
 
 def _group_missing(neq: np.ndarray, sorted_vals: np.ndarray) -> np.ndarray:
@@ -107,7 +101,7 @@ def serial_sort_permutation(
     significant keys established, the bug the differential harness
     caught) and full-row ties keep original row order.
     """
-    keys = [np.asarray(k) for k in keys]
+    keys = [_orderable_key(k) for k in keys]
     if ascending is None:
         ascending = [True] * len(keys)
     if len(ascending) != len(keys):
@@ -115,7 +109,7 @@ def serial_sort_permutation(
     n = len(keys[0]) if keys else 0
     order = np.arange(n, dtype=np.int64)
     for key, asc in reversed(list(zip(keys, ascending))):
-        vals = _orderable_key(key)[order]
+        vals = key[order]
         idx = np.argsort(vals, kind="stable")
         if not asc:
             idx = idx[_reverse_groups(vals[idx])]
@@ -255,12 +249,11 @@ def merge_run_slots(
     (run, offset); mirroring the slots back flips keys to descending
     and ties back to ascending (run, offset).
     """
-    arrays = [np.asarray(keys) for keys in run_keys]
-    if any(a.dtype.kind == "O" for a in arrays):
-        # one key encoding for every run, so NULL ranks after every
-        # value in all of them, as Sort ranks it
-        whole = _orderable_key(np.concatenate(arrays))
-        arrays = np.split(whole, np.cumsum([len(a) for a in arrays[:-1]]))
+    strings = string_codes(*run_keys)
+    if strings is None:
+        arrays = [np.asarray(keys) for keys in run_keys]
+    else:  # one dictionary's ranks for every run, NULL last as Sort ranks it
+        arrays = [_ranks(codes, strings[1]) for codes in strings[0]]
     if ascending:
         return _kway_merge(arrays)
     last = sum(len(a) for a in arrays) - 1

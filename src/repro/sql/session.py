@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.engine.batch import ROWID, Relation
+from repro.engine.batch import ROWID, Relation, stored
 from repro.engine.expressions import expression_columns
 from repro.engine.interrupt import (
     CHECKPOINT_ROWS,
@@ -518,10 +518,11 @@ class SQLSession:
         """RowIDs of the tuples matching a DML predicate.
 
         Only the columns the predicate references are read, each a view
-        of the table's column buffer.  While a cancellation token is
-        armed the predicate runs in ``CHECKPOINT_ROWS`` chunks with a
-        checkpoint before each; predicates are elementwise, so the
-        concatenated per-chunk rowids equal one whole-table pass.
+        of the table's column buffer (a STRING column's codes).  While a
+        cancellation token is armed the predicate runs in
+        ``CHECKPOINT_ROWS`` chunks with a checkpoint before each;
+        predicates are elementwise, so the concatenated per-chunk rowids
+        equal one whole-table pass.
         """
         if predicate is None:
             return table.rowids()
@@ -534,7 +535,7 @@ class SQLSession:
             rel = Relation({ROWID: table.rowids()})
             mask = np.asarray(predicate.evaluate(rel), dtype=bool)
             return np.flatnonzero(mask).astype(np.int64)
-        arrays = table.columns(referenced)
+        arrays = {name: stored(table, name) for name in referenced}
         num_rows = table.num_rows
         if current_token() is not None and num_rows > CHECKPOINT_ROWS:
             pieces = []
@@ -561,7 +562,7 @@ class SQLSession:
         for expr in stmt.assignments.values():
             referenced |= expression_columns(expr)
         if referenced:
-            rel = Relation(table.columns(sorted(referenced))).take(rowids)
+            rel = Relation({name: stored(table, name) for name in referenced}).take(rowids)
         else:
             # literal-only assignments: broadcast over the matched rows
             rel = Relation({ROWID: rowids})

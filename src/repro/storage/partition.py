@@ -21,10 +21,11 @@ column` concatenates, which would copy every column of every scan.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.storage.column import Coded
 from repro.storage.table import Schema, Table
 
 __all__ = ["PartitionedTable"]
@@ -79,6 +80,7 @@ class PartitionedTable:
         ]
         bounds = [order[max(0, i)] for i in bound_idx]
         parts: List[Table] = []
+        dictionaries: dict = {}  # one per STRING column, for every partition
         lower = None
         for p in range(num_partitions):
             upper = bounds[p] if p < len(bounds) else None
@@ -88,7 +90,7 @@ class PartitionedTable:
             if upper is not None:
                 mask &= keys <= upper
             cols = {c: table.column(c)[mask] for c in table.schema.names}
-            parts.append(Table(f"{table.name}#{p}", table.schema, cols))
+            parts.append(Table(f"{table.name}#{p}", table.schema, cols, dictionaries=dictionaries))
             lower = upper
         return cls(table.name, parts, partition_key, bounds)
 
@@ -121,13 +123,17 @@ class PartitionedTable:
         """Concatenated current-image column across partitions."""
         return np.concatenate([p.column(name) for p in self._partitions])
 
+    def codes(self, name: str) -> Optional[Coded]:
+        """Concatenated ``(codes, dictionary)`` of a STRING column whose
+        partitions share one dictionary, else None."""
+        coded = [p.codes(name) for p in self._partitions]
+        if coded[0] is None or any(d is not coded[0][1] for _, d in coded):
+            return None
+        return np.concatenate([codes for codes, _ in coded]), coded[0][1]
+
     def rowids(self) -> np.ndarray:
         """All current global rowIDs (0..num_rows), partition-major."""
         return np.arange(self.num_rows, dtype=np.int64)
-
-    def columns(self, names: Optional[Iterable[str]] = None) -> Dict[str, np.ndarray]:
-        names = list(names) if names is not None else self.schema.names
-        return {n: self.column(n) for n in names}
 
     # ------------------------------------------------------------------
     # updates

@@ -9,7 +9,10 @@ The paper's column store buffers updates in positional delta trees
 (PDTs, its [17]) so that a statement does not rewrite read-optimised
 columns.  Here each column is a numpy buffer with spare capacity, the
 table publishes one row count ``n`` and :meth:`Table.column` is the view
-``buf[:n]``.  INSERT converts every column, writes into the spare
+``buf[:n]``; a STRING column's buffer holds int32 codes into the
+column's append-only :class:`~repro.storage.column.StringDictionary`,
+which :meth:`Table.column` decodes and :meth:`Table.codes` hands the
+engine as they are.  INSERT converts every column, writes into the spare
 capacity (a full buffer doubles) and publishes ``n`` last.  It never
 writes below ``n``, so it costs the rows it inserts and no array a
 reader holds changes: what the PDT buys, without the PDT's merge on the
@@ -37,11 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.storage.column import ColumnType
+from repro.storage.column import Coded, ColumnType, StringDictionary
 from repro.storage.minmax import DEFAULT_BLOCK_SIZE, MinMaxIndex
 
 __all__ = ["Field", "Schema", "Table", "UpdateEvent"]
@@ -131,18 +134,22 @@ class Table:
         schema: Schema,
         columns: Dict[str, np.ndarray],
         minmax_block_size: int = DEFAULT_BLOCK_SIZE,
+        dictionaries: Optional[Dict[str, StringDictionary]] = None,
     ) -> None:
         if set(columns) != set(schema.names):
             raise ValueError("columns must match the schema exactly")
+        # one per STRING column, shared with any table passing the same map
+        dictionaries = {} if dictionaries is None else dictionaries
+        self._dicts: Dict[str, StringDictionary] = {}
         coerced = {}
         for field in schema.fields:
             arr = columns[field.name]
             if field.type is ColumnType.STRING:
                 if arr.dtype != object:
-                    obj = np.empty(len(arr), dtype=object)
                     # NULL (None) survives coercion; see repro.sql NULL rules
-                    obj[:] = [None if v is None else str(v) for v in arr]
-                    arr = obj
+                    arr = [None if v is None else str(v) for v in arr]
+                self._dicts[field.name] = dictionaries.setdefault(field.name, StringDictionary())
+                arr = self._dicts[field.name].encode(arr)
             else:
                 arr = np.asarray(arr, dtype=field.type.numpy_dtype)
             coerced[field.name] = arr
@@ -195,14 +202,19 @@ class Table:
         return self._version
 
     def column(self, name: str) -> np.ndarray:
-        """Current-image array for one column: a view no write changes."""
+        """Current-image array for one column: a view no write changes,
+        or for a STRING column its decoded values."""
         self.schema.field(name)
+        if name in self._dicts:
+            return self._dicts[name].decode(self._buffers[name][: self._n])
         return self._buffers[name][: self._n]
 
-    def columns(self, names: Optional[Iterable[str]] = None) -> Dict[str, np.ndarray]:
-        """Current-image arrays for several (default: all) columns."""
-        names = list(names) if names is not None else self.schema.names
-        return {n: self.column(n) for n in names}
+    def codes(self, name: str) -> Optional[Coded]:
+        """``(codes view, dictionary)`` of a STRING column, else None."""
+        self.schema.field(name)
+        if name not in self._dicts:
+            return None
+        return self._buffers[name][: self._n], self._dicts[name]
 
     def rowids(self) -> np.ndarray:
         """All current rowIDs (0..num_rows)."""
@@ -253,7 +265,7 @@ class Table:
         if len(counts) != 1:
             raise ValueError("insert columns must have equal length")
         start, stop = self._n, self._n + counts.pop()
-        rows = {name: _convert(vals, self._buffers[name].dtype) for name, vals in values.items()}
+        rows = {name: self._convert(name, vals) for name, vals in values.items()}
         buffers = dict(self._buffers)
         for name, new in rows.items():
             buf = buffers[name]
@@ -294,26 +306,22 @@ class Table:
             if len(vals) != len(rowids):
                 raise ValueError("modify values must align with rowids")
         # through Python scalars, so a value casts as a literal would
-        new = {
-            name: _convert(np.asarray(vals).tolist(), self._buffers[name].dtype)
-            for name, vals in values.items()
-        }
+        new = {n: self._convert(n, np.asarray(vals).tolist()) for n, vals in values.items()}
         for name, vals in new.items():
             _pack_runs(self._buffers, name, [(0, self._n)])  # copies a held buffer
             self._buffers[name][rowids] = vals
         self._fire(UpdateEvent("modify", rowids, {k: np.asarray(v) for k, v in values.items()}))
 
+    def _convert(self, name: str, values) -> np.ndarray:
+        """``values`` as column ``name`` stores them: a STRING column's
+        codes (its dictionary learns new values), else its dtype (raises,
+        writes nothing)."""
+        if name in self._dicts:
+            return self._dicts[name].encode(values)
+        return np.asarray(values, dtype=self._buffers[name].dtype)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Table({self.name!r}, rows={self.num_rows}, cols={len(self.schema)})"
-
-
-def _convert(values, dtype) -> np.ndarray:
-    """``values`` as an array of a column's dtype (raises, writes nothing)."""
-    if dtype != object:
-        return np.asarray(values, dtype=dtype)
-    arr = np.empty(len(values), dtype=object)
-    arr[:] = list(values)
-    return arr
 
 
 def _refs(buffers: Dict[str, np.ndarray], name: str) -> int:
@@ -329,7 +337,7 @@ def _pack_runs(buffers: Dict[str, np.ndarray], name: str, runs: List[tuple]) -> 
 
     When the buffer owns its data and only ``buffers`` refers to it, the
     runs move within it: the first is already in place, and numpy makes
-    each later, overlapping slice move safe, object references included.
+    each later, overlapping slice move safe.
     Otherwise they are packed into a fresh buffer of its capacity.  Each
     run is one slice copy (~0.6 µs): a range delete is one run whatever
     its length, while ``k`` scattered deletes cost ``k`` runs.
@@ -342,6 +350,4 @@ def _pack_runs(buffers: Dict[str, np.ndarray], name: str, runs: List[tuple]) -> 
         if out is not buf or at != start:
             out[at : at + stop - start] = buf[start:stop]
         at += stop - start
-    if out.dtype == object:
-        out[at : runs[-1][1]] = None  # let go of the moved-out strings
     buffers[name] = out

@@ -417,7 +417,11 @@ def restore_catalog(catalog: Catalog, manifest: Dict, arrays: Dict[str, np.ndarr
         if key is None:
             catalog.register(Table(name, schema, part_cols[0]))
         else:
-            parts = [Table(f"{name}#{i}", schema, cols) for i, cols in enumerate(part_cols)]
+            shared: dict = {}  # the partitions share each STRING column's dictionary
+            parts = [
+                Table(f"{name}#{i}", schema, cols, dictionaries=shared)
+                for i, cols in enumerate(part_cols)
+            ]
             catalog.register(PartitionedTable(name, parts, key, entry["upper_bounds"]))
 
 

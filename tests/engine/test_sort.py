@@ -136,7 +136,7 @@ class TestSingleKey:
 
 
 #: Two-key column pairs: NaN-bearing floats and None-bearing strings
-#: take the missing-value paths (NaN groups, ``(is_none, value)`` keys).
+#: take the missing-value paths (NaN groups, NULL ranked after every string).
 KEY_KINDS = ["int-float", "float-str", "str-int"]
 
 

@@ -4,7 +4,7 @@
 row into a ``dict``, the distinct tuples sorted — kept here as the
 oracle.  ``group_codes`` / ``first_rows`` / ``sorted_unique`` must agree
 with it for every key type and every strategy the kernel picks (dense
-presence table, dictionary, sort), for 1–4 key columns, with NULLs
+presence table, string codes, sort), for 1–4 key columns, with NULLs
 (``None`` first, NaN last, each one group), ±0.0, infinities, int64 and
 uint64 extremes, a radix product past 2**63 and empty input.
 ``GroupAggregate`` and ``Distinct`` must equal the same oracle, values

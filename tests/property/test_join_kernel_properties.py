@@ -236,10 +236,12 @@ def test_join_skips_the_build_sort_exactly_on_sorted_keys(inputs, build_side):
     present = [key for key in build.tolist() if not is_null(key)]
     ascending = all(a <= b for a, b in zip(present, present[1:]))
     # a presence table needs no order over distinct keys, and always
-    # sorts duplicate ones; binary search sorts what is not ascending
-    dense = (
-        build.dtype.kind == probe.dtype.kind == "i"
-        and len(present) > 0
+    # sorts duplicate ones; binary search sorts what is not ascending.
+    # String keys join on dictionary codes numbered build side first,
+    # so their build codes span no more values than the build has keys.
+    dense = len(present) > 0 and (
+        build.dtype == object
+        or build.dtype.kind == probe.dtype.kind == "i"
         and max(present) - min(present) + 1 <= DENSE_JOIN_SPAN_FACTOR * len(present)
     )
     distinct = len(set(present)) == len(present)

@@ -4,7 +4,8 @@ Every statement runs against a :class:`~repro.storage.Table` with an
 INT64, a FLOAT64 (with NaN) and a STRING (with ``None``) column, and
 against a model of plain Python lists.  Between statements the test
 holds arrays the way readers do (a whole ``column()`` view, a slice of
-one, a ``memoryview``) and releases held ones at random.  After every
+one, a ``memoryview``; of the STRING column, its codes) and releases
+held ones at random.  After every
 statement:
 
 * every column equals the model, dtype included;
@@ -72,6 +73,12 @@ def same(got, want):
     )
 
 
+def view(table, name):
+    """The column's buffer view: a STRING column's codes."""
+    coded = table.codes(name)
+    return table.column(name) if coded is None else coded[0]
+
+
 def contents(held):
     return held.obj if isinstance(held, memoryview) else held
 
@@ -89,12 +96,12 @@ def check(table, model, held, data):
     for name in model:
         how = data.draw(st.sampled_from(["none", "view", "slice", "memoryview"]))
         if how == "view":
-            arr = table.column(name)
+            arr = view(table, name)
         elif how == "slice":
             start = data.draw(st.integers(0, n))
-            arr = table.column(name)[start : data.draw(st.integers(start, n))]
+            arr = view(table, name)[start : data.draw(st.integers(start, n))]
         elif how == "memoryview":
-            arr = memoryview(table.column(name))
+            arr = memoryview(view(table, name))
         else:
             continue
         held.append((arr, contents(arr).copy()))
@@ -102,14 +109,14 @@ def check(table, model, held, data):
 
 def buffers(table, names):
     """A weak reference to each named column's buffer (the view's base)."""
-    return {name: weakref.ref(table.column(name).base) for name in names}
+    return {name: weakref.ref(view(table, name).base) for name in names}
 
 
 def record_paths(paths, table, held, before):
     """Count each written buffer's path; in place exactly when unheld."""
     for name, ref in before.items():
         held_it = any(contents(arr).base is ref() for arr, _ in held)
-        in_place = table.column(name).base is ref()
+        in_place = view(table, name).base is ref()
         assert in_place is not held_it, (name, in_place)
         paths["in place" if in_place else "copied"] += 1
 

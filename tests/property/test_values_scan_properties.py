@@ -119,7 +119,7 @@ def _insert_new(table, sql):
     catalog = Catalog()
     catalog.register(table)
     SQLSession(catalog).execute(sql)
-    return table.columns()
+    return {n: table.column(n) for n in table.schema.names}
 
 
 def _stored(arrays):

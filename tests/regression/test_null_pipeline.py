@@ -13,7 +13,7 @@ the join, whichever side it builds on.
 NULL group keys (PR 17): ``GROUP BY`` / ``DISTINCT`` over a string
 column holding NULL used to raise ``TypeError: '<' not supported
 between 'NoneType' and 'str'`` out of ``np.unique``'s object sort; the
-group kernel's dictionary strategy makes NULL one group, ordered first
+group kernel's string codes make NULL one group, ordered first
 as in SQLite.
 """
 
