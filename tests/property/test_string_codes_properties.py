@@ -19,11 +19,15 @@ and to NULL among them, must keep ``Table.column()`` equal to a list
 model, and a relation read before the writes must decode the same after
 them.  A module fixture fails unless the kernels gathered through a
 table's own dictionary and through one built on entry, for the
-predicates, the group keys and the sort keys each.
+predicates, the group keys and the sort keys each.  Eight threads
+sorting and grouping one table at once, after its dictionary grew,
+must each see the single-reader answer: the lazily rebuilt rank is
+shared state.
 """
 
 import operator
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -311,3 +315,42 @@ def test_writes_keep_codes_and_readers_decoding(initial, data):
         assert reader.column("s").tolist() == then
         codes, dictionary = reader.codes("s")
         assert dictionary.decode(codes).tolist() == then
+
+
+def test_concurrent_readers_share_one_dictionary():
+    """Readers of one table rebuild the grown dictionary's rank and
+    decode its codes at once; each must see the single-reader answer."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i:03d}" for i in range(300)] + [None]
+    table, _ = string_table([words[i] for i in rng.integers(0, len(words), 2_000)])
+    want_sort = want_groups = None
+    errors = []
+
+    def read():
+        try:
+            for _ in range(20):
+                rel = Relation({"s": stored(table, "s")})
+                got = Sort(RelationSource(rel), ["s"]).execute().column("s").tolist()
+                groups = Distinct(RelationSource(rel), ["s"]).execute().column("s").tolist()
+                assert (got, groups) == (want_sort, want_groups)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(3):
+            # grow the dictionary: every reader then finds its rank stale
+            table.insert({"s": as_objects([f"new{round_no}-{i}" for i in range(50)])})
+            values = table.column("s").tolist()
+            want_sort = sorted(values, key=object_sort_key)
+            want_groups = sorted(set(values), key=lambda v: (v is not None, v or ""))
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors, errors[0]
