@@ -127,8 +127,12 @@ class Relation:
         return Relation({n: arr[indices] for n, arr in self._columns.items()})
 
     def filter(self, mask: np.ndarray) -> "Relation":
-        """Row selection by boolean mask."""
-        return Relation({n: arr[mask] for n, arr in self._columns.items()})
+        """Row selection by boolean mask: a gather of the kept positions,
+        or a compress per column when over 15/16 of the rows are kept
+        (the measured crossover, 1–5 int64 columns of 4 k–180 k rows)."""
+        if np.count_nonzero(mask) * 16 > len(mask) * 15:
+            return Relation({n: arr[mask] for n, arr in self._columns.items()})
+        return self.take(np.flatnonzero(mask))
 
     def select(self, names: Sequence[str]) -> "Relation":
         """Column projection."""

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Callable, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "where",
     "is_null",
     "expression_columns",
+    "column_ranges",
 ]
 
 
@@ -349,3 +351,24 @@ def expression_columns(expr: Expression) -> set:
         elif isinstance(node, CaseExpr):
             stack.extend([node.cond, node.then, node.otherwise])
     return out
+
+
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}  # operands swapped
+
+
+def column_ranges(expr: Expression) -> List[Tuple[str, object, object]]:
+    """Inclusive ``(column, lo, hi)`` (infinite: open) of each top-level
+    ``AND`` conjunct ``column op number`` or ``number op column``, ``op``
+    in ``= < <= > >=``; every row the expression selects lies in each."""
+    if isinstance(expr, BinaryExpr) and expr.symbol == "AND":
+        return column_ranges(expr.left) + column_ranges(expr.right)
+    if not (isinstance(expr, ComparisonExpr) and expr.symbol in _SWAPPED):
+        return []
+    column, op, literal = expr.left, expr.symbol, expr.right
+    if isinstance(column, Literal):
+        column, op, literal = literal, _SWAPPED[op], column
+    value = getattr(literal, "value", None)
+    if not isinstance(column, ColumnRef) or isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return []
+    return [(column.name, -math.inf if "<" in op else value, math.inf if ">" in op else value)]

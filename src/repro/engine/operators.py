@@ -15,12 +15,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union as TUn
 import numpy as np
 
 from repro.engine.batch import Relation, stored
-from repro.engine.expressions import Expression, expression_columns, not_null_mask
+from repro.engine.expressions import Expression, column_ranges, expression_columns, not_null_mask
 from repro.engine.groups import (DENSE_JOIN_SPAN_FACTOR, dense_span, first_rows, group_codes,
                                  offsets_from, run_starts, sorted_unique)
 from repro.engine.interrupt import CHECKPOINT_ROWS, checkpoint, current_token
 from repro.engine.sort import merge_run_slots, scatter_runs, serial_sort_permutation
-from repro.storage.column import string_codes
+from repro.storage.column import ColumnType, string_codes
 from repro.testing import faults
 
 __all__ = [
@@ -89,14 +89,14 @@ class RelationSource(Operator):
 class Scan(Operator):
     """Table scan with optional predicate, minmax pruning and row restriction.
 
-    ``push_range`` implements range propagation (§5): a pushed
-    ``(column, lo, hi)`` range prunes whole blocks via the table's minmax
-    summaries before any tuple is touched, and is how the dynamic variant
-    restricts the probe side of a join (Figure 5).  ``restrict_rows``
-    splits the table at a sorted set of rowIDs — the two flows of a
-    PatchIndex scan (:class:`PatchSelect`).  Both settle which rows are
-    read at all; the predicate sees only those, and every output column
-    is materialized exactly once.
+    :meth:`_rows` settles the rows before any column is read.  Minmax
+    summaries prune blocks by each top-level ``AND`` conjunct ``col op
+    number`` and each range ``push_range`` pushes — range propagation
+    (§5), how the dynamic variant restricts a join's probe side (Figure
+    5).  ``restrict_rows`` splits what is left at a sorted set of rowIDs
+    — the two flows of a PatchIndex scan (:class:`PatchSelect`).  The
+    predicate runs on what is left (on a slice, excluded rows are masked
+    after it); each output column is cut once.
     """
 
     def __init__(
@@ -121,50 +121,49 @@ class Scan(Operator):
         self._rowids = np.asarray(rowids, dtype=np.int64)
         self._complement = complement
 
-    def _block_mask(self, table) -> Optional[np.ndarray]:
-        """Minmax-pruning row mask over one table/partition, or None."""
-        if not (self._ranges and table.num_rows):
+    def _runs(self, table) -> Optional[List[Tuple[int, int]]]:
+        """Coalesced ``[start, end)`` row runs of one table/partition whose
+        blocks meet every range on the scan (None: all rows).  STRING
+        columns bound nothing: their summaries decode every row."""
+        if not table.num_rows:
             return None
-        mask = np.ones(table.num_rows, dtype=bool)
-        for column, lo, hi in self._ranges:
-            mask &= table.minmax(column).row_mask_in_range(lo, hi)
-        return mask
+        schema, bounds = table.schema, {}
+        own = [] if self.predicate is None else column_ranges(self.predicate)
+        for column, lo, hi in self._ranges + own:
+            if schema.field(column).type is not ColumnType.STRING:
+                was_lo, was_hi = bounds.get(column, (lo, hi))
+                bounds[column] = (max(was_lo, lo), min(was_hi, hi))
+        runs = None
+        for column, (lo, hi) in bounds.items():
+            found = table.minmax(column).row_ranges_in_range(lo, hi)
+            runs = found if runs is None else _intersect_runs(runs, found)
+        return runs
 
-    def _scan_range(
-        self,
-        table,
-        start: int,
-        stop: int,
-        rowid_offset: int,
-        mask: Optional[np.ndarray] = None,
-    ) -> Relation:
-        """Scan rows ``[start, stop)`` of one table/partition.
-
-        ``rowid_offset`` is the global rowID of row ``start``; ``mask``
-        is the table-wide minmax pruning mask (sliced here), so pieces
-        share one mask computation.  Concatenating range scans in row
-        order is bit-identical to a whole-table scan.
-
-        The rows to read are settled before any column is touched: an
-        index array (``rows``: the rowIDs restricted to, O(patches)), a
-        boolean mask (``keep``: minmax blocks minus the excluded rowIDs)
-        or the whole range.  The predicate reads its own columns at
-        those rows; each output column is cut once.
-        """
+    def _rows(self, table, start: int, stop: int, rowid_offset: int, runs):
+        """``(rows, keep)`` in ``[start, stop)``: a slice or ascending
+        positions, and None or a mask over the slice.  ``rowid_offset`` is
+        the global rowID of row ``start``; the pieces share ``runs``."""
         rows: TUnion[np.ndarray, slice] = slice(start, stop)
-        keep = None if mask is None else mask[start:stop]
+        if runs is not None:
+            runs = [(max(a, start), min(b, stop)) for a, b in runs if a < stop and b > start]
+            if len(runs) <= 1:
+                rows = slice(*runs[0]) if runs else slice(start, start)
+            else:
+                rows = np.concatenate([np.arange(a, b) for a, b in runs])
+        keep = None
         if self._rowids is not None:
             first = rowid_offset - start  # global rowID of this table's row 0
-            lo, hi = np.searchsorted(self._rowids, (first + start, first + stop))
+            span = rows if isinstance(rows, slice) else slice(start, stop)
+            lo, hi = np.searchsorted(self._rowids, (first + span.start, first + span.stop))
             local = self._rowids[lo:hi] - first
-            if self._complement:
-                keep = np.ones(stop - start, dtype=bool) if keep is None else keep.copy()
-                keep[local - start] = False
+            if not isinstance(rows, slice):
+                rows = rows[np.isin(rows, local, invert=self._complement)]
+            elif self._complement:
+                keep = np.ones(rows.stop - rows.start, dtype=bool)
+                keep[local - rows.start] = False
             else:
-                rows, keep = (local if keep is None else local[mask[local]]), None
+                rows = local
         if self.predicate is not None:
-            if keep is not None:
-                rows, keep = np.flatnonzero(keep) + start, None
             names = [c for c in expression_columns(self.predicate) if c in table.schema]
             # a column-free predicate (``1 = 1``) still needs the row count
             probe = Relation({c: stored(table, c, rows) for c in names or table.schema.names[:1]})
@@ -172,37 +171,57 @@ class Scan(Operator):
             if probe.num_rows:
                 passed = np.asarray(self.predicate.evaluate(probe), dtype=bool)
             if isinstance(rows, slice):
-                keep = passed
+                keep = passed if keep is None else passed & keep
             else:
                 rows = rows[passed]
+        return rows, keep
+
+    def _scan_range(self, table, start: int, stop: int, rowid_offset: int, runs=None) -> Relation:
+        """Scan rows ``[start, stop)`` of one table/partition; range scans
+        concatenated in row order equal the whole scan."""
+        rows, keep = self._rows(table, start, stop, rowid_offset, runs)
         rel = Relation({c: stored(table, c, rows) for c in self.columns})
         return rel if keep is None else rel.filter(keep)
+
+    def _pieces(self, armed: bool):
+        """``(table, start, stop, rowid offset, runs)`` per partition, cut
+        into ``CHECKPOINT_ROWS`` pieces while a token is armed."""
+        for part, offset in zip(self.table.partitions, self.table.partition_offsets()):
+            runs = self._runs(part)
+            step = CHECKPOINT_ROWS if armed else max(1, part.num_rows)
+            for start in range(0, part.num_rows, step):
+                yield part, start, min(start + step, part.num_rows), int(offset) + start, runs
 
     def execute(self) -> Relation:
         checkpoint()
         armed, parts = current_token() is not None, self.table.partitions
         if not armed and len(parts) == 1:  # the common case
             part = parts[0]
-            return self._scan_range(part, 0, part.num_rows, 0, self._block_mask(part))
-        # Piecewise: one piece per partition, cut into CHECKPOINT_ROWS
-        # pieces while a cancellation token is armed so the scan can stop
-        # between them (range scans concatenated in row order equal the
-        # whole scan).  The fault point sits before the piece's check, so
-        # an injected stall is seen by that same check.
-        offsets = self.table.partition_offsets()
+            return self._scan_range(part, 0, part.num_rows, 0, self._runs(part))
+        # The fault point sits before the piece's check, so an injected
+        # stall is seen by that same check.
         pieces = []
-        for part, offset in zip(parts, offsets):
-            mask = self._block_mask(part)
-            step = CHECKPOINT_ROWS if armed else max(1, part.num_rows)
-            for start in range(0, part.num_rows, step):
-                if faults.ACTIVE:
-                    faults.fire("worker.morsel")
-                checkpoint()
-                stop = min(start + step, part.num_rows)
-                pieces.append(self._scan_range(part, start, stop, int(offset) + start, mask))
+        for piece in self._pieces(armed):
+            if faults.ACTIVE:
+                faults.fire("worker.morsel")
+            checkpoint()
+            pieces.append(self._scan_range(*piece))
         if len(pieces) == 1:
             return pieces[0]
         return Relation.concat(pieces) if pieces else self._scan_range(parts[0], 0, 0, 0)
+
+    def rowids(self) -> np.ndarray:
+        """Ascending global rowIDs of the rows the scan returns (the WHERE
+        of UPDATE and DELETE), with a checkpoint before each piece."""
+        out = []
+        for part, start, stop, rowid_offset, runs in self._pieces(current_token() is not None):
+            checkpoint()
+            rows, keep = self._rows(part, start, stop, rowid_offset, runs)
+            if isinstance(rows, slice):
+                rows = np.arange(rows.start, rows.stop) if keep is None else (
+                    np.flatnonzero(keep) + rows.start)
+            out.append(rows + (rowid_offset - start) if rowid_offset != start else rows)
+        return out[0] if len(out) == 1 else np.concatenate([np.zeros(0, dtype=np.int64), *out])
 
     def label(self) -> str:
         extra = ""
@@ -211,6 +230,17 @@ class Scan(Operator):
         if self.predicate is not None:
             extra += f", pred={self.predicate!r}"
         return f"Scan({self.table.name}{extra})"
+
+
+def _intersect_runs(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The rows two ascending lists of disjoint ``[start, end)`` runs share."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        i, j = (i + 1, j) if a[i][1] < b[j][1] else (i, j + 1)
+    return out
 
 
 class PatchSelect(Operator):

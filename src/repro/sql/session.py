@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.engine.batch import ROWID, Relation, stored
 from repro.engine.expressions import expression_columns
+from repro.engine.operators import Scan
 from repro.engine.interrupt import (
-    CHECKPOINT_ROWS,
     CancellationToken,
     cancellation_scope,
     checkpoint,
@@ -515,39 +515,13 @@ class SQLSession:
         return len(stmt.kinds[0])
 
     def _predicate_rowids(self, table, predicate) -> np.ndarray:
-        """RowIDs of the tuples matching a DML predicate.
-
-        Only the columns the predicate references are read, each a view
-        of the table's column buffer (a STRING column's codes).  While a
-        cancellation token is armed the predicate runs in
-        ``CHECKPOINT_ROWS`` chunks with a checkpoint before each;
-        predicates are elementwise, so the concatenated per-chunk rowids
-        equal one whole-table pass.
-        """
+        """RowIDs of the tuples matching a DML predicate, found by a
+        :class:`~repro.engine.operators.Scan` as a SELECT finds its rows."""
         if predicate is None:
             return table.rowids()
-        referenced = sorted(expression_columns(predicate))
-        for name in referenced:
+        for name in expression_columns(predicate):
             table.schema.field(name)  # unknown columns fail before any scan
-        if not referenced:
-            # column-free predicate (e.g. WHERE 1 = 0): broadcast over
-            # the rowid domain without touching any stored column
-            rel = Relation({ROWID: table.rowids()})
-            mask = np.asarray(predicate.evaluate(rel), dtype=bool)
-            return np.flatnonzero(mask).astype(np.int64)
-        arrays = {name: stored(table, name) for name in referenced}
-        num_rows = table.num_rows
-        if current_token() is not None and num_rows > CHECKPOINT_ROWS:
-            pieces = []
-            for start in range(0, num_rows, CHECKPOINT_ROWS):
-                checkpoint()
-                stop = min(start + CHECKPOINT_ROWS, num_rows)
-                chunk = Relation({name: arr[start:stop] for name, arr in arrays.items()})
-                mask = np.asarray(predicate.evaluate(chunk), dtype=bool)
-                pieces.append(np.flatnonzero(mask).astype(np.int64) + start)
-            return np.concatenate(pieces)
-        mask = np.asarray(predicate.evaluate(Relation(arrays)), dtype=bool)
-        return np.flatnonzero(mask).astype(np.int64)
+        return Scan(table, [], predicate).rowids()
 
     def _run_update(self, stmt: UpdateStatement, sql: str = "") -> int:
         table = self.catalog.table(stmt.table)

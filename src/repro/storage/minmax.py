@@ -2,17 +2,18 @@
 
 For buckets of ``block_size`` consecutive tuples, the minimum and maximum
 column value is materialized.  Two readers consult the summaries: a scan
-given a join range propagated at runtime (§5.1, ``Scan.push_range``)
-skips buckets that cannot hold a key in it, and the NUC insert handler's
-dynamic range propagation probes only the row ranges that can hold a
-written value — the "avoid the full table scan" mechanism of the
-insert-handling query in Figure 5.  A scan's own selection predicates
-do not consult them.
+skips buckets that cannot hold a row its ``col op number`` conjuncts or
+a join range propagated at runtime (§5.1, ``Scan.push_range``) admit,
+and the NUC insert handler's dynamic range propagation probes only the
+row ranges that can hold a written value — the "avoid the full table
+scan" mechanism of Figure 5.  Sorted summaries are bisected.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +30,9 @@ _REDUCEAT_KINDS = "biufmM"
 
 
 class MinMaxIndex:
-    """Per-block min/max summary over one column array."""
+    """Per-block min/max summary over one column array, never changed."""
+
+    _lists: Optional[Tuple[list, list]] = None  # (mins, maxs) when both never decrease
 
     def __init__(self, values: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         if block_size <= 0:
@@ -44,6 +47,10 @@ class MinMaxIndex:
             lower, upper = (np.fmin, np.fmax) if floating else (np.minimum, np.maximum)
             self._mins: np.ndarray = lower.reduceat(values, starts)
             self._maxs: np.ndarray = upper.reduceat(values, starts)
+            # bisectable when both never decrease (an all-NULL block's NaN fails)
+            ends = (self._mins, self._maxs)
+            if values.dtype.kind in "iuf" and all((e[1:] >= e[:-1]).all() for e in ends):
+                self._lists = (self._mins.tolist(), self._maxs.tolist())
             return
         nblocks = (len(values) + block_size - 1) // block_size
         mins: List[object] = []
@@ -84,20 +91,34 @@ class MinMaxIndex:
 
     def row_ranges_in_range(self, lo, hi) -> List[Tuple[int, int]]:
         """Coalesced ``[start, end)`` row ranges possibly matching [lo, hi]."""
-        blocks = self.blocks_in_range(lo, hi)
+        lo, hi = self._bound(lo, upper=False), self._bound(hi, upper=True)
+        size = self._block_size
+        if self._lists is not None:
+            first, last = bisect_left(self._lists[1], lo), bisect_right(self._lists[0], hi)
+            return [(first * size, min(last * size, self._num_rows))] if first < last else []
         ranges: List[Tuple[int, int]] = []
-        for b in blocks:
-            start = int(b) * self._block_size
-            end = min(start + self._block_size, self._num_rows)
+        for b in self.blocks_in_range(lo, hi).tolist():
+            start = b * size
+            end = min(start + size, self._num_rows)
             if ranges and ranges[-1][1] == start:
                 ranges[-1] = (ranges[-1][0], end)
             else:
                 ranges.append((start, end))
         return ranges
 
-    def row_mask_in_range(self, lo, hi) -> np.ndarray:
-        """Boolean mask over all rows: True where the block may match."""
-        mask = np.zeros(self._num_rows, dtype=bool)
-        for start, end in self.row_ranges_in_range(lo, hi):
-            mask[start:end] = True
-        return mask
+    def _bound(self, value, upper: bool):
+        """``value`` as numpy compares it with the column: exact, but a
+        float against integers (rounded to float64, off by up to 512
+        above 2**53) rounds outward, by 1024 up there.  No row compares
+        true with NaN, so a NaN bound may keep any blocks."""
+        kind = self._mins.dtype.kind
+        if kind not in "iuf" or kind != "f" and isinstance(value, (int, np.integer)):
+            return value
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond every float
+            x = math.inf if value > 0 else -math.inf
+        if kind == "f" or not math.isfinite(x):
+            return x
+        slack = 0 if abs(x) < 2**53 else 1024
+        return math.ceil(x) + slack if upper else math.floor(x) - slack

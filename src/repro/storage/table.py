@@ -163,7 +163,6 @@ class Table:
         self._n = lengths.pop() if lengths else 0
         self._minmax_block_size = minmax_block_size
         self._minmax: Dict[str, MinMaxIndex] = {}
-        self._minmax_version = -1
         self._hooks: List[UpdateHook] = []
         self._version = 0
 
@@ -231,10 +230,8 @@ class Table:
     # minmax summaries
     # ------------------------------------------------------------------
     def minmax(self, column: str) -> MinMaxIndex:
-        """Lazily built minmax summary over the current image of a column."""
-        if self._minmax_version != self._version:
-            self._minmax = {}
-            self._minmax_version = self._version
+        """Lazily built minmax summary over the current image of a column;
+        INSERT and DELETE drop all, UPDATE those of the columns it sets."""
         cached = self._minmax.get(column)
         if cached is None:
             cached = MinMaxIndex(self.column(column), self._minmax_block_size)
@@ -276,6 +273,7 @@ class Table:
             buf[start:stop] = new
         self._buffers = buffers
         self._n = stop
+        self._minmax = {}
         rowids = np.arange(start, stop, dtype=np.int64)
         self._fire(UpdateEvent("insert", rowids, {k: np.asarray(v) for k, v in values.items()}))
         return rowids
@@ -294,6 +292,7 @@ class Table:
             for name in self._buffers:
                 _pack_runs(self._buffers, name, runs)
             self._n -= len(rowids)
+            self._minmax = {}
         self._fire(UpdateEvent(kind="delete", rowids=rowids))
 
     def modify(self, rowids: np.ndarray, values: Dict[str, np.ndarray]) -> None:
@@ -310,6 +309,7 @@ class Table:
         for name, vals in new.items():
             _pack_runs(self._buffers, name, [(0, self._n)])  # copies a held buffer
             self._buffers[name][rowids] = vals
+        self._minmax = {c: mm for c, mm in self._minmax.items() if c not in new}
         self._fire(UpdateEvent("modify", rowids, {k: np.asarray(v) for k, v in values.items()}))
 
     def _convert(self, name: str, values) -> np.ndarray:

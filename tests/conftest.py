@@ -3,7 +3,6 @@
 import pytest
 
 import repro.engine.operators as operators_mod
-import repro.sql.session as session_mod
 from repro.plan import nodes
 
 
@@ -11,15 +10,15 @@ from repro.plan import nodes
 def piece_rows(monkeypatch):
     """Setter for the rows per piece of the piecewise paths.
 
-    While a cancellation token is armed, scans and DML predicates run in
-    ``CHECKPOINT_ROWS``-row pieces; test tables are far smaller than the
+    While a cancellation token is armed, scans and DML predicates (both
+    :class:`repro.engine.operators.Scan`) run in ``CHECKPOINT_ROWS``-row
+    pieces; test tables are far smaller than the
     production 65 536, so the suites shrink it to make every table cut
     into many pieces (restored after the test).
     """
 
     def set_rows(rows: int) -> None:
         monkeypatch.setattr(operators_mod, "CHECKPOINT_ROWS", rows)
-        monkeypatch.setattr(session_mod, "CHECKPOINT_ROWS", rows)
 
     return set_rows
 

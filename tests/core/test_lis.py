@@ -15,6 +15,9 @@ from repro.core.lis import (
 )
 
 
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def _patience_oracle(codes):
     """The per-row patience loop the run kernel replaced, kept verbatim
     as the reference: same piles, same parents, same tie rule."""
@@ -117,15 +120,26 @@ class TestLIS:
 
 class TestOrderCodes:
     def test_preserves_order(self):
-        values = np.array([30, 10, 20])
+        values = np.array([30.0, 10.0, 20.0])
         codes = order_codes(values)
         assert codes.tolist() == [2, 0, 1]
 
     def test_descending_negates(self):
-        values = np.array([1, 2])
+        values = np.array([1.0, 2.0])
         asc = order_codes(values, True)
         desc = order_codes(values, False)
         np.testing.assert_array_equal(desc, -asc)
+
+    def test_integers_are_their_own_codes(self):
+        values = np.array([30, 10, 20, INT64_MIN, INT64_MAX])
+        assert order_codes(values) is values
+        # ~v = -1 - v reverses the order and cannot overflow at the limits
+        assert order_codes(values, False).tolist() == [-31, -11, -21, INT64_MAX, INT64_MIN]
+
+    def test_codes_without_a_descent_skip_the_kernel(self):
+        codes = np.array([INT64_MIN, -1, -1, 0, INT64_MAX])
+        np.testing.assert_array_equal(longest_nondecreasing(codes), np.arange(5))
+        np.testing.assert_array_equal(_patience_oracle(codes), np.arange(5))
 
 
 class TestNullOrder:
@@ -222,4 +236,31 @@ def test_run_kernel_matches_patience_oracle(values, ascending):
     got = longest_sorted_subsequence(values, ascending)
     np.testing.assert_array_equal(got, _patience_oracle(codes))
     np.testing.assert_array_equal(longest_nondecreasing(codes), got)
+    assert got.dtype == np.int64
+
+
+def _dense_codes(values, ascending):
+    """Dense order codes of an integer column, the recoding its own
+    values (or ``~values``) replace."""
+    codes = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    return codes if ascending else -codes
+
+
+@st.composite
+def int_columns(draw):
+    """Integer columns reaching INT64_MIN/MAX: random, with duplicates,
+    ascending and descending."""
+    pool = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX])
+    values = draw(st.lists(st.one_of(pool, st.integers(-5, 5)), max_size=3 * BULK_MIN))
+    shape = draw(st.sampled_from(["random", "ascending", "descending"]))
+    if shape != "random":
+        values = sorted(values, reverse=shape == "descending")
+    return np.array(values, dtype=np.int64)
+
+
+@given(int_columns(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_integer_codes_match_the_oracle_over_dense_codes(values, ascending):
+    got = longest_sorted_subsequence(values, ascending)
+    np.testing.assert_array_equal(got, _patience_oracle(_dense_codes(values, ascending)))
     assert got.dtype == np.int64

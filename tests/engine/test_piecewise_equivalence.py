@@ -2,7 +2,7 @@
 
 While a cancellation token is armed, every scan runs piecewise — one
 range scan per partition, cut into ``CHECKPOINT_ROWS``-row pieces, with
-minmax masks, pushed ranges, PatchIndex rowID restrictions and pushed
+the minmax runs its ranges keep, PatchIndex rowID restrictions and pushed
 predicates applied per piece and the pieces concatenated in row order
 (:meth:`repro.engine.operators.Scan.execute`).  This suite pins that the
 plans above the scans cannot tell: the TPC-H query plans, PatchIndex-

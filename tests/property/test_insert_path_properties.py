@@ -267,10 +267,10 @@ def test_minmax_matches_the_per_block_loop(values, block_size, data):
         kept = [b for b, mm in enumerate(want) if mm is not None and mm[1] >= lo and mm[0] <= hi]
         assert index.blocks_in_range(lo, hi).tolist() == kept
         # every row holding a value in [lo, hi] lies in a kept range
-        mask = index.row_mask_in_range(lo, hi)
+        ranges = index.row_ranges_in_range(lo, hi)
         for i, v in enumerate(values.tolist()):
             if not is_null(v) and lo <= v <= hi:
-                assert mask[i]
+                assert any(start <= i < end for start, end in ranges)
 
 
 def test_minmax_of_an_empty_column():

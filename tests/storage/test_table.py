@@ -318,10 +318,13 @@ class TestMinMax:
         assert idx.blocks_in_range(25, 34).tolist() == [2, 3]
         assert idx.row_ranges_in_range(25, 34) == [(20, 40)]
 
-    def test_row_mask(self):
+    def test_row_ranges_of_a_sorted_column(self):
         idx = MinMaxIndex(np.arange(50), block_size=10)
-        mask = idx.row_mask_in_range(0, 9)
-        assert mask[:10].all() and not mask[10:].any()
+        assert idx.row_ranges_in_range(0, 9) == [(0, 10)]
+        assert idx.row_ranges_in_range(9, 10) == [(0, 20)]  # block maxima are hits
+        assert idx.row_ranges_in_range(-np.inf, 15) == [(0, 20)]
+        assert idx.row_ranges_in_range(45, np.inf) == [(40, 50)]
+        assert idx.row_ranges_in_range(50, np.inf) == []
 
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
