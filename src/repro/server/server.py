@@ -107,6 +107,9 @@ SERVER_NAME = "patchindex-repro/0.1.0"
 #: Seconds a fresh connection gets to complete the handshake.
 HANDSHAKE_TIMEOUT = 10.0
 
+#: A result frame's ``stats`` keys; the values are scalars, so no ``asdict`` copy.
+_STATS_FIELDS = [field.name for field in dataclasses.fields(QueryStats)]
+
 
 def validate_port(value: object, name: str = "port") -> int:
     """Validate a TCP port knob, returning it as a plain int.
@@ -564,7 +567,7 @@ class SQLServer:
                 "type": "result",
                 "id": sid,
                 "row_count": row_count,
-                "stats": dataclasses.asdict(stats),
+                "stats": {name: getattr(stats, name) for name in _STATS_FIELDS},
             }
             if columns is not None:
                 frame["columns"] = columns

@@ -1,9 +1,10 @@
 """Recursive-descent SQL parser lowering onto logical plans.
 
+Expressions are read by precedence climbing over one operator table.
 An INSERT is tokenized only through ``VALUES``: one pattern per row
-width checks its body and one ``findall`` reads the literals as columns
-(:func:`_scan_values`).  A malformed INSERT is re-walked token by token,
-so its error and position are those of the token parser.
+width checks its body, its only validator, and ``str.split`` reads the
+literals as columns (:func:`_scan_values`).  A malformed INSERT is
+re-walked token by token, so its error and position are the token parser's.
 
 The engine resolves columns by bare name, so column names must be
 unique across joined tables (the TPC-H style this repo uses
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import re
-from typing import Dict, List, NoReturn, Optional, Tuple, Union
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple, Union
 
 from repro.engine.expressions import Expression, col, is_null, lit, where
 from repro.plan import nodes
@@ -148,12 +150,13 @@ def parse_statement(sql: str) -> Statement:
 
 
 # one VALUES literal (``_Parser._parse_literal``) in the lexer's classes;
-# each number has one parse, so a rejected body fails in linear time, and
-# the item has no groups (captures in the repeated body cost 18x)
+# each alternative has its own first character (the unsigned number's is
+# tried first), so a rejected body fails in linear time, and the item has
+# no groups (captures in the repeated body cost 18x)
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
-_ITEM = rf"(?:[Nn][Uu][Ll][Ll]|(?:-\s*)?{_NUMBER}|'[^']*')"
-#: each literal of a checked body as (string, sign, number, null)
-_LITERAL = re.compile(rf"'([^']*)'|(?:(-)\s*)?({_NUMBER})|([Nn][Uu][Ll][Ll])")
+_ITEM = rf"(?:\d+(?:\.\d*)?|-\s*{_NUMBER}|\.\d+|[Nn][Uu][Ll][Ll]|'[^']*')"
+#: the separators of a checked body's literals outside its strings
+_SEPARATORS = str.maketrans("(),;", "    ")
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,19 +167,55 @@ def _values_body(width: int) -> "re.Pattern[str]":
 
 
 def _scan_values(sql: str, start: int, width: int) -> Tuple[List[List[str]], List[str]]:
-    """Literal texts and kinds per column of the VALUES body at ``start``."""
+    """Literal texts and kinds per column of the VALUES body at ``start``.
+
+    Past the check every ``'`` opens or closes a string, so the text
+    between strings splits at once, one ``'`` standing in for each string.
+    """
     if _values_body(width).fullmatch(sql, start) is None:
         raise SQLSyntaxError("malformed VALUES body")
-    texts: List[str] = []
-    kinds: List[str] = []
-    for string, sign, number, null in _LITERAL.findall(sql, start):
-        if number:
-            texts.append(sign + number)
-            kinds.append(FLOAT if "." in number else INT)
-        else:  # ``''`` fills no group: a STRING
-            texts.append(null or string)
-            kinds.append(NULL if null else STRING)
-    return [texts[i::width] for i in range(width)], ["".join(kinds[i::width]) for i in range(width)]
+    parts = sql[start:].split("'")
+    outside = "'".join(parts[::2]).translate(_SEPARATORS)
+    flat = outside.split()
+    if "-" in outside:  # ``- 5``: a sign apart from its digits
+        flat = " ".join(flat).replace("- ", "-").split()
+    kinds = [_column_kinds(flat[i::width]) for i in range(width)]
+    if len(parts) > 1:
+        strings = iter(parts[1::2])
+        flat = [next(strings) if text == "'" else text for text in flat]
+    return [flat[i::width] for i in range(width)], kinds
+
+
+def _column_kinds(texts: List[str]) -> str:
+    """Kinds of one column's checked literals (``'`` for a string)."""
+    joined = "".join(texts)
+    dots = joined.count(".")  # a number holds at most one
+    if "N" in joined or "n" in joined or "'" in joined or 0 < dots < len(texts):
+        return "".join([
+            STRING if text == "'" else NULL if text[0] in "Nn" else FLOAT if "." in text else INT
+            for text in texts
+        ])
+    return (FLOAT if dots else INT) * len(texts)
+
+
+#: binding strength of each operator level, loosest first; NOT is prefix
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _ATOM = range(1, 8)
+#: infix operators by token kind and text: (precedence, build), where a
+#: comparison-level special (no build) reads its own right side
+_INFIX: Dict[TokenKind, Dict[str, Tuple[int, Optional[Callable]]]] = {
+    TokenKind.KEYWORD: {
+        "OR": (_OR, operator.or_), "AND": (_AND, operator.and_),
+        **dict.fromkeys(["IS", "IN", "BETWEEN"], (_CMP, None)),
+    },
+    TokenKind.OPERATOR: {
+        "=": (_CMP, operator.eq), "<>": (_CMP, operator.ne), "!=": (_CMP, operator.ne),
+        "<": (_CMP, operator.lt), "<=": (_CMP, operator.le),
+        ">": (_CMP, operator.gt), ">=": (_CMP, operator.ge),
+        "+": (_ADD, operator.add), "-": (_ADD, operator.sub),
+        "*": (_MUL, operator.mul), "/": (_MUL, operator.truediv), "%": (_MUL, operator.mod),
+    },
+}
+_NO_OPS: Dict[str, Tuple[int, Optional[Callable]]] = {}
 
 
 class _Parser:
@@ -544,79 +583,40 @@ class _Parser:
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
     # ------------------------------------------------------------------
-    def _parse_expr(self) -> Expression:
-        return self._parse_or()
+    def _parse_expr(self, min_prec: int = _OR) -> Expression:
+        """An expression of the operators that bind at least as tightly
+        as ``min_prec``; it stops at the first token that cannot extend it."""
+        if min_prec <= _NOT and self._keyword("NOT"):
+            expr, prec = ~self._parse_expr(_NOT), _NOT
+        else:
+            expr, prec = self._parse_unary(), _ATOM
+        while True:
+            tok = self._tokens[self._pos]
+            op = _INFIX.get(tok.kind, _NO_OPS).get(tok.value)
+            # ``prec`` is the level of ``expr``'s top operator: only an operator
+            # no tighter takes ``expr`` as its left side, and no comparison
+            # takes a comparison (they do not chain)
+            if op is None or not min_prec <= op[0] <= prec or op[0] == prec == _CMP:
+                return expr
+            self._pos += 1
+            prec, build = op
+            if build is None:  # IS, IN, BETWEEN
+                expr = self._parse_comparison_special(tok.value, expr)
+            else:
+                expr = build(expr, self._parse_expr(prec + 1))
 
-    def _parse_or(self) -> Expression:
-        expr = self._parse_and()
-        while self._keyword("OR"):
-            expr = expr | self._parse_and()
-        return expr
-
-    def _parse_and(self) -> Expression:
-        expr = self._parse_not()
-        while self._keyword("AND"):
-            expr = expr & self._parse_not()
-        return expr
-
-    def _parse_not(self) -> Expression:
-        if self._keyword("NOT"):
-            return ~self._parse_not()
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expression:
-        expr = self._parse_additive()
-        tok = self._peek()
-        if tok.kind is TokenKind.OPERATOR and tok.value in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            self._advance()
-            right = self._parse_additive()
-            ops = {
-                "=": lambda a, b: a == b,
-                "<>": lambda a, b: a != b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }
-            return ops[tok.value](expr, right)
-        if tok.matches(TokenKind.KEYWORD, "IS"):
-            self._advance()
+    def _parse_comparison_special(self, word: str, expr: Expression) -> Expression:
+        """The rest of ``expr IS [NOT] NULL``, ``IN (...)`` or ``BETWEEN``."""
+        if word == "IS":
             negate = self._keyword("NOT")
             self._expect(TokenKind.KEYWORD, "NULL")
             return is_null(expr, negate)
-        if tok.matches(TokenKind.KEYWORD, "IN"):
-            self._advance()
+        if word == "IN":
             return expr.isin(self._parse_literal_list())
-        if tok.matches(TokenKind.KEYWORD, "BETWEEN"):
-            self._advance()
-            lo = self._parse_additive()
-            self._expect(TokenKind.KEYWORD, "AND")
-            hi = self._parse_additive()
-            return (expr >= lo) & (expr <= hi)
-        return expr
-
-    def _parse_additive(self) -> Expression:
-        expr = self._parse_multiplicative()
-        while True:
-            if self._accept(TokenKind.OPERATOR, "+"):
-                expr = expr + self._parse_multiplicative()
-            elif self._accept(TokenKind.OPERATOR, "-"):
-                expr = expr - self._parse_multiplicative()
-            else:
-                return expr
-
-    def _parse_multiplicative(self) -> Expression:
-        expr = self._parse_unary()
-        while True:
-            if self._accept(TokenKind.OPERATOR, "*"):
-                expr = expr * self._parse_unary()
-            elif self._accept(TokenKind.OPERATOR, "/"):
-                expr = expr / self._parse_unary()
-            elif self._accept(TokenKind.OPERATOR, "%"):
-                expr = expr % self._parse_unary()
-            else:
-                return expr
+        lo = self._parse_expr(_ADD)  # its AND is BETWEEN's, not a conjunction
+        self._expect(TokenKind.KEYWORD, "AND")
+        hi = self._parse_expr(_ADD)
+        return (expr >= lo) & (expr <= hi)
 
     def _parse_unary(self) -> Expression:
         if self._accept(TokenKind.OPERATOR, "-"):

@@ -43,6 +43,7 @@ from repro.plan.executor import execute_plan, explain_plan
 from repro.plan.optimizer import Optimizer
 from repro.sql.binder import bind_statement
 from repro.sql.parser import (
+    NULL,
     DeleteStatement,
     InsertStatement,
     SelectStatement,
@@ -499,9 +500,9 @@ class SQLSession:
         # window is before it starts
         checkpoint()
         values = {}
-        for i, column in enumerate(stmt.columns):
+        for i, (column, kinds) in enumerate(zip(stmt.columns, stmt.kinds)):
             field = table.schema.field(column)
-            values[column] = _coerce_for_storage(column, field, stmt.values(i))
+            values[column] = _coerce_for_storage(column, field, stmt.values(i), NULL in kinds)
         missing = set(table.schema.names) - set(stmt.columns)
         if missing:
             raise ValueError(f"INSERT must provide all columns; missing {sorted(missing)}")
@@ -547,7 +548,7 @@ class SQLSession:
                 # NULL assignments surface as None in an object array;
                 # route them at the column's storage representation
                 field = table.schema.field(column)
-                arr = _coerce_for_storage(column, field, list(arr))
+                arr = _coerce_for_storage(column, field, list(arr), any(v is None for v in arr))
             new_values[column] = arr
         # last interruption window: past this point the mutation applies
         # atomically, so an interrupted UPDATE is provably un-applied
@@ -581,21 +582,21 @@ class SQLSession:
         return len(rowids)
 
 
-def _coerce_for_storage(column: str, field, raw) -> np.ndarray:
+def _coerce_for_storage(column: str, field, raw, has_null: bool) -> np.ndarray:
     """Coerce a python value list to a column's storage array.
 
-    NULL (python ``None``) maps to the column type's representation —
-    ``None`` in object (STRING) columns, NaN in FLOAT64 columns — and
-    raises :class:`NullStorageError` for INT64 columns, which have no
-    NULL representation.  Non-NULL values coerce exactly as before
-    (strings via ``str``, numerics via ``np.asarray``).
+    NULL (python ``None``, in ``raw`` only if ``has_null``) maps to the
+    column type's representation — ``None`` in object (STRING) columns,
+    NaN in FLOAT64 columns — and raises :class:`NullStorageError` for
+    INT64 columns, which have no NULL representation.  Non-NULL values
+    coerce as before (strings via ``str``, numerics via ``np.asarray``).
     """
     dtype = field.type.numpy_dtype
     if dtype is object:
         arr = np.empty(len(raw), dtype=object)
         arr[:] = [None if v is None else str(v) for v in raw]
         return arr
-    if any(v is None for v in raw):
+    if has_null:
         if not np.issubdtype(dtype, np.floating):
             raise NullStorageError(
                 f"cannot store NULL in column {column!r}: its type "

@@ -81,6 +81,7 @@ class PartitionedTable:
         bounds = [order[max(0, i)] for i in bound_idx]
         parts: List[Table] = []
         dictionaries: dict = {}  # one per STRING column, for every partition
+        block = table.minmax_block_size  # the source's summary block size
         lower = None
         for p in range(num_partitions):
             upper = bounds[p] if p < len(bounds) else None
@@ -90,7 +91,7 @@ class PartitionedTable:
             if upper is not None:
                 mask &= keys <= upper
             cols = {c: table.column(c)[mask] for c in table.schema.names}
-            parts.append(Table(f"{table.name}#{p}", table.schema, cols, dictionaries=dictionaries))
+            parts.append(Table(f"{table.name}#{p}", table.schema, cols, block, dictionaries))
             lower = upper
         return cls(table.name, parts, partition_key, bounds)
 

@@ -161,7 +161,7 @@ class Table:
         # the caller's arrays, full: the first INSERT grows out of them
         self._buffers = coerced
         self._n = lengths.pop() if lengths else 0
-        self._minmax_block_size = minmax_block_size
+        self.minmax_block_size = minmax_block_size
         self._minmax: Dict[str, MinMaxIndex] = {}
         self._hooks: List[UpdateHook] = []
         self._version = 0
@@ -234,7 +234,7 @@ class Table:
         INSERT and DELETE drop all, UPDATE those of the columns it sets."""
         cached = self._minmax.get(column)
         if cached is None:
-            cached = MinMaxIndex(self.column(column), self._minmax_block_size)
+            cached = MinMaxIndex(self.column(column), self.minmax_block_size)
             self._minmax[column] = cached
         return cached
 

@@ -25,7 +25,6 @@ from repro.engine.expressions import col
 from repro.engine.operators import MergeUnion, PatchSelect, RelationSource, Scan
 from repro.engine.sort import merge_sorted_runs
 from repro.storage import PartitionedTable, Table
-from repro.storage.minmax import DEFAULT_BLOCK_SIZE
 
 ROWS = 120
 BLOCK = 8
@@ -53,16 +52,17 @@ def make_index(table, design, patch_mask):
 
 
 def surviving_blocks(table, lo, hi):
-    """Row mask of the minmax blocks of ``k`` (= the rowID) that meet [lo, hi]."""
+    """Row mask of the minmax blocks of ``k`` (= the rowID) that meet [lo, hi];
+    partitions keep the source table's block size."""
     if isinstance(table, PartitionedTable):
         starts = table.partition_offsets().tolist()
-        bounds, block = list(zip(starts, starts[1:] + [ROWS])), DEFAULT_BLOCK_SIZE
+        bounds = list(zip(starts, starts[1:] + [ROWS]))
     else:
-        bounds, block = [(0, ROWS)], BLOCK
+        bounds = [(0, ROWS)]
     keep = np.zeros(ROWS, dtype=bool)
     for start, stop in bounds:
-        for first in range(start, stop, block):
-            last = min(first + block, stop) - 1
+        for first in range(start, stop, BLOCK):
+            last = min(first + BLOCK, stop) - 1
             keep[first : last + 1] = last >= lo and first <= hi
     return keep
 

@@ -83,16 +83,7 @@ def tables(draw):
     types = {"s": ColumnType.STRING}
     table = Table.from_arrays("t", cols, types=types, minmax_block_size=BLOCK)
     if shape == "partitioned" and n:
-        parts = PartitionedTable.from_table(table, "k", draw(st.integers(2, 3)))
-        # partitions keep the small block size, and share one dictionary
-        shared: dict = {}
-        table = PartitionedTable(
-            "t",
-            [Table(p.name, p.schema, {c: p.column(c) for c in cols}, minmax_block_size=BLOCK,
-                   dictionaries=shared) for p in parts.partitions],
-            "k",
-            parts.upper_bounds,
-        )
+        table = PartitionedTable.from_table(table, "k", draw(st.integers(2, 3)))
     return shape, table
 
 

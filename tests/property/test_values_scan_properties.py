@@ -13,12 +13,18 @@ table, both sides must store arrays of the same dtype and the same bits
 (NaN and ``-0.0`` where the other has them, the same Python types in a
 STRING column), or raise the same exception type with the same message.
 
+The body pattern is the scan's only validator; past it the literals
+are read by splitting the text.  ``_findall_scan`` is the reader it
+replaced (one ``re.findall`` over the checked body, a Python step per
+literal), kept verbatim: both must give the same texts and kinds.
+
 One divergence is kept on purpose: the row loop converted each number
 while parsing, the scan converts when the INSERT runs.  A literal past
 ``int()``'s digit limit therefore raises the same ``ValueError`` at run
 time instead of at parse time (pinned below); no error changes.
 """
 
+import re
 import sys
 
 import numpy as np
@@ -29,7 +35,7 @@ from hypothesis import strategies as st
 from repro.sql import SQLSession, parse_statement
 from repro.sql import parser as parser_module
 from repro.sql.lexer import SQLSyntaxError, TokenKind, tokenize
-from repro.sql.parser import _Parser
+from repro.sql.parser import FLOAT, INT, NULL, STRING, _Parser, _scan_values
 from repro.sql.session import NullStorageError
 from repro.storage import Catalog, Table
 from repro.storage.column import ColumnType
@@ -69,6 +75,27 @@ def _parse_insert_oracle(sql):
     p._accept(TokenKind.PUNCT, ";")
     p._expect(TokenKind.EOF)
     return table, columns, rows
+
+
+#: each literal of a checked body as (string, sign, number, null)
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_LITERAL = re.compile(rf"'([^']*)'|(?:(-)\s*)?({_NUMBER})|([Nn][Uu][Ll][Ll])")
+
+
+def _findall_scan(sql, start, width):
+    """``_scan_values`` as it was: one ``findall`` read the literals."""
+    if parser_module._values_body(width).fullmatch(sql, start) is None:
+        raise SQLSyntaxError("malformed VALUES body")
+    texts = []
+    kinds = []
+    for string, sign, number, null in _LITERAL.findall(sql, start):
+        if number:
+            texts.append(sign + number)
+            kinds.append(FLOAT if "." in number else INT)
+        else:  # ``''`` fills no group: a STRING
+            texts.append(null or string)
+            kinds.append(NULL if null else STRING)
+    return [texts[i::width] for i in range(width)], ["".join(kinds[i::width]) for i in range(width)]
 
 
 def _coerce_oracle(column, field, raw):
@@ -140,11 +167,21 @@ def _outcome(insert, ctype, width, sql):
         return type(exc).__name__, str(exc)
 
 
+def _scan_outcome(scan, sql, width):
+    start = sql.index("VALUES") + len("VALUES")
+    try:
+        return scan(sql, start, width)
+    except SQLSyntaxError as exc:
+        return str(exc)
+
+
 def assert_same_outcome(sql, width):
     for ctype in (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.STRING):
         new = _outcome(_insert_new, ctype, width, sql)
         old = _outcome(_insert_oracle, ctype, width, sql)
         assert new == old, (ctype, sql)
+    if "VALUES" in sql:
+        assert _scan_outcome(_scan_values, sql, width) == _scan_outcome(_findall_scan, sql, width)
 
 
 # ----------------------------------------------------------------------
@@ -169,15 +206,18 @@ FLOATS = st.one_of(
     st.from_regex(r"\A\d{0,3}\.\d{0,3}\Z").filter(lambda s: s != "."),
     st.floats(0, 1e30).map(lambda f: f"{f:f}"),
 )
-SIGN = st.sampled_from(["", "", "-", "- ", "-\t"])
+#: a sign, and what may stand between it and its digits (``\s`` is Unicode)
+SIGN = st.sampled_from(["", "", "-", "- ", "-\t", "-\n", "- \t\n ", "-\u3000", "-\x85", "-\xa0"])
 STRINGS = st.one_of(
     st.sampled_from([
         "", "a", "a,b", "(", ")", "),(", "123", "5", "5.5", "-5", " 7 ", "NULL",
-        "null", "é", "　", "1e3", "nan", "inf", "0x10", "1_000", "٣",
+        "null", "é", "　", "1e3", "nan", "inf", "0x10", "1_000", "٣", ";", "(1, 2);",
+        " - 5 ", "-", "- 5", "a  \t  b", "1,2", "null, 7", "(NULL)", "  ", ".5", "5.",
     ]),
-    st.text(st.sampled_from("ab1.,() -N\n"), max_size=4),
+    st.text(st.sampled_from("ab1.,() -N\n;\tlu"), max_size=6),
 ).map(lambda body: f"'{body}'")
-NULLS = st.sampled_from(["NULL", "null", "Null", "nULl"])
+#: NULL in every mix of case
+NULLS = st.tuples(*(st.sampled_from(pair) for pair in ("Nn", "Uu", "Ll", "Ll"))).map("".join)
 #: each column of a statement draws its literals from one of these
 POOLS = [
     st.tuples(SIGN, INTS).map("".join),
@@ -186,6 +226,7 @@ POOLS = [
     STRINGS,
     st.one_of(st.tuples(SIGN, INTS).map("".join), STRINGS, NULLS),
     st.one_of(st.tuples(SIGN, FLOATS).map("".join), NULLS),
+    st.one_of(st.tuples(SIGN, st.one_of(INTS, FLOATS)).map("".join), STRINGS, NULLS),
 ]
 #: one malformed item: negated string or NULL, double sign, words that
 #: are not NULL, a quote in a string, stray punctuation, exponents
@@ -195,7 +236,7 @@ BAD_ITEMS = [
     "'open", ",", ")", "(", "", "5'a'", "NULL'x'",
 ]
 SPACE = st.sampled_from(["", "", " ", "  ", "\n", "\t", "　", "\x85"])
-END = st.sampled_from(["", "", ";", "; ", " ;\n"])
+END = st.sampled_from(["", "", ";", "; ", " ;\n", ";\t\n  ", "; \u3000", ";\x85"])
 BAD_END = st.sampled_from([";;", ",", " x", "(1)", ")", "; x", ",(1"])
 
 
@@ -268,6 +309,13 @@ def test_values_scan_stores_what_the_row_loop_stored(case):
         ("(1); x", 1),
         ("(1);", 1),
         ("(1) ; \n", 1),
+        ("('', 5), (5, ''), ('',-5), (-5,'')", 2),
+        ("(5,''),('',.5)", 2),
+        ("('(1, 2);', '- 5'), (' null ', 'a  \t  b')", 2),
+        ("(-\t5, -\n.5, -\u30005.)", 3),
+        ("(NULL, nUlL, NuLl, nulL)", 4),
+        ("(1, '1', NULL, 1.5), ('x', 2, 2.5, NULL), (NULL, null, 'y', 3)", 4),
+        ("(1) ;\t\n  ", 1),
     ],
 )
 def test_pinned_corners(body, width):
